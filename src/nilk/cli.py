@@ -80,6 +80,10 @@ def _load_matrix(path: str) -> Matrix:
 
 def cmd_higman(args) -> int:
     m = _load_matrix(args.input)
+    if m.rows == 0 or "s" not in {v.name for v in m.ring.vars}:
+        print("higman needs a nonempty matrix over a ring with the variable s",
+              file=sys.stderr)
+        return EXIT_IO
     rep = lp.K1Rep(m)
     try:
         rep.verify()
@@ -170,6 +174,12 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nilk",
@@ -199,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("versch", help="Verschiebung companion of a nilpotent")
     sp.add_argument("input")
-    sp.add_argument("-k", type=int, required=True)
+    sp.add_argument("-k", type=_positive_int, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_versch)
 
     sp = sub.add_parser("frob", help="Frobenius power of a nilpotent")
     sp.add_argument("input")
-    sp.add_argument("-k", type=int, required=True)
+    sp.add_argument("-k", type=_positive_int, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_frob)
 

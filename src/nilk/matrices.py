@@ -1,8 +1,8 @@
 """Exact dense matrices over the rings in nilk.rings.
 
-Desk-scale only: determinants by cofactor expansion (bitmask over columns),
-inverses by adjugate.  Values are immutable; entry equality is canonical
-polynomial equality.
+det and the Cayley-Hamilton adjugate inverse both come from one Berkowitz
+characteristic polynomial, division-free over every base ring.  Values are
+immutable; entry equality is canonical polynomial equality.
 """
 
 from __future__ import annotations
@@ -155,64 +155,67 @@ class Matrix:
                 return k
         return None
 
-    # -- determinant / inverse
+    # -- characteristic polynomial, determinant, inverse
 
-    def det(self) -> Poly:
+    def charpoly(self) -> list[Poly]:
+        """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A), by Berkowitz's
+        division-free recurrence: bordering the leading block A_r by the
+        column C, the row R and the corner a multiplies its char poly by the
+        Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ..., -RA_r^(r-1)C.
+        """
         if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        ring = self.ring
-        if n == 0:
-            return ring.one()
-        memo: dict[int, Poly] = {}
+            raise ValueError("characteristic polynomial of non-square matrix")
+        ring, a = self.ring, self.entries
+        zero = ring.zero()
 
-        def rec(row: int, colmask: int) -> Poly:
-            if row == n:
-                return ring.one()
-            cached = memo.get(colmask)
-            if cached is not None:
-                return cached
-            acc = ring.zero()
-            sign = 1
-            for c in range(n):
-                bit = 1 << c
-                if not (colmask & bit):
-                    continue
-                a = self.entries[row][c]
-                if not a.is_zero():
-                    sub = rec(row + 1, colmask & ~bit)
-                    term = a * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            memo[colmask] = acc
+        def dot(xs, ys) -> Poly:  # over the first len(ys) entries
+            acc = zero
+            for x, y in zip(xs, ys):
+                if x.terms and y.terms:
+                    acc = x * y if acc is zero else acc + x * y
             return acc
 
-        return rec(0, (1 << n) - 1)
+        cs = [ring.one()]
+        for r in range(self.rows):
+            col = [a[i][r] for i in range(r)]
+            d = [a[r][r]]  # the Toeplitz column negated, without its leading 1
+            for j in range(r):
+                d.append(dot(a[r], col))
+                if j + 1 < r:
+                    col = [dot(a[i], col) for i in range(r)]
+            nxt = [cs[0]]
+            for i in range(1, r + 2):
+                acc = d[i - 1]
+                for j in range(1, min(i, r + 1)):
+                    if cs[j].terms and d[i - j - 1].terms:
+                        acc = acc + d[i - j - 1] * cs[j]
+                nxt.append(cs[i] - acc if i <= r else -acc)
+            cs = nxt
+        return cs
 
-    def _adjugate(self) -> "Matrix":
-        n = self.rows
-        if n == 1:
-            return Matrix.from_rows(self.ring, [[self.ring.one()]])
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = Matrix.from_rows(self.ring, [
-                    [self.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n) if r != i])
-                d = minor.det()
-                cof[i][j] = d if (i + j) % 2 == 0 else -d
-        return Matrix.from_rows(self.ring, cof).transpose()
+    def det(self) -> Poly:
+        """(-1)^n c_n of the characteristic polynomial."""
+        c = self.charpoly()[-1]
+        return -c if self.rows % 2 else c
 
     def inverse(self) -> "Matrix":
-        """Adjugate inverse; raises NotInvertibleError unless det is a
-        recognized unit.  Exact: self @ inverse == identity."""
+        """Cayley-Hamilton adjugate (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ...
+        + c_(n-1) I) scaled by det^-1; raises NotInvertibleError unless det
+        is a recognized unit.  Exact: self @ inverse == identity."""
         if self.rows != self.cols:
             raise NotInvertibleError("non-square matrix")
-        d = self.det()
+        n = self.rows
+        cs = self.charpoly()
+        d = -cs[n] if n % 2 else cs[n]
         dinv = d.try_invert()
         if dinv is None:
             raise NotInvertibleError(f"determinant {d} is not a recognized unit")
-        return self._adjugate().scale(dinv)
+        adj = Matrix.identity(self.ring, n)
+        for c in cs[1:n]:
+            adj = Matrix(self.ring, n, n, tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(r))
+                for i, r in enumerate((self @ adj).entries)))
+        return adj.scale(dinv if n % 2 else -dinv)
 
     # -- row/column operations (1-indexed, matching the displayed formulas)
 
@@ -243,9 +246,10 @@ class Matrix:
         return self.map_entries(lambda a: a.into(ring), ring)
 
     def substitute(self, assignments, target: Optional[Ring] = None) -> "Matrix":
-        first = self.entries[0][0].substitute(assignments, target)
-        return self.map_entries(lambda a: a.substitute(assignments, first.ring),
-                                first.ring)
+        if target is None:
+            target = self.ring.drop(*assignments)
+        return self.map_entries(lambda a: a.substitute(assignments, target),
+                                target)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r)

@@ -17,9 +17,9 @@ from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse
 from .matrices import Matrix
-from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_TWO, Q_TS, ZI_X,
-                    DualF2, GaussianInt, Poly, hom_apply, ideal_member, psi,
-                    rho, subring_member, truncate_t2)
+from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_TWO, Q_TS,
+                    Q_TS_MOD_T2, ZI_X, DualF2, GaussianInt, Poly, hom_apply,
+                    ideal_member, psi, rho, subring_member, truncate_t2)
 from .sampling import random_nonzero_poly, random_poly
 from .words import (dennis_stein_word, dual_symbol_word, eval_word,
                     expand_h, reduced_X_word, word)
@@ -149,11 +149,11 @@ def laurent_checks() -> list[Check]:
                         n10, lp.n10_display()))
     cs.append(_eq_check("higman.nilpotent", "N^10 = 0",
                         n10.nilpotency_index(10), 10))
-    from .rings import Q_TSZ
-    nring = Q_TSZ
-    big = n10.into(nring).scale(nring.var("s"))
-    cs.append(_eq_check("higman.det_linear", "det(I - sN) = 1",
-                        (Matrix.identity(nring, 10) - big).det(), nring.one()))
+    # det(I - sN) is the reversed char poly sum_k c_k(N) s^k
+    det_linear = m.ring.zero()
+    for k, c in enumerate(n10.charpoly()):
+        det_linear = det_linear + c.into(m.ring) * s_poly ** k
+    cs.append(_eq_check("higman.det_linear", "det(I - sN) = 1", det_linear, one))
     cs.append(_bool_check("higman.N_subring",
                           "N entries lie in Q[t^2,t^3,z,z^-1]",
                           all(subring_member(x) for r in n10.entries for x in r)))
@@ -278,9 +278,10 @@ def suite_hom_multiplicative(cases: int = 1000, seed: int = 2) -> int:
     from .rings import Z4_X
     rng = random.Random(seed)
     fails = 0
-    homs = [("pi_t2", Q_TS), ("psi", Z4_X), ("rho", ZI_X)]
+    homs = [("pi_t2", Q_TS, Q_TS_MOD_T2), ("psi", Z4_X, ZI_X),
+            ("rho", ZI_X, F2E_X)]
     per = max(1, cases // len(homs))
-    for name, ring in homs:
+    for name, ring, target in homs:
         for _ in range(per):
             a = random_poly(rng, ring)
             b = random_poly(rng, ring)
@@ -288,7 +289,7 @@ def suite_hom_multiplicative(cases: int = 1000, seed: int = 2) -> int:
                 fails += 1
             if hom_apply(name, a + b) != hom_apply(name, a) + hom_apply(name, b):
                 fails += 1
-            if hom_apply(name, ring.one()) != hom_apply(name, ring.one()):
+            if hom_apply(name, ring.one()) != target.one():
                 fails += 1
     return fails
 

@@ -305,8 +305,8 @@ class Ring:
     def extend(self, *new_vars: Var) -> "Ring":
         return Ring(self.base, self.vars + tuple(new_vars))
 
-    def drop(self, name: str) -> "Ring":
-        return Ring(self.base, tuple(v for v in self.vars if v.name != name))
+    def drop(self, *names: str) -> "Ring":
+        return Ring(self.base, tuple(v for v in self.vars if v.name not in names))
 
     def __str__(self):
         vs = ",".join(v.name + ("±" if v.laurent else "") +
@@ -455,9 +455,13 @@ class Poly:
             return None
         cinv_p = ring.const(cinv)
         m = -(cinv_p * (self - ring.const(c)))
+        # m can be nilpotent only through the truncated variables and eps,
+        # and any product of sum(trunc - 1) + [eps] + 1 of those is zero
+        bound = sum(v.trunc - 1 for v in ring.vars if v.trunc is not None)
+        bound += (ring.base == "F2e") + 1
         acc = ring.one()
         power = ring.one()
-        for _ in range(64):
+        for _ in range(bound):
             power = power * m
             if power.is_zero():
                 break
@@ -497,9 +501,7 @@ class Poly:
         """
         ring = self.ring
         if target is None:
-            target = ring
-            for name in assignments:
-                target = target.drop(name)
+            target = ring.drop(*assignments)
         images: list[Poly] = []
         for v in ring.vars:
             if v.name in assignments:
@@ -569,28 +571,8 @@ class Poly:
 # the named operations of the module surface
 
 
-def add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def sub(a: Poly, b: Poly) -> Poly:
-    return a - b
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def neg(a: Poly) -> Poly:
-    return -a
-
-
 def try_invert(a: Poly) -> Optional[Poly]:
     return a.try_invert()
-
-
-def substitute(p: Poly, assignments, target: Optional[Ring] = None) -> Poly:
-    return p.substitute(assignments, target)
 
 
 def formal_derivative(p: Poly, name: str) -> Poly:

@@ -5,7 +5,7 @@ import pytest
 from nilk import laurent_pipeline as lp
 from nilk.cli import main
 from nilk.matrices import (Matrix, matrix_from_json, matrix_to_json)
-from nilk.rings import Q_TS
+from nilk.rings import Q_TS, Q_TZ
 
 
 def run(argv, capsys):
@@ -80,6 +80,30 @@ def test_higman_missing_file(tmp_path, capsys):
     code, _, _ = run(["higman", str(tmp_path / "nope.json"),
                       "--out", str(tmp_path)], capsys)
     assert code == 2
+
+
+def test_higman_rejects_empty_and_s_free_input(tmp_path, capsys):
+    for name, m in (("empty.json", Matrix.zeros(Q_TS, 0, 0)),
+                    ("no_s.json", Matrix.identity(Q_TZ, 2))):
+        src = tmp_path / name
+        src.write_text(json.dumps(matrix_to_json(m)))
+        code, _, err = run(["higman", str(src), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["versch", "frob"])
+@pytest.mark.parametrize("k", ["0", "-1", "two"])
+def test_bad_k_is_usage_error(tmp_path, capsys, cmd, k):
+    src = tmp_path / "n.json"
+    src.write_text(json.dumps(matrix_to_json(
+        Matrix.from_rows(Q_TS, [[0, 1], [0, 0]]))))
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, str(src), "-k", k, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "argument -k" in err
+    assert "Traceback" not in err
 
 
 def test_versch_and_frob(tmp_path, capsys):

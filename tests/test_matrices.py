@@ -1,15 +1,21 @@
 import random
+from itertools import permutations
 
 import pytest
 import sympy as sp
 
+from nilk import laurent_pipeline as lp
 from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
                            block_assemble, elementary, matrix_from_json,
                            matrix_to_json)
-from nilk.rings import (MONOMIAL_T2, Q_TS, Q_TSZ, NotAUnitError)
+from nilk.nilsse import verschiebung
+from nilk.rings import (F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
+                        Q_TZ, Z4_X, ZI_X, NotAUnitError, Ring, Var)
 from nilk.sampling import random_poly
 
-from helpers import matrix_to_sympy
+from helpers import matrix_to_sympy, poly_to_sympy
+
+RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
 
 
 def st(k):
@@ -38,10 +44,68 @@ def test_det_examples():
 
 def test_det_against_sympy():
     rng = random.Random(1)
-    for _ in range(100):
-        a = rand_mat(rng, Q_TS, 3)
-        from helpers import poly_to_sympy
-        assert poly_to_sympy(a.det()) == sp.expand(matrix_to_sympy(a).det())
+    for n, cases in ((3, 100), (1, 10), (2, 10), (4, 10), (5, 5), (6, 3)):
+        for _ in range(cases):
+            a = rand_mat(rng, Q_TS, n)
+            want = matrix_to_sympy(a).det(method="domain-ge")
+            assert poly_to_sympy(a.det()) == sp.expand(want)
+
+
+def leibniz_det(m):
+    """Permutation-sum determinant, the oracle for the char-poly core."""
+    total = m.ring.zero()
+    for perm in permutations(range(m.rows)):
+        term = m.ring.one()
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        inversions = sum(perm[j] > perm[i] for i in range(m.rows)
+                         for j in range(i))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def unimodular(rng, ring, n):
+    m = Matrix.identity(ring, n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(1, n + 1), 2)
+        m = m @ elementary(ring, n, i, j, random_poly(rng, ring, 1, 1))
+    return m
+
+
+def test_charpoly_core_against_leibniz():
+    rng = random.Random(7)
+    for ring in RINGS:
+        for n in range(6):
+            cases = [Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1)
+                                              for _ in range(n)]
+                                             for _ in range(n)])]
+            if n >= 2:
+                cases.append(unimodular(rng, ring, n))
+            for a in cases:
+                d = leibniz_det(a)
+                assert a.det() == d
+                cs = a.charpoly()
+                assert len(cs) == n + 1 and cs[0] == ring.one()
+                p = Matrix.zeros(ring, n, n)
+                for c in cs:  # Horner: p(A) = A^n + c_1 A^(n-1) + ... + c_n
+                    p = a @ p + Matrix.identity(ring, n).scale(c)
+                assert p.is_zero()
+                if d.try_invert() is None:
+                    with pytest.raises(NotInvertibleError):
+                        a.inverse()
+                else:
+                    inv = a.inverse()
+                    assert a @ inv == Matrix.identity(ring, n)
+                    assert inv @ a == Matrix.identity(ring, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_det_one_minus_s_verschiebung(k):
+    n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
+    v = verschiebung(n10, k).into(Q_TSZ)
+    m = Matrix.identity(Q_TSZ, v.rows) - v.scale(Q_TSZ.var("s"))
+    assert m.rows == 10 * k
+    assert m.det() == Q_TSZ.one()
 
 
 def test_det_multiplicative():
@@ -83,6 +147,13 @@ def test_not_invertible():
     m = Matrix.diag(Q_TS, [Q_TS.var("t"), Q_TS.one()])
     with pytest.raises(NotInvertibleError):
         m.inverse()
+
+
+def test_inverse_of_deep_truncated_unit():
+    r = Ring("Q", (Var("t", trunc=100),))
+    u = r.one() + r.var("t")
+    inv = Matrix.diag(r, [u, 1]).inverse()
+    assert inv == Matrix.diag(r, [u.invert(), 1])
 
 
 def test_elementary():
@@ -161,3 +232,8 @@ def test_matrix_json_round_trip():
     for ring in (Q_TS, Q_TSZ):
         m = rand_mat(rng, ring, 3)
         assert matrix_from_json(matrix_to_json(m)) == m
+
+
+def test_substitute_empty_matrix():
+    m = Matrix.zeros(Q_TSZ, 0, 0).substitute({"s": 0})
+    assert m.ring == Q_TSZ.drop("s") and m.rows == 0

@@ -72,6 +72,20 @@ def test_invert_truncated_unit():
     assert u * v == r.one()
 
 
+def test_invert_series_bound_from_ring():
+    r = Ring("Q", (Var("t", trunc=100),))
+    u = r.one() + r.var("t")
+    v = try_invert(u)
+    assert v is not None and u * v == r.one()
+    # (t + eps*x)^3 = t^2*eps*x != 0: the bound is 2 (t) + 1 (eps) + 1 = 4
+    r = Ring("F2e", (Var("t", trunc=3), Var("x")))
+    u = r.one() + r.var("t") + r.const(DualF2(0, 1)) * r.var("x")
+    v = try_invert(u)
+    assert v is not None and u * v == r.one()
+    assert try_invert(Q_TS.one() + Q_TS.var("s")) is None
+    assert try_invert(Q_TSZ.one() + Q_TSZ.var("z")) is None
+
+
 # -- substitution
 
 
