@@ -5,17 +5,17 @@ equivalence witness checking."""
 
 from .rings import (DualF2, GaussianInt, GroupRingZ4, IdealSpec,
                     NotAUnitError, Poly, Ring, RingMismatchError, Var,
-                    formal_derivative, hom_apply, ideal_member, psi, rho,
-                    subring_member, truncate_t2, try_invert)
+                    hom_apply, ideal_member, psi, rho, subring_member,
+                    truncate_t2)
 from .matrices import (DoublePair, Matrix, NotInvertibleError,
                        block_assemble, elementary)
 from .words import (StWord, dennis_stein_word, dual_symbol_word, eval_word,
                     expand_h, reduced_X_word)
-from .laurent_pipeline import (K1Rep, NotNilpotentError, PipelineError,
-                               clutch_projector, decompose_M,
-                               double_idempotent_B, generalized_unit_rep,
-                               higman_companion, lift_A, loop_z,
-                               theorem31_matrix)
+from .laurent_pipeline import (Construction, K1Rep, NotNilpotentError,
+                               PipelineError, clutch_projector, construct,
+                               decompose_M, double_idempotent_B,
+                               generalized_unit_rep, higman_companion, lift_A,
+                               loop_z, theorem31_matrix)
 from .groupring_pipeline import (RelativeRep, kahler_D, lift_to_group_ring,
                                  reduce_to_dual, theorem42_block, word_Y,
                                  word_Z, yz_matrix)

@@ -7,7 +7,9 @@ Exit codes: 0 pass, 1 verification failure, 2 input or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -49,26 +51,24 @@ def _print_checks(checks, as_json: bool) -> None:
             print(c.line())
 
 
-def cmd_theorem3(args) -> int:
-    checks = report.laurent_checks()
-    rep = lp.theorem31_matrix()
-    n10 = lp.higman_companion(lp.decompose_M(rep))
-    out = Path(args.out)
-    _emit_matrix(rep.matrix, out, "theorem31_matrix", args.emit)
-    _emit_matrix(n10, out, "N10", args.emit)
+def _emit_theorem(args, checks, matrices: dict) -> int:
+    for name, m in matrices.items():
+        _emit_matrix(m, Path(args.out), name, args.emit)
     _print_checks(checks, args.json)
     return EXIT_OK if report.summarize(checks, allow_known_discrepancies=True) \
         else EXIT_VERIFY
+
+
+def cmd_theorem3(args) -> int:
+    con = lp.construct()
+    return _emit_theorem(args, report.laurent_checks(con),
+                         {"theorem31_matrix": con.rep.matrix, "N10": con.n10})
 
 
 def cmd_theorem4(args) -> int:
     checks = report.groupring_checks()
-    out = Path(args.out)
-    _emit_matrix(grp.yz_matrix().matrix, out, "yz_matrix", args.emit)
-    _emit_matrix(grp.theorem42_block(), out, "theorem42_matrix", args.emit)
-    _print_checks(checks, args.json)
-    return EXIT_OK if report.summarize(checks, allow_known_discrepancies=True) \
-        else EXIT_VERIFY
+    return _emit_theorem(args, checks, {"yz_matrix": grp.yz_matrix().matrix,
+                                        "theorem42_matrix": grp.theorem42_block()})
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -121,9 +121,6 @@ def cmd_frob(args) -> int:
 
 
 def _witness_from_json(j: dict):
-    from .rings import ring_from_json
-    ring = ring_from_json(j["ring"])
-
     def mat(x):
         return matrix_from_json({"ring": j["ring"], **x})
 
@@ -143,22 +140,26 @@ def cmd_sse_verify(args) -> int:
     try:
         j = json.loads(Path(args.input).read_text())
         parsed = _witness_from_json(j)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as e:
         print(f"cannot parse witness file: {e}", file=sys.stderr)
         return EXIT_IO
-    if isinstance(parsed, nilsse.SSEChain):
-        res = nilsse.verify_sse_chain(parsed)
-        if res.ok:
-            print(f"SSE chain verified ({len(parsed.witnesses)} links)")
-            return EXIT_OK
-        print(f"chain fails at link {res.failed_link}", file=sys.stderr)
-        return EXIT_VERIFY
-    a, b, w = parsed
-    res = nilsse.verify_se(a, b, w)
+    try:
+        if isinstance(parsed, nilsse.SSEChain):
+            res = nilsse.verify_sse_chain(parsed)
+            passed = f"SSE chain verified ({len(parsed.witnesses)} links)"
+            failed = f"chain fails at link {res.failed_link}"
+        else:
+            a, b, w = parsed
+            res = nilsse.verify_se(a, b, w)
+            passed = f"shift equivalence verified (lag {w.lag})"
+            failed = f"identity failed: {res.failed}"
+    except ValueError as e:  # shapes that do not fit, or lag < 1
+        print(f"invalid witness: {e}", file=sys.stderr)
+        return EXIT_IO
     if res.ok:
-        print(f"shift equivalence verified (lag {w.lag})")
+        print(passed)
         return EXIT_OK
-    print(f"identity failed: {res.failed}", file=sys.stderr)
+    print(failed, file=sys.stderr)
     return EXIT_VERIFY
 
 
@@ -234,9 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except _IOFailure as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError:  # stdout closed early, e.g. piped into head
+        # point stdout at devnull so the interpreter's last flush cannot raise
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("i/o error: stdout closed", file=sys.stderr)
         return EXIT_IO
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent_pipeline import PipelineError, _require
+from .laurent_pipeline import _require
 from .matrices import Matrix
-from .rings import (F2_X, PRINCIPAL_TWO, Z4_X, ZI_X, GaussianInt,
-                    GroupRingZ4, Poly, group_ring_from_gauss, ideal_member,
-                    psi, rho)
+from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
+                    ZI_X, GaussianInt, GroupRingZ4, Poly,
+                    group_ring_from_gauss, ideal_member, psi, rho)
 from .words import StWord, eval_word, word
 
 
@@ -58,7 +58,7 @@ class RelativeRep:
         m = self.matrix
         _require(m.det() == m.ring.one(), "det(YZ) = 1")
         d = m - Matrix.identity(m.ring, m.rows)
-        _require(all(ideal_member(x, PRINCIPAL_TWO) for r in d.entries for x in r),
+        _require(d.all_entries(lambda x: ideal_member(x, PRINCIPAL_TWO)),
                  "YZ - I entrywise in (2)")
 
 
@@ -132,11 +132,8 @@ def theorem42_display() -> Matrix:
 
 def entry_shapes_ok(m: Matrix) -> bool:
     """Diagonal entries in 1 + (1-sigma^2)*R, off-diagonal in (1-sigma^2)*R."""
-    from .rings import PRINCIPAL_ONE_MINUS_SIGMA_SQ
-    eye = Matrix.identity(m.ring, m.rows)
-    d = m - eye
-    return all(ideal_member(x, PRINCIPAL_ONE_MINUS_SIGMA_SQ)
-               for r in d.entries for x in r)
+    return (m - Matrix.identity(m.ring, m.rows)).all_entries(
+        lambda x: ideal_member(x, PRINCIPAL_ONE_MINUS_SIGMA_SQ))
 
 
 def kahler_D(f: Poly, g: Poly) -> Poly:

@@ -6,13 +6,14 @@ by excision to the idempotent e2 over Q[t^2,t^3,s]; apply the loop map
 Q |-> I + (z-1)Q; normalize away the diag(z,1) factor; finally convert the
 result to a nilpotent block companion via Higman's trick.
 
-Every stage re-verifies its defining identities; a failure raises
-PipelineError (it would signal a bug, not bad input).
+`construct()` runs the chain once; each stage verifies its defining identities
+when built, and a failure raises PipelineError (a bug, not bad input).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .matrices import DoublePair, Matrix, block_assemble
@@ -42,20 +43,29 @@ def projector_P(ring: Ring = Q_TS) -> Matrix:
     return Matrix.diag(ring, [ring.one(), ring.zero()])
 
 
+def _lift(a: Fraction, b: Fraction) -> Matrix:
+    """The invertible lift over Q[t,s] of diag(u, u^{-1}) for the unit
+    u = a + b*st of Q[t,s]/(t^2), a != 0: the rank-correction form
+    [[u(1+w), -w], [w, v]] with v = a^{-1} - a^{-2} b st and w = 1 - uv.
+    The verification gate, not the formula, is the contract."""
+    if a == 0:
+        raise ValueError("constant coefficient must be a nonzero rational")
+    one = Q_TS.one()
+    u = Q_TS.const(a) + Q_TS.const(b) * _st(1)
+    v = Q_TS.const(Fraction(1, 1) / a) - Q_TS.const(b / (a * a)) * _st(1)
+    w = one - u * v
+    lift = Matrix.from_rows(Q_TS, [[u * (one + w), -w], [w, v]])
+    red = lift.map_entries(truncate_t2, truncate_t2(one).ring)
+    _require(red == Matrix.diag(red.ring, [truncate_t2(u), truncate_t2(v)]),
+             "lift reduces to diag(u, u^-1) mod t^2")
+    _require(lift.det() == one, "det(lift) = 1")
+    return lift
+
+
 def lift_A() -> Matrix:
-    """The invertible lift of diag(1+st, 1-st) over Q[t,s]:
+    """The lift of diag(1+st, 1-st):
     [[1+st+s^2t^2+s^3t^3, -s^2t^2], [s^2t^2, 1-st]]."""
-    a = Matrix.from_rows(Q_TS, [
-        [Q_TS.one() + _st(1) + _st(2) + _st(3), -_st(2)],
-        [_st(2), Q_TS.one() - _st(1)],
-    ])
-    tgt = Matrix.diag(truncate_t2(Q_TS.one()).ring,
-                      [truncate_t2(Q_TS.one() + _st(1)),
-                       truncate_t2(Q_TS.one() - _st(1))])
-    _require(a.map_entries(truncate_t2, tgt.ring) == tgt,
-             "A reduces to diag(1+st, 1-st) mod t^2")
-    _require(a.det() == Q_TS.one(), "det(A) = 1")
-    return a
+    return _lift(Fraction(1), Fraction(1))
 
 
 def lift_A_stated_factors() -> list[Matrix]:
@@ -104,10 +114,8 @@ class TransportRecord:
     target_pair: DoublePair          # (P, e2), read over Q[t^2,t^3,s]
 
     def checks(self) -> dict[str, bool]:
-        ideal_ok = all(ideal_member(x, MONOMIAL_T2)
-                       for r in self.ideal_part.entries for x in r)
-        sub_ok = all(subring_member(x)
-                     for r in self.target_pair.second.entries for x in r)
+        ideal_ok = self.ideal_part.all_entries(lambda x: ideal_member(x, MONOMIAL_T2))
+        sub_ok = self.target_pair.second.all_entries(subring_member)
         return {
             "stage1: pair lies in the double ring": self.relative_pair.validate(),
             "stage2: unitized ideal part in (t^2)": ideal_ok,
@@ -147,34 +155,60 @@ class K1Rep:
 
     matrix: Matrix
 
-    def verify(self):
+    def verify(self) -> Poly:
+        """Check the defining properties; returns the determinant."""
         m = self.matrix
         d = m.det()
         _require(d.try_invert() is not None, "determinant a recognized unit")
         _require(m.substitute({"s": 0}) == Matrix.identity(m.ring.drop("s"), m.rows),
                  "s -> 0 yields the identity")
-        _require(all(subring_member(x) for r in m.entries for x in r),
-                 "entries lie in Q[t^2,t^3,z,z^-1,s]")
+        _require(m.all_entries(subring_member), "entries lie in Q[t^2,t^3,z,z^-1,s]")
+        return d
+
+
+def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
+    """The tail every unit shares: clutch, loop, then scale the first column
+    by z^-1 to remove the diag(z,1) factor (the normalization the stated
+    display and the companion blocks agree with; a row scaling would flip z
+    and z^-1 off the diagonal), and verify.  Returns e2 and the rep."""
+    e2 = clutch_projector(lift, projector_P())
+    loops = loop_z(e2)
+    rep = K1Rep(loops.col_scale(1, loops.ring.var("z").invert()))
+    _require(rep.verify() == rep.matrix.ring.one(), "det = 1")
+    return e2, rep
+
+
+@dataclass(frozen=True)
+class Construction:
+    """Every artifact of one run of the chain, each verified once when
+    built.  The blocks M_i and N are derived on first use."""
+
+    lift: Matrix
+    pair: DoublePair
+    e2: Matrix
+    transport: TransportRecord
+    rep: K1Rep
+
+    @cached_property
+    def blocks(self) -> list[Matrix]:
+        return decompose_M(self.rep)
+
+    @cached_property
+    def n10(self) -> Matrix:
+        return higman_companion(self.blocks)
+
+
+def construct() -> Construction:
+    """A -> pair B -> e2 -> transport record -> representative."""
+    a = lift_A()
+    pair = double_idempotent_B()
+    e2, rep = _represent(a)
+    return Construction(a, pair, e2, excision_transport(pair, e2), rep)
 
 
 def theorem31_matrix() -> K1Rep:
-    """End-to-end run producing the 2x2 representative.
-
-    The diag(z,1) factor is removed by scaling the first column by z^-1;
-    that is the normalization consistent with the stated final display and
-    with the companion blocks below (a row scaling would flip z and z^-1 in
-    the off-diagonal entries).
-    """
-    a = lift_A()
-    double_idempotent_B()
-    e2 = clutch_projector(a, projector_P())
-    excision_transport(double_idempotent_B(), e2)
-    loops = loop_z(e2)
-    t = loops.col_scale(1, loops.ring.var("z").invert())
-    rep = K1Rep(t)
-    rep.verify()
-    _require(t.det() == t.ring.one(), "det = 1")
-    return rep
+    """The 2x2 representative of Theorem 3.1."""
+    return construct().rep
 
 
 def e2_display() -> Matrix:
@@ -272,28 +306,6 @@ def n10_display() -> Matrix:
 
 
 def generalized_unit_rep(a: Fraction, b: Fraction) -> K1Rep:
-    """Run the whole construction starting from the unit a + b*st of
-    Q[t,s]/(t^2), a != 0.
-
-    The lift of diag(u, u^{-1}) used is the rank-correction form
-    [[u(1+w), -w], [w, v]] with v = a^{-1} - a^{-2} b st and w = 1 - uv;
-    for a = b = 1 this is exactly lift_A().  The verification gate, not the
-    formula, is the contract: both defining properties are re-checked.
-    """
-    if a == 0:
-        raise ValueError("constant coefficient must be a nonzero rational")
-    one = Q_TS.one()
-    u = Q_TS.const(a) + Q_TS.const(b) * _st(1)
-    v = Q_TS.const(Fraction(1, 1) / a) - Q_TS.const(b / (a * a)) * _st(1)
-    w = one - u * v
-    lift = Matrix.from_rows(Q_TS, [[u * (one + w), -w], [w, v]])
-    _require(lift.det() == one, "generalized lift has det 1")
-    red = lift.map_entries(truncate_t2, truncate_t2(one).ring)
-    _require(red == Matrix.diag(red.ring, [truncate_t2(u), truncate_t2(v)]),
-             "generalized lift reduces to diag(u, u^-1) mod t^2")
-    e2 = clutch_projector(lift, projector_P())
-    loops = loop_z(e2)
-    t = loops.col_scale(1, loops.ring.var("z").invert())
-    rep = K1Rep(t)
-    rep.verify()
-    return rep
+    """Run the construction from the unit a + b*st of Q[t,s]/(t^2), a != 0;
+    a = b = 1 gives the Theorem 3.1 representative."""
+    return _represent(_lift(a, b))[1]

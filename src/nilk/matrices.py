@@ -141,6 +141,9 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.entries for a in r)
 
+    def all_entries(self, pred) -> bool:
+        return all(pred(a) for r in self.entries for a in r)
+
     def is_idempotent(self) -> bool:
         return self.rows == self.cols and self @ self == self
 
@@ -292,8 +295,8 @@ class DoublePair:
     ideal: IdealSpec
 
     def validate(self) -> bool:
-        d = self.first - self.second
-        return all(ideal_member(a, self.ideal) for r in d.entries for a in r)
+        return (self.first - self.second).all_entries(
+            lambda a: ideal_member(a, self.ideal))
 
 
 # ---------------------------------------------------------------------------

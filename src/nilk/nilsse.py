@@ -9,7 +9,7 @@ non-computable content the explicit examples certify).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .matrices import Matrix, block_assemble
 

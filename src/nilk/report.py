@@ -10,19 +10,20 @@ displays against the construction itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse
 from .matrices import Matrix
-from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_TWO, Q_TS,
-                    Q_TS_MOD_T2, ZI_X, DualF2, GaussianInt, Poly, hom_apply,
-                    ideal_member, psi, rho, subring_member, truncate_t2)
-from .sampling import random_nonzero_poly, random_poly
+from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
+                    PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
+                    DualF2, GaussianInt, GroupRingZ4, hom_apply, ideal_member,
+                    psi, subring_member, truncate_t2)
+from .sampling import random_poly
 from .words import (dennis_stein_word, dual_symbol_word, eval_word,
-                    expand_h, reduced_X_word, word)
+                    reduced_X_word, word)
 
 PASS = "pass"
 FAIL = "fail"
@@ -63,9 +64,11 @@ def _bool_check(cid, anchor, ok, computed="", expected="true") -> Check:
 # the Laurent-polynomial construction
 
 
-def laurent_checks() -> list[Check]:
+def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
+    """Check the construction handed in, or a fresh one."""
+    con = con or lp.construct()
     cs: list[Check] = []
-    a = lp.lift_A()
+    a = con.lift
     red = a.map_entries(truncate_t2, truncate_t2(Q_TS.one()).ring)
     st = Q_TS.var("s") * Q_TS.var("t")
     diag = Matrix.diag(red.ring, [truncate_t2(Q_TS.one() + st),
@@ -81,7 +84,7 @@ def laurent_checks() -> list[Check]:
         "A = e12(1+st) e21(-(1+st)) e12(1+st) rot (either order convention)",
         ltr if ltr == a else rtl, a, known_discrepancy=True))
 
-    pair = lp.double_idempotent_B()
+    pair = con.pair
     cs.append(_bool_check("clutch.B1_idempotent", "B1^2 = B1",
                           pair.first.is_idempotent()))
     cs.append(_bool_check("clutch.pair_in_double",
@@ -89,23 +92,19 @@ def laurent_checks() -> list[Check]:
     cs.append(_eq_check("clutch.B2", "B2 = diag(1, 0)", pair.second,
                         lp.projector_P()))
 
-    e2 = lp.clutch_projector(a, lp.projector_P())
+    e2 = con.e2
     cs.append(_bool_check("excision.e2_idempotent", "e2^2 = e2",
                           e2.is_idempotent()))
-    d = e2 - lp.projector_P()
-    cs.append(_bool_check("excision.e2_congruent",
-                          "e2 - P entrywise in (t^2)",
-                          all(ideal_member(x, MONOMIAL_T2)
-                              for r in d.entries for x in r)))
-    cs.append(_bool_check("excision.e2_subring",
-                          "e2 entries lie in Q[t^2,t^3,s]",
-                          all(subring_member(x) for r in e2.entries for x in r)))
+    cs.append(_bool_check("excision.e2_congruent", "e2 - P entrywise in (t^2)",
+                          (e2 - lp.projector_P()).all_entries(
+                              lambda x: ideal_member(x, MONOMIAL_T2))))
+    cs.append(_bool_check("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]",
+                          e2.all_entries(subring_member)))
     cs.append(_eq_check("excision.e2_display",
                         "e2 = (A^T)^{-1} diag(1,0) A^T vs its stated display "
                         "(which carries s^2t^3 for s^2t^2)",
                         e2, lp.e2_display(), known_discrepancy=True))
-    rec = lp.excision_transport(pair, e2)
-    for name, ok in rec.checks().items():
+    for name, ok in con.transport.checks().items():
         cs.append(_bool_check("excision." + name.split(":")[0], name, ok))
 
     loop_p = lp.loop_z(lp.projector_P())
@@ -113,8 +112,7 @@ def laurent_checks() -> list[Check]:
     cs.append(_eq_check("loop.on_P", "loop map sends P to diag(z, 1)",
                         loop_p, Matrix.diag(zring, [zring.var("z"), zring.one()])))
 
-    rep = lp.theorem31_matrix()
-    m = rep.matrix
+    m = con.rep.matrix
     disp = lp.theorem31_display()
     agree = all(m[r, c] == disp[r, c] for r, c in [(0, 1), (1, 0), (1, 1)])
     cs.append(_bool_check("rep31.off_entries",
@@ -133,18 +131,16 @@ def laurent_checks() -> list[Check]:
     cs.append(_eq_check("rep31.s_to_zero", "maps to [I] under s -> 0",
                         m.substitute({"s": 0}),
                         Matrix.identity(m.ring.drop("s"), 2)))
-    cs.append(_bool_check("rep31.subring",
-                          "entries lie in Q[t^2,t^3,z,z^-1,s]",
-                          all(subring_member(x) for r in m.entries for x in r)))
+    cs.append(_bool_check("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
+                          m.all_entries(subring_member)))
 
-    blocks = lp.decompose_M(rep)
     reassembled = Matrix.identity(m.ring, 2)
     s_poly = m.ring.var("s")
-    for i, blk in enumerate(blocks, start=1):
+    for i, blk in enumerate(con.blocks, start=1):
         reassembled = reassembled - blk.into(m.ring).scale(s_poly ** i)
     cs.append(_eq_check("higman.reassembly", "I - sum s^i M_i = the representative",
                         reassembled, m))
-    n10 = lp.higman_companion(blocks)
+    n10 = con.n10
     cs.append(_eq_check("higman.N_display", "N matches the stated 10x10 display",
                         n10, lp.n10_display()))
     cs.append(_eq_check("higman.nilpotent", "N^10 = 0",
@@ -154,9 +150,8 @@ def laurent_checks() -> list[Check]:
     for k, c in enumerate(n10.charpoly()):
         det_linear = det_linear + c.into(m.ring) * s_poly ** k
     cs.append(_eq_check("higman.det_linear", "det(I - sN) = 1", det_linear, one))
-    cs.append(_bool_check("higman.N_subring",
-                          "N entries lie in Q[t^2,t^3,z,z^-1]",
-                          all(subring_member(x) for r in n10.entries for x in r)))
+    cs.append(_bool_check("higman.N_subring", "N entries lie in Q[t^2,t^3,z,z^-1]",
+                          n10.all_entries(subring_member)))
 
     v2 = nilsse.verschiebung(n10, 2)
     cs.append(_bool_check("maps.verschiebung2",
@@ -186,10 +181,9 @@ def groupring_checks() -> list[Check]:
     rep = grp.yz_matrix()
     m = rep.matrix
     cs.append(_eq_check("yz.det", "det(YZ) = 1", m.det(), ZI_X.one()))
-    d = m - Matrix.identity(ZI_X, 2)
     cs.append(_bool_check("yz.congruent", "YZ - I entrywise in (2)",
-                          all(ideal_member(x, PRINCIPAL_TWO)
-                              for r in d.entries for x in r)))
+                          (m - Matrix.identity(ZI_X, 2)).all_entries(
+                              lambda x: ideal_member(x, PRINCIPAL_TWO))))
     cs.append(_eq_check("yz.reduce_to_dual",
                         "applying i -> 1+eps to YZ gives the identity",
                         grp.reduce_to_dual(m), eye2))
@@ -222,7 +216,9 @@ def groupring_checks() -> list[Check]:
 # strong shift equivalence witnesses
 
 
-def sse_checks() -> list[Check]:
+def sse_checks(con: lp.Construction | None = None) -> list[Check]:
+    """Check witnesses, one on N of the construction handed in (or a fresh one)."""
+    con = con or lp.construct()
     cs: list[Check] = []
     zring = Q_TS
     n = Matrix.from_rows(zring, [[0, 1], [0, 0]])
@@ -237,7 +233,7 @@ def sse_checks() -> list[Check]:
                           "A = A*I and A = I*A",
                           nilsse.verify_esse(a, a, nilsse.ESSEWitness(
                               a, Matrix.identity(zring, 2)))))
-    n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
+    n10 = con.n10
     w = nilsse.SEWitness(Matrix.zeros(n10.ring, 10, 1),
                          Matrix.zeros(n10.ring, 1, 10), 10)
     res = nilsse.verify_se(n10, Matrix.zeros(n10.ring, 1, 1), w)
@@ -252,10 +248,8 @@ def sse_checks() -> list[Check]:
 
 
 def suite_ring_axioms(cases: int = 1000, seed: int = 1) -> int:
-    from .rings import F2E_X, Q_TSZ, Z4_X, Ring, Var
     rng = random.Random(seed)
-    rings = [Q_TSZ, lp.Q_TS, ZI_X, Z4_X, F2E_X,
-             Ring("Q", (Var("t", trunc=2), Var("s")))]
+    rings = [Q_TSZ, Q_TS, ZI_X, Z4_X, F2E_X, Q_TS_MOD_T2]
     fails = 0
     per = max(1, cases // len(rings))
     for ring in rings:
@@ -275,7 +269,6 @@ def suite_ring_axioms(cases: int = 1000, seed: int = 1) -> int:
 
 
 def suite_hom_multiplicative(cases: int = 1000, seed: int = 2) -> int:
-    from .rings import Z4_X
     rng = random.Random(seed)
     fails = 0
     homs = [("pi_t2", Q_TS, Q_TS_MOD_T2), ("psi", Z4_X, ZI_X),
@@ -295,7 +288,6 @@ def suite_hom_multiplicative(cases: int = 1000, seed: int = 2) -> int:
 
 
 def suite_ideal_closure(cases: int = 1000, seed: int = 3) -> int:
-    from .rings import (PRINCIPAL_ONE_MINUS_SIGMA_SQ, GroupRingZ4, Z4_X)
     rng = random.Random(seed)
     fails = 0
     t2 = Q_TS.var("t", 2)
@@ -405,7 +397,8 @@ def random_checks() -> list[Check]:
 
 
 def run_all_checks(include_random: bool = True) -> list[Check]:
-    cs = laurent_checks() + groupring_checks() + sse_checks()
+    con = lp.construct()
+    cs = laurent_checks(con) + groupring_checks() + sse_checks(con)
     if include_random:
         cs += random_checks()
     return cs

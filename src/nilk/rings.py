@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 
 class RingMismatchError(ValueError):
@@ -351,9 +351,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.ring.vars), self.ring.ops.zero)
-
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.ring != self.ring:
@@ -434,42 +431,37 @@ class Poly:
 
     def try_invert(self) -> Optional["Poly"]:
         """Inverse, or None.  Recognizes unit monomials (Laurent units) and
-        constant-plus-nilpotent elements via truncated geometric series."""
+        a unit monomial times 1 - nilpotent, via truncated geometric series."""
         ring = self.ring
-        ops = ring.ops
         if self.is_zero():
             return None
         if len(self.terms) == 1:
             (exps, c), = self.terms.items()
-            cinv = ops.invert(c)
-            if cinv is None:
-                return None
-            if any(e != 0 and not v.laurent for e, v in zip(exps, ring.vars)):
-                return None
-            return Poly(ring, {tuple(-e for e in exps): cinv})
-        c = self.terms.get((0,) * len(ring.vars))
-        if c is None:
-            return None
-        cinv = ops.invert(c)
-        if cinv is None:
-            return None
-        cinv_p = ring.const(cinv)
-        m = -(cinv_p * (self - ring.const(c)))
-        # m can be nilpotent only through the truncated variables and eps,
+            return _monomial_inverse(ring, exps, c)
+        # self = m(1 - n) for a unit term m, the constant term tried first.
+        # n can be nilpotent only through the truncated variables and eps,
         # and any product of sum(trunc - 1) + [eps] + 1 of those is zero
         bound = sum(v.trunc - 1 for v in ring.vars if v.trunc is not None)
         bound += (ring.base == "F2e") + 1
-        acc = ring.one()
-        power = ring.one()
-        for _ in range(bound):
-            power = power * m
-            if power.is_zero():
-                break
-            acc = acc + power
-        else:
-            return None
-        q = cinv_p * acc
-        return q if self * q == ring.one() else None
+        one = ring.one()
+        constant = (0,) * len(ring.vars)
+        for exps, c in sorted(self.terms.items(), key=lambda t: t[0] != constant):
+            m_inv = _monomial_inverse(ring, exps, c)
+            if m_inv is None:
+                continue
+            n = -(m_inv * (self - Poly(ring, {exps: c})))
+            acc = power = one
+            for _ in range(bound):
+                power = power * n
+                if power.is_zero():
+                    break
+                acc = acc + power
+            else:
+                continue
+            q = m_inv * acc
+            if self * q == one:
+                return q
+        return None
 
     def invert(self) -> "Poly":
         inv = self.try_invert()
@@ -567,16 +559,15 @@ class Poly:
     __repr__ = __str__
 
 
-# ---------------------------------------------------------------------------
-# the named operations of the module surface
-
-
-def try_invert(a: Poly) -> Optional[Poly]:
-    return a.try_invert()
-
-
-def formal_derivative(p: Poly, name: str) -> Poly:
-    return p.derivative(name)
+def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:
+    """Inverse of c * x^exps: c a unit, nonzero exponents only on Laurent
+    variables; else None."""
+    cinv = ring.ops.invert(c)
+    if cinv is None:
+        return None
+    if any(e != 0 and not v.laurent for e, v in zip(exps, ring.vars)):
+        return None
+    return Poly(ring, {tuple(-e for e in exps): cinv})
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,3 @@ def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
             exps.append(rng.randint(lo, hi))
         terms[tuple(exps)] = random_coeff(rng, ring.base)
     return Poly(ring, terms)
-
-
-def random_nonzero_poly(rng: random.Random, ring: Ring, **kw) -> Poly:
-    while True:
-        p = random_poly(rng, ring, **kw)
-        if not p.is_zero():
-            return p

@@ -1,153 +1,96 @@
 """Acceptance gate: the nine end-to-end criteria, each exact (tolerance zero),
-one printed pass/fail line per criterion."""
+one printed pass/fail line per criterion.  A criterion asserts the statuses
+of the report checks it names; the report runs once per session."""
 
-import random
-from fractions import Fraction
-
-from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
-from nilk import nilsse, report
+from nilk import report
+from nilk.cli import main
 from nilk.matrices import Matrix
-from nilk.rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_TWO, Q_TS, ZI_X,
-                        ideal_member, psi, subring_member, truncate_t2)
-from nilk.words import dual_symbol_word, eval_word, reduced_X_word
+from nilk.nilsse import ESSEWitness, SEWitness, verify_esse, verify_se
+from nilk.rings import Q_TS
+
+# the three recorded display discrepancies; every other named check passes
+KNOWN_DISCREPANCIES = {"lift.stated_factors", "excision.e2_display",
+                       "rep31.entry11_vs_display"}
+
+CRITERIA = {
+    1: ("representative matches display (known (1,1) discrepancy), det 1, "
+        "trivial at s=0, subring entries",
+        ["rep31.off_entries", "rep31.entry11_self_consistent",
+         "rep31.entry11_vs_display", "rep31.det", "rep31.s_to_zero",
+         "rep31.subring", "loop.on_P"]),
+    2: ("pi(A) = diag(1+st, 1-st); det(A) = 1; B1 and e2 idempotent, "
+        "congruent to P mod (t^2); e2 in the subring; excision stages",
+        ["lift.reduction", "lift.det", "lift.stated_factors",
+         "clutch.B1_idempotent", "clutch.pair_in_double", "clutch.B2",
+         "excision.e2_idempotent", "excision.e2_congruent",
+         "excision.e2_subring", "excision.e2_display", "excision.stage1",
+         "excision.stage2", "excision.stage3"]),
+    3: ("M_1..M_5 and N match the displays; N^10 = 0; det(I - sN) = 1",
+        ["higman.reassembly", "higman.N_display", "higman.nilpotent",
+         "higman.det_linear", "higman.N_subring"]),
+    4: ("V_2(N) is 20x20 nilpotent; F_10(N) = 0; V_1(N) = N",
+        ["maps.verschiebung2", "maps.verschiebung1", "maps.frobenius10"]),
+    5: ("symbol words evaluate to I; YZ det 1, = I mod (2), trivial over "
+        "the dual numbers; psi(lift) = YZ; lift det 1, shaped as stated",
+        ["symbol.dennis_stein", "symbol.reduced_X", "yz.det", "yz.congruent",
+         "yz.reduce_to_dual", "lift42.psi", "lift42.det",
+         "lift42.entry_shapes", "lift42.display", "lift42.x_zero_det"]),
+    6: ("D(<eps, x+eps>) = dx != 0; D for (x, x^2) vanishes",
+        ["kahler.nonzero", "kahler.zero"]),
+    7: ("50 randomized units a + bst pass det-unit, s -> 0 = I, subring",
+        ["random.generalized_units"]),
+    8: ("six property suites, >=1000 cases each, no failures",
+        ["random.ring_axioms", "random.hom_multiplicative",
+         "random.ideal_closure", "random.det_multiplicative",
+         "random.eval_homomorphism", "random.dennis_stein_identity"]),
+    9: ("verifier accepts the three trivial witnesses and rejects "
+        "single-entry perturbations of U or V",
+        ["sse.esse_rank_one", "sse.esse_identity_split", "sse.se_to_zero"]),
+}
 
 
-def _report(num: int, desc: str, ok: bool) -> None:
+def _criterion(num: int, checks, extra_ok: bool = True) -> None:
+    desc, ids = CRITERIA[num]
+    status = {c.id: c.status for c in checks}
+    off = {i: status.get(i) for i in ids
+           if status.get(i) != (report.DISCREPANCY if i in KNOWN_DISCREPANCIES
+                                else report.PASS)}
+    ok = not off and extra_ok
     print(f"[ACCEPTANCE {num}] {'PASS' if ok else 'FAIL'}: {desc}")
-    assert ok, f"criterion {num}: {desc}"
+    assert ok, f"criterion {num}: {desc}; checks off: {off}"
 
 
-def _all_in_subring(m: Matrix) -> bool:
-    return all(subring_member(x) for row in m.entries for x in row)
+def test_criterion_1_laurent_end_to_end(report_checks):
+    _criterion(1, report_checks)
 
 
-def test_criterion_1_laurent_end_to_end():
-    rep = lp.theorem31_matrix()
-    m = rep.matrix
-    disp = lp.theorem31_display()
-    ring = m.ring
-    one = ring.one()
-    s, t, z = ring.var("s"), ring.var("t"), ring.var("z")
-    ok = all(m[r, c] == disp[r, c] for r, c in [(0, 1), (1, 0), (1, 1)])
-    ok = ok and m[0, 0] == one - (one - z.invert()) * (s * t) ** 4
-    ok = ok and m[0, 0] != disp[0, 0]  # the recorded display discrepancy
-    ok = ok and m.det() == one
-    ok = ok and m.substitute({"s": 0}) == Matrix.identity(ring.drop("s"), 2)
-    ok = ok and _all_in_subring(m)
-    _report(1, "representative matches display (known (1,1) discrepancy), "
-               "det 1, trivial at s=0, subring entries", ok)
+def test_criterion_2_lift_and_idempotents(report_checks):
+    _criterion(2, report_checks)
 
 
-def test_criterion_2_lift_and_idempotents():
-    a = lp.lift_A()
-    red = a.map_entries(truncate_t2, truncate_t2(Q_TS.one()).ring)
-    st = Q_TS.var("s") * Q_TS.var("t")
-    ok = red == Matrix.diag(red.ring, [truncate_t2(Q_TS.one() + st),
-                                       truncate_t2(Q_TS.one() - st)])
-    ok = ok and a.det() == Q_TS.one()
-    pair = lp.double_idempotent_B()
-    ok = ok and pair.first.is_idempotent()
-    d = pair.first - lp.projector_P()
-    ok = ok and all(ideal_member(x, MONOMIAL_T2) for r in d.entries for x in r)
-    e2 = lp.clutch_projector(a, lp.projector_P())
-    ok = ok and e2.is_idempotent()
-    d = e2 - lp.projector_P()
-    ok = ok and all(ideal_member(x, MONOMIAL_T2) for r in d.entries for x in r)
-    ok = ok and _all_in_subring(e2)
-    _report(2, "pi(A) = diag(1+st, 1-st); det(A) = 1; B1 and e2 idempotent, "
-               "congruent to P mod (t^2); e2 in the subring", ok)
+def test_criterion_3_higman(report_checks):
+    _criterion(3, report_checks)
 
 
-def test_criterion_3_higman():
-    blocks = lp.decompose_M(lp.theorem31_matrix())
-    disp = lp.n10_display()
-    ok = len(blocks) == 5
-    for i, blk in enumerate(blocks):
-        stated = Matrix.from_rows(
-            disp.ring, [[disp[r, 2 * i + c] for c in range(2)]
-                        for r in range(2)])
-        ok = ok and blk == stated
-    n10 = lp.higman_companion(blocks)
-    ok = ok and n10 == disp
-    ok = ok and n10.power(10).is_zero()
-    from nilk.rings import Q_TSZ
-    big = n10.into(Q_TSZ).scale(Q_TSZ.var("s"))
-    ok = ok and (Matrix.identity(Q_TSZ, 10) - big).det() == Q_TSZ.one()
-    _report(3, "M_1..M_5 and the 10x10 companion N match the displays; "
-               "N^10 = 0; det(I - sN) = 1", ok)
+def test_criterion_4_operator_maps(report_checks):
+    _criterion(4, report_checks)
 
 
-def test_criterion_4_operator_maps():
-    n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
-    v2 = nilsse.verschiebung(n10, 2)
-    ok = v2.rows == 20 and v2.cols == 20
-    ok = ok and v2.nilpotency_index(20) is not None
-    ok = ok and nilsse.frobenius(n10, 10).is_zero()
-    ok = ok and nilsse.verschiebung(n10, 1) == n10
-    _report(4, "V_2(N) is 20x20 nilpotent; F_10(N) = 0; V_1(N) = N", ok)
+def test_criterion_5_groupring_end_to_end(report_checks):
+    _criterion(5, report_checks)
 
 
-def test_criterion_5_groupring_end_to_end():
-    eye2 = Matrix.identity(F2E_X, 2)
-    ok = eval_word(dual_symbol_word(), 2) == eye2
-    ok = ok and eval_word(reduced_X_word(), 2) == eye2
-    m = grp.yz_matrix().matrix
-    ok = ok and m.det() == ZI_X.one()
-    d = m - Matrix.identity(ZI_X, 2)
-    ok = ok and all(ideal_member(x, PRINCIPAL_TWO)
-                    for r in d.entries for x in r)
-    ok = ok and grp.reduce_to_dual(m) == eye2
-    lifted = grp.theorem42_block()
-    ok = ok and lifted.map_entries(psi, ZI_X) == m
-    ok = ok and lifted.det() == lifted.ring.one()
-    ok = ok and grp.entry_shapes_ok(lifted)
-    disp = grp.theorem42_display()
-    if lifted != disp:
-        # discrepancy record carrying both matrices, per the contract
-        print(f"[ACCEPTANCE 5] DISCREPANCY: computed lift\n{lifted}\n"
-              f"stated block\n{disp}")
-    _report(5, "symbol words evaluate to I; YZ det 1 and congruent to I mod "
-               "(2); dual reduction trivial; psi(lift) = YZ; det(lift) = 1; "
-               "entry shapes as stated"
-               + ("" if lifted == disp else "; display mismatch recorded"),
-            ok)
+def test_criterion_6_kahler(report_checks):
+    _criterion(6, report_checks)
 
 
-def test_criterion_6_kahler():
-    one, x = F2_X.one(), F2_X.var("x")
-    ok = grp.kahler_D(one, x) == one and grp.kahler_D(one, x) != F2_X.zero()
-    ok = ok and grp.kahler_D(x, x * x) == F2_X.zero()
-    _report(6, "D(<eps, x+eps>) = dx != 0; D for (x, x^2) vanishes", ok)
+def test_criterion_7_generalized_units(report_checks):
+    _criterion(7, report_checks)
 
 
-def test_criterion_7_generalized_units():
-    rng = random.Random(7)
-    ok = True
-    for _ in range(50):
-        a = Fraction(rng.randint(1, 9) * rng.choice([1, -1]), rng.randint(1, 5))
-        b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        m = lp.generalized_unit_rep(a, b).matrix
-        m.det().invert()  # raises NotAUnitError if not a unit
-        ok = ok and (m.substitute({"s": 0})
-                     == Matrix.identity(m.ring.drop("s"), 2))
-        ok = ok and _all_in_subring(m)
-    _report(7, "50 randomized units a + bst pass det-unit, s -> 0 = I, and "
-               "subring membership", ok)
-
-
-def test_criterion_8_property_suites():
-    results = {
-        "ring_axioms": report.suite_ring_axioms(1000),
-        "hom_multiplicative": report.suite_hom_multiplicative(1000),
-        "ideal_closure": report.suite_ideal_closure(1000),
-        "det_multiplicative": report.suite_det_multiplicative(1000),
-        "eval_homomorphism": report.suite_eval_homomorphism(1000),
-        "dennis_stein_identity": report.suite_dennis_stein_identity(1000),
-    }
-    ok = all(v == 0 for v in results.values())
-    _report(8, f"six property suites, >=1000 cases each, failures: {results}",
-            ok)
+def test_criterion_8_property_suites(report_checks):
+    _criterion(8, report_checks)
 
 
 def _perturb(m: Matrix, i: int, j: int) -> Matrix:
@@ -156,42 +99,58 @@ def _perturb(m: Matrix, i: int, j: int) -> Matrix:
     return Matrix.from_rows(m.ring, rows)
 
 
-def test_criterion_9_sse_verifier():
-    ring = Q_TS
-    n = Matrix.from_rows(ring, [[0, 1], [0, 0]])
-    zero1 = Matrix.zeros(ring, 1, 1)
-    u1 = Matrix.from_rows(ring, [[1], [0]])
-    v1 = Matrix.from_rows(ring, [[0, 1]])
-    ok = nilsse.verify_esse(n, zero1, nilsse.ESSEWitness(u1, v1))
-    ok = ok and not nilsse.verify_esse(
-        n, zero1, nilsse.ESSEWitness(_perturb(u1, 1, 0), v1))
-    ok = ok and not nilsse.verify_esse(
-        n, zero1, nilsse.ESSEWitness(u1, _perturb(v1, 0, 0)))
-
-    a = Matrix.from_rows(ring, [[1, 2], [3, 4]])
-    eye = Matrix.identity(ring, 2)
-    ok = ok and nilsse.verify_esse(a, a, nilsse.ESSEWitness(a, eye))
-    ok = ok and not nilsse.verify_esse(
-        a, a, nilsse.ESSEWitness(_perturb(a, 0, 0), eye))
-    ok = ok and not nilsse.verify_esse(
-        a, a, nilsse.ESSEWitness(a, _perturb(eye, 0, 1)))
-
-    n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
-    u = Matrix.zeros(n10.ring, 10, 1)
-    v = Matrix.zeros(n10.ring, 1, 10)
-    ok = ok and nilsse.verify_se(n10, Matrix.zeros(n10.ring, 1, 1),
-                                 nilsse.SEWitness(u, v, 10)).ok
+def test_criterion_9_sse_verifier(report_checks):
+    # the report checks that the trivial witnesses pass; here each
+    # single-entry perturbation of U or V must fail
+    n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
+    zero1 = Matrix.zeros(Q_TS, 1, 1)
+    u1 = Matrix.from_rows(Q_TS, [[1], [0]])
+    v1 = Matrix.from_rows(Q_TS, [[0, 1]])
+    a = Matrix.from_rows(Q_TS, [[1, 2], [3, 4]])
+    eye = Matrix.identity(Q_TS, 2)
+    # the built N equals its display (check higman.N_display)
+    n10 = lp.n10_display()
+    u, v = Matrix.zeros(n10.ring, 10, 1), Matrix.zeros(n10.ring, 1, 10)
+    z10 = Matrix.zeros(n10.ring, 1, 1)
     # perturbation indices chosen where N has a nonzero column / row, so the
     # intertwining identities break
     col = next(j for j in range(10)
                if any(not n10[i, j].is_zero() for i in range(10)))
     row = next(i for i in range(10)
                if any(not n10[i, j].is_zero() for j in range(10)))
-    ok = ok and not nilsse.verify_se(
-        n10, Matrix.zeros(n10.ring, 1, 1),
-        nilsse.SEWitness(_perturb(u, col, 0), v, 10)).ok
-    ok = ok and not nilsse.verify_se(
-        n10, Matrix.zeros(n10.ring, 1, 1),
-        nilsse.SEWitness(u, _perturb(v, 0, row), 10)).ok
-    _report(9, "verifier accepts the three trivial witnesses and rejects "
-               "single-entry perturbations of U or V", ok)
+    accepted = [
+        verify_esse(n, zero1, ESSEWitness(_perturb(u1, 1, 0), v1)),
+        verify_esse(n, zero1, ESSEWitness(u1, _perturb(v1, 0, 0))),
+        verify_esse(a, a, ESSEWitness(_perturb(a, 0, 0), eye)),
+        verify_esse(a, a, ESSEWitness(a, _perturb(eye, 0, 1))),
+        verify_se(n10, z10, SEWitness(_perturb(u, col, 0), v, 10)).ok,
+        verify_se(n10, z10, SEWitness(u, _perturb(v, 0, row), 10)).ok,
+    ]
+    _criterion(9, report_checks, extra_ok=not any(accepted))
+
+
+def test_criteria_cover_the_report(report_checks):
+    named = [i for _, ids in CRITERIA.values() for i in ids]
+    assert len(named) == len(set(named)), "a check id is named twice"
+    assert set(named) == {c.id for c in report_checks}
+    assert len(report_checks) == 50
+
+
+STAGES = ("lift_A", "double_idempotent_B", "clutch_projector",
+          "excision_transport", "decompose_M", "higman_companion")
+
+
+def test_each_stage_runs_once(monkeypatch, tmp_path, capsys):
+    """One build per run.  The random suites are left out: each
+    generalized unit clutches its own lift, a different construction."""
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        def counted(*args, _fn=getattr(lp, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lp, name, counted)
+    report.run_all_checks(include_random=False)
+    assert calls == dict.fromkeys(STAGES, 1)
+    calls.update(dict.fromkeys(STAGES, 0))
+    assert main(["theorem3", "--out", str(tmp_path)]) == 0
+    assert calls == dict.fromkeys(STAGES, 1)

@@ -1,8 +1,16 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nilk
 from nilk import laurent_pipeline as lp
+from nilk import report
 from nilk.cli import main
 from nilk.matrices import (Matrix, matrix_from_json, matrix_to_json)
 from nilk.rings import Q_TS, Q_TZ
@@ -131,65 +139,57 @@ def test_frob_rejects_non_nilpotent(tmp_path, capsys):
     assert "not nilpotent" in err
 
 
-def _chain_file(path, corrupt=False):
+def _bare(m):
+    """A matrix object as witness files hold it, without the ring."""
+    j = matrix_to_json(m)
+    return {k: j[k] for k in ("rows", "cols", "entries")}
+
+
+def _chain_doc(corrupt=False, u_rows=2):
     n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
-    u = Matrix.from_rows(Q_TS, [[1], [0]])
-    v = Matrix.from_rows(Q_TS, [[0, 1]])
-    if corrupt:
-        v = Matrix.from_rows(Q_TS, [[1, 1]])
+    u = Matrix.from_rows(Q_TS, [[1], [0], [0]][:u_rows])
+    v = Matrix.from_rows(Q_TS, [[1, 1] if corrupt else [0, 1]])
     zero1 = Matrix.zeros(Q_TS, 1, 1)
-
-    def emat(m):
-        j = matrix_to_json(m)
-        return {k: j[k] for k in ("rows", "cols", "entries")}
-
-    doc = {
+    return {
         "ring": matrix_to_json(n)["ring"],
         "steps": [
-            {"matrix": emat(n)},
-            {"matrix": emat(zero1), "U": emat(u), "V": emat(v)},
+            {"matrix": _bare(n)},
+            {"matrix": _bare(zero1), "U": _bare(u), "V": _bare(v)},
         ],
     }
-    path.write_text(json.dumps(doc))
+
+
+def _se_doc(u_rows=2, lag=2):
+    n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
+    return {"ring": matrix_to_json(n)["ring"], "A": _bare(n),
+            "B": _bare(Matrix.zeros(Q_TS, 1, 1)),
+            "U": _bare(Matrix.zeros(Q_TS, u_rows, 1)),
+            "V": _bare(Matrix.zeros(Q_TS, 1, 2)), "lag": lag}
+
+
+def _sse_verify(tmp_path, capsys, doc):
+    f = tmp_path / "witness.json"
+    f.write_text(json.dumps(doc))
+    return run(["sse-verify", str(f)], capsys)
 
 
 def test_sse_verify_chain(tmp_path, capsys):
-    f = tmp_path / "chain.json"
-    _chain_file(f)
-    code, out, _ = run(["sse-verify", str(f)], capsys)
+    code, out, _ = _sse_verify(tmp_path, capsys, _chain_doc())
     assert code == 0
     assert "SSE chain verified" in out
 
 
 def test_sse_verify_corrupt_chain(tmp_path, capsys):
-    f = tmp_path / "chain.json"
-    _chain_file(f, corrupt=True)
-    code, _, err = run(["sse-verify", str(f)], capsys)
+    code, _, err = _sse_verify(tmp_path, capsys, _chain_doc(corrupt=True))
     assert code == 1
     assert "link 1" in err
 
 
 def test_sse_verify_se_witness(tmp_path, capsys):
-    n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
-    zero1 = Matrix.zeros(Q_TS, 1, 1)
-    u = Matrix.zeros(Q_TS, 2, 1)
-    v = Matrix.zeros(Q_TS, 1, 2)
-    j = matrix_to_json(n)
-
-    def emat(m):
-        d = matrix_to_json(m)
-        return {k: d[k] for k in ("rows", "cols", "entries")}
-
-    doc = {"ring": j["ring"], "A": emat(n), "B": emat(zero1),
-           "U": emat(u), "V": emat(v), "lag": 2}
-    f = tmp_path / "se.json"
-    f.write_text(json.dumps(doc))
-    code, out, _ = run(["sse-verify", str(f)], capsys)
+    code, out, _ = _sse_verify(tmp_path, capsys, _se_doc())
     assert code == 0
     assert "lag 2" in out
-    doc["lag"] = 1
-    f.write_text(json.dumps(doc))
-    code, _, err = run(["sse-verify", str(f)], capsys)
+    code, _, err = _sse_verify(tmp_path, capsys, _se_doc(lag=1))
     assert code == 1
     assert "A^l = UV" in err
 
@@ -205,19 +205,68 @@ def test_sse_verify_malformed(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_all(capsys):
+@pytest.mark.parametrize("doc", [_se_doc(u_rows=3), _se_doc(lag=0),
+                                 _chain_doc(u_rows=3)],
+                         ids=["se_shapes", "se_lag_zero", "chain_shapes"])
+def test_sse_verify_bad_witness_is_input_error(tmp_path, capsys, doc):
+    code, _, err = _sse_verify(tmp_path, capsys, doc)
+    assert code == 2
+    assert err.startswith("invalid witness:") and err.count("\n") == 1
+
+
+@pytest.fixture
+def reported(monkeypatch, report_checks):
+    """verify-all on the session's report instead of a second run."""
+    monkeypatch.setattr(report, "run_all_checks", lambda: report_checks)
+    return report_checks
+
+
+def test_verify_all(reported, capsys):
     code, out, _ = run(["verify-all", "--allow-known-typos"], capsys)
     assert code == 0
-    assert "0 failures" in out
+    assert out.splitlines()[:-2] == [line for c in reported
+                                     for line in c.line().splitlines()]
+    assert out.splitlines()[-1] == \
+        "50 checks: 47 pass, 3 known discrepancies, 0 failures"
     code, _, _ = run(["verify-all"], capsys)
     assert code == 1
 
 
-def test_verify_all_json(capsys):
+def test_verify_all_json(reported, capsys):
     code, out, _ = run(["verify-all", "--allow-known-typos", "--json"], capsys)
     assert code == 0
     data = json.loads(out)
+    assert data == [c.to_json() for c in reported]
     assert all(c["status"] in ("pass", "discrepancy") for c in data)
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_verify_all_into_closed_stdout(reported, monkeypatch, capsys):
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", _ClosedStdout())
+        code = main(["verify-all", "--allow-known-typos"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "i/o error: stdout closed\n"
+
+
+def test_theorem3_into_closed_pipe(tmp_path):
+    """`nilk theorem3 | head -1`, with the reader gone before any line.
+    stdout is block-buffered, so the error shows when main flushes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(nilk.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilk.cli", "theorem3", "--out", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "i/o error: stdout closed\n"
 
 
 def test_unknown_command(capsys):

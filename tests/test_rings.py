@@ -6,9 +6,9 @@ import pytest
 from nilk.rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                         PRINCIPAL_TWO, Q_TS, Q_TSZ, Z4_X, ZI_X, DualF2,
                         GaussianInt, GroupRingZ4, Poly, Ring, RingMismatchError,
-                        Var, formal_derivative, group_ring_from_gauss,
-                        hom_apply, ideal_member, poly_from_json, poly_to_json,
-                        psi, rho, subring_member, truncate_t2, try_invert)
+                        Var, group_ring_from_gauss, hom_apply, ideal_member,
+                        poly_from_json, poly_to_json, psi, rho,
+                        subring_member, truncate_t2)
 from nilk.sampling import random_poly
 
 
@@ -49,25 +49,31 @@ def test_invert_dual_unit():
     eps = F2E_X.const(DualF2(0, 1))
     x = F2E_X.var("x")
     u = F2E_X.one() - eps * x
-    assert try_invert(u) == F2E_X.one() + eps * x
+    assert u.try_invert() == F2E_X.one() + eps * x
 
 
 def test_invert_laurent_monomial():
     z = Q_TSZ.var("z")
-    assert try_invert(z) == Q_TSZ.var("z", -1)
-    assert try_invert(Q_TSZ.const(Fraction(2)) * z ** 3) == \
+    assert z.try_invert() == Q_TSZ.var("z", -1)
+    assert (Q_TSZ.const(Fraction(2)) * z ** 3).try_invert() == \
         Q_TSZ.const(Fraction(1, 2)) * z ** -3
+    # a unit monomial other than the constant term, times 1 - nilpotent
+    r = Ring("F2e", (Var("z", laurent=True),))
+    z, eps = r.var("z"), r.const(DualF2(0, 1))
+    assert (z + eps).try_invert() == z ** -1 + eps * z ** -2
+    assert (r.one() + z).try_invert() is None
+    assert (z + z * z).try_invert() is None
 
 
 def test_invert_nonunit():
-    assert try_invert(Q_TS.var("t")) is None
-    assert try_invert(Q_TS.zero()) is None
+    assert Q_TS.var("t").try_invert() is None
+    assert Q_TS.zero().try_invert() is None
 
 
 def test_invert_truncated_unit():
     r = Ring("Q", (Var("t", trunc=2), Var("s")))
     u = r.one() + r.var("s") * r.var("t")
-    v = try_invert(u)
+    v = u.try_invert()
     assert v == r.one() - r.var("s") * r.var("t")
     assert u * v == r.one()
 
@@ -75,15 +81,15 @@ def test_invert_truncated_unit():
 def test_invert_series_bound_from_ring():
     r = Ring("Q", (Var("t", trunc=100),))
     u = r.one() + r.var("t")
-    v = try_invert(u)
+    v = u.try_invert()
     assert v is not None and u * v == r.one()
     # (t + eps*x)^3 = t^2*eps*x != 0: the bound is 2 (t) + 1 (eps) + 1 = 4
     r = Ring("F2e", (Var("t", trunc=3), Var("x")))
     u = r.one() + r.var("t") + r.const(DualF2(0, 1)) * r.var("x")
-    v = try_invert(u)
+    v = u.try_invert()
     assert v is not None and u * v == r.one()
-    assert try_invert(Q_TS.one() + Q_TS.var("s")) is None
-    assert try_invert(Q_TSZ.one() + Q_TSZ.var("z")) is None
+    assert (Q_TS.one() + Q_TS.var("s")).try_invert() is None
+    assert (Q_TSZ.one() + Q_TSZ.var("z")).try_invert() is None
 
 
 # -- substitution
@@ -182,9 +188,9 @@ def test_subring_member():
 
 def test_formal_derivative():
     x = F2_X.var("x")
-    assert formal_derivative(x, "x") == F2_X.one()
-    assert formal_derivative(x * x, "x").is_zero()  # coefficient 2 = 0
-    assert formal_derivative(F2_X.one(), "x").is_zero()
+    assert x.derivative("x") == F2_X.one()
+    assert (x * x).derivative("x").is_zero()  # coefficient 2 = 0
+    assert F2_X.one().derivative("x").is_zero()
     with pytest.raises(ValueError):
         Q_TSZ.var("z").derivative("z")
 
@@ -226,7 +232,7 @@ def test_invert_contract_randomized():
     for _ in range(500):
         ring = rng.choice(RINGS)
         p = random_poly(rng, ring)
-        inv = try_invert(p)
+        inv = p.try_invert()
         if inv is not None:
             assert p * inv == ring.one()
 
