@@ -71,15 +71,18 @@ def cmd_theorem4(args) -> int:
                                         "theorem42_matrix": grp.theorem42_block()})
 
 
-def _load_matrix(path: str) -> Matrix:
+def _load_square(path: str) -> Matrix:
     try:
-        return matrix_from_json(json.loads(Path(path).read_text()))
+        m = matrix_from_json(json.loads(Path(path).read_text()))
+        if m.rows != m.cols:
+            raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
+        return m
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise _IOFailure(f"cannot read matrix from {path}: {e}") from e
 
 
 def cmd_higman(args) -> int:
-    m = _load_matrix(args.input)
+    m = _load_square(args.input)
     if m.rows == 0 or "s" not in {v.name for v in m.ring.vars}:
         print("higman needs a nonempty matrix over a ring with the variable s",
               file=sys.stderr)
@@ -100,7 +103,7 @@ def cmd_higman(args) -> int:
 
 
 def _nilpotent_map(args, fn, name: str) -> int:
-    m = _load_matrix(args.input)
+    m = _load_square(args.input)
     out = fn(m, args.k)
     idx = out.nilpotency_index(out.rows)
     if idx is None:
@@ -132,8 +135,11 @@ def _witness_from_json(j: dict):
             mats.append(mat(st["matrix"]))
             wits.append(nilsse.ESSEWitness(mat(st["U"]), mat(st["V"])))
         return nilsse.SSEChain(tuple(mats), tuple(wits))
+    lag = j["lag"]
+    if type(lag) is not int:
+        raise ValueError(f"lag must be an integer, got {json.dumps(lag)}")
     return (mat(j["A"]), mat(j["B"]),
-            nilsse.SEWitness(mat(j["U"]), mat(j["V"]), int(j["lag"])))
+            nilsse.SEWitness(mat(j["U"]), mat(j["V"]), lag))
 
 
 def cmd_sse_verify(args) -> int:

@@ -39,8 +39,8 @@ def _st(k: int) -> Poly:
     return Q_TS.var("t", k) * Q_TS.var("s", k) if k else Q_TS.one()
 
 
-def projector_P(ring: Ring = Q_TS) -> Matrix:
-    return Matrix.diag(ring, [ring.one(), ring.zero()])
+def projector_P() -> Matrix:
+    return Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
 
 
 def _lift(a: Fraction, b: Fraction) -> Matrix:

@@ -241,18 +241,15 @@ class Matrix:
 
     # -- entrywise helpers
 
-    def map_entries(self, f, ring: Optional[Ring] = None) -> "Matrix":
-        rows = [[f(a) for a in r] for r in self.entries]
-        return Matrix.from_rows(ring if ring is not None else self.ring, rows)
+    def map_entries(self, f, ring: Ring) -> "Matrix":
+        return Matrix.from_rows(ring, [[f(a) for a in r] for r in self.entries])
 
     def into(self, ring: Ring) -> "Matrix":
         return self.map_entries(lambda a: a.into(ring), ring)
 
-    def substitute(self, assignments, target: Optional[Ring] = None) -> "Matrix":
-        if target is None:
-            target = self.ring.drop(*assignments)
-        return self.map_entries(lambda a: a.substitute(assignments, target),
-                                target)
+    def substitute(self, assignments) -> "Matrix":
+        return self.map_entries(lambda a: a.substitute(assignments),
+                                self.ring.drop(*assignments))
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r)

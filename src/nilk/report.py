@@ -396,12 +396,9 @@ def random_checks() -> list[Check]:
     return out
 
 
-def run_all_checks(include_random: bool = True) -> list[Check]:
+def run_all_checks() -> list[Check]:
     con = lp.construct()
-    cs = laurent_checks(con) + groupring_checks() + sse_checks(con)
-    if include_random:
-        cs += random_checks()
-    return cs
+    return laurent_checks(con) + groupring_checks() + sse_checks(con) + random_checks()
 
 
 def summarize(checks: list[Check], allow_known_discrepancies: bool = False) -> bool:

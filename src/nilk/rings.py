@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Mapping, Optional
 
 
@@ -33,30 +34,43 @@ class NotAUnitError(ValueError):
 
 # ---------------------------------------------------------------------------
 # coefficient domains
+#
+# The three algebras share one protocol: coercion from int, equality and
+# hashing by type and coordinates, the reflected + and *, - as self + (-o),
+# JSON as the coordinate list, and one unit rule.  Every unit u of Z[i],
+# Z[Z/4] (only +/- sigma^k, by Higman's theorem on the units of Z[C_4]) and
+# F2[eps] has u^4 = 1, so u is a unit iff u^4 = 1, and then u^-1 = u^3.
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    re: int = 0
-    im: int = 0
+class CoeffAlgebra:
+    """Base of the coefficient algebras: subclasses name their coordinates
+    in __slots__ and write __init__, __add__, __neg__, __mul__ and __str__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.coords = property(attrgetter(*cls.__slots__))
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return GaussianInt(other, 0)
-        if isinstance(other, GaussianInt):
+        if type(other) is type(self):
             return other
+        if isinstance(other, int):
+            return type(self)(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __eq__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return GaussianInt(self.re + o.re, self.im + o.im)
+        return self.coords == other.coords
 
-    __radd__ = __add__
+    def __hash__(self):
+        return hash(self.coords)
 
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -65,7 +79,41 @@ class GaussianInt:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.coords}"
+
+    def invert(self):
+        """u^-1 = u^3 when u^4 = 1, else None."""
+        sq = self * self
+        return sq * self if sq * sq == type(self)(1) else None
+
+    def to_json(self) -> list:
+        return list(self.coords)
+
+    @classmethod
+    def from_json(cls, j: list):
+        return cls(*(int(x) for x in j))
+
+
+class GaussianInt(CoeffAlgebra):
+    """a + b*i."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussianInt(self.re + o.re, self.im + o.im)
+
+    def __neg__(self):
+        return GaussianInt(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -74,91 +122,58 @@ class GaussianInt:
         return GaussianInt(self.re * o.re - self.im * o.im,
                            self.re * o.im + self.im * o.re)
 
-    __rmul__ = __mul__
-
     def __str__(self):
         return f"({self.re}{self.im:+}i)"
 
 
-@dataclass(frozen=True)
-class GroupRingZ4:
+class GroupRingZ4(CoeffAlgebra):
     """Integer group ring of the cyclic group of order 4, generator sigma."""
 
-    c0: int = 0
-    c1: int = 0
-    c2: int = 0
-    c3: int = 0
+    __slots__ = ("c0", "c1", "c2", "c3")
 
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return GroupRingZ4(other, 0, 0, 0)
-        if isinstance(other, GroupRingZ4):
-            return other
-        return None
-
-    def coeffs(self):
-        return (self.c0, self.c1, self.c2, self.c3)
+    def __init__(self, c0: int = 0, c1: int = 0, c2: int = 0, c3: int = 0):
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs(), o.coeffs()
-        return GroupRingZ4(*(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
+        return GroupRingZ4(self.c0 + o.c0, self.c1 + o.c1,
+                           self.c2 + o.c2, self.c3 + o.c3)
 
     def __neg__(self):
-        return GroupRingZ4(*(-x for x in self.coeffs()))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return GroupRingZ4(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs(), o.coeffs()
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            if a[i]:
-                for j in range(4):
-                    out[(i + j) % 4] += a[i] * b[j]
-        return GroupRingZ4(*out)
-
-    __rmul__ = __mul__
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = o.coords
+        return GroupRingZ4(a0 * b0 + a1 * b3 + a2 * b2 + a3 * b1,
+                           a0 * b1 + a1 * b0 + a2 * b3 + a3 * b2,
+                           a0 * b2 + a1 * b1 + a2 * b0 + a3 * b3,
+                           a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.coeffs()):
+        for k, c in enumerate(self.coords):
             if c:
                 parts.append(f"{c:+}" + ("" if k == 0 else f"σ^{k}" if k > 1 else "σ"))
         return "(" + ("".join(parts) or "0") + ")"
 
 
-@dataclass(frozen=True)
-class DualF2:
-    """a + b*eps over F2, with eps^2 = 0."""
+class DualF2(CoeffAlgebra):
+    """a + b*eps over F2, with eps^2 = 0; built reduced mod 2."""
 
-    a: int = 0
-    b: int = 0
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % 2)
-        object.__setattr__(self, "b", self.b % 2)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return DualF2(other, 0)
-        if isinstance(other, DualF2):
-            return other
-        return None
+    def __init__(self, a: int = 0, b: int = 0):
+        self.a = a % 2
+        self.b = b % 2
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -166,18 +181,8 @@ class DualF2:
             return NotImplemented
         return DualF2(self.a ^ o.a, self.b ^ o.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + o
-
-    __rsub__ = __sub__
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -185,10 +190,8 @@ class DualF2:
             return NotImplemented
         return DualF2(self.a & o.a, (self.a & o.b) ^ (self.b & o.a))
 
-    __rmul__ = __mul__
-
     def __str__(self):
-        return {(0, 0): "0", (1, 0): "1", (0, 1): "ε", (1, 1): "(1+ε)"}[(self.a, self.b)]
+        return {(0, 0): "0", (1, 0): "1", (0, 1): "ε", (1, 1): "(1+ε)"}[self.coords]
 
 
 def _invert_q(c):
@@ -199,59 +202,37 @@ def _invert_z(c):
     return c if c in (1, -1) else None
 
 
-def _invert_zi(c):
-    if c.re * c.re + c.im * c.im == 1:
-        return GaussianInt(c.re, -c.im)
-    return None
-
-
-def _invert_z4(c):
-    # only the trivial units +/- sigma^k are recognized
-    nz = [(k, v) for k, v in enumerate(c.coeffs()) if v]
-    if len(nz) == 1 and nz[0][1] in (1, -1):
-        k, v = nz[0]
-        out = [0, 0, 0, 0]
-        out[(4 - k) % 4] = v
-        return GroupRingZ4(*out)
-    return None
-
-
 def _invert_f2(c):
     return 1 if c == 1 else None
 
 
-def _invert_f2e(c):
-    return c if c.a == 1 else None  # (1+b*eps)^2 = 1
-
-
 @dataclass(frozen=True)
 class BaseOps:
-    tag: str
     zero: object
     one: object
     from_int: Callable
     invert: Callable
     to_json: Callable
     from_json: Callable
+    latex: Callable
+
+
+def _algebra_ops(cls, latex: Callable) -> BaseOps:
+    return BaseOps(cls(), cls(1), cls, cls.invert, cls.to_json, cls.from_json, latex)
 
 
 BASE: dict[str, BaseOps] = {
-    "Q": BaseOps("Q", Fraction(0), Fraction(1), Fraction, _invert_q,
-                 lambda c: f"{c.numerator}/{c.denominator}",
-                 lambda j: Fraction(j)),
-    "Z": BaseOps("Z", 0, 1, int, _invert_z,
-                 lambda c: str(c), lambda j: int(j)),
-    "Zi": BaseOps("Zi", GaussianInt(), GaussianInt(1), lambda n: GaussianInt(n, 0),
-                  _invert_zi,
-                  lambda c: [c.re, c.im], lambda j: GaussianInt(int(j[0]), int(j[1]))),
-    "Z4": BaseOps("Z4", GroupRingZ4(), GroupRingZ4(1), lambda n: GroupRingZ4(n, 0, 0, 0),
-                  _invert_z4,
-                  lambda c: list(c.coeffs()),
-                  lambda j: GroupRingZ4(*(int(x) for x in j))),
-    "F2": BaseOps("F2", 0, 1, lambda n: n % 2, _invert_f2,
-                  lambda c: c, lambda j: int(j) % 2),
-    "F2e": BaseOps("F2e", DualF2(), DualF2(1), lambda n: DualF2(n, 0), _invert_f2e,
-                   lambda c: [c.a, c.b], lambda j: DualF2(int(j[0]), int(j[1]))),
+    "Q": BaseOps(Fraction(0), Fraction(1), Fraction, _invert_q,
+                 lambda c: f"{c.numerator}/{c.denominator}", Fraction,
+                 lambda c: (str(c.numerator) if c.denominator == 1
+                            else rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}")),
+    "Z": BaseOps(0, 1, int, _invert_z, str, int, str),
+    "Zi": _algebra_ops(GaussianInt, str),
+    "Z4": _algebra_ops(GroupRingZ4, lambda c: "(" + "+".join(
+        f"{v}" + ("" if k == 0 else rf"\sigma^{{{k}}}" if k > 1 else r"\sigma")
+        for k, v in enumerate(c.coords) if v).replace("+-", "-") + ")"),
+    "F2": BaseOps(0, 1, lambda n: n % 2, _invert_f2, lambda c: c, lambda j: int(j) % 2, str),
+    "F2e": _algebra_ops(DualF2, lambda c: str(c).replace("ε", r"\epsilon")),
 }
 
 
@@ -356,7 +337,7 @@ class Poly:
             if other.ring != self.ring:
                 raise RingMismatchError(f"{other.ring} vs {self.ring}")
             return other
-        if isinstance(other, (int, Fraction, GaussianInt, GroupRingZ4, DualF2)):
+        if isinstance(other, (int, Fraction, CoeffAlgebra)):
             return self.ring.const(other)
         return None
 
@@ -484,16 +465,12 @@ class Poly:
             out[tuple(e)] = c
         return Poly(ring, out)
 
-    def substitute(self, assignments: Mapping[str, object],
-                   target: Optional[Ring] = None) -> "Poly":
-        """Homomorphic evaluation of some variables.
-
-        Unassigned variables must exist in the target ring; a Laurent
-        variable with a negative exponent needs a unit image.
+    def substitute(self, assignments: Mapping[str, object]) -> "Poly":
+        """Homomorphic evaluation of some variables, into the ring without
+        them; a Laurent variable with a negative exponent needs a unit image.
         """
         ring = self.ring
-        if target is None:
-            target = ring.drop(*assignments)
+        target = ring.drop(*assignments)
         images: list[Poly] = []
         for v in ring.vars:
             if v.name in assignments:
@@ -547,13 +524,12 @@ class Poly:
         for exps, c in self.sorted_terms():
             factors = [f"{n}^{e}" if e != 1 else n
                        for n, e in zip(names, exps) if e]
-            cs = str(c)
-            if factors and cs in ("1", "1/1", "(1+0i)", "(+1)"):
+            if factors and c == self.ring.ops.one:
                 parts.append("*".join(factors))
             elif factors:
-                parts.append(cs + "*" + "*".join(factors))
+                parts.append(f"{c}*" + "*".join(factors))
             else:
-                parts.append(cs)
+                parts.append(str(c))
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -659,10 +635,10 @@ def ideal_member(p: Poly, ideal: IdealSpec) -> bool:
     raise ValueError(f"unknown ideal {ideal.kind!r}")
 
 
-def subring_member(p: Poly, var: str = "t") -> bool:
-    """True iff no stored monomial has the given exponent exactly 1
+def subring_member(p: Poly) -> bool:
+    """True iff no stored monomial has t-exponent exactly 1
     (membership in Q[t^2,t^3,...] inside Q[t,...])."""
-    k = p.ring.index(var)
+    k = p.ring.index("t")
     return all(exps[k] != 1 for exps in p.terms)
 
 
@@ -703,25 +679,11 @@ def poly_from_json(j: dict) -> Poly:
     return poly_terms_from_json(ring_from_json(j["ring"]), j["terms"])
 
 
-_COEFF_LATEX = {
-    "Q": lambda c: (str(c.numerator) if c.denominator == 1
-                    else rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}"),
-    "Z": str,
-    "Zi": lambda c: f"({c.re}{c.im:+}i)",
-    "Z4": lambda c: "(" + "+".join(
-        f"{v}" + ("" if k == 0 else rf"\sigma^{{{k}}}" if k > 1 else r"\sigma")
-        for k, v in enumerate(c.coeffs()) if v).replace("+-", "-") + ")",
-    "F2": str,
-    "F2e": lambda c: {(0, 0): "0", (1, 0): "1", (0, 1): r"\epsilon",
-                      (1, 1): r"(1+\epsilon)"}[(c.a, c.b)],
-}
-
-
 def poly_latex(p: Poly) -> str:
     if p.is_zero():
         return "0"
     names = [v.name for v in p.ring.vars]
-    coeff = _COEFF_LATEX[p.ring.base]
+    coeff = p.ring.ops.latex
     parts = []
     for exps, c in p.sorted_terms():
         mono = "".join(f"{n}^{{{e}}}" if e != 1 else n

@@ -114,6 +114,18 @@ def test_bad_k_is_usage_error(tmp_path, capsys, cmd, k):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["versch", "-k", "2"], ["frob", "-k", "2"],
+                                  ["higman"]], ids=["versch", "frob", "higman"])
+def test_non_square_input_is_input_error(tmp_path, capsys, argv):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.zeros(Q_TS, 2, 3))))
+    code, _, err = run([argv[0], str(src), *argv[1:], "--out", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert err.startswith("i/o error: cannot read matrix from") and \
+        err.endswith("expected a square matrix, got 2x3\n") and err.count("\n") == 1
+
+
 def test_versch_and_frob(tmp_path, capsys):
     n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
     src = tmp_path / "n.json"
@@ -205,13 +217,17 @@ def test_sse_verify_malformed(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("doc", [_se_doc(u_rows=3), _se_doc(lag=0),
-                                 _chain_doc(u_rows=3)],
-                         ids=["se_shapes", "se_lag_zero", "chain_shapes"])
-def test_sse_verify_bad_witness_is_input_error(tmp_path, capsys, doc):
-    code, _, err = _sse_verify(tmp_path, capsys, doc)
+@pytest.mark.parametrize("doc, prefix", [
+    (_se_doc(u_rows=3), "invalid witness:"),
+    (_se_doc(lag=0), "invalid witness:"),
+    (_chain_doc(u_rows=3), "invalid witness:"),
+    (_se_doc(lag=2.7), "cannot parse witness file: lag must be an integer"),
+    (_se_doc(lag=True), "cannot parse witness file: lag must be an integer"),
+], ids=["se_shapes", "se_lag_zero", "chain_shapes", "se_lag_float", "se_lag_bool"])
+def test_sse_verify_bad_witness_is_input_error(tmp_path, capsys, doc, prefix):
+    code, out, err = _sse_verify(tmp_path, capsys, doc)
     assert code == 2
-    assert err.startswith("invalid witness:") and err.count("\n") == 1
+    assert out == "" and err.startswith(prefix) and err.count("\n") == 1
 
 
 @pytest.fixture

@@ -1,13 +1,15 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilk.rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
+from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                         PRINCIPAL_TWO, Q_TS, Q_TSZ, Z4_X, ZI_X, DualF2,
                         GaussianInt, GroupRingZ4, Poly, Ring, RingMismatchError,
                         Var, group_ring_from_gauss, hom_apply, ideal_member,
-                        poly_from_json, poly_to_json, psi, rho,
+                        poly_from_json, poly_latex, poly_to_json, psi, rho,
                         subring_member, truncate_t2)
 from nilk.sampling import random_poly
 
@@ -40,6 +42,64 @@ def test_eps_truncation():
 def test_mixed_ring_arithmetic_rejected():
     with pytest.raises(RingMismatchError):
         Q_TS.one() + ZI_X.one()
+
+
+# -- coefficient algebras
+
+# a coordinate box of each algebra, with the coordinates of its units
+ALGEBRA_BOXES = {
+    "Zi": ([GaussianInt(a, b) for a, b in itertools.product(range(-3, 4), repeat=2)],
+           {(1, 0), (-1, 0), (0, 1), (0, -1)}),
+    "Z4": ([GroupRingZ4(*c) for c in itertools.product(range(-2, 3), repeat=4)],
+           {tuple(v if i == k else 0 for i in range(4))
+            for k in range(4) for v in (1, -1)}),
+    "F2e": ([DualF2(a, b) for a, b in itertools.product((0, 1), repeat=2)],
+            {(1, 0), (1, 1)}),
+}
+
+
+@pytest.mark.parametrize("base", sorted(ALGEBRA_BOXES))
+def test_unit_rule_on_a_box(base):
+    box, units = ALGEBRA_BOXES[base]
+    one = BASE[base].one
+    inverted = set()
+    for u in box:
+        inv = u.invert()
+        if inv is not None:
+            assert u * inv == one and inv * u == one
+            inverted.add(u.coords)
+    assert inverted == units
+
+
+def test_coefficient_equality_and_hash():
+    assert GaussianInt(1, 0) != DualF2(1, 0)
+    assert GaussianInt(1, 0) != GroupRingZ4(1, 0)
+    assert GroupRingZ4(1, 0) != DualF2(1, 0)
+    assert DualF2(3, 2) == DualF2(1, 0)
+    for c in (GaussianInt(2, -1), GroupRingZ4(1, 0, -1, 2), DualF2(3, 2)):
+        twin = type(c)(*c.coords)
+        assert twin == c and hash(twin) == hash(c) and len({c, twin}) == 1
+
+
+@pytest.mark.parametrize("c, text, latex", [
+    (GaussianInt(2, -1), "(2-1i)", "(2-1i)"),
+    (GroupRingZ4(1, 0, -1, 2), "(+1-1σ^2+2σ^3)", r"(1-1\sigma^{2}+2\sigma^{3})"),
+    (DualF2(1, 1), "(1+ε)", r"(1+\epsilon)"),
+], ids=["Zi", "Z4", "F2e"])
+def test_coefficient_display_and_json(c, text, latex):
+    base = {GaussianInt: "Zi", GroupRingZ4: "Z4", DualF2: "F2e"}[type(c)]
+    ops = BASE[base]
+    x = Ring(base, (Var("x"),)).var("x")
+    assert str(c) == text and ops.latex(c) == latex
+    assert str(x * c) == f"{text}*x" and poly_latex(x * c) == f"{latex}x"
+    assert json.dumps(ops.to_json(c)) == json.dumps(list(c.coords))
+    assert ops.from_json(json.loads(json.dumps(ops.to_json(c)))) == c
+
+
+@pytest.mark.parametrize("base", sorted(BASE))
+def test_unit_coefficient_is_omitted(base):
+    x = Ring(base, (Var("x"),)).var("x")
+    assert str(x) == "x"
 
 
 # -- units
@@ -105,7 +165,7 @@ def test_substitute_s_to_zero():
 
 def test_substitute_identity():
     p = random_poly(random.Random(0), Q_TS)
-    assert p.substitute({}, Q_TS) == p
+    assert p.substitute({}) == p
 
 
 def test_substitute_laurent_requires_unit():
@@ -163,7 +223,7 @@ def test_one_minus_sigma_sq_characterization_brute_force():
         for c1 in rng:
             for c2 in rng:
                 for c3 in rng:
-                    generated.add((gen * GroupRingZ4(c0, c1, c2, c3)).coeffs())
+                    generated.add((gen * GroupRingZ4(c0, c1, c2, c3)).coords)
     for c in generated:
         assert c[2] == -c[0] and c[3] == -c[1]
     for c0 in rng:
