@@ -98,16 +98,24 @@ def cmd_higman(args) -> int:
     _emit_matrix(n, Path(args.out), "N10" if n.rows == 10 else f"N{n.rows}",
                  args.emit)
     print(f"companion size {n.rows}, nilpotency index "
-          f"{n.nilpotency_index(n.rows)}")
+          f"{n.nilpotency_index(_nilpotency_bound(n))}")
     return EXIT_OK
+
+
+def _nilpotency_bound(m: Matrix) -> int:
+    """m is nilpotent iff m^bound = 0: over the reduced quotient by the
+    nilradical J a nilpotent n x n matrix has m^n = 0, so m^n has entries
+    in J, and J^e = 0 for e = the ring's nilradical exponent."""
+    return m.rows * m.ring.nilradical_exponent
 
 
 def _nilpotent_map(args, fn, name: str) -> int:
     m = _load_square(args.input)
     out = fn(m, args.k)
-    idx = out.nilpotency_index(out.rows)
+    bound = _nilpotency_bound(out)
+    idx = out.nilpotency_index(bound)
     if idx is None:
-        print(f"{name} output is not nilpotent within {out.rows} steps",
+        print(f"{name} output is not nilpotent within {bound} steps",
               file=sys.stderr)
         return EXIT_VERIFY
     _emit_matrix(out, Path(args.out), f"{name}{args.k}", args.emit)

@@ -129,12 +129,19 @@ class Matrix:
                               [(0, 0, self), (self.rows, self.cols, other)])
 
     def power(self, k: int) -> "Matrix":
+        """self^k by square-and-multiply; self^0 is the identity."""
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        out = Matrix.identity(self.ring, self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
+        if k < 0:
+            raise ValueError(f"negative matrix power {k}")
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        return Matrix.identity(self.ring, self.rows) if out is None else out
 
     # -- predicates
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
+from operator import add, attrgetter
 from typing import Callable, Mapping, Optional
 
 
@@ -44,7 +45,8 @@ class NotAUnitError(ValueError):
 
 class CoeffAlgebra:
     """Base of the coefficient algebras: subclasses name their coordinates
-    in __slots__ and write __init__, __add__, __neg__, __mul__ and __str__."""
+    in __slots__ and write __init__, __add__, __neg__, __mul__ and __str__.
+    An element is false exactly when it is zero."""
 
     __slots__ = ()
 
@@ -65,6 +67,9 @@ class CoeffAlgebra:
 
     def __hash__(self):
         return hash(self.coords)
+
+    def __bool__(self):
+        return any(self.coords)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -246,6 +251,15 @@ class Var:
     laurent: bool = False
     trunc: Optional[int] = None  # exponents >= trunc are discarded
 
+    def __post_init__(self):
+        # Ring.nilradical_exponent relies on t^trunc = 0 with trunc >= 1, which
+        # has no meaning for a Laurent variable
+        if self.trunc is not None and (type(self.trunc) is not int or self.trunc < 1
+                                       or self.laurent):
+            raise ValueError(f"variable {self.name}: trunc must be an integer >= 1 on a "
+                             f"non-Laurent variable, got trunc={self.trunc!r}, "
+                             f"laurent={self.laurent!r}")
+
 
 @dataclass(frozen=True)
 class Ring:
@@ -259,6 +273,18 @@ class Ring:
     @property
     def ops(self) -> BaseOps:
         return BASE[self.base]
+
+    @cached_property
+    def truncated(self) -> tuple[tuple[int, int], ...]:
+        """(index, trunc) of each truncated variable."""
+        return tuple((k, v.trunc) for k, v in enumerate(self.vars) if v.trunc is not None)
+
+    @cached_property
+    def nilradical_exponent(self) -> int:
+        """An m with J^m = 0 for the nilradical J: J is generated by the
+        truncated variables and eps, and any product of sum(trunc - 1)
+        + [eps] + 1 of those is zero.  The quotient by J is reduced."""
+        return sum(t - 1 for _, t in self.truncated) + (self.base == "F2e") + 1
 
     def index(self, name: str) -> int:
         for k, v in enumerate(self.vars):
@@ -320,12 +346,29 @@ class Poly:
                 continue
             if isinstance(c, int) and ring.base != "Z":
                 c = ops.from_int(c)
-            if c == ops.zero:
-                continue
-            clean[exps] = c
+            if c:
+                clean[exps] = c
         self.ring = ring
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: dict) -> "Poly":
+        """The result of arithmetic on canonical operands, whose exponents
+        are valid and whose coefficients lie in the base already: only zero
+        coefficients and exponents >= trunc are dropped."""
+        if ring.base == "F2":  # int arithmetic, reduced mod 2 here
+            terms = {e: c % 2 for e, c in terms.items()}
+        trunc = ring.truncated
+        p = cls.__new__(cls)
+        p.ring = ring
+        if trunc:
+            p.terms = {e: c for e, c in terms.items()
+                       if c and all(e[k] < t for k, t in trunc)}
+        else:
+            p.terms = {e: c for e, c in terms.items() if c}
+        p._hash = None
+        return p
 
     # -- basics
 
@@ -334,7 +377,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(f"{other.ring} vs {self.ring}")
             return other
         if isinstance(other, (int, Fraction, CoeffAlgebra)):
@@ -361,13 +404,13 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            out[e] = out.get(e, self.ring.ops.zero) + c
-        return Poly(self.ring, out)
+            out[e] = out[e] + c if e in out else c
+        return Poly._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -382,14 +425,13 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring = self.ring
-        zero = ring.ops.zero
         out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, zero) + c1 * c2
-        return Poly(ring, out)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return Poly._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -420,10 +462,8 @@ class Poly:
             (exps, c), = self.terms.items()
             return _monomial_inverse(ring, exps, c)
         # self = m(1 - n) for a unit term m, the constant term tried first.
-        # n can be nilpotent only through the truncated variables and eps,
-        # and any product of sum(trunc - 1) + [eps] + 1 of those is zero
-        bound = sum(v.trunc - 1 for v in ring.vars if v.trunc is not None)
-        bound += (ring.base == "F2e") + 1
+        # n can be nilpotent only as an element of the nilradical
+        bound = ring.nilradical_exponent
         one = ring.one()
         constant = (0,) * len(ring.vars)
         for exps, c in sorted(self.terms.items(), key=lambda t: t[0] != constant):
@@ -683,18 +723,17 @@ def poly_latex(p: Poly) -> str:
     if p.is_zero():
         return "0"
     names = [v.name for v in p.ring.vars]
-    coeff = p.ring.ops.latex
+    coeff, one = p.ring.ops.latex, p.ring.ops.one
     parts = []
     for exps, c in p.sorted_terms():
         mono = "".join(f"{n}^{{{e}}}" if e != 1 else n
                        for n, e in zip(names, exps) if e)
-        cs = coeff(c)
-        if mono and cs == "1":
+        if mono and c == one:
             parts.append(mono)
-        elif mono and cs == "-1":
+        elif mono and c == -one:
             parts.append("-" + mono)
         else:
-            parts.append(cs + mono)
+            parts.append(coeff(c) + mono)
     out = parts[0]
     for q in parts[1:]:
         out += q if q.startswith("-") else "+" + q

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .matrices import Matrix, elementary
+from .matrices import Matrix
 from .rings import (F2E_X, DualF2, NotAUnitError, Poly, Ring,
                     RingMismatchError, poly_terms_from_json,
                     poly_terms_to_json, ring_from_json, ring_to_json)
@@ -64,15 +64,20 @@ def word(ring: Ring, letters: Iterable[tuple[int, int, object]]) -> StWord:
 def eval_word(w: StWord, n: int) -> Matrix:
     """Ordered product of elementary matrices in GL_n.
 
-    An inverted letter contributes x_ij(-a); no unit condition needed.
+    Right multiplication by x_ij(a) adds column i times a to column j, so
+    each letter is applied as that column operation.  An inverted letter
+    contributes x_ij(-a); no unit condition needed.
     """
-    out = Matrix.identity(w.ring, n)
+    rows = [list(r) for r in Matrix.identity(w.ring, n).entries]
     for l in w.letters:
-        if max(l.i, l.j) > n:
-            raise ValueError(f"letter index {max(l.i, l.j)} exceeds size {n}")
+        if not (1 <= l.i <= n and 1 <= l.j <= n):
+            raise ValueError(f"letter indices ({l.i}, {l.j}) out of range for size {n}")
+        i, j = l.i - 1, l.j - 1
         a = -l.param if l.inverted else l.param
-        out = out @ elementary(w.ring, n, l.i, l.j, a)
-    return out
+        for r in rows:
+            if r[i].terms:
+                r[j] = r[j] + r[i] * a
+    return Matrix(w.ring, n, n, tuple(map(tuple, rows)))
 
 
 def expand_h(i: int, j: int, a: Poly) -> StWord:

@@ -13,7 +13,7 @@ from nilk import laurent_pipeline as lp
 from nilk import report
 from nilk.cli import main
 from nilk.matrices import (Matrix, matrix_from_json, matrix_to_json)
-from nilk.rings import Q_TS, Q_TZ
+from nilk.rings import F2E_X, Q_TS, Q_TS_MOD_T2, Q_TZ, DualF2
 
 
 def run(argv, capsys):
@@ -142,6 +142,30 @@ def test_versch_and_frob(tmp_path, capsys):
     assert f.is_zero()
 
 
+@pytest.mark.parametrize("cmd", ["versch", "frob"])
+@pytest.mark.parametrize("entry", [F2E_X.const(DualF2(0, 1)), Q_TS_MOD_T2.var("t")],
+                         ids=["eps", "t_mod_t2"])
+def test_nilpotent_over_non_reduced_ring(tmp_path, capsys, cmd, entry):
+    # [eps] and [t] are 1x1 with index 2: the bound is not the size alone
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.from_rows(entry.ring, [[entry]]))))
+    code, out, err = run([cmd, str(src), "-k", "1", "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (0, "1x1, nilpotency index 2\n", "")
+
+
+@pytest.mark.parametrize("var", [{"trunc": 0}, {"trunc": 2.5}, {"trunc": True},
+                                 {"trunc": 2, "laurent": True}],
+                         ids=["zero", "float", "bool", "laurent"])
+def test_bad_truncation_is_input_error(tmp_path, capsys, var):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"ring": {"base": "Q", "vars": [{"name": "t", **var}]},
+                               "rows": 1, "cols": 1, "entries": [[[[[1], "1/1"]]]]}))
+    code, out, err = run(["frob", str(src), "-k", "1", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: cannot read matrix from") and \
+        "trunc must be an integer >= 1" in err and err.count("\n") == 1
+
+
 def test_frob_rejects_non_nilpotent(tmp_path, capsys):
     src = tmp_path / "eye.json"
     src.write_text(json.dumps(matrix_to_json(Matrix.identity(Q_TS, 2))))
@@ -204,6 +228,10 @@ def test_sse_verify_se_witness(tmp_path, capsys):
     code, _, err = _sse_verify(tmp_path, capsys, _se_doc(lag=1))
     assert code == 1
     assert "A^l = UV" in err
+    # A^l by squaring: a lag of 10^12 takes 51 matrix products
+    code, out, _ = _sse_verify(tmp_path, capsys, _se_doc(lag=10 ** 12))
+    assert code == 0
+    assert "lag 1000000000000" in out
 
 
 def test_sse_verify_malformed(tmp_path, capsys):

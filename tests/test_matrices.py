@@ -173,6 +173,17 @@ def test_elementary_inverse_pair():
         assert prod == Matrix.identity(Q_TS, 3)
 
 
+def test_power_matches_repeated_product():
+    rng = random.Random(5)
+    for m in (lp.construct().n10, rand_mat(rng, Q_TS_MOD_T2, 3)):
+        prod = Matrix.identity(m.ring, m.rows)
+        for k in range(13):
+            assert m.power(k) == prod
+            prod = prod @ m
+        with pytest.raises(ValueError):
+            m.power(-1)
+
+
 def test_idempotent_and_nilpotent():
     p = Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
     assert p.is_idempotent()

@@ -71,6 +71,12 @@ def test_unit_rule_on_a_box(base):
     assert inverted == units
 
 
+@pytest.mark.parametrize("base", sorted(ALGEBRA_BOXES))
+def test_truth_is_nonzero_on_a_box(base):
+    box, _ = ALGEBRA_BOXES[base]
+    assert [c for c in box if not c] == [BASE[base].zero]
+
+
 def test_coefficient_equality_and_hash():
     assert GaussianInt(1, 0) != DualF2(1, 0)
     assert GaussianInt(1, 0) != GroupRingZ4(1, 0)
@@ -99,7 +105,8 @@ def test_coefficient_display_and_json(c, text, latex):
 @pytest.mark.parametrize("base", sorted(BASE))
 def test_unit_coefficient_is_omitted(base):
     x = Ring(base, (Var("x"),)).var("x")
-    assert str(x) == "x"
+    assert str(x) == "x" and poly_latex(x) == "x"
+    assert poly_latex(-x) == ("x" if -x == x else "-x")  # -1 = 1 in F2, F2[eps]
 
 
 # -- units
@@ -285,6 +292,24 @@ def test_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a * ring.one() == a
         assert a + ring.zero() == a
+
+
+@pytest.mark.parametrize("ring", RINGS + [F2_X], ids=[
+    "Q_TS", "Q_TSZ", "ZI_X", "Z4_X", "F2E_X", "Q_TS_MOD_T2", "F2_X"])
+def test_arithmetic_results_are_canonical(ring):
+    # +, -, unary - and * skip the validating constructor: their results
+    # must equal the validated rebuild, with no zero coefficient stored
+    # and no exponent >= trunc
+    rng = random.Random(16)
+    zero = BASE[ring.base].zero
+    trunc = [(k, v.trunc) for k, v in enumerate(ring.vars) if v.trunc is not None]
+    for _ in range(200):
+        a, b = random_poly(rng, ring), random_poly(rng, ring)
+        assert (a - a).is_zero()
+        for r in (a + b, a - b, -a, a * b):
+            assert r == Poly(ring, dict(r.terms))
+            assert all(c != zero for c in r.terms.values())
+            assert all(e[k] < t for e in r.terms for k, t in trunc)
 
 
 def test_invert_contract_randomized():

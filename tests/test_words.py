@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from nilk.matrices import Matrix
-from nilk.rings import F2E_X, Q_TS, DualF2, NotAUnitError
+from nilk.matrices import Matrix, elementary
+from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, DualF2,
+                        NotAUnitError)
 from nilk.sampling import random_poly
-from nilk.words import (StWord, dennis_stein_word, dual_symbol_word,
+from nilk.words import (Letter, StWord, dennis_stein_word, dual_symbol_word,
                         eval_word, expand_h, reduced_X_word, word,
                         word_from_json, word_to_json)
 
@@ -21,9 +22,25 @@ def test_eval_single_letter():
 
 
 def test_eval_index_bound():
-    w = word(Q_TS, [(1, 3, Q_TS.one())])
-    with pytest.raises(ValueError):
-        eval_word(w, 2)
+    for i, j in [(1, 3), (3, 1), (0, 1), (2, 0)]:
+        w = word(Q_TS, [(i, j, Q_TS.one())])
+        with pytest.raises(ValueError):
+            eval_word(w, 2)
+
+
+@pytest.mark.parametrize("ring", [Q_TS_MOD_T2, Q_TSZ, ZI_X, Z4_X, F2E_X], ids=[
+    "Q_TS_MOD_T2", "Q_TSZ", "ZI_X", "Z4_X", "F2E_X"])
+def test_eval_matches_elementary_product(ring):
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        letters = tuple(Letter(*rng.sample(range(1, n + 1), 2),
+                               random_poly(rng, ring, 2, 2), rng.random() < 0.5)
+                        for _ in range(rng.randint(0, 6)))
+        ref = Matrix.identity(ring, n)
+        for l in letters:
+            ref = ref @ elementary(ring, n, l.i, l.j, -l.param if l.inverted else l.param)
+        assert eval_word(StWord(ring, letters), n) == ref
 
 
 def test_word_inverse():
