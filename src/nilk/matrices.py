@@ -1,8 +1,11 @@
-"""Exact dense matrices over the rings in nilk.rings.
+"""Exact matrices over the rings in nilk.rings.
 
-det and the Cayley-Hamilton adjugate inverse both come from one Berkowitz
-characteristic polynomial, division-free over every base ring.  Values are
-immutable; entry equality is canonical polynomial equality.
+Storage is dense: a tuple of row tuples of Poly, zero entries included.
+The product visits only nonzero entries: each nonzero a = A[i, k] is
+multiplied into the nonzero entries of row k of B, so zero pairs cost
+nothing.  det and the Cayley-Hamilton adjugate inverse both come from one
+Berkowitz characteristic polynomial, division-free over every base ring.
+Values are immutable; entry equality is canonical polynomial equality.
 """
 
 from __future__ import annotations
@@ -100,17 +103,18 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        bt = other.transpose().entries
+        zero, cols = self.ring.zero(), range(other.cols)
+        brows = [[(j, b) for j, b in enumerate(rb) if b.terms]
+                 for rb in other.entries]
         out = []
         for ra in self.entries:
-            row = []
-            for cb in bt:
-                acc = self.ring.zero()
-                for a, b in zip(ra, cb):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
+            acc = {}
+            for a, rb in zip(ra, brows):
+                if a.terms:
+                    for j, b in rb:
+                        p = a * b
+                        acc[j] = acc[j] + p if j in acc else p
+            out.append(tuple(acc.get(j, zero) for j in cols))
         return Matrix(self.ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
@@ -119,8 +123,8 @@ class Matrix:
             tuple(u * a for a in r) for r in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      tuple(zip(*self.entries)))
+        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix(self.ring, self.cols, self.rows, cols)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
         self._check(other, False)
@@ -230,6 +234,8 @@ class Matrix:
     # -- row/column operations (1-indexed, matching the displayed formulas)
 
     def row_scale(self, i: int, u) -> "Matrix":
+        if not 1 <= i <= self.rows:
+            raise ValueError(f"row {i} out of range 1..{self.rows}")
         u = _as_entry(self.ring, u)
         if u.try_invert() is None:
             raise NotAUnitError(f"row scale by non-unit {u}")
@@ -238,6 +244,8 @@ class Matrix:
         return Matrix.from_rows(self.ring, rows)
 
     def col_scale(self, j: int, u) -> "Matrix":
+        if not 1 <= j <= self.cols:
+            raise ValueError(f"column {j} out of range 1..{self.cols}")
         u = _as_entry(self.ring, u)
         if u.try_invert() is None:
             raise NotAUnitError(f"column scale by non-unit {u}")
@@ -281,7 +289,7 @@ def block_assemble(ring: Ring, rows: int, cols: int,
     for r0, c0, blk in placements:
         if blk.ring != ring:
             raise RingMismatchError("block over wrong ring")
-        if r0 + blk.rows > rows or c0 + blk.cols > cols:
+        if r0 < 0 or c0 < 0 or r0 + blk.rows > rows or c0 + blk.cols > cols:
             raise ValueError("block does not fit")
         for i in range(blk.rows):
             for j in range(blk.cols):

@@ -142,6 +142,14 @@ def test_versch_and_frob(tmp_path, capsys):
     assert f.is_zero()
 
 
+def test_versch_of_n10_at_k8(tmp_path, capsys):
+    src = tmp_path / "n10.json"
+    src.write_text(json.dumps(matrix_to_json(lp.construct().n10)))
+    code, out, err = run(["versch", str(src), "-k", "8", "--out", str(tmp_path)],
+                         capsys)
+    assert (code, out, err) == (0, "80x80, nilpotency index 80\n", "")
+
+
 @pytest.mark.parametrize("cmd", ["versch", "frob"])
 @pytest.mark.parametrize("entry", [F2E_X.const(DualF2(0, 1)), Q_TS_MOD_T2.var("t")],
                          ids=["eps", "t_mod_t2"])

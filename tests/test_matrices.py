@@ -218,6 +218,15 @@ def test_row_and_col_scale():
     assert d.row_scale(1, 1) == d
     with pytest.raises(NotAUnitError):
         Matrix.identity(Q_TS, 2).row_scale(1, Q_TS.var("t"))
+    # indices are 1-based: 0 and -1 must not wrap round to the last row
+    m = Matrix.from_rows(Q_TS, [[1, Q_TS.var("t")], [0, 1]])
+    for i in (0, -1, 3):
+        with pytest.raises(ValueError):
+            m.row_scale(i, -1)
+        with pytest.raises(ValueError):
+            m.col_scale(i, -1)
+    assert m.row_scale(2, -1) == Matrix.from_rows(Q_TS, [[1, Q_TS.var("t")],
+                                                         [0, -1]])
 
 
 def test_block_assemble_and_direct_sum():
@@ -228,6 +237,63 @@ def test_block_assemble_and_direct_sum():
     assert b[2, 2] == Q_TS.one() and b[0, 2].is_zero()
     with pytest.raises(ValueError):
         block_assemble(Q_TS, 3, 3, [(2, 2, a)])
+    one = Matrix.identity(Q_TS, 1)
+    for offset in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            block_assemble(Q_TS, 2, 2, [(*offset, one)])
+
+
+def test_empty_dimensions():
+    for m, k, n in ((2, 0, 3), (0, 3, 2), (3, 2, 0), (0, 0, 0), (0, 2, 0)):
+        prod = Matrix.zeros(Q_TS, m, k) @ Matrix.zeros(Q_TS, k, n)
+        assert prod == Matrix.zeros(Q_TS, m, n)
+    for m, n in ((0, 3), (3, 0), (0, 0)):
+        t = Matrix.zeros(Q_TS, m, n).transpose()
+        assert t == Matrix.zeros(Q_TS, n, m)
+        assert t.transpose() == Matrix.zeros(Q_TS, m, n)
+
+
+def reference_product(a, b):
+    """Every entry pair visited: the oracle for the sparse product."""
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a.ring.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix.from_rows(a.ring, rows)
+
+
+def sparse_mat(rng, ring, rows, cols):
+    return Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1)
+                                    if rng.random() < 0.35 else ring.zero()
+                                    for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_product_against_reference(ring):
+    rng = random.Random(8)
+    shapes = [(1, n, m) for n in (1, 3, 6) for m in (1, 4)]
+    shapes += [(n, 1, m) for n in (1, 3, 6) for m in (1, 4)]
+    shapes += [(3, 4, 2)] + [(n, n, n) for n in range(1, 7)]
+    for m, k, n in shapes:
+        for _ in range(4):
+            a, b = sparse_mat(rng, ring, m, k), sparse_mat(rng, ring, k, n)
+            assert a @ b == reference_product(a, b)
+            assert (a - a) @ b == Matrix.zeros(ring, m, n)
+            assert a @ (b - b) == Matrix.zeros(ring, m, n)
+    # nonzero products that cancel: 1*1 + 1*(-1), and x*x + x*x over F2
+    one = ring.one()
+    row = Matrix.from_rows(ring, [[one, 0, one]])
+    col = Matrix.from_rows(ring, [[one], [one], [-one]])
+    assert row @ col == Matrix.zeros(ring, 1, 1)
+    assert (col @ row) @ col == Matrix.zeros(ring, 3, 1)
+    if ring == F2_X:
+        x = Matrix.from_rows(ring, [[ring.var("x"), ring.var("x")]])
+        assert x @ x.transpose() == Matrix.zeros(ring, 1, 1)
 
 
 def test_double_pair_validation():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nilk import laurent_pipeline as lp
-from nilk.matrices import Matrix
+from nilk.matrices import Matrix, block_assemble
 from nilk.nilsse import (ESSEWitness, SEWitness, SSEChain, frobenius,
                          verify_esse, verify_se, verify_sse_chain,
                          verschiebung)
@@ -29,6 +29,22 @@ def test_verschiebung_of_n10():
     v2 = verschiebung(n10(), 2)
     assert v2.rows == 20
     assert v2.nilpotency_index(20) is not None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_verschiebung_kth_power_is_block_sum(k):
+    # V_k(N)^k = N (+) ... (+) N: Almkvist 1974, Stienstra 1982
+    n = n10()
+    blocks = block_assemble(n.ring, 10 * k, 10 * k,
+                            [(10 * i, 10 * i, n) for i in range(k)])
+    assert verschiebung(n, k).power(k) == blocks
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_verschiebung_index_scales_by_k(k):
+    # index(V_k N) = k index(N) follows from the identity above
+    assert n10().nilpotency_index(10) == 10
+    assert verschiebung(n10(), k).nilpotency_index(10 * k) == 10 * k
 
 
 def test_verschiebung_index_bound_randomized():
