@@ -16,9 +16,8 @@ from .laurent_pipeline import (Construction, K1Rep, NotNilpotentError,
                                decompose_M, double_idempotent_B,
                                generalized_unit_rep, higman_companion, lift_A,
                                loop_z, theorem31_matrix)
-from .groupring_pipeline import (RelativeRep, kahler_D, lift_to_group_ring,
-                                 reduce_to_dual, theorem42_block, word_Y,
-                                 word_Z, yz_matrix)
+from .groupring_pipeline import (kahler_D, lift_to_group_ring, reduce_to_dual,
+                                 theorem42_block, word_Y, word_Z, yz_matrix)
 from .nilsse import (ESSEWitness, SEWitness, SSEChain, frobenius,
                      verify_esse, verify_se, verify_sse_chain, verschiebung)
 

@@ -17,6 +17,7 @@ from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse, report
 from .matrices import Matrix, matrix_from_json, matrix_latex, matrix_to_json
+from .rings import int_from_json
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -66,9 +67,9 @@ def cmd_theorem3(args) -> int:
 
 
 def cmd_theorem4(args) -> int:
-    checks = report.groupring_checks()
-    return _emit_theorem(args, checks, {"yz_matrix": grp.yz_matrix().matrix,
-                                        "theorem42_matrix": grp.theorem42_block()})
+    con = grp.construct()
+    return _emit_theorem(args, report.groupring_checks(con),
+                         {"yz_matrix": con.yz, "theorem42_matrix": con.block})
 
 
 def _load_square(path: str) -> Matrix:
@@ -83,8 +84,8 @@ def _load_square(path: str) -> Matrix:
 
 def cmd_higman(args) -> int:
     m = _load_square(args.input)
-    if m.rows == 0 or "s" not in {v.name for v in m.ring.vars}:
-        print("higman needs a nonempty matrix over a ring with the variable s",
+    if m.rows == 0 or not {"s", "t"} <= {v.name for v in m.ring.vars}:
+        print("higman needs a nonempty matrix over a ring with the variables s and t",
               file=sys.stderr)
         return EXIT_IO
     rep = lp.K1Rep(m)
@@ -98,21 +99,14 @@ def cmd_higman(args) -> int:
     _emit_matrix(n, Path(args.out), "N10" if n.rows == 10 else f"N{n.rows}",
                  args.emit)
     print(f"companion size {n.rows}, nilpotency index "
-          f"{n.nilpotency_index(_nilpotency_bound(n))}")
+          f"{n.nilpotency_index(n.nilpotency_bound())}")
     return EXIT_OK
-
-
-def _nilpotency_bound(m: Matrix) -> int:
-    """m is nilpotent iff m^bound = 0: over the reduced quotient by the
-    nilradical J a nilpotent n x n matrix has m^n = 0, so m^n has entries
-    in J, and J^e = 0 for e = the ring's nilradical exponent."""
-    return m.rows * m.ring.nilradical_exponent
 
 
 def _nilpotent_map(args, fn, name: str) -> int:
     m = _load_square(args.input)
     out = fn(m, args.k)
-    bound = _nilpotency_bound(out)
+    bound = out.nilpotency_bound()
     idx = out.nilpotency_index(bound)
     if idx is None:
         print(f"{name} output is not nilpotent within {bound} steps",
@@ -143,11 +137,8 @@ def _witness_from_json(j: dict):
             mats.append(mat(st["matrix"]))
             wits.append(nilsse.ESSEWitness(mat(st["U"]), mat(st["V"])))
         return nilsse.SSEChain(tuple(mats), tuple(wits))
-    lag = j["lag"]
-    if type(lag) is not int:
-        raise ValueError(f"lag must be an integer, got {json.dumps(lag)}")
     return (mat(j["A"]), mat(j["B"]),
-            nilsse.SEWitness(mat(j["U"]), mat(j["V"]), lag))
+            nilsse.SEWitness(mat(j["U"]), mat(j["V"]), int_from_json(j["lag"], "lag")))
 
 
 def cmd_sse_verify(args) -> int:

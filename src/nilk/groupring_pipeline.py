@@ -5,6 +5,7 @@ identity mod (2) and has determinant 1.  Reducing via i -> 1+eps recovers
 the identity over F2[eps,x]/(eps^2) (the symbol lives in K2).  Lifting
 through sigma -> i produces the 2x2 block over Z[Z/4][x]; the Kahler
 differential map D certifies the symbol <eps, x+eps> is nontrivial.
+`construct()` builds YZ and its lift once, each verified when built.
 """
 
 from __future__ import annotations
@@ -19,14 +20,10 @@ from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
 from .words import StWord, eval_word, word
 
 
-def _gi(re: int, im: int = 0) -> Poly:
-    return ZI_X.const(GaussianInt(re, im))
-
-
 def word_Y() -> StWord:
     """Y = e21(-x+1-i+(1-i)x^2) e12(1-i) e21(x+i-1) e12(i-1) over Z[i][x]."""
     x = ZI_X.var("x")
-    i = _gi(0, 1)
+    i = ZI_X.const(GaussianInt(0, 1))
     one = ZI_X.one()
     return word(ZI_X, [
         (2, 1, -x + one - i + (one - i) * x * x),
@@ -39,7 +36,7 @@ def word_Y() -> StWord:
 def word_Z() -> StWord:
     """Z = e12(1) e21(-1) e12(1) e12((i-1)x-1) e21(1+(i-1)x) e12((i-1)x-1)."""
     x = ZI_X.var("x")
-    i = _gi(0, 1)
+    i = ZI_X.const(GaussianInt(0, 1))
     one = ZI_X.one()
     c = (i - one) * x - one
     return word(ZI_X, [
@@ -48,24 +45,14 @@ def word_Z() -> StWord:
     ])
 
 
-@dataclass(frozen=True)
-class RelativeRep:
-    """Matrix over Z[i][x] congruent to the identity mod (2), det 1."""
-
-    matrix: Matrix
-
-    def verify(self):
-        m = self.matrix
-        _require(m.det() == m.ring.one(), "det(YZ) = 1")
-        d = m - Matrix.identity(m.ring, m.rows)
-        _require(d.all_entries(lambda x: ideal_member(x, PRINCIPAL_TWO)),
-                 "YZ - I entrywise in (2)")
-
-
-def yz_matrix() -> RelativeRep:
-    rep = RelativeRep(eval_word(word_Y() * word_Z(), 2))
-    rep.verify()
-    return rep
+def yz_matrix() -> Matrix:
+    """YZ over Z[i][x], verified to have det 1 and to be the identity mod (2)."""
+    m = eval_word(word_Y(), 2) @ eval_word(word_Z(), 2)
+    _require(m.det() == m.ring.one(), "det(YZ) = 1")
+    d = m - Matrix.identity(m.ring, m.rows)
+    _require(d.all_entries(lambda x: ideal_member(x, PRINCIPAL_TWO)),
+             "YZ - I entrywise in (2)")
+    return m
 
 
 def reduce_to_dual(m: Matrix) -> Matrix:
@@ -79,14 +66,13 @@ def _halve(c: GaussianInt) -> GaussianInt:
     return GaussianInt(c.re // 2, c.im // 2)
 
 
-def lift_to_group_ring(rep: RelativeRep) -> Matrix:
+def lift_to_group_ring(m: Matrix) -> Matrix:
     """Lift through the isomorphism sigma -> i carrying (1-sigma^2) onto (2).
 
     Entrywise: entry - delta = 2g, return delta + (1-sigma^2)*ghat where
     ghat is the canonical lift g0 + g1*i -> g0 + g1*sigma.  Well-defined
     because (1-sigma^2)(1+sigma^2) = 0.
     """
-    m = rep.matrix
     one_minus_s2 = Z4_X.const(GroupRingZ4(1, 0, -1, 0))
 
     def lift_entry(e: Poly, diag: bool) -> Poly:
@@ -96,17 +82,30 @@ def lift_to_group_ring(rep: RelativeRep) -> Matrix:
         out = one_minus_s2 * ghat
         return out + Z4_X.one() if diag else out
 
-    rows = [[lift_entry(m.entries[r][c], r == c) for c in range(m.cols)]
-            for r in range(m.rows)]
-    lifted = Matrix.from_rows(Z4_X, rows)
+    lifted = Matrix.from_rows(Z4_X, [[lift_entry(e, r == c) for c, e in enumerate(row)]
+                                     for r, row in enumerate(m.entries)])
     _require(lifted.map_entries(psi, m.ring) == m, "psi(lift) recovers the input")
     _require(lifted.det() == Z4_X.one(), "det(lift) = 1")
     return lifted
 
 
+@dataclass(frozen=True)
+class Construction:
+    """YZ and its lift, the Theorem 4.2 block, each verified once when built."""
+
+    yz: Matrix
+    block: Matrix
+
+
+def construct() -> Construction:
+    """Y, Z -> YZ -> the lift over Z[Z/4][x]."""
+    yz = yz_matrix()
+    return Construction(yz, lift_to_group_ring(yz))
+
+
 def theorem42_block() -> Matrix:
     """End-to-end: the lifted 2x2 block over Z[Z/4][x]."""
-    return lift_to_group_ring(yz_matrix())
+    return construct().block
 
 
 def _z4_poly(spec: dict[int, tuple[int, int]]) -> Poly:

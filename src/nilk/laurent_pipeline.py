@@ -266,7 +266,7 @@ def decompose_M(rep: K1Rep) -> list[Matrix]:
 
 def higman_companion(blocks: list[Matrix]) -> Matrix:
     """Block companion [[M1 .. Md], [I sub-diagonal]]; verified nilpotent
-    of index <= d*n (Cayley-Hamilton bound over a commutative ring)."""
+    within `Matrix.nilpotency_bound`, which holds over non-reduced rings too."""
     if not blocks:
         raise ValueError("no blocks")
     ring = blocks[0].ring
@@ -278,8 +278,9 @@ def higman_companion(blocks: list[Matrix]) -> Matrix:
     eye = Matrix.identity(ring, n)
     placements += [(n * (k + 1), n * k, eye) for k in range(d - 1)]
     comp = block_assemble(ring, d * n, d * n, placements)
-    if comp.nilpotency_index(d * n) is None:
-        raise NotNilpotentError(f"companion is not nilpotent within {d * n} steps")
+    bound = comp.nilpotency_bound()
+    if comp.nilpotency_index(bound) is None:
+        raise NotNilpotentError(f"companion is not nilpotent within {bound} steps")
     return comp
 
 

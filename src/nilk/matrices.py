@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .rings import (IdealSpec, NotAUnitError, Poly, Ring, RingMismatchError,
-                    ideal_member, poly_latex, poly_terms_from_json,
+                    ideal_member, int_from_json, poly_latex, poly_terms_from_json,
                     poly_terms_to_json, ring_from_json, ring_to_json)
 
 
@@ -40,13 +40,16 @@ class Matrix:
     # -- constructors
 
     @staticmethod
-    def from_rows(ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
+    def from_rows(ring: Ring, rows: Sequence[Sequence],
+                  cols: Optional[int] = None) -> "Matrix":
+        """The matrix with these rows, each of length cols.  cols defaults to
+        the first row's length, so a matrix with no rows needs it given."""
         nr = len(rows)
-        nc = len(rows[0]) if nr else 0
+        nc = cols if cols is not None else len(rows[0]) if nr else 0
         ents = []
         for r in rows:
             if len(r) != nc:
-                raise ValueError("ragged rows")
+                raise ValueError(f"a row of length {len(r)} in a matrix of {nc} columns")
             ents.append(tuple(_as_entry(ring, x) for x in r))
         return Matrix(ring, nr, nc, tuple(ents))
 
@@ -158,6 +161,13 @@ class Matrix:
     def is_idempotent(self) -> bool:
         return self.rows == self.cols and self @ self == self
 
+    def nilpotency_bound(self) -> int:
+        """A k with m^k = 0 for every nilpotent n x n matrix m over this ring:
+        over the reduced quotient by the nilradical J a nilpotent m has
+        m^n = 0, so m^n has entries in J, and J^e = 0 for e = the ring's
+        nilradical exponent.  k = n * e."""
+        return self.rows * self.ring.nilradical_exponent
+
     def nilpotency_index(self, max_k: int) -> Optional[int]:
         """Least k <= max_k with m^k = 0, or None."""
         if self.rows != self.cols:
@@ -252,12 +262,13 @@ class Matrix:
         rows = [list(r) for r in self.entries]
         for r in rows:
             r[j - 1] = r[j - 1] * u
-        return Matrix.from_rows(self.ring, rows)
+        return Matrix.from_rows(self.ring, rows, self.cols)
 
     # -- entrywise helpers
 
     def map_entries(self, f, ring: Ring) -> "Matrix":
-        return Matrix.from_rows(ring, [[f(a) for a in r] for r in self.entries])
+        return Matrix.from_rows(ring, [[f(a) for a in r] for r in self.entries],
+                                self.cols)
 
     def into(self, ring: Ring) -> "Matrix":
         return self.map_entries(lambda a: a.into(ring), ring)
@@ -294,7 +305,7 @@ def block_assemble(ring: Ring, rows: int, cols: int,
         for i in range(blk.rows):
             for j in range(blk.cols):
                 out[r0 + i][c0 + j] = blk.entries[i][j]
-    return Matrix.from_rows(ring, out)
+    return Matrix.from_rows(ring, out, cols)
 
 
 @dataclass(frozen=True)
@@ -327,10 +338,10 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(j: dict) -> Matrix:
     ring = ring_from_json(j["ring"])
     rows = [[poly_terms_from_json(ring, e) for e in r] for r in j["entries"]]
-    m = Matrix.from_rows(ring, rows)
-    if (m.rows, m.cols) != (j["rows"], j["cols"]):
+    nr, nc = int_from_json(j["rows"], "rows"), int_from_json(j["cols"], "cols")
+    if nr != len(rows) or nc < 0:
         raise ValueError("inconsistent matrix dimensions")
-    return m
+    return Matrix.from_rows(ring, rows, nc)
 
 
 def matrix_latex(m: Matrix) -> str:

@@ -168,7 +168,9 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
 # the group-ring construction
 
 
-def groupring_checks() -> list[Check]:
+def groupring_checks(con: grp.Construction | None = None) -> list[Check]:
+    """Check the construction handed in, or a fresh one."""
+    con = con or grp.construct()
     cs: list[Check] = []
     eye2 = Matrix.identity(F2E_X, 2)
     cs.append(_eq_check("symbol.dennis_stein",
@@ -178,8 +180,7 @@ def groupring_checks() -> list[Check]:
                         "X evaluates to the identity in GL",
                         eval_word(reduced_X_word(), 2), eye2))
 
-    rep = grp.yz_matrix()
-    m = rep.matrix
+    m = con.yz
     cs.append(_eq_check("yz.det", "det(YZ) = 1", m.det(), ZI_X.one()))
     cs.append(_bool_check("yz.congruent", "YZ - I entrywise in (2)",
                           (m - Matrix.identity(ZI_X, 2)).all_entries(
@@ -188,7 +189,7 @@ def groupring_checks() -> list[Check]:
                         "applying i -> 1+eps to YZ gives the identity",
                         grp.reduce_to_dual(m), eye2))
 
-    lifted = grp.theorem42_block()
+    lifted = con.block
     cs.append(_eq_check("lift42.psi", "psi(lift) = YZ",
                         lifted.map_entries(psi, ZI_X), m))
     cs.append(_eq_check("lift42.det", "det(lift) = 1",

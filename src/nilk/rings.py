@@ -18,6 +18,8 @@ is literal equality of term maps.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -99,7 +101,7 @@ class CoeffAlgebra:
 
     @classmethod
     def from_json(cls, j: list):
-        return cls(*(int(x) for x in j))
+        return cls(*(int_from_json(x, "coefficient") for x in j))
 
 
 class GaussianInt(CoeffAlgebra):
@@ -199,6 +201,32 @@ class DualF2(CoeffAlgebra):
         return {(0, 0): "0", (1, 0): "1", (0, 1): "ε", (1, 1): "(1+ε)"}[self.coords]
 
 
+def int_from_json(x, what: str) -> int:
+    """x where a JSON format holds an integer: a JSON integer, not a number
+    such as 2.9 (which int() would truncate) nor true/false (whose Python
+    type is a subclass of int)."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
+
+
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _q_from_json(x) -> Fraction:
+    """A rational as the format writes it: "p/q" (or "p") with integers p, q."""
+    if type(x) is not str or not _RATIONAL.fullmatch(x):
+        raise ValueError(f'rational coefficient must be "p/q", got {json.dumps(x)}')
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"rational coefficient {x} has denominator 0") from None
+
+
+def _z_from_json(x) -> int:
+    return int(x) if type(x) is str else int_from_json(x, "coefficient")
+
+
 def _invert_q(c):
     return Fraction(1, 1) / c if c else None
 
@@ -228,15 +256,16 @@ def _algebra_ops(cls, latex: Callable) -> BaseOps:
 
 BASE: dict[str, BaseOps] = {
     "Q": BaseOps(Fraction(0), Fraction(1), Fraction, _invert_q,
-                 lambda c: f"{c.numerator}/{c.denominator}", Fraction,
+                 lambda c: f"{c.numerator}/{c.denominator}", _q_from_json,
                  lambda c: (str(c.numerator) if c.denominator == 1
                             else rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}")),
-    "Z": BaseOps(0, 1, int, _invert_z, str, int, str),
+    "Z": BaseOps(0, 1, int, _invert_z, str, _z_from_json, str),
     "Zi": _algebra_ops(GaussianInt, str),
     "Z4": _algebra_ops(GroupRingZ4, lambda c: "(" + "+".join(
         f"{v}" + ("" if k == 0 else rf"\sigma^{{{k}}}" if k > 1 else r"\sigma")
         for k, v in enumerate(c.coords) if v).replace("+-", "-") + ")"),
-    "F2": BaseOps(0, 1, lambda n: n % 2, _invert_f2, lambda c: c, lambda j: int(j) % 2, str),
+    "F2": BaseOps(0, 1, lambda n: n % 2, _invert_f2, lambda c: c,
+                  lambda j: int_from_json(j, "coefficient") % 2, str),
     "F2e": _algebra_ops(DualF2, lambda c: str(c).replace("ε", r"\epsilon")),
 }
 
@@ -708,7 +737,8 @@ def poly_terms_to_json(p: Poly) -> list:
 
 def poly_terms_from_json(ring: Ring, j: list) -> Poly:
     dec = ring.ops.from_json
-    return Poly(ring, {tuple(exps): dec(c) for exps, c in j})
+    return Poly(ring, {tuple(int_from_json(e, "exponent") for e in exps): dec(c)
+                       for exps, c in j})
 
 
 def poly_to_json(p: Poly) -> dict:

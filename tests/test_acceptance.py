@@ -2,6 +2,7 @@
 one printed pass/fail line per criterion.  A criterion asserts the statuses
 of the report checks it names; the report runs once per session."""
 
+from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
 from nilk import report
 from nilk.cli import main
@@ -136,22 +137,28 @@ def test_criteria_cover_the_report(report_checks):
     assert len(report_checks) == 50
 
 
-STAGES = ("lift_A", "double_idempotent_B", "clutch_projector",
-          "excision_transport", "decompose_M", "higman_companion")
+# the calls one build makes to each stage
+LAURENT_STAGES = dict.fromkeys(("lift_A", "double_idempotent_B", "clutch_projector",
+                                "excision_transport", "decompose_M",
+                                "higman_companion"), 1)
+GROUPRING_STAGES = {"yz_matrix": 1, "lift_to_group_ring": 1,
+                    "eval_word": 2}  # the pipeline's: Y and Z, once each
 
 
 def test_each_stage_runs_once(monkeypatch, tmp_path, capsys):
     """One build per run.  The random suites are left out: each
     generalized unit clutches its own lift, a different construction."""
-    calls = dict.fromkeys(STAGES, 0)
-    for name in STAGES:
-        def counted(*args, _fn=getattr(lp, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(lp, name, counted)
+    calls = dict.fromkeys({**LAURENT_STAGES, **GROUPRING_STAGES}, 0)
+    for module, stages in ((lp, LAURENT_STAGES), (grp, GROUPRING_STAGES)):
+        for name in stages:
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(report, "random_checks", lambda: [])
     report.run_all_checks()
-    assert calls == dict.fromkeys(STAGES, 1)
-    calls.update(dict.fromkeys(STAGES, 0))
-    assert main(["theorem3", "--out", str(tmp_path)]) == 0
-    assert calls == dict.fromkeys(STAGES, 1)
+    assert calls == {**LAURENT_STAGES, **GROUPRING_STAGES}
+    for command, stages in (("theorem3", LAURENT_STAGES), ("theorem4", GROUPRING_STAGES)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([command, "--out", str(tmp_path)]) == 0
+        assert calls == {**dict.fromkeys(calls, 0), **stages}

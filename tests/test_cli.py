@@ -13,7 +13,7 @@ from nilk import laurent_pipeline as lp
 from nilk import report
 from nilk.cli import main
 from nilk.matrices import (Matrix, matrix_from_json, matrix_to_json)
-from nilk.rings import F2E_X, Q_TS, Q_TS_MOD_T2, Q_TZ, DualF2
+from nilk.rings import F2E_X, Q_TS, Q_TS_MOD_T2, Q_TZ, DualF2, Ring, Var
 
 
 def run(argv, capsys):
@@ -84,6 +84,19 @@ def test_higman_rejects_identity(tmp_path, capsys):
     assert "verification failure" in err
 
 
+@pytest.mark.parametrize("ring, nil", [
+    (Ring("F2e", (Var("t"), Var("s"))), lambda r: r.const(DualF2(0, 1))),
+    (Ring("Q", (Var("t"), Var("s"), Var("e", trunc=2))), lambda r: r.var("e")),
+], ids=["eps", "e_mod_e2"])
+def test_higman_over_non_reduced_ring(tmp_path, capsys, ring, nil):
+    # [1 + eps s] has companion [eps], of index 2 although it is 1x1
+    src = tmp_path / "rep.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.from_rows(
+        ring, [[ring.one() + nil(ring) * ring.var("s")]]))))
+    code, out, err = run(["higman", str(src), "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (0, "companion size 1, nilpotency index 2\n", "")
+
+
 def test_higman_missing_file(tmp_path, capsys):
     code, _, _ = run(["higman", str(tmp_path / "nope.json"),
                       "--out", str(tmp_path)], capsys)
@@ -91,13 +104,15 @@ def test_higman_missing_file(tmp_path, capsys):
 
 
 def test_higman_rejects_empty_and_s_free_input(tmp_path, capsys):
+    q_s = Ring("Q", (Var("s"),))
     for name, m in (("empty.json", Matrix.zeros(Q_TS, 0, 0)),
-                    ("no_s.json", Matrix.identity(Q_TZ, 2))):
+                    ("no_s.json", Matrix.identity(Q_TZ, 2)),
+                    ("no_t.json", Matrix.from_rows(q_s, [[1, q_s.var("s")], [0, 1]]))):
         src = tmp_path / name
         src.write_text(json.dumps(matrix_to_json(m)))
         code, _, err = run(["higman", str(src), "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cmd", ["versch", "frob"])
@@ -203,12 +218,21 @@ def _chain_doc(corrupt=False, u_rows=2):
     }
 
 
-def _se_doc(u_rows=2, lag=2):
+def _se_doc(u_rows=2, lag=2, b_size=1):
     n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
     return {"ring": matrix_to_json(n)["ring"], "A": _bare(n),
-            "B": _bare(Matrix.zeros(Q_TS, 1, 1)),
-            "U": _bare(Matrix.zeros(Q_TS, u_rows, 1)),
-            "V": _bare(Matrix.zeros(Q_TS, 1, 2)), "lag": lag}
+            "B": _bare(Matrix.zeros(Q_TS, b_size, b_size)),
+            "U": _bare(Matrix.zeros(Q_TS, u_rows, b_size)),
+            "V": _bare(Matrix.zeros(Q_TS, b_size, 2)), "lag": lag}
+
+
+def _bad_entry_doc(base, exps, coeff, **shape):
+    """_se_doc over base with the one term [exps, coeff] as A's (1,2) entry,
+    and A's rows and cols overridden by shape."""
+    doc = _se_doc()
+    doc["ring"] = {**doc["ring"], "base": base}
+    doc["A"] = {**doc["A"], "entries": [[[], [[exps, coeff]]], [[], []]], **shape}
+    return doc
 
 
 def _sse_verify(tmp_path, capsys, doc):
@@ -242,6 +266,14 @@ def test_sse_verify_se_witness(tmp_path, capsys):
     assert "lag 1000000000000" in out
 
 
+def test_sse_verify_se_to_empty_matrix(tmp_path, capsys):
+    # [[0,1],[0,0]] is SE to the 0x0 matrix with U 2x0, V 0x2 and lag 2
+    code, out, err = _sse_verify(tmp_path, capsys, _se_doc(b_size=0))
+    assert (code, out, err) == (0, "shift equivalence verified (lag 2)\n", "")
+    code, out, err = _sse_verify(tmp_path, capsys, _se_doc(b_size=0, lag=1))
+    assert (code, out, err) == (1, "", "identity failed: A^l = UV\n")
+
+
 def test_sse_verify_malformed(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -259,7 +291,25 @@ def test_sse_verify_malformed(tmp_path, capsys):
     (_chain_doc(u_rows=3), "invalid witness:"),
     (_se_doc(lag=2.7), "cannot parse witness file: lag must be an integer"),
     (_se_doc(lag=True), "cannot parse witness file: lag must be an integer"),
-], ids=["se_shapes", "se_lag_zero", "chain_shapes", "se_lag_float", "se_lag_bool"])
+    (_bad_entry_doc("Q", [0, 0], "1/0"),
+     "cannot parse witness file: rational coefficient 1/0 has denominator 0"),
+    (_bad_entry_doc("Q", [0, 0], float("inf")),
+     'cannot parse witness file: rational coefficient must be "p/q", got Infinity'),
+    (_bad_entry_doc("Zi", [0, 0], [1.7, 0]),
+     "cannot parse witness file: coefficient must be an integer, got 1.7"),
+    (_bad_entry_doc("Z", [0, 0], 2.9),
+     "cannot parse witness file: coefficient must be an integer, got 2.9"),
+    (_bad_entry_doc("F2", [0, 0], 1.5),
+     "cannot parse witness file: coefficient must be an integer, got 1.5"),
+    (_bad_entry_doc("Q", [0, 0.5], "1/1"),
+     "cannot parse witness file: exponent must be an integer, got 0.5"),
+    (_bad_entry_doc("Q", [0, 0], "1/1", rows=2.0),
+     "cannot parse witness file: rows must be an integer, got 2.0"),
+    (_bad_entry_doc("Q", [0, 0], "1/1", cols=True),
+     "cannot parse witness file: cols must be an integer, got true"),
+], ids=["se_shapes", "se_lag_zero", "chain_shapes", "se_lag_float", "se_lag_bool",
+        "q_zero_denominator", "q_infinity", "zi_float", "z_float", "f2_float",
+        "exponent_float", "rows_float", "cols_bool"])
 def test_sse_verify_bad_witness_is_input_error(tmp_path, capsys, doc, prefix):
     code, out, err = _sse_verify(tmp_path, capsys, doc)
     assert code == 2

@@ -4,10 +4,12 @@ import pytest
 import sympy as sp
 
 from nilk import groupring_pipeline as grp
+from nilk.laurent_pipeline import PipelineError
 from nilk.matrices import Matrix
 from nilk.rings import (F2_X, PRINCIPAL_TWO, Z4_X, ZI_X, GaussianInt,
                         GroupRingZ4, group_ring_from_gauss, ideal_member, psi)
 from nilk.sampling import random_poly
+from nilk.words import StWord
 
 from helpers import matrix_to_sympy
 
@@ -25,7 +27,7 @@ def test_word_letters():
 
 
 def test_yz_against_sympy_oracle():
-    m = grp.yz_matrix().matrix
+    m = grp.yz_matrix()
     x = sp.Symbol("x")
     I = sp.I
 
@@ -43,20 +45,34 @@ def test_yz_against_sympy_oracle():
 
 
 def test_yz_relative_congruence():
-    m = grp.yz_matrix().matrix
+    m = grp.yz_matrix()
     assert m.det() == ZI_X.one()
     d = m - Matrix.identity(ZI_X, 2)
     assert all(ideal_member(e, PRINCIPAL_TWO) for r in d.entries for e in r)
 
 
 def test_reduce_to_dual():
-    assert grp.reduce_to_dual(grp.yz_matrix().matrix) == \
-        Matrix.identity(grp.reduce_to_dual(grp.yz_matrix().matrix).ring, 2)
+    assert grp.reduce_to_dual(grp.yz_matrix()) == \
+        Matrix.identity(grp.reduce_to_dual(grp.yz_matrix()).ring, 2)
     eye = Matrix.identity(ZI_X, 2)
     assert grp.reduce_to_dual(eye) == \
         Matrix.identity(grp.reduce_to_dual(eye).ring, 2)
     two_e11 = eye + Matrix.from_rows(ZI_X, [[2, 0], [0, 0]])
     assert grp.reduce_to_dual(two_e11) == grp.reduce_to_dual(eye)
+
+
+def test_construct_records_yz_and_its_lift():
+    con = grp.construct()
+    assert con.yz == grp.yz_matrix()
+    assert con.block == grp.lift_to_group_ring(con.yz) == grp.theorem42_block()
+    assert grp.construct() is not con  # built afresh, never cached
+
+
+def test_yz_matrix_verifies_congruence(monkeypatch):
+    # with Z dropped the product is Y, which has det 1 but is not I mod (2)
+    monkeypatch.setattr(grp, "word_Z", lambda: StWord(ZI_X))
+    with pytest.raises(PipelineError, match="YZ - I entrywise in"):
+        grp.yz_matrix()
 
 
 def test_lift_matches_stated_block():
@@ -70,16 +86,14 @@ def test_lift_shapes_and_det():
 
 
 def test_lift_of_identity():
-    rep = grp.RelativeRep(Matrix.identity(ZI_X, 2))
-    rep.verify()
-    assert grp.lift_to_group_ring(rep) == Matrix.identity(Z4_X, 2)
+    assert grp.lift_to_group_ring(Matrix.identity(ZI_X, 2)) == Matrix.identity(Z4_X, 2)
 
 
 def test_lift_rejects_odd_entries():
     m = Matrix.from_rows(ZI_X, [[ZI_X.one() + ZI_X.var("x"), ZI_X.zero()],
                                 [ZI_X.zero(), ZI_X.one()]])
     with pytest.raises(ValueError):
-        grp.lift_to_group_ring(grp.RelativeRep(m))
+        grp.lift_to_group_ring(m)
 
 
 def test_psi_of_lift_randomized():

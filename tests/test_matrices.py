@@ -251,6 +251,8 @@ def test_empty_dimensions():
         t = Matrix.zeros(Q_TS, m, n).transpose()
         assert t == Matrix.zeros(Q_TS, n, m)
         assert t.transpose() == Matrix.zeros(Q_TS, m, n)
+    assert block_assemble(Q_TS, 0, 3, []) == Matrix.zeros(Q_TS, 0, 3)
+    assert Matrix.zeros(Q_TS, 0, 3).col_scale(2, -1) == Matrix.zeros(Q_TS, 0, 3)
 
 
 def reference_product(a, b):
@@ -309,8 +311,18 @@ def test_matrix_json_round_trip():
     for ring in (Q_TS, Q_TSZ):
         m = rand_mat(rng, ring, 3)
         assert matrix_from_json(matrix_to_json(m)) == m
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):  # no row to read cols from
+        m = Matrix.zeros(Q_TS, rows, cols)
+        assert matrix_from_json(matrix_to_json(m)) == m
 
 
 def test_substitute_empty_matrix():
     m = Matrix.zeros(Q_TSZ, 0, 0).substitute({"s": 0})
     assert m.ring == Q_TSZ.drop("s") and m.rows == 0
+    # the entrywise maps keep both dimensions of a matrix with no entries
+    wide = Q_TSZ.extend(Var("x"))
+    for rows, cols in ((0, 3), (3, 0)):
+        m = Matrix.zeros(Q_TSZ, rows, cols)
+        assert m.substitute({"s": 0}) == Matrix.zeros(Q_TSZ.drop("s"), rows, cols)
+        assert m.into(wide) == Matrix.zeros(wide, rows, cols)
+        assert m.map_entries(lambda a: a, Q_TSZ) == m
