@@ -98,22 +98,19 @@ def cmd_higman(args) -> int:
         return EXIT_VERIFY
     _emit_matrix(n, Path(args.out), "N10" if n.rows == 10 else f"N{n.rows}",
                  args.emit)
-    print(f"companion size {n.rows}, nilpotency index "
-          f"{n.nilpotency_index(n.nilpotency_bound())}")
+    print(f"companion size {n.rows}, nilpotency index {n.nilpotency}")
     return EXIT_OK
 
 
 def _nilpotent_map(args, fn, name: str) -> int:
     m = _load_square(args.input)
     out = fn(m, args.k)
-    bound = out.nilpotency_bound()
-    idx = out.nilpotency_index(bound)
-    if idx is None:
-        print(f"{name} output is not nilpotent within {bound} steps",
+    if out.nilpotency is None:
+        print(f"{name} output is not nilpotent within {out.nilpotency_bound()} steps",
               file=sys.stderr)
         return EXIT_VERIFY
     _emit_matrix(out, Path(args.out), f"{name}{args.k}", args.emit)
-    print(f"{out.rows}x{out.cols}, nilpotency index {idx}")
+    print(f"{out.rows}x{out.cols}, nilpotency index {out.nilpotency}")
     return EXIT_OK
 
 

@@ -103,36 +103,20 @@ def clutch_projector(a: Matrix, p: Matrix) -> Matrix:
     return e2
 
 
-@dataclass(frozen=True)
-class TransportRecord:
-    """Bookkeeping stages of the excision transport
-    [B] - [P,P]  ->  [e2-P, P] - [0, P]  ->  [P, e2] - [P, P]."""
-
-    relative_pair: DoublePair        # over Q[t,s]
-    ideal_part: Matrix               # e2 - P, entries in (t^2)
-    integer_part: Matrix             # P
-    target_pair: DoublePair          # (P, e2), read over Q[t^2,t^3,s]
-
-    def checks(self) -> dict[str, bool]:
-        ideal_ok = self.ideal_part.all_entries(lambda x: ideal_member(x, MONOMIAL_T2))
-        sub_ok = self.target_pair.second.all_entries(subring_member)
-        return {
-            "stage1: pair lies in the double ring": self.relative_pair.validate(),
-            "stage2: unitized ideal part in (t^2)": ideal_ok,
-            "stage3: pair over the t^2,t^3 subring": self.target_pair.validate() and sub_ok,
-        }
-
-
-def excision_transport(b: DoublePair, e2: Matrix) -> TransportRecord:
-    rec = TransportRecord(
-        relative_pair=b,
-        ideal_part=e2 - projector_P(),
-        integer_part=projector_P(),
-        target_pair=DoublePair(projector_P(), e2, MONOMIAL_T2),
-    )
-    for name, ok in rec.checks().items():
+def excision_transport(b: DoublePair, e2: Matrix) -> dict[str, bool]:
+    """The excision transport [B] - [P,P]  ->  [e2-P, P] - [0, P]  ->
+    [P, e2] - [P, P], verified stage by stage; returns each stage's result."""
+    target = DoublePair(projector_P(), e2, MONOMIAL_T2)
+    stages = {
+        "stage1: pair lies in the double ring": b.validate(),
+        "stage2: unitized ideal part in (t^2)": (e2 - projector_P()).all_entries(
+            lambda x: ideal_member(x, MONOMIAL_T2)),
+        "stage3: pair over the t^2,t^3 subring":
+            target.validate() and e2.all_entries(subring_member),
+    }
+    for name, ok in stages.items():
         _require(ok, name)
-    return rec
+    return stages
 
 
 def loop_z(q: Matrix) -> Matrix:
@@ -186,7 +170,7 @@ class Construction:
     lift: Matrix
     pair: DoublePair
     e2: Matrix
-    transport: TransportRecord
+    transport: dict[str, bool]  # the excision stages, each verified
     rep: K1Rep
 
     @cached_property
@@ -199,7 +183,7 @@ class Construction:
 
 
 def construct() -> Construction:
-    """A -> pair B -> e2 -> transport record -> representative."""
+    """A -> pair B -> e2 -> transport stages -> representative."""
     a = lift_A()
     pair = double_idempotent_B()
     e2, rep = _represent(a)
@@ -278,9 +262,9 @@ def higman_companion(blocks: list[Matrix]) -> Matrix:
     eye = Matrix.identity(ring, n)
     placements += [(n * (k + 1), n * k, eye) for k in range(d - 1)]
     comp = block_assemble(ring, d * n, d * n, placements)
-    bound = comp.nilpotency_bound()
-    if comp.nilpotency_index(bound) is None:
-        raise NotNilpotentError(f"companion is not nilpotent within {bound} steps")
+    if comp.nilpotency is None:
+        raise NotNilpotentError(
+            f"companion is not nilpotent within {comp.nilpotency_bound()} steps")
     return comp
 
 

@@ -11,6 +11,7 @@ Values are immutable; entry equality is canonical polynomial equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .rings import (IdealSpec, NotAUnitError, Poly, Ring, RingMismatchError,
@@ -129,12 +130,6 @@ class Matrix:
         cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix(self.ring, self.cols, self.rows, cols)
 
-    def direct_sum(self, other: "Matrix") -> "Matrix":
-        self._check(other, False)
-        return block_assemble(self.ring, self.rows + other.rows,
-                              self.cols + other.cols,
-                              [(0, 0, self), (self.rows, self.cols, other)])
-
     def power(self, k: int) -> "Matrix":
         """self^k by square-and-multiply; self^0 is the identity."""
         if self.rows != self.cols:
@@ -168,8 +163,16 @@ class Matrix:
         nilradical exponent.  k = n * e."""
         return self.rows * self.ring.nilradical_exponent
 
+    @cached_property
+    def nilpotency(self) -> Optional[int]:
+        """The nilpotency index searched up to nilpotency_bound(), so None
+        means not nilpotent; computed once per matrix."""
+        return self.nilpotency_index(self.nilpotency_bound())
+
     def nilpotency_index(self, max_k: int) -> Optional[int]:
-        """Least k <= max_k with m^k = 0, or None."""
+        """Least k <= max_k with m^k = 0, or None.  A nilpotent m has m^n in
+        the nilradical (see nilpotency_bound), so the search ends at k = n
+        when m^n is not."""
         if self.rows != self.cols:
             raise ValueError("nilpotency of non-square matrix")
         p = Matrix.identity(self.ring, self.rows)
@@ -177,6 +180,8 @@ class Matrix:
             p = p @ self
             if p.is_zero():
                 return k
+            if k == self.rows and not p.all_entries(Poly.in_nilradical):
+                return None
         return None
 
     # -- characteristic polynomial, determinant, inverse
@@ -242,16 +247,6 @@ class Matrix:
         return adj.scale(dinv if n % 2 else -dinv)
 
     # -- row/column operations (1-indexed, matching the displayed formulas)
-
-    def row_scale(self, i: int, u) -> "Matrix":
-        if not 1 <= i <= self.rows:
-            raise ValueError(f"row {i} out of range 1..{self.rows}")
-        u = _as_entry(self.ring, u)
-        if u.try_invert() is None:
-            raise NotAUnitError(f"row scale by non-unit {u}")
-        rows = [list(r) for r in self.entries]
-        rows[i - 1] = [u * a for a in rows[i - 1]]
-        return Matrix.from_rows(self.ring, rows)
 
     def col_scale(self, j: int, u) -> "Matrix":
         if not 1 <= j <= self.cols:

@@ -104,7 +104,7 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
                         "e2 = (A^T)^{-1} diag(1,0) A^T vs its stated display "
                         "(which carries s^2t^3 for s^2t^2)",
                         e2, lp.e2_display(), known_discrepancy=True))
-    for name, ok in con.transport.checks().items():
+    for name, ok in con.transport.items():
         cs.append(_bool_check("excision." + name.split(":")[0], name, ok))
 
     loop_p = lp.loop_z(lp.projector_P())
@@ -144,7 +144,7 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
     cs.append(_eq_check("higman.N_display", "N matches the stated 10x10 display",
                         n10, lp.n10_display()))
     cs.append(_eq_check("higman.nilpotent", "N^10 = 0",
-                        n10.nilpotency_index(10), 10))
+                        n10.nilpotency, 10))
     # det(I - sN) is the reversed char poly sum_k c_k(N) s^k
     det_linear = m.ring.zero()
     for k, c in enumerate(n10.charpoly()):

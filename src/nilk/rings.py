@@ -404,6 +404,15 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def in_nilradical(self) -> bool:
+        """Membership in the nilradical, which the truncated variables and eps
+        generate: each term has a truncated variable or an eps-multiple
+        coefficient."""
+        trunc = [k for k, _ in self.ring.truncated]
+        eps = self.ring.base == "F2e"
+        return all(any(exps[k] for k in trunc) or (eps and not c.a)
+                   for exps, c in self.terms.items())
+
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.ring is not self.ring and other.ring != self.ring:
@@ -500,6 +509,8 @@ class Poly:
             if m_inv is None:
                 continue
             n = -(m_inv * (self - Poly(ring, {exps: c})))
+            if not n.in_nilradical():
+                continue
             acc = power = one
             for _ in range(bound):
                 power = power * n
@@ -726,8 +737,16 @@ def ring_to_json(ring: Ring) -> dict:
 
 
 def ring_from_json(j: dict) -> Ring:
-    return Ring(j["base"], tuple(
-        Var(v["name"], v.get("laurent", False), v.get("trunc")) for v in j["vars"]))
+    vs = tuple(Var(v["name"], v.get("laurent", False), v.get("trunc")) for v in j["vars"])
+    seen = set()
+    for v in vs:
+        if type(v.name) is not str or type(v.laurent) is not bool:
+            raise ValueError(f"variable name must be a string and laurent a bool, got "
+                             f"name={json.dumps(v.name)}, laurent={json.dumps(v.laurent)}")
+        if v.name in seen:
+            raise ValueError(f"variable {v.name} is declared twice")
+        seen.add(v.name)
+    return Ring(j["base"], vs)
 
 
 def poly_terms_to_json(p: Poly) -> list:
@@ -739,14 +758,6 @@ def poly_terms_from_json(ring: Ring, j: list) -> Poly:
     dec = ring.ops.from_json
     return Poly(ring, {tuple(int_from_json(e, "exponent") for e in exps): dec(c)
                        for exps, c in j})
-
-
-def poly_to_json(p: Poly) -> dict:
-    return {"ring": ring_to_json(p.ring), "terms": poly_terms_to_json(p)}
-
-
-def poly_from_json(j: dict) -> Poly:
-    return poly_terms_from_json(ring_from_json(j["ring"]), j["terms"])
 
 
 def poly_latex(p: Poly) -> str:

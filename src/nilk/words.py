@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .matrices import Matrix
-from .rings import (F2E_X, DualF2, NotAUnitError, Poly, Ring,
-                    RingMismatchError, poly_terms_from_json,
-                    poly_terms_to_json, ring_from_json, ring_to_json)
+from .rings import F2E_X, DualF2, NotAUnitError, Poly, Ring, RingMismatchError
 
 
 @dataclass(frozen=True)
@@ -135,23 +133,3 @@ def reduced_X_word() -> StWord:
         (2, 1, x + eps), (1, 2, eps),
     ])
     return head * expand_h(1, 2, F2E_X.one() - eps * x).inverse()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def word_to_json(w: StWord) -> dict:
-    return {
-        "ring": ring_to_json(w.ring),
-        "letters": [{"i": l.i, "j": l.j, "param": poly_terms_to_json(l.param),
-                     "inverted": l.inverted} for l in w.letters],
-    }
-
-
-def word_from_json(j: dict) -> StWord:
-    ring = ring_from_json(j["ring"])
-    return StWord(ring, tuple(
-        Letter(l["i"], l["j"], poly_terms_from_json(ring, l["param"]),
-               l.get("inverted", False))
-        for l in j["letters"]))

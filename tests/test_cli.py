@@ -76,6 +76,18 @@ def test_higman_roundtrip(tmp_path, capsys):
     assert (tmp_path / "N10.json").exists()
 
 
+def test_higman_searches_the_index_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    index = Matrix.nilpotency_index
+    monkeypatch.setattr(Matrix, "nilpotency_index",
+                        lambda m, max_k: calls.append(max_k) or index(m, max_k))
+    src = tmp_path / "rep.json"
+    src.write_text(json.dumps(matrix_to_json(lp.theorem31_matrix().matrix)))
+    code, out, _ = run(["higman", str(src), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (0, "companion size 10, nilpotency index 10\n")
+    assert calls == [10]
+
+
 def test_higman_rejects_identity(tmp_path, capsys):
     src = tmp_path / "eye.json"
     src.write_text(json.dumps(matrix_to_json(Matrix.identity(Q_TS, 2))))
@@ -189,13 +201,36 @@ def test_bad_truncation_is_input_error(tmp_path, capsys, var):
         "trunc must be an integer >= 1" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("vars_, message", [
+    ([{"name": "t", "laurent": "no"}], 'got name="t", laurent="no"'),
+    ([{"name": "t", "laurent": 1}], 'got name="t", laurent=1'),
+    ([{"name": 5}], "variable name must be a string"),
+    ([{"name": None}], "variable name must be a string"),
+    ([{"name": "t"}, {"name": "t"}], "variable t is declared twice"),
+    ([{"name": "t"}, {"name": "t", "laurent": True}], "variable t is declared twice"),
+], ids=["laurent_str", "laurent_int", "name_int", "name_null", "repeated",
+        "repeated_laurent"])
+def test_bad_ring_var_is_input_error(tmp_path, capsys, vars_, message):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"ring": {"base": "Q", "vars": vars_}, "rows": 1, "cols": 1,
+                               "entries": [[[[[0] * len(vars_), "1/1"]]]]}))
+    code, out, err = run(["frob", str(src), "-k", "1", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: cannot read matrix from") and \
+        message in err and err.count("\n") == 1
+
+
 def test_frob_rejects_non_nilpotent(tmp_path, capsys):
-    src = tmp_path / "eye.json"
-    src.write_text(json.dumps(matrix_to_json(Matrix.identity(Q_TS, 2))))
-    code, _, err = run(["frob", str(src), "-k", "1",
-                        "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert "not nilpotent" in err
+    # t^(10^12) = 0 bounds the search at 2 * 10^12 steps; I^2 lies outside
+    # the nilradical (t), so it ends after two
+    deep = Ring("Q", (Var("t", trunc=10 ** 12), Var("s")))
+    for ring in (Q_TS, deep):
+        src = tmp_path / "eye.json"
+        src.write_text(json.dumps(matrix_to_json(Matrix.identity(ring, 2))))
+        code, _, err = run(["frob", str(src), "-k", "1",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "not nilpotent" in err
 
 
 def _bare(m):

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from nilk import laurent_pipeline as lp
 from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
@@ -13,7 +14,6 @@ from nilk.rings import (F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, NotAUnitError, Ring, Var)
 from nilk.sampling import random_poly
 
-from helpers import matrix_to_sympy, poly_to_sympy
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
 
@@ -42,13 +42,22 @@ def test_det_examples():
     assert Matrix.identity(Q_TS, 4).det() == Q_TS.one()
 
 
+QQ_TS = sp.QQ[sp.symbols("t s")]  # variables in the order of Q_TS
+
+
+def to_qq_ts(p):
+    """p over Q_TS as an element of sympy's polynomial domain QQ[t,s]."""
+    return QQ_TS.ring.from_dict({exps: sp.QQ(c.numerator, c.denominator)
+                                 for exps, c in p.terms.items()})
+
+
 def test_det_against_sympy():
     rng = random.Random(1)
     for n, cases in ((3, 100), (1, 10), (2, 10), (4, 10), (5, 5), (6, 3)):
         for _ in range(cases):
             a = rand_mat(rng, Q_TS, n)
-            want = matrix_to_sympy(a).det(method="domain-ge")
-            assert poly_to_sympy(a.det()) == sp.expand(want)
+            rows = [[to_qq_ts(x) for x in r] for r in a.entries]
+            assert to_qq_ts(a.det()) == DomainMatrix(rows, (n, n), QQ_TS).det()
 
 
 def leibniz_det(m):
@@ -190,6 +199,11 @@ def test_idempotent_and_nilpotent():
     n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
     assert n.nilpotency_index(2) == 2
     assert Matrix.identity(Q_TS, 2).nilpotency_index(5) is None
+    assert (n.nilpotency, Matrix.identity(Q_TS, 2).nilpotency) == (2, None)
+    # the bound is 10^12, but I^1 lies outside the nilradical (t)
+    deep = Ring("Q", (Var("t", trunc=10 ** 12),))
+    assert Matrix.identity(deep, 1).nilpotency is None
+    assert Matrix.from_rows(deep, [[deep.var("t", 10 ** 12 - 1)]]).nilpotency == 2
 
 
 def test_loop_inverse_identity_for_random_idempotents():
@@ -210,28 +224,25 @@ def test_loop_inverse_identity_for_random_idempotents():
         assert lhs @ rhs == Matrix.identity(Q_TSZ, 2)
 
 
-def test_row_and_col_scale():
+def test_col_scale():
     z = Q_TSZ.var("z")
     d = Matrix.diag(Q_TSZ, [z, Q_TSZ.one()])
-    assert d.row_scale(1, z.invert()) == Matrix.identity(Q_TSZ, 2)
     assert d.col_scale(1, z.invert()) == Matrix.identity(Q_TSZ, 2)
-    assert d.row_scale(1, 1) == d
+    assert d.col_scale(1, 1) == d
     with pytest.raises(NotAUnitError):
-        Matrix.identity(Q_TS, 2).row_scale(1, Q_TS.var("t"))
-    # indices are 1-based: 0 and -1 must not wrap round to the last row
+        Matrix.identity(Q_TS, 2).col_scale(1, Q_TS.var("t"))
+    # indices are 1-based: 0 and -1 must not wrap round to the last column
     m = Matrix.from_rows(Q_TS, [[1, Q_TS.var("t")], [0, 1]])
     for i in (0, -1, 3):
         with pytest.raises(ValueError):
-            m.row_scale(i, -1)
-        with pytest.raises(ValueError):
             m.col_scale(i, -1)
-    assert m.row_scale(2, -1) == Matrix.from_rows(Q_TS, [[1, Q_TS.var("t")],
+    assert m.col_scale(2, -1) == Matrix.from_rows(Q_TS, [[1, -Q_TS.var("t")],
                                                          [0, -1]])
 
 
 def test_block_assemble_and_direct_sum():
     a = Matrix.from_rows(Q_TS, [[1, 2], [3, 4]])
-    s = a.direct_sum(Matrix.zeros(Q_TS, 1, 1))
+    s = block_assemble(Q_TS, 3, 3, [(0, 0, a), (2, 2, Matrix.zeros(Q_TS, 1, 1))])
     assert s.rows == 3 and s[0, 0] == Q_TS.one() and s[2, 2].is_zero()
     b = block_assemble(Q_TS, 4, 4, [(0, 0, a), (2, 2, a)])
     assert b[2, 2] == Q_TS.one() and b[0, 2].is_zero()

@@ -85,7 +85,7 @@ def test_esse_examples():
 def test_esse_stabilization_step():
     # A (+) 0 is ESSE to A via U = [A ; 0], V = [I | 0]
     a = Matrix.from_rows(Q_TS, [[1, 2], [3, 4]])
-    a_plus_zero = a.direct_sum(Matrix.zeros(Q_TS, 1, 1))
+    a_plus_zero = block_assemble(Q_TS, 3, 3, [(0, 0, a)])
     u = Matrix.from_rows(Q_TS, [[1, 2], [3, 4], [0, 0]])
     v = Matrix.from_rows(Q_TS, [[1, 0, 0], [0, 1, 0]])
     assert verify_esse(a_plus_zero, a, ESSEWitness(u, v))

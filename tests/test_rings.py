@@ -9,7 +9,8 @@ from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGM
                         PRINCIPAL_TWO, Q_TS, Q_TSZ, Z4_X, ZI_X, DualF2,
                         GaussianInt, GroupRingZ4, Poly, Ring, RingMismatchError,
                         Var, group_ring_from_gauss, hom_apply, ideal_member,
-                        poly_from_json, poly_latex, poly_to_json, psi, rho,
+                        poly_latex, poly_terms_from_json, poly_terms_to_json,
+                        psi, rho, ring_from_json, ring_to_json,
                         subring_member, truncate_t2)
 from nilk.sampling import random_poly
 
@@ -157,6 +158,9 @@ def test_invert_series_bound_from_ring():
     assert v is not None and u * v == r.one()
     assert (Q_TS.one() + Q_TS.var("s")).try_invert() is None
     assert (Q_TSZ.one() + Q_TSZ.var("z")).try_invert() is None
+    # 1 + s is no unit however long the series may run: s is outside (t)
+    deep = Ring("Q", (Var("t", trunc=10 ** 12), Var("s")))
+    assert (deep.one() + deep.var("s")).try_invert() is None
 
 
 # -- substitution
@@ -333,6 +337,9 @@ def test_psi_surjective_on_samples():
 def test_json_round_trip():
     rng = random.Random(15)
     for ring in RINGS + [F2_X]:
+        ring_back = ring_from_json(json.loads(json.dumps(ring_to_json(ring))))
+        assert ring_back == ring
         for _ in range(50):
             p = random_poly(rng, ring)
-            assert poly_from_json(poly_to_json(p)) == p
+            terms = json.loads(json.dumps(poly_terms_to_json(p)))
+            assert poly_terms_from_json(ring_back, terms) == p

@@ -7,8 +7,7 @@ from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, DualF2,
                         NotAUnitError)
 from nilk.sampling import random_poly
 from nilk.words import (Letter, StWord, dennis_stein_word, dual_symbol_word,
-                        eval_word, expand_h, reduced_X_word, word,
-                        word_from_json, word_to_json)
+                        eval_word, expand_h, reduced_X_word, word)
 
 EPS = F2E_X.const(DualF2(0, 1))
 EYE = Matrix.identity(F2E_X, 2)
@@ -123,8 +122,3 @@ def test_eval_homomorphism_and_det():
         w1, w2 = word(F2E_X, ls1), word(F2E_X, ls2)
         assert eval_word(w1 * w2, 2) == eval_word(w1, 2) @ eval_word(w2, 2)
         assert eval_word(w1, 2).det() == F2E_X.one()
-
-
-def test_word_json_round_trip():
-    w = dual_symbol_word() * reduced_X_word().inverse()
-    assert word_from_json(word_to_json(w)) == w
