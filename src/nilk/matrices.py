@@ -170,19 +170,29 @@ class Matrix:
         return self.nilpotency_index(self.nilpotency_bound())
 
     def nilpotency_index(self, max_k: int) -> Optional[int]:
-        """Least k <= max_k with m^k = 0, or None.  A nilpotent m has m^n in
-        the nilradical (see nilpotency_bound), so the search ends at k = n
-        when m^n is not."""
+        """Least k <= max_k with m^k = 0, or None, in about 2 log2(k)
+        products: square up to the first zero power m^(2^J), then bisect
+        (2^(J-1), 2^J] with the saved squares.  Squaring stops at a nonzero
+        m^(2^j) with 2^j >= max_k, and at one with 2^j >= n outside the
+        nilradical, which no nilpotent m has (see nilpotency_bound).
+        Integral Q coefficients are ints, so the squares stay cheap."""
         if self.rows != self.cols:
             raise ValueError("nilpotency of non-square matrix")
-        p = Matrix.identity(self.ring, self.rows)
-        for k in range(1, max_k + 1):
-            p = p @ self
-            if p.is_zero():
-                return k
-            if k == self.rows and not p.all_entries(Poly.in_nilradical):
+        squares = [self]  # squares[j] = m^(2^j); all but the last nonzero
+        while not squares[-1].is_zero():
+            p, e = squares[-1], 1 << (len(squares) - 1)
+            if e >= max_k or (e >= self.rows and not p.all_entries(Poly.in_nilradical)):
                 return None
-        return None
+            squares.append(p @ p)
+        if len(squares) == 1:
+            return 1 if max_k >= 1 else None
+        # m^k != 0 with k a sum of distinct 2^j, grown greedily from the top
+        p, k = squares[-2], 1 << (len(squares) - 2)
+        for j in range(len(squares) - 3, -1, -1):
+            q = p @ squares[j]
+            if not q.is_zero():
+                p, k = q, k + (1 << j)
+        return k + 1 if k + 1 <= max_k else None
 
     # -- characteristic polynomial, determinant, inverse
 

@@ -3,7 +3,7 @@
 Every element is a multivariate (optionally Laurent) polynomial over one of
 a handful of exact coefficient domains:
 
-    Q    rationals
+    Q    rationals: int when integral, else Fraction (see BASE)
     Z    integers
     Zi   Gaussian integers  a + b*i
     Z4   group ring Z[Z/4]  c0 + c1*sigma + c2*sigma^2 + c3*sigma^3
@@ -213,14 +213,16 @@ def int_from_json(x, what: str) -> int:
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def _q_from_json(x) -> Fraction:
-    """A rational as the format writes it: "p/q" (or "p") with integers p, q."""
+def _q_from_json(x):
+    """A rational as the format writes it: "p/q" (or "p") with integers p, q;
+    an int when q divides p."""
     if type(x) is not str or not _RATIONAL.fullmatch(x):
         raise ValueError(f'rational coefficient must be "p/q", got {json.dumps(x)}')
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"rational coefficient {x} has denominator 0") from None
+    return q.numerator if q.denominator == 1 else q
 
 
 def _z_from_json(x) -> int:
@@ -254,8 +256,14 @@ def _algebra_ops(cls, latex: Callable) -> BaseOps:
     return BaseOps(cls(), cls(1), cls, cls.invert, cls.to_json, cls.from_json, latex)
 
 
+# An integral Q coefficient is stored as an int, which skips Fraction's gcd
+# normalization; int has .numerator and .denominator, so JSON and LaTeX
+# write both types alike.  Poly.__init__ and _q_from_json turn a Fraction
+# with denominator 1 into an int, and int arithmetic keeps it one.  Fraction
+# arithmetic in Poly._trusted may still leave a Fraction(3, 1), which equals
+# and hashes like 3; normalizing there too slowed the verify workload.
 BASE: dict[str, BaseOps] = {
-    "Q": BaseOps(Fraction(0), Fraction(1), Fraction, _invert_q,
+    "Q": BaseOps(0, 1, int, _invert_q,
                  lambda c: f"{c.numerator}/{c.denominator}", _q_from_json,
                  lambda c: (str(c.numerator) if c.denominator == 1
                             else rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}")),
@@ -375,6 +383,8 @@ class Poly:
                 continue
             if isinstance(c, int) and ring.base != "Z":
                 c = ops.from_int(c)
+            elif type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             if c:
                 clean[exps] = c
         self.ring = ring

@@ -188,6 +188,21 @@ def test_nilpotent_over_non_reduced_ring(tmp_path, capsys, cmd, entry):
     assert (code, out, err) == (0, "1x1, nilpotency index 2\n", "")
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["frob", "-k", "1"], "1x1, nilpotency index 1000000000000\n"),
+    (["versch", "-k", "2"], "2x2, nilpotency index 2000000000000\n"),
+], ids=["frob", "versch"])
+def test_index_of_ten_to_the_twelve(tmp_path, capsys, argv, out):
+    # [t] over Q[t]/(t^(10^12)): squaring and bisection find the index in
+    # about 2 log2(10^12) products, where one product a step would take 10^12
+    deep = Ring("Q", (Var("t", trunc=10 ** 12),))
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.from_rows(deep, [[deep.var("t")]]))))
+    code, printed, err = run([argv[0], str(src), *argv[1:], "--out", str(tmp_path)],
+                             capsys)
+    assert (code, printed, err) == (0, out, "")
+
+
 @pytest.mark.parametrize("var", [{"trunc": 0}, {"trunc": 2.5}, {"trunc": True},
                                  {"trunc": 2, "laurent": True}],
                          ids=["zero", "float", "bool", "laurent"])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -10,8 +11,9 @@ from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
                            block_assemble, elementary, matrix_from_json,
                            matrix_to_json)
 from nilk.nilsse import verschiebung
-from nilk.rings import (F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
-                        Q_TZ, Z4_X, ZI_X, NotAUnitError, Ring, Var)
+from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
+                        Q_TZ, Z4_X, ZI_X, DualF2, NotAUnitError, Poly, Ring, Var,
+                        poly_latex, poly_terms_to_json)
 from nilk.sampling import random_poly
 
 
@@ -117,6 +119,25 @@ def test_det_one_minus_s_verschiebung(k):
     assert m.det() == Q_TSZ.one()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_det_verschiebung_is_det_at_s_to_the_k(k):
+    # det(I - s V_k M) = det(I - s^k M) (Almkvist 1974) for M over Q[t]
+    # that is not nilpotent, so both sides are more than 1; random_poly
+    # draws p/q with q in 1..4, so the entries mix ints and Fractions
+    rng = random.Random(60 + k)
+    s, q_t = Q_TS.var("s"), Ring("Q", (Var("t"),))
+    for _ in range(3):
+        m = Matrix.from_rows(Q_TS, [[random_poly(rng, q_t, 2, 2).into(Q_TS)
+                                     for _ in range(3)] for _ in range(3)])
+        assert {type(c) for r in m.entries for a in r for c in a.terms.values()} == \
+            {int, Fraction}
+        assert m.nilpotency is None
+        rhs = (Matrix.identity(Q_TS, 3) - m.scale(s ** k)).det()
+        v = verschiebung(m, k)
+        assert rhs != Q_TS.one() and v.rows == 3 * k
+        assert (Matrix.identity(Q_TS, 3 * k) - v.scale(s)).det() == rhs
+
+
 def test_det_multiplicative():
     rng = random.Random(2)
     for _ in range(1000):
@@ -204,6 +225,75 @@ def test_idempotent_and_nilpotent():
     deep = Ring("Q", (Var("t", trunc=10 ** 12),))
     assert Matrix.identity(deep, 1).nilpotency is None
     assert Matrix.from_rows(deep, [[deep.var("t", 10 ** 12 - 1)]]).nilpotency == 2
+    # index 10^12 in about 80 products of 1 x 1 matrices, not 10^12
+    assert Matrix.from_rows(deep, [[deep.var("t")]]).nilpotency == 10 ** 12
+    # (1 + t)^(2^j) has 2^j terms: the search must stop at 1 + t, outside (t)
+    assert Matrix.from_rows(deep, [[1 + deep.var("t")]]).nilpotency is None
+
+
+def stepwise_nilpotency_index(m, max_k):
+    """One product per step, cut at k = n: the reference for the squaring
+    and bisection search of Matrix.nilpotency_index."""
+    p = Matrix.identity(m.ring, m.rows)
+    for k in range(1, max_k + 1):
+        p = p @ m
+        if p.is_zero():
+            return k
+        if k == m.rows and not p.all_entries(Poly.in_nilradical):
+            return None
+    return None
+
+
+Q_T3 = Ring("Q", (Var("t", trunc=3),))
+# each ring with an element that generates its nilradical (None: reduced)
+NIL_RINGS = [(Q_TS, None), (Q_T3, Q_T3.var("t")),
+             (F2E_X, F2E_X.const(DualF2(0, 1))), (Z4_X, None)]
+NILPOTENCY_SEED, NILPOTENCY_CASES = 1123, 240
+
+
+def nilpotency_case(rng, kind, ring, nil, n):
+    """An n x n matrix of one kind: strictly upper triangular ("upper"),
+    that conjugated by an elementary matrix ("conjugated"), that plus a
+    diagonal in the nilradical ("nil_diagonal"), or random ("random")."""
+    if kind == "random":
+        return Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1) for _ in range(n)]
+                                       for _ in range(n)])
+    rows = [[random_poly(rng, ring, 2, 1) if j > i else ring.zero() for j in range(n)]
+            for i in range(n)]
+    if kind == "nil_diagonal" and nil is not None:
+        for i in range(n):
+            rows[i][i] = nil * random_poly(rng, ring, 2, 1)
+    m = Matrix.from_rows(ring, rows)
+    if kind == "conjugated" and n >= 2:
+        i, j = rng.sample(range(1, n + 1), 2)
+        a = random_poly(rng, ring, 2, 1)
+        m = elementary(ring, n, i, j, a) @ m @ elementary(ring, n, i, j, -a)
+    return m
+
+
+def test_nilpotency_index_against_stepwise():
+    rng = random.Random(NILPOTENCY_SEED)
+    kinds = ["upper", "conjugated", "nil_diagonal", "random"]
+    seen = set()  # (kind, whether nilpotent, whether the index exceeds n)
+    for case in range(NILPOTENCY_CASES):
+        ring, nil = NIL_RINGS[case % len(NIL_RINGS)]
+        kind = kinds[case // len(NIL_RINGS) % len(kinds)]
+        n = rng.randint(1, 4)
+        m = nilpotency_case(rng, kind, ring, nil, n)
+        bound = m.nilpotency_bound()
+        index = stepwise_nilpotency_index(m, bound)
+        seen.add((kind, index is not None, index is not None and index > n))
+        asks = (index - 1, index, index + 1) if index else (0, 1, n, bound)
+        for max_k in asks:
+            assert m.nilpotency_index(max_k) == stepwise_nilpotency_index(m, max_k)
+        assert m.nilpotency == index
+    assert {("upper", True, False), ("conjugated", True, False),
+            ("nil_diagonal", True, True), ("random", False, False)} <= seen
+    # index 4 over Q[t]/(t^3) for a 2 x 2 matrix: (tI + E12)^k = t^k I + k t^(k-1) E12
+    t = Q_T3.var("t")
+    m = Matrix.from_rows(Q_T3, [[t, 1], [0, t]])
+    assert [m.nilpotency_index(k) for k in range(6)] == [None] * 4 + [4, 4]
+    assert m.nilpotency == 4
 
 
 def test_loop_inverse_identity_for_random_idempotents():
@@ -325,6 +415,36 @@ def test_matrix_json_round_trip():
     for rows, cols in ((0, 3), (3, 0), (0, 0)):  # no row to read cols from
         m = Matrix.zeros(Q_TS, rows, cols)
         assert matrix_from_json(matrix_to_json(m)) == m
+
+
+def test_integral_q_coefficients_are_ints():
+    # a Q coefficient with denominator 1 is stored as an int, never as a
+    # Fraction, on every path the Nil-side linear algebra takes
+    def ints(*polys):
+        return all(type(c) is int for p in polys for c in p.terms.values())
+
+    r = Ring("Q", (Var("t", trunc=2), Var("s")))
+    t, s = r.var("t"), r.var("s")
+    a, b = r.const(3) + t * s, r.const(Fraction(-4, 2)) - 5 * s
+    assert ints(a, b, a + b, a - b, -a, a * b, a ** 3, 2 * a, a + 1)
+    u = (r.one() + t).try_invert()
+    assert u == r.one() - t and ints(u)
+    m = (elementary(Q_TS, 3, 1, 2, 2 * Q_TS.var("t") - 3)
+         @ elementary(Q_TS, 3, 3, 1, Q_TS.var("s", 2))
+         @ elementary(Q_TS, 3, 2, 3, -7))
+    inv = m.inverse()
+    assert m.det() == Q_TS.one() and m @ inv == Matrix.identity(Q_TS, 3)
+    assert ints(m.det(), *(x for row in m.entries + inv.entries for x in row))
+    j = {"ring": {"base": "Q", "vars": [{"name": "t"}]}, "rows": 1, "cols": 2,
+         "entries": [[[[[0], "3"]], [[[1], "3/1"], [[2], "6/2"]]]]}
+    assert ints(*matrix_from_json(j).entries[0])
+    # JSON and LaTeX write 3 and Fraction(3) alike
+    q = BASE["Q"]
+    assert (q.to_json(3), q.latex(3)) == (q.to_json(Fraction(3)), q.latex(Fraction(3))) \
+        == ("3/1", "3")
+    half = Q_TS.const(Fraction(3, 2)) * Q_TS.var("t")
+    for p in (half + half, 3 * Q_TS.var("t")):
+        assert (poly_terms_to_json(p), poly_latex(p)) == ([[[1, 0], "3/1"]], "3t")
 
 
 def test_substitute_empty_matrix():
