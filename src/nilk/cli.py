@@ -96,8 +96,7 @@ def cmd_higman(args) -> int:
     except (lp.PipelineError, lp.NotNilpotentError, ValueError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit_matrix(n, Path(args.out), "N10" if n.rows == 10 else f"N{n.rows}",
-                 args.emit)
+    _emit_matrix(n, Path(args.out), f"N{n.rows}", args.emit)
     print(f"companion size {n.rows}, nilpotency index {n.nilpotency}")
     return EXIT_OK
 

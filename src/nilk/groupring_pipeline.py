@@ -5,14 +5,16 @@ identity mod (2) and has determinant 1.  Reducing via i -> 1+eps recovers
 the identity over F2[eps,x]/(eps^2) (the symbol lives in K2).  Lifting
 through sigma -> i produces the 2x2 block over Z[Z/4][x]; the Kahler
 differential map D certifies the symbol <eps, x+eps> is nontrivial.
-`construct()` builds YZ and its lift once, each verified when built.
+`construct()` builds YZ and its lift once, each verified when built; the
+identities `_require` proves are recorded in the record's `checks` ledger,
+which the report reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent_pipeline import _require
+from .laurent_pipeline import Check, _require, recording
 from .matrices import Matrix
 from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
                     ZI_X, GaussianInt, GroupRingZ4, Poly,
@@ -48,10 +50,10 @@ def word_Z() -> StWord:
 def yz_matrix() -> Matrix:
     """YZ over Z[i][x], verified to have det 1 and to be the identity mod (2)."""
     m = eval_word(word_Y(), 2) @ eval_word(word_Z(), 2)
-    _require(m.det() == m.ring.one(), "det(YZ) = 1")
-    d = m - Matrix.identity(m.ring, m.rows)
-    _require(d.all_entries(lambda x: ideal_member(x, PRINCIPAL_TWO)),
-             "YZ - I entrywise in (2)")
+    _require("yz.det", "det(YZ) = 1", m.det(), m.ring.one())
+    _require("yz.congruent", "YZ - I entrywise in (2)",
+             (m - Matrix.identity(m.ring, m.rows)).all_entries(
+                 lambda x: ideal_member(x, PRINCIPAL_TWO)))
     return m
 
 
@@ -84,23 +86,27 @@ def lift_to_group_ring(m: Matrix) -> Matrix:
 
     lifted = Matrix.from_rows(Z4_X, [[lift_entry(e, r == c) for c, e in enumerate(row)]
                                      for r, row in enumerate(m.entries)])
-    _require(lifted.map_entries(psi, m.ring) == m, "psi(lift) recovers the input")
-    _require(lifted.det() == Z4_X.one(), "det(lift) = 1")
+    _require("lift42.psi", "psi(lift) = YZ", lifted.map_entries(psi, m.ring), m)
+    _require("lift42.det", "det(lift) = 1", lifted.det(), Z4_X.one())
     return lifted
 
 
 @dataclass(frozen=True)
 class Construction:
-    """YZ and its lift, the Theorem 4.2 block, each verified once when built."""
+    """YZ and its lift, the Theorem 4.2 block, each verified once when
+    built, and the ledger of those checks by id."""
 
     yz: Matrix
     block: Matrix
+    checks: dict[str, Check]
 
 
 def construct() -> Construction:
     """Y, Z -> YZ -> the lift over Z[Z/4][x]."""
-    yz = yz_matrix()
-    return Construction(yz, lift_to_group_ring(yz))
+    with recording() as checks:
+        yz = yz_matrix()
+        block = lift_to_group_ring(yz)
+    return Construction(yz, block, checks)
 
 
 def theorem42_block() -> Matrix:

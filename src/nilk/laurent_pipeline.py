@@ -6,12 +6,17 @@ by excision to the idempotent e2 over Q[t^2,t^3,s]; apply the loop map
 Q |-> I + (z-1)Q; normalize away the diag(z,1) factor; finally convert the
 result to a nilpotent block companion via Higman's trick.
 
-`construct()` runs the chain once; each stage verifies its defining identities
-when built, and a failure raises PipelineError (a bug, not bad input).
+`construct()` runs the chain once.  Each stage proves its defining identities
+with `_require` as it builds them: a failure raises PipelineError naming the
+check id (a bug, not bad input), and under `construct()` every identity is
+recorded as a report `Check` in the record's `checks` ledger, which the report
+reads instead of computing it again.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -29,9 +34,64 @@ class NotNilpotentError(ValueError):
     """Companion matrix failed its nilpotency bound."""
 
 
-def _require(cond: bool, what: str):
-    if not cond:
-        raise PipelineError(f"verification failed: {what}")
+PASS = "pass"
+FAIL = "fail"
+DISCREPANCY = "discrepancy"
+
+
+@dataclass
+class Check:
+    id: str
+    anchor: str
+    status: str
+    computed: str = ""
+    expected: str = ""
+
+    def line(self) -> str:
+        out = f"[{self.status.upper():11s}] {self.id}  ({self.anchor})"
+        if self.status != PASS:
+            out += f"\n    computed: {self.computed}\n    expected: {self.expected}"
+        return out
+
+    def to_json(self) -> dict:
+        return {"id": self.id, "anchor": self.anchor, "status": self.status,
+                "computed": self.computed, "expected": self.expected}
+
+
+def check(cid: str, anchor: str, computed, expected=True,
+          known_discrepancy: bool = False) -> Check:
+    """The report entry for computed == expected; a boolean identity
+    (expected True) reads "true" on the expected side."""
+    status = PASS if computed == expected else DISCREPANCY if known_discrepancy else FAIL
+    return Check(cid, anchor, status, str(computed),
+                 "true" if expected is True else str(expected))
+
+
+# the ledger of the construction being built, open only inside construct()
+_ledger: ContextVar[dict[str, Check] | None] = ContextVar("ledger", default=None)
+
+
+def _require(cid: str, anchor: str, computed, expected=True):
+    """Prove computed == expected, recording the check while a ledger is open."""
+    ledger = _ledger.get()
+    if ledger is None:
+        ok = computed == expected
+    else:
+        c = ledger[cid] = check(cid, anchor, computed, expected)
+        ok = c.status == PASS
+    if not ok:
+        raise PipelineError(f"verification failed: {cid} ({anchor})")
+
+
+@contextmanager
+def recording():
+    """Open a fresh ledger for the checks `_require` proves in the block."""
+    ledger: dict[str, Check] = {}
+    token = _ledger.set(ledger)
+    try:
+        yield ledger
+    finally:
+        _ledger.reset(token)
 
 
 def _st(k: int) -> Poly:
@@ -56,9 +116,9 @@ def _lift(a: Fraction, b: Fraction) -> Matrix:
     w = one - u * v
     lift = Matrix.from_rows(Q_TS, [[u * (one + w), -w], [w, v]])
     red = lift.map_entries(truncate_t2, truncate_t2(one).ring)
-    _require(red == Matrix.diag(red.ring, [truncate_t2(u), truncate_t2(v)]),
-             "lift reduces to diag(u, u^-1) mod t^2")
-    _require(lift.det() == one, "det(lift) = 1")
+    _require("lift.reduction", "pi(A) = diag(1+st, 1-st)",
+             red, Matrix.diag(red.ring, [truncate_t2(u), truncate_t2(v)]))
+    _require("lift.det", "det(A) = 1", lift.det(), one)
     return lift
 
 
@@ -88,9 +148,9 @@ def double_idempotent_B() -> DoublePair:
         [_st(3) - _st(2), _st(4)],
     ])
     pair = DoublePair(b1, projector_P(), MONOMIAL_T2)
-    _require(b1.is_idempotent(), "B1 idempotent")
-    _require(pair.second.is_idempotent(), "B2 idempotent")
-    _require(pair.validate(), "B1 - B2 entrywise in (t^2)")
+    _require("clutch.B1_idempotent", "B1^2 = B1", b1.is_idempotent())
+    _require("clutch.B2_idempotent", "B2^2 = B2", pair.second.is_idempotent())
+    _require("clutch.pair_in_double", "B1 - B2 entrywise in (t^2)", pair.validate())
     return pair
 
 
@@ -99,24 +159,19 @@ def clutch_projector(a: Matrix, p: Matrix) -> Matrix:
     row vectors)."""
     at = a.transpose()
     e2 = at.inverse() @ p @ at
-    _require(e2.is_idempotent(), "conjugated projector idempotent")
+    _require("excision.e2_idempotent", "e2^2 = e2", e2.is_idempotent())
     return e2
 
 
-def excision_transport(b: DoublePair, e2: Matrix) -> dict[str, bool]:
+def excision_transport(b: DoublePair, e2: Matrix) -> None:
     """The excision transport [B] - [P,P]  ->  [e2-P, P] - [0, P]  ->
-    [P, e2] - [P, P], verified stage by stage; returns each stage's result."""
-    target = DoublePair(projector_P(), e2, MONOMIAL_T2)
-    stages = {
-        "stage1: pair lies in the double ring": b.validate(),
-        "stage2: unitized ideal part in (t^2)": (e2 - projector_P()).all_entries(
-            lambda x: ideal_member(x, MONOMIAL_T2)),
-        "stage3: pair over the t^2,t^3 subring":
-            target.validate() and e2.all_entries(subring_member),
-    }
-    for name, ok in stages.items():
-        _require(ok, name)
-    return stages
+    [P, e2] - [P, P], verified stage by stage."""
+    _require("excision.stage1", "stage1: pair lies in the double ring", b.validate())
+    _require("excision.stage2", "stage2: unitized ideal part in (t^2)",
+             (e2 - projector_P()).all_entries(lambda x: ideal_member(x, MONOMIAL_T2)))
+    _require("excision.stage3", "stage3: pair over the t^2,t^3 subring",
+             DoublePair(projector_P(), e2, MONOMIAL_T2).validate()
+             and e2.all_entries(subring_member))
 
 
 def loop_z(q: Matrix) -> Matrix:
@@ -128,8 +183,8 @@ def loop_z(q: Matrix) -> Matrix:
     qz = q.into(ring)
     out = Matrix.identity(ring, q.rows) + qz.scale(z - ring.one())
     inv = Matrix.identity(ring, q.rows) + qz.scale(z.invert() - ring.one())
-    _require(out @ inv == Matrix.identity(ring, q.rows),
-             "I + (z-1)Q invertible with inverse I + (z^-1 - 1)Q")
+    _require("loop.invertible", "I + (z-1)Q invertible with inverse I + (z^-1 - 1)Q",
+             out @ inv, Matrix.identity(ring, q.rows))
     return out
 
 
@@ -143,10 +198,12 @@ class K1Rep:
         """Check the defining properties; returns the determinant."""
         m = self.matrix
         d = m.det()
-        _require(d.try_invert() is not None, "determinant a recognized unit")
-        _require(m.substitute({"s": 0}) == Matrix.identity(m.ring.drop("s"), m.rows),
-                 "s -> 0 yields the identity")
-        _require(m.all_entries(subring_member), "entries lie in Q[t^2,t^3,z,z^-1,s]")
+        _require("rep31.det_unit", "determinant a recognized unit",
+                 d.try_invert() is not None)
+        _require("rep31.s_to_zero", "maps to [I] under s -> 0",
+                 m.substitute({"s": 0}), Matrix.identity(m.ring.drop("s"), m.rows))
+        _require("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
+                 m.all_entries(subring_member))
         return d
 
 
@@ -158,20 +215,21 @@ def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
     e2 = clutch_projector(lift, projector_P())
     loops = loop_z(e2)
     rep = K1Rep(loops.col_scale(1, loops.ring.var("z").invert()))
-    _require(rep.verify() == rep.matrix.ring.one(), "det = 1")
+    _require("rep31.det", "det = 1", rep.verify(), rep.matrix.ring.one())
     return e2, rep
 
 
 @dataclass(frozen=True)
 class Construction:
     """Every artifact of one run of the chain, each verified once when
-    built.  The blocks M_i and N are derived on first use."""
+    built, and the ledger of those checks by id.  The blocks M_i and N are
+    derived on first use."""
 
     lift: Matrix
     pair: DoublePair
     e2: Matrix
-    transport: dict[str, bool]  # the excision stages, each verified
     rep: K1Rep
+    checks: dict[str, Check]
 
     @cached_property
     def blocks(self) -> list[Matrix]:
@@ -184,10 +242,12 @@ class Construction:
 
 def construct() -> Construction:
     """A -> pair B -> e2 -> transport stages -> representative."""
-    a = lift_A()
-    pair = double_idempotent_B()
-    e2, rep = _represent(a)
-    return Construction(a, pair, e2, excision_transport(pair, e2), rep)
+    with recording() as checks:
+        a = lift_A()
+        pair = double_idempotent_B()
+        e2, rep = _represent(a)
+        excision_transport(pair, e2)
+    return Construction(a, pair, e2, rep, checks)
 
 
 def theorem31_matrix() -> K1Rep:

@@ -2,6 +2,10 @@
 run exactly, each entry carrying its source-display anchor and both the
 computed and expected values.
 
+The identities a pipeline stage proves as it builds are recorded in the
+construction's `checks` ledger; the report reads those entries and computes
+only the checks no stage makes.
+
 Known display mismatches are reported with status "discrepancy", never
 silently normalized: the point of the artifact is adjudicating the stated
 displays against the construction itself.
@@ -10,55 +14,20 @@ displays against the construction itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse
+from .laurent_pipeline import DISCREPANCY, FAIL, PASS, Check, check
 from .matrices import Matrix
 from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
                     DualF2, GaussianInt, GroupRingZ4, hom_apply, ideal_member,
-                    psi, subring_member, truncate_t2)
+                    subring_member)
 from .sampling import random_poly
 from .words import (dennis_stein_word, dual_symbol_word, eval_word,
                     reduced_X_word, word)
-
-PASS = "pass"
-FAIL = "fail"
-DISCREPANCY = "discrepancy"
-
-
-@dataclass
-class Check:
-    id: str
-    anchor: str
-    status: str
-    computed: str = ""
-    expected: str = ""
-
-    def line(self) -> str:
-        tag = {"pass": "PASS", "fail": "FAIL", "discrepancy": "DISCREPANCY"}[self.status]
-        out = f"[{tag:11s}] {self.id}  ({self.anchor})"
-        if self.status != PASS:
-            out += f"\n    computed: {self.computed}\n    expected: {self.expected}"
-        return out
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "anchor": self.anchor, "status": self.status,
-                "computed": self.computed, "expected": self.expected}
-
-
-def _eq_check(cid, anchor, computed, expected, known_discrepancy=False) -> Check:
-    ok = computed == expected
-    status = PASS if ok else (DISCREPANCY if known_discrepancy else FAIL)
-    return Check(cid, anchor, status, str(computed), str(expected))
-
-
-def _bool_check(cid, anchor, ok, computed="", expected="true") -> Check:
-    return Check(cid, anchor, PASS if ok else FAIL, computed or str(ok), expected)
-
 
 # ---------------------------------------------------------------------------
 # the Laurent-polynomial construction
@@ -67,100 +36,76 @@ def _bool_check(cid, anchor, ok, computed="", expected="true") -> Check:
 def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
     """Check the construction handed in, or a fresh one."""
     con = con or lp.construct()
-    cs: list[Check] = []
+    led = con.checks
     a = con.lift
-    red = a.map_entries(truncate_t2, truncate_t2(Q_TS.one()).ring)
-    st = Q_TS.var("s") * Q_TS.var("t")
-    diag = Matrix.diag(red.ring, [truncate_t2(Q_TS.one() + st),
-                                  truncate_t2(Q_TS.one() - st)])
-    cs.append(_eq_check("lift.reduction", "pi(A) = diag(1+st, 1-st)", red, diag))
-    cs.append(_eq_check("lift.det", "det(A) = 1", a.det(), Q_TS.one()))
-
     f = lp.lift_A_stated_factors()
     ltr = f[0] @ f[1] @ f[2] @ f[3]
     rtl = f[3] @ f[2] @ f[1] @ f[0]
-    cs.append(_eq_check(
+    cs = [led["lift.reduction"], led["lift.det"], check(
         "lift.stated_factors",
         "A = e12(1+st) e21(-(1+st)) e12(1+st) rot (either order convention)",
-        ltr if ltr == a else rtl, a, known_discrepancy=True))
+        ltr if ltr == a else rtl, a, known_discrepancy=True)]
 
-    pair = con.pair
-    cs.append(_bool_check("clutch.B1_idempotent", "B1^2 = B1",
-                          pair.first.is_idempotent()))
-    cs.append(_bool_check("clutch.pair_in_double",
-                          "B1 - B2 entrywise in (t^2)", pair.validate()))
-    cs.append(_eq_check("clutch.B2", "B2 = diag(1, 0)", pair.second,
-                        lp.projector_P()))
-
-    e2 = con.e2
-    cs.append(_bool_check("excision.e2_idempotent", "e2^2 = e2",
-                          e2.is_idempotent()))
-    cs.append(_bool_check("excision.e2_congruent", "e2 - P entrywise in (t^2)",
-                          (e2 - lp.projector_P()).all_entries(
-                              lambda x: ideal_member(x, MONOMIAL_T2))))
-    cs.append(_bool_check("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]",
-                          e2.all_entries(subring_member)))
-    cs.append(_eq_check("excision.e2_display",
-                        "e2 = (A^T)^{-1} diag(1,0) A^T vs its stated display "
-                        "(which carries s^2t^3 for s^2t^2)",
-                        e2, lp.e2_display(), known_discrepancy=True))
-    for name, ok in con.transport.items():
-        cs.append(_bool_check("excision." + name.split(":")[0], name, ok))
+    pair, e2 = con.pair, con.e2
+    cs += [led["clutch.B1_idempotent"], led["clutch.pair_in_double"],
+           check("clutch.B2", "B2 = diag(1, 0)", pair.second, lp.projector_P()),
+           led["excision.e2_idempotent"],
+           check("excision.e2_congruent", "e2 - P entrywise in (t^2)",
+                 (e2 - lp.projector_P()).all_entries(
+                     lambda x: ideal_member(x, MONOMIAL_T2))),
+           check("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]",
+                 e2.all_entries(subring_member)),
+           check("excision.e2_display",
+                 "e2 = (A^T)^{-1} diag(1,0) A^T vs its stated display "
+                 "(which carries s^2t^3 for s^2t^2)",
+                 e2, lp.e2_display(), known_discrepancy=True),
+           led["excision.stage1"], led["excision.stage2"], led["excision.stage3"]]
 
     loop_p = lp.loop_z(lp.projector_P())
     zring = loop_p.ring
-    cs.append(_eq_check("loop.on_P", "loop map sends P to diag(z, 1)",
-                        loop_p, Matrix.diag(zring, [zring.var("z"), zring.one()])))
+    cs.append(check("loop.on_P", "loop map sends P to diag(z, 1)",
+                    loop_p, Matrix.diag(zring, [zring.var("z"), zring.one()])))
 
     m = con.rep.matrix
     disp = lp.theorem31_display()
     agree = all(m[r, c] == disp[r, c] for r, c in [(0, 1), (1, 0), (1, 1)])
-    cs.append(_bool_check("rep31.off_entries",
-                          "entries (1,2), (2,1), (2,2) match the stated display",
-                          agree, computed=str(m)))
+    cs.append(Check("rep31.off_entries",
+                    "entries (1,2), (2,1), (2,2) match the stated display",
+                    PASS if agree else FAIL, str(m), "true"))
     one = m.ring.one()
     s, t, z = m.ring.var("s"), m.ring.var("t"), m.ring.var("z")
     self_consistent = one - (one - z.invert()) * (s * t) ** 4
-    cs.append(_eq_check("rep31.entry11_self_consistent",
-                        "(1,1) = z^-1 + (1-z^-1)(1-s^4t^4) = 1-(1-z^-1)s^4t^4",
-                        m[0, 0], self_consistent))
-    cs.append(_eq_check("rep31.entry11_vs_display",
-                        "(1,1) stated as 1-(1+z^-1)s^4t^4",
-                        m[0, 0], disp[0, 0], known_discrepancy=True))
-    cs.append(_eq_check("rep31.det", "det = 1", m.det(), one))
-    cs.append(_eq_check("rep31.s_to_zero", "maps to [I] under s -> 0",
-                        m.substitute({"s": 0}),
-                        Matrix.identity(m.ring.drop("s"), 2)))
-    cs.append(_bool_check("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
-                          m.all_entries(subring_member)))
+    cs += [check("rep31.entry11_self_consistent",
+                 "(1,1) = z^-1 + (1-z^-1)(1-s^4t^4) = 1-(1-z^-1)s^4t^4",
+                 m[0, 0], self_consistent),
+           check("rep31.entry11_vs_display", "(1,1) stated as 1-(1+z^-1)s^4t^4",
+                 m[0, 0], disp[0, 0], known_discrepancy=True),
+           led["rep31.det"], led["rep31.s_to_zero"], led["rep31.subring"]]
 
     reassembled = Matrix.identity(m.ring, 2)
-    s_poly = m.ring.var("s")
     for i, blk in enumerate(con.blocks, start=1):
-        reassembled = reassembled - blk.into(m.ring).scale(s_poly ** i)
-    cs.append(_eq_check("higman.reassembly", "I - sum s^i M_i = the representative",
-                        reassembled, m))
+        reassembled = reassembled - blk.into(m.ring).scale(s ** i)
+    cs.append(check("higman.reassembly", "I - sum s^i M_i = the representative",
+                    reassembled, m))
     n10 = con.n10
-    cs.append(_eq_check("higman.N_display", "N matches the stated 10x10 display",
-                        n10, lp.n10_display()))
-    cs.append(_eq_check("higman.nilpotent", "N^10 = 0",
-                        n10.nilpotency, 10))
+    cs.append(check("higman.N_display", "N matches the stated 10x10 display",
+                    n10, lp.n10_display()))
+    cs.append(check("higman.nilpotent", "N^10 = 0", n10.nilpotency, 10))
     # det(I - sN) is the reversed char poly sum_k c_k(N) s^k
     det_linear = m.ring.zero()
     for k, c in enumerate(n10.charpoly()):
-        det_linear = det_linear + c.into(m.ring) * s_poly ** k
-    cs.append(_eq_check("higman.det_linear", "det(I - sN) = 1", det_linear, one))
-    cs.append(_bool_check("higman.N_subring", "N entries lie in Q[t^2,t^3,z,z^-1]",
-                          n10.all_entries(subring_member)))
+        det_linear = det_linear + c.into(m.ring) * s ** k
+    cs.append(check("higman.det_linear", "det(I - sN) = 1", det_linear, one))
+    cs.append(check("higman.N_subring", "N entries lie in Q[t^2,t^3,z,z^-1]",
+                    n10.all_entries(subring_member)))
 
     v2 = nilsse.verschiebung(n10, 2)
-    cs.append(_bool_check("maps.verschiebung2",
-                          "V_2(N) is a 20x20 nilpotent",
-                          v2.rows == 20 and v2.nilpotency_index(20) is not None))
-    cs.append(_eq_check("maps.verschiebung1", "V_1(N) = N",
-                        nilsse.verschiebung(n10, 1), n10))
-    cs.append(_bool_check("maps.frobenius10", "F_10(N) = N^10 = 0",
-                          nilsse.frobenius(n10, 10).is_zero()))
+    cs.append(check("maps.verschiebung2", "V_2(N) is a 20x20 nilpotent",
+                    v2.rows == 20 and v2.nilpotency_index(20) is not None))
+    cs.append(check("maps.verschiebung1", "V_1(N) = N",
+                    nilsse.verschiebung(n10, 1), n10))
+    cs.append(check("maps.frobenius10", "F_10(N) = N^10 = 0",
+                    nilsse.frobenius(n10, 10).is_zero()))
     return cs
 
 
@@ -171,46 +116,32 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
 def groupring_checks(con: grp.Construction | None = None) -> list[Check]:
     """Check the construction handed in, or a fresh one."""
     con = con or grp.construct()
-    cs: list[Check] = []
+    led = con.checks
     eye2 = Matrix.identity(F2E_X, 2)
-    cs.append(_eq_check("symbol.dennis_stein",
-                        "<eps, x+eps> evaluates to the identity in GL",
-                        eval_word(dual_symbol_word(), 2), eye2))
-    cs.append(_eq_check("symbol.reduced_X",
-                        "X evaluates to the identity in GL",
-                        eval_word(reduced_X_word(), 2), eye2))
-
-    m = con.yz
-    cs.append(_eq_check("yz.det", "det(YZ) = 1", m.det(), ZI_X.one()))
-    cs.append(_bool_check("yz.congruent", "YZ - I entrywise in (2)",
-                          (m - Matrix.identity(ZI_X, 2)).all_entries(
-                              lambda x: ideal_member(x, PRINCIPAL_TWO))))
-    cs.append(_eq_check("yz.reduce_to_dual",
-                        "applying i -> 1+eps to YZ gives the identity",
-                        grp.reduce_to_dual(m), eye2))
-
     lifted = con.block
-    cs.append(_eq_check("lift42.psi", "psi(lift) = YZ",
-                        lifted.map_entries(psi, ZI_X), m))
-    cs.append(_eq_check("lift42.det", "det(lift) = 1",
-                        lifted.det(), lifted.ring.one()))
-    cs.append(_bool_check("lift42.entry_shapes",
-                          "diagonal 1-(1-sigma^2)(..), off-diagonal (sigma^2-1)(..)",
-                          grp.entry_shapes_ok(lifted)))
-    cs.append(_eq_check("lift42.display",
-                        "lift matches the stated A, B, C, D block",
-                        lifted, grp.theorem42_display(), known_discrepancy=True))
     spec0 = grp.x_zero_specialization(lifted)
-    cs.append(_eq_check("lift42.x_zero_det",
-                        "x -> 0 specialization has det 1 (recorded)",
-                        spec0.det(), spec0.ring.one()))
-
     one_f2, x_f2 = F2_X.one(), F2_X.var("x")
-    cs.append(_eq_check("kahler.nonzero", "D(<eps, x+eps>) = dx != 0",
-                        grp.kahler_D(one_f2, x_f2), one_f2))
-    cs.append(_eq_check("kahler.zero", "D for (x, x^2) vanishes in char 2",
-                        grp.kahler_D(x_f2, x_f2 * x_f2), F2_X.zero()))
-    return cs
+    return [
+        check("symbol.dennis_stein", "<eps, x+eps> evaluates to the identity in GL",
+              eval_word(dual_symbol_word(), 2), eye2),
+        check("symbol.reduced_X", "X evaluates to the identity in GL",
+              eval_word(reduced_X_word(), 2), eye2),
+        led["yz.det"], led["yz.congruent"],
+        check("yz.reduce_to_dual", "applying i -> 1+eps to YZ gives the identity",
+              grp.reduce_to_dual(con.yz), eye2),
+        led["lift42.psi"], led["lift42.det"],
+        check("lift42.entry_shapes",
+              "diagonal 1-(1-sigma^2)(..), off-diagonal (sigma^2-1)(..)",
+              grp.entry_shapes_ok(lifted)),
+        check("lift42.display", "lift matches the stated A, B, C, D block",
+              lifted, grp.theorem42_display(), known_discrepancy=True),
+        check("lift42.x_zero_det", "x -> 0 specialization has det 1 (recorded)",
+              spec0.det(), spec0.ring.one()),
+        check("kahler.nonzero", "D(<eps, x+eps>) = dx != 0",
+              grp.kahler_D(one_f2, x_f2), one_f2),
+        check("kahler.zero", "D for (x, x^2) vanishes in char 2",
+              grp.kahler_D(x_f2, x_f2 * x_f2), F2_X.zero()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +151,22 @@ def groupring_checks(con: grp.Construction | None = None) -> list[Check]:
 def sse_checks(con: lp.Construction | None = None) -> list[Check]:
     """Check witnesses, one on N of the construction handed in (or a fresh one)."""
     con = con or lp.construct()
-    cs: list[Check] = []
     zring = Q_TS
     n = Matrix.from_rows(zring, [[0, 1], [0, 0]])
     u = Matrix.from_rows(zring, [[1], [0]])
     v = Matrix.from_rows(zring, [[0, 1]])
-    cs.append(_bool_check("sse.esse_rank_one",
-                          "N = UV, (0) = VU for the rank-one nilpotent",
-                          nilsse.verify_esse(n, Matrix.zeros(zring, 1, 1),
-                                             nilsse.ESSEWitness(u, v))))
     a = Matrix.from_rows(zring, [[1, 2], [3, 4]])
-    cs.append(_bool_check("sse.esse_identity_split",
-                          "A = A*I and A = I*A",
-                          nilsse.verify_esse(a, a, nilsse.ESSEWitness(
-                              a, Matrix.identity(zring, 2)))))
     n10 = con.n10
     w = nilsse.SEWitness(Matrix.zeros(n10.ring, 10, 1),
                          Matrix.zeros(n10.ring, 1, 10), 10)
-    res = nilsse.verify_se(n10, Matrix.zeros(n10.ring, 1, 1), w)
-    cs.append(_bool_check("sse.se_to_zero",
-                          "nilpotent N is SE to (0) via the trivial witness",
-                          res.ok))
-    return cs
+    return [
+        check("sse.esse_rank_one", "N = UV, (0) = VU for the rank-one nilpotent",
+              nilsse.verify_esse(n, Matrix.zeros(zring, 1, 1), nilsse.ESSEWitness(u, v))),
+        check("sse.esse_identity_split", "A = A*I and A = I*A",
+              nilsse.verify_esse(a, a, nilsse.ESSEWitness(a, Matrix.identity(zring, 2)))),
+        check("sse.se_to_zero", "nilpotent N is SE to (0) via the trivial witness",
+              nilsse.verify_se(n10, Matrix.zeros(n10.ring, 1, 1), w).ok),
+    ]
 
 
 # ---------------------------------------------------------------------------

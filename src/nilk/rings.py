@@ -489,14 +489,14 @@ class Poly:
             if inv is None:
                 raise NotAUnitError(f"cannot raise non-unit {self} to power {n}")
             return inv ** (-n)
-        out = self.ring.one()
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self.ring.one() if out is None else out
 
     # -- units
 
@@ -766,8 +766,13 @@ def poly_terms_to_json(p: Poly) -> list:
 
 def poly_terms_from_json(ring: Ring, j: list) -> Poly:
     dec = ring.ops.from_json
-    return Poly(ring, {tuple(int_from_json(e, "exponent") for e in exps): dec(c)
-                       for exps, c in j})
+    terms = {}
+    for exps, c in j:
+        key = tuple(int_from_json(e, "exponent") for e in exps)
+        if key in terms:
+            raise ValueError(f"exponent vector {list(key)} appears twice in one entry")
+        terms[key] = dec(c)
+    return Poly(ring, terms)
 
 
 def poly_latex(p: Poly) -> str:

@@ -2,6 +2,9 @@
 one printed pass/fail line per criterion.  A criterion asserts the statuses
 of the report checks it names; the report runs once per session."""
 
+import hashlib
+import json
+
 from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
 from nilk import report
@@ -135,6 +138,31 @@ def test_criteria_cover_the_report(report_checks):
     assert len(named) == len(set(named)), "a check id is named twice"
     assert set(named) == {c.id for c in report_checks}
     assert len(report_checks) == 50
+
+
+REPORT_SHA256 = "6e16fd23ee3281d7ef9313fc6c06408fb36d32022df69ab5b904b4d29385155d"
+
+
+def test_report_bytes_pinned(report_checks):
+    text = json.dumps([c.to_json() for c in report_checks])
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+# the report entries a pipeline stage proves and records as it builds
+LAURENT_LEDGER = ["lift.reduction", "lift.det", "clutch.B1_idempotent",
+                  "clutch.pair_in_double", "excision.e2_idempotent",
+                  "excision.stage1", "excision.stage2", "excision.stage3",
+                  "rep31.det", "rep31.s_to_zero", "rep31.subring"]
+GROUPRING_LEDGER = ["yz.det", "yz.congruent", "lift42.psi", "lift42.det"]
+
+
+def test_report_reads_the_stage_ledger():
+    for module, checks_of, ids in ((lp, report.laurent_checks, LAURENT_LEDGER),
+                                   (grp, report.groupring_checks, GROUPRING_LEDGER)):
+        con = module.construct()
+        by_id = {c.id: c for c in checks_of(con)}
+        for cid in ids:
+            assert by_id[cid] is con.checks[cid], cid
 
 
 # the calls one build makes to each stage

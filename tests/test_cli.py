@@ -235,6 +235,20 @@ def test_bad_ring_var_is_input_error(tmp_path, capsys, vars_, message):
         message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["frob", "-k", "1"], ["versch", "-k", "1"], ["higman"]],
+                         ids=["frob", "versch", "higman"])
+def test_repeated_exponent_is_input_error(tmp_path, capsys, argv):
+    # read into a dict, the second term would replace the first: t - t as -t
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"ring": {"base": "Q", "vars": [{"name": "t"}, {"name": "s"}]},
+                               "rows": 1, "cols": 1,
+                               "entries": [[[[[1, 0], "1/1"], [[1, 0], "-1/1"]]]]}))
+    code, out, err = run([argv[0], str(src), *argv[1:], "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: cannot read matrix from") and \
+        "exponent vector [1, 0] appears twice in one entry" in err and err.count("\n") == 1
+
+
 def test_frob_rejects_non_nilpotent(tmp_path, capsys):
     # t^(10^12) = 0 bounds the search at 2 * 10^12 steps; I^2 lies outside
     # the nilradical (t), so it ends after two
@@ -276,12 +290,13 @@ def _se_doc(u_rows=2, lag=2, b_size=1):
             "V": _bare(Matrix.zeros(Q_TS, b_size, 2)), "lag": lag}
 
 
-def _bad_entry_doc(base, exps, coeff, **shape):
-    """_se_doc over base with the one term [exps, coeff] as A's (1,2) entry,
-    and A's rows and cols overridden by shape."""
+def _bad_entry_doc(base, exps, coeff, *more_terms, **shape):
+    """_se_doc over base with the term [exps, coeff] and more_terms as A's
+    (1,2) entry, and A's rows and cols overridden by shape."""
     doc = _se_doc()
     doc["ring"] = {**doc["ring"], "base": base}
-    doc["A"] = {**doc["A"], "entries": [[[], [[exps, coeff]]], [[], []]], **shape}
+    doc["A"] = {**doc["A"], "entries": [[[], [[exps, coeff], *more_terms]], [[], []]],
+                **shape}
     return doc
 
 
@@ -353,13 +368,15 @@ def test_sse_verify_malformed(tmp_path, capsys):
      "cannot parse witness file: coefficient must be an integer, got 1.5"),
     (_bad_entry_doc("Q", [0, 0.5], "1/1"),
      "cannot parse witness file: exponent must be an integer, got 0.5"),
+    (_bad_entry_doc("Q", [1, 0], "1/1", [[1, 0], "-1/1"]),
+     "cannot parse witness file: exponent vector [1, 0] appears twice in one entry"),
     (_bad_entry_doc("Q", [0, 0], "1/1", rows=2.0),
      "cannot parse witness file: rows must be an integer, got 2.0"),
     (_bad_entry_doc("Q", [0, 0], "1/1", cols=True),
      "cannot parse witness file: cols must be an integer, got true"),
 ], ids=["se_shapes", "se_lag_zero", "chain_shapes", "se_lag_float", "se_lag_bool",
         "q_zero_denominator", "q_infinity", "zi_float", "z_float", "f2_float",
-        "exponent_float", "rows_float", "cols_bool"])
+        "exponent_float", "exponent_repeated", "rows_float", "cols_bool"])
 def test_sse_verify_bad_witness_is_input_error(tmp_path, capsys, doc, prefix):
     code, out, err = _sse_verify(tmp_path, capsys, doc)
     assert code == 2

@@ -71,7 +71,8 @@ def test_construct_records_yz_and_its_lift():
 def test_yz_matrix_verifies_congruence(monkeypatch):
     # with Z dropped the product is Y, which has det 1 but is not I mod (2)
     monkeypatch.setattr(grp, "word_Z", lambda: StWord(ZI_X))
-    with pytest.raises(PipelineError, match="YZ - I entrywise in"):
+    with pytest.raises(PipelineError,
+                       match=r"verification failed: yz\.congruent \(YZ - I entrywise in"):
         grp.yz_matrix()
 
 

@@ -58,20 +58,68 @@ def test_e2_entries():
     assert e2 == expected  # display, ideal, subring: report excision.e2_*
 
 
+TRANSPORT_STAGES = [("excision.stage1", "stage1: pair lies in the double ring"),
+                    ("excision.stage2", "stage2: unitized ideal part in (t^2)"),
+                    ("excision.stage3", "stage3: pair over the t^2,t^3 subring")]
+
+
+def _transport_ledger(pair, e2):
+    with lp.recording() as checks:
+        assert lp.excision_transport(pair, e2) is None
+    return list(checks.values())
+
+
 def test_excision_transport_stages():
     pair = lp.double_idempotent_B()
     e2 = lp.clutch_projector(lp.lift_A(), lp.projector_P())
-    stages = lp.excision_transport(pair, e2)
-    assert list(stages) == ["stage1: pair lies in the double ring",
-                            "stage2: unitized ideal part in (t^2)",
-                            "stage3: pair over the t^2,t^3 subring"]
-    assert all(stages.values())
+    stages = _transport_ledger(pair, e2)
+    assert [(c.id, c.anchor) for c in stages] == TRANSPORT_STAGES
+    assert all(c.status == lp.PASS for c in stages)
 
 
 def test_excision_transport_trivial():
     from nilk.matrices import DoublePair
     p = lp.projector_P()
-    assert all(lp.excision_transport(DoublePair(p, p, MONOMIAL_T2), p).values())
+    stages = _transport_ledger(DoublePair(p, p, MONOMIAL_T2), p)
+    assert [(c.id, c.anchor) for c in stages] == TRANSPORT_STAGES
+    assert all(c.status == lp.PASS for c in stages)
+
+
+def test_ledger_open_only_inside_construct():
+    con = lp.construct()
+    assert lp._ledger.get() is None
+    recorded = dict(con.checks)
+    lp.lift_A()
+    lp.excision_transport(con.pair, con.e2)
+    assert all(con.checks[cid] is c for cid, c in recorded.items())
+
+
+class _Unprintable:
+    """Equal to itself; str() fails, so formatting it shows."""
+
+    def __str__(self):
+        raise AssertionError("formatted")
+
+
+def test_require_formats_only_when_recording():
+    x = _Unprintable()
+    lp._require("probe.id", "probe anchor", x, x)  # no ledger open: no str()
+    with pytest.raises(AssertionError, match="formatted"):
+        with lp.recording():
+            lp._require("probe.id", "probe anchor", x, x)
+
+
+def test_failing_identity_names_its_check_id():
+    with pytest.raises(lp.PipelineError,
+                       match=r"^verification failed: probe\.id \(probe anchor\)$"):
+        lp._require("probe.id", "probe anchor", 1, 2)
+    with lp.recording() as checks:
+        with pytest.raises(lp.PipelineError, match="probe.id"):
+            lp._require("probe.id", "probe anchor", False)
+    assert lp._ledger.get() is None
+    assert checks["probe.id"].to_json() == {
+        "id": "probe.id", "anchor": "probe anchor", "status": lp.FAIL,
+        "computed": "False", "expected": "true"}
 
 
 def test_loop_z():

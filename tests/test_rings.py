@@ -40,6 +40,25 @@ def test_eps_truncation():
     assert eps * (x + eps) == eps * x
 
 
+def test_power_squares_no_more_than_it_needs(monkeypatch):
+    # 64 = 2^6: six squarings, no square after the last bit, no product with one
+    mul, products = Poly.__mul__, []
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert (Q_TS.one() + Q_TS.var("s")) ** 64 is not None
+    assert len(products) == 6
+
+
+@pytest.mark.parametrize("p", [
+    Q_TS.const(Fraction(1, 2)) + st(1) - Q_TS.var("t", 2),
+    Z4_X.const(GroupRingZ4(1, 2, 0, -1)) + Z4_X.const(GroupRingZ4(0, 1)) * Z4_X.var("x"),
+], ids=["Q[t,s]", "Z[Z/4][x]"])
+def test_power_is_repeated_product(p):
+    expected = p.ring.one()
+    for n in range(10):
+        assert p ** n == expected
+        expected = expected * p
+
+
 def test_mixed_ring_arithmetic_rejected():
     with pytest.raises(RingMismatchError):
         Q_TS.one() + ZI_X.one()
