@@ -165,13 +165,18 @@ def clutch_projector(a: Matrix, p: Matrix) -> Matrix:
 
 def excision_transport(b: DoublePair, e2: Matrix) -> None:
     """The excision transport [B] - [P,P]  ->  [e2-P, P] - [0, P]  ->
-    [P, e2] - [P, P], verified stage by stage."""
+    [P, e2] - [P, P], verified stage by stage.  Stage 2 is e2 - P in (t^2);
+    stage 3 is the pair (P, e2) in the double ring, the same membership (the
+    ideal is closed under negation), with e2 over the subring.  Each of the
+    two predicates is computed once and recorded under its own id too."""
     _require("excision.stage1", "stage1: pair lies in the double ring", b.validate())
-    _require("excision.stage2", "stage2: unitized ideal part in (t^2)",
-             (e2 - projector_P()).all_entries(lambda x: ideal_member(x, MONOMIAL_T2)))
+    congruent = (e2 - projector_P()).all_entries(lambda x: ideal_member(x, MONOMIAL_T2))
+    in_subring = e2.all_entries(subring_member)
+    _require("excision.e2_congruent", "e2 - P entrywise in (t^2)", congruent)
+    _require("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]", in_subring)
+    _require("excision.stage2", "stage2: unitized ideal part in (t^2)", congruent)
     _require("excision.stage3", "stage3: pair over the t^2,t^3 subring",
-             DoublePair(projector_P(), e2, MONOMIAL_T2).validate()
-             and e2.all_entries(subring_member))
+             congruent and in_subring)
 
 
 def loop_z(q: Matrix) -> Matrix:

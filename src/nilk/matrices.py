@@ -3,20 +3,25 @@
 Storage is dense: a tuple of row tuples of Poly, zero entries included.
 The product visits only nonzero entries: each nonzero a = A[i, k] is
 multiplied into the nonzero entries of row k of B, so zero pairs cost
-nothing.  det and the Cayley-Hamilton adjugate inverse both come from one
-Berkowitz characteristic polynomial, division-free over every base ring.
+nothing.  Each output entry's products are summed into one term map by
+rings.add_products and normalized once.  det and the Cayley-Hamilton
+adjugate inverse both come from one Berkowitz characteristic polynomial,
+division-free over every base ring, whose dot products and Toeplitz sums
+are summed the same way.
 Values are immutable; entry equality is canonical polynomial equality.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .rings import (IdealSpec, NotAUnitError, Poly, Ring, RingMismatchError,
-                    ideal_member, int_from_json, poly_latex, poly_terms_from_json,
-                    poly_terms_to_json, ring_from_json, ring_to_json)
+                    add_products, ideal_member, int_from_json, poly_latex,
+                    poly_terms_from_json, poly_terms_to_json, ring_from_json,
+                    ring_to_json)
 
 
 class NotInvertibleError(ValueError):
@@ -107,19 +112,19 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        zero, cols = self.ring.zero(), range(other.cols)
+        ring, cols = self.ring, range(other.cols)
+        zero, trusted = ring.zero(), Poly._trusted
         brows = [[(j, b) for j, b in enumerate(rb) if b.terms]
                  for rb in other.entries]
         out = []
         for ra in self.entries:
-            acc = {}
+            acc = defaultdict(dict)  # column -> term map of the entry's products
             for a, rb in zip(ra, brows):
                 if a.terms:
                     for j, b in rb:
-                        p = a * b
-                        acc[j] = acc[j] + p if j in acc else p
-            out.append(tuple(acc.get(j, zero) for j in cols))
-        return Matrix(self.ring, self.rows, other.cols, tuple(out))
+                        add_products(acc[j], a, b)
+            out.append(tuple(trusted(ring, acc[j]) if j in acc else zero for j in cols))
+        return Matrix(ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
         u = _as_entry(self.ring, u)
@@ -205,14 +210,13 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
         ring, a = self.ring, self.entries
-        zero = ring.zero()
 
         def dot(xs, ys) -> Poly:  # over the first len(ys) entries
-            acc = zero
+            acc = {}
             for x, y in zip(xs, ys):
                 if x.terms and y.terms:
-                    acc = x * y if acc is zero else acc + x * y
-            return acc
+                    add_products(acc, x, y)
+            return Poly._trusted(ring, acc)
 
         cs = [ring.one()]
         for r in range(self.rows):
@@ -224,10 +228,11 @@ class Matrix:
                     col = [dot(a[i], col) for i in range(r)]
             nxt = [cs[0]]
             for i in range(1, r + 2):
-                acc = d[i - 1]
+                acc = dict(d[i - 1].terms)
                 for j in range(1, min(i, r + 1)):
                     if cs[j].terms and d[i - j - 1].terms:
-                        acc = acc + d[i - j - 1] * cs[j]
+                        add_products(acc, d[i - j - 1], cs[j])
+                acc = Poly._trusted(ring, acc)
                 nxt.append(cs[i] - acc if i <= r else -acc)
             cs = nxt
         return cs

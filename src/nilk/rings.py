@@ -258,10 +258,11 @@ def _algebra_ops(cls, latex: Callable) -> BaseOps:
 
 # An integral Q coefficient is stored as an int, which skips Fraction's gcd
 # normalization; int has .numerator and .denominator, so JSON and LaTeX
-# write both types alike.  Poly.__init__ and _q_from_json turn a Fraction
-# with denominator 1 into an int, and int arithmetic keeps it one.  Fraction
-# arithmetic in Poly._trusted may still leave a Fraction(3, 1), which equals
-# and hashes like 3; normalizing there too slowed the verify workload.
+# write both types alike.  Poly.__init__, Ring.const and _q_from_json turn a
+# Fraction with denominator 1 into an int, and int arithmetic keeps it one.
+# Fraction arithmetic may still leave a Fraction(3, 1), which equals and
+# hashes like 3; normalizing it in Poly._trusted too slowed the verify
+# workload.
 BASE: dict[str, BaseOps] = {
     "Q": BaseOps(0, 1, int, _invert_q,
                  lambda c: f"{c.numerator}/{c.denominator}", _q_from_json,
@@ -332,13 +333,25 @@ class Ring:
     def const(self, c) -> "Poly":
         if isinstance(c, int):
             c = self.ops.from_int(c)
-        return Poly(self, {(0,) * len(self.vars): c})
+        elif type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        return Poly._trusted(self, {(0,) * len(self.vars): c})
+
+    @cached_property
+    def _zero(self) -> "Poly":
+        return Poly._trusted(self, {})
+
+    @cached_property
+    def _one(self) -> "Poly":
+        return self.const(self.ops.one)
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        """The ring's one zero Poly, shared by every caller."""
+        return self._zero
 
     def one(self) -> "Poly":
-        return self.const(self.ops.one)
+        """The ring's one unit Poly, shared by every caller."""
+        return self._one
 
     def var(self, name: str, power: int = 1) -> "Poly":
         k = self.index(name)
@@ -393,19 +406,23 @@ class Poly:
 
     @classmethod
     def _trusted(cls, ring: Ring, terms: dict) -> "Poly":
-        """The result of arithmetic on canonical operands, whose exponents
-        are valid and whose coefficients lie in the base already: only zero
-        coefficients and exponents >= trunc are dropped."""
-        if ring.base == "F2":  # int arithmetic, reduced mod 2 here
-            terms = {e: c % 2 for e, c in terms.items()}
+        """The Poly of a term map whose exponents are valid and whose
+        coefficients lie in the base already (a constant, a random draw, the
+        result of arithmetic on canonical operands): only zero coefficients
+        and exponents >= trunc are dropped, and F2 coefficients (int
+        arithmetic) reduced mod 2.  The Poly takes terms as its own, so the
+        caller hands over a map nothing else holds; a second map is built
+        only when there is something to drop or reduce."""
+        if ring.base == "F2":
+            terms = {e: 1 for e, c in terms.items() if c % 2}
+        elif not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
         trunc = ring.truncated
+        if trunc and any(e[k] >= t for e in terms for k, t in trunc):
+            terms = {e: c for e, c in terms.items() if all(e[k] < t for k, t in trunc)}
         p = cls.__new__(cls)
         p.ring = ring
-        if trunc:
-            p.terms = {e: c for e, c in terms.items()
-                       if c and all(e[k] < t for k, t in trunc)}
-        else:
-            p.terms = {e: c for e, c in terms.items() if c}
+        p.terms = terms
         p._hash = None
         return p
 
@@ -433,10 +450,13 @@ class Poly:
         return None
 
     def __eq__(self, other):
+        if other is self:
+            return True
         o = self._coerce(other) if not isinstance(other, Poly) else other
         if o is None or not isinstance(o, Poly):
             return NotImplemented
-        return self.ring == o.ring and self.terms == o.terms
+        return ((self.ring is o.ring or self.ring == o.ring)
+                and self.terms == o.terms)
 
     def __hash__(self):
         if self._hash is None:
@@ -473,13 +493,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return Poly._trusted(self.ring, out)
+        return Poly._trusted(self.ring, add_products({}, self, o))
 
     __rmul__ = __mul__
 
@@ -623,6 +637,22 @@ class Poly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def add_products(out: dict, x: Poly, y: Poly) -> dict:
+    """Add the terms of x*y into the term map out, in place, and return it.
+    A sum of products is built in one map and normalized once by
+    Poly._trusted: truncation, the mod-2 reduction and dropping zeros are
+    linear, so one pass over the sum equals one pass per product.  out may
+    hold zero coefficients and exponents >= trunc until then; it must not be
+    the terms of a Poly."""
+    ys = y.terms.items()
+    for e1, c1 in x.terms.items():
+        for e2, c2 in ys:
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return out
 
 
 def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:

@@ -9,8 +9,9 @@ from .rings import (DualF2, GaussianInt, GroupRingZ4, Poly, Ring)
 
 
 def random_coeff(rng: random.Random, base: str):
-    if base == "Q":
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    if base == "Q":  # an integral value as int, the form Poly stores
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return q.numerator if q.denominator == 1 else q
     if base == "Z":
         return rng.randint(-6, 6)
     if base == "Zi":
@@ -26,6 +27,9 @@ def random_coeff(rng: random.Random, base: str):
 
 def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
                 max_exp: int = 3) -> Poly:
+    """Up to max_terms terms, each an exponent vector in range and then a
+    coefficient from random_coeff.  Both are canonical as drawn, so the Poly
+    is built without Poly.__init__'s validation pass."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exps = []
@@ -34,4 +38,4 @@ def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
             hi = min(max_exp, v.trunc - 1) if v.trunc is not None else max_exp
             exps.append(rng.randint(lo, hi))
         terms[tuple(exps)] = random_coeff(rng, ring.base)
-    return Poly(ring, terms)
+    return Poly._trusted(ring, terms)

@@ -8,10 +8,11 @@ words is checked at the evaluation level only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .matrices import Matrix
-from .rings import F2E_X, DualF2, NotAUnitError, Poly, Ring, RingMismatchError
+from .rings import (F2E_X, DualF2, NotAUnitError, Poly, Ring, RingMismatchError,
+                    add_products)
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,17 @@ def eval_word(w: StWord, n: int) -> Matrix:
         a = -l.param if l.inverted else l.param
         for r in rows:
             if r[i].terms:
-                r[j] = r[j] + r[i] * a
+                r[j] = Poly._trusted(w.ring, add_products(dict(r[j].terms), r[i], a))
     return Matrix(w.ring, n, n, tuple(map(tuple, rows)))
 
 
-def expand_h(i: int, j: int, a: Poly) -> StWord:
+def expand_h(i: int, j: int, a: Poly, ainv: Optional[Poly] = None) -> StWord:
     """h_ij(a) = x_ij(a) x_ji(-a^{-1}) x_ij(a) x_ij(-1) x_ji(1) x_ij(-1);
-    evaluates to the diagonal matrix with a at i and a^{-1} at j."""
+    evaluates to the diagonal matrix with a at i and a^{-1} at j.  A caller
+    that has inverted a already passes a^{-1} as ainv."""
     ring = a.ring
-    ainv = a.try_invert()
+    if ainv is None:
+        ainv = a.try_invert()
     if ainv is None:
         raise NotAUnitError(f"h_ij needs a unit, got {a}")
     one = ring.one()
@@ -107,7 +110,7 @@ def dennis_stein_word(i: int, j: int, a: Poly, b: Poly) -> StWord:
     head = word(ring, [
         (j, i, -(b * uinv)), (i, j, -a), (j, i, b), (i, j, uinv * a),
     ])
-    return head * expand_h(i, j, u).inverse()
+    return head * expand_h(i, j, u, uinv).inverse()
 
 
 def _eps_x():

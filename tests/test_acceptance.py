@@ -151,6 +151,7 @@ def test_report_bytes_pinned(report_checks):
 # the report entries a pipeline stage proves and records as it builds
 LAURENT_LEDGER = ["lift.reduction", "lift.det", "clutch.B1_idempotent",
                   "clutch.pair_in_double", "excision.e2_idempotent",
+                  "excision.e2_congruent", "excision.e2_subring",
                   "excision.stage1", "excision.stage2", "excision.stage3",
                   "rep31.det", "rep31.s_to_zero", "rep31.subring"]
 GROUPRING_LEDGER = ["yz.det", "yz.congruent", "lift42.psi", "lift42.det"]

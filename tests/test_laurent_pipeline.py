@@ -59,6 +59,8 @@ def test_e2_entries():
 
 
 TRANSPORT_STAGES = [("excision.stage1", "stage1: pair lies in the double ring"),
+                    ("excision.e2_congruent", "e2 - P entrywise in (t^2)"),
+                    ("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]"),
                     ("excision.stage2", "stage2: unitized ideal part in (t^2)"),
                     ("excision.stage3", "stage3: pair over the t^2,t^3 subring")]
 

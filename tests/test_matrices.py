@@ -12,9 +12,10 @@ from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
                            matrix_to_json)
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
-                        Q_TZ, Z4_X, ZI_X, DualF2, NotAUnitError, Poly, Ring, Var,
-                        poly_latex, poly_terms_to_json)
+                        Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, NotAUnitError, Poly,
+                        Ring, Var, add_products, poly_latex, poly_terms_to_json)
 from nilk.sampling import random_poly
+from nilk.words import eval_word, word
 
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
@@ -397,6 +398,76 @@ def test_product_against_reference(ring):
     if ring == F2_X:
         x = Matrix.from_rows(ring, [[ring.var("x"), ring.var("x")]])
         assert x @ x.transpose() == Matrix.zeros(ring, 1, 1)
+
+
+def naive_product(a, b):
+    """a*b as one validated Poly per pair of terms, summed with +: the
+    oracle for rings.add_products, which it does not call."""
+    out = a.ring.zero()
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out = out + Poly(a.ring, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+    return out
+
+
+KERNEL_RINGS = [Q_TSZ, Q_TS_MOD_T2, ZI_X, Z4_X, F2E_X, F2_X]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_add_products_against_naive_sum(ring):
+    # Z[Z/4] and F2[eps] have zero divisors, and F2 and the truncation drop
+    # terms, so products cancel inside one term map; the one normalizing
+    # pass must give the per-product result
+    rng = random.Random(17)
+    zero = BASE[ring.base].zero
+    trunc = ring.truncated
+    divisors = {"Z4": (GroupRingZ4(1, 0, -1, 0), GroupRingZ4(1, 0, 1, 0)),
+                "F2e": (DualF2(0, 1), DualF2(0, 1))}.get(ring.base)
+    for n in range(300):
+        a, b, c, d = (random_poly(rng, ring) for _ in range(4))
+        if n % 3 == 1:
+            c, d = -a, b  # a*b + (-a)*b = 0
+        elif n % 3 == 2 and divisors:
+            a, c = a * ring.const(divisors[0]), c * ring.const(divisors[0])
+            b, d = b * ring.const(divisors[1]), d * ring.const(divisors[1])
+        got = Poly._trusted(ring, add_products(add_products({}, a, b), c, d))
+        assert got == naive_product(a, b) + naive_product(c, d)
+        assert all(x != zero for x in got.terms.values())
+        assert all(e[k] < t for e in got.terms for k, t in trunc)
+        if n % 3 == 1:
+            assert got.is_zero()
+    # dense factors: every entry of the product sums several such products
+    for n in (2, 3, 5):
+        for _ in range(6):
+            a, b = (Matrix.from_rows(ring, [[random_poly(rng, ring) for _ in range(n)]
+                                            for _ in range(n)]) for _ in range(2))
+            prod = a @ b
+            assert prod == reference_product(a, b)
+            assert all(p == Poly(ring, dict(p.terms)) for r in prod.entries for p in r)
+
+
+def test_kernel_users_leave_operands_and_constants_alone():
+    # add_products writes into its accumulator; no caller may hand it the
+    # terms of an operand or of the ring's shared one() and zero()
+    rng = random.Random(19)
+    for ring in (Q_TSZ, Q_TS_MOD_T2, F2E_X, F2_X):
+        one, zero = ring.one(), ring.zero()
+        eye, nil = Matrix.identity(ring, 3), Matrix.zeros(ring, 3, 3)
+        m = Matrix.from_rows(ring, [[random_poly(rng, ring) for _ in range(3)]
+                                    for _ in range(3)])
+        operands = [one, zero, *(x for mat in (eye, nil, m) for r in mat.entries for x in r)]
+        before = [dict(p.terms) for p in operands]
+        for x, y in ((eye, eye), (eye, m), (m, eye), (nil, m), (m, nil), (nil, nil)):
+            assert x @ y == reference_product(x, y)
+        assert eye.charpoly() == [one, -3 * one, 3 * one, -one]
+        assert nil.charpoly() == [one, zero, zero, zero]
+        assert eye.inverse() == eye and eye.det() == one
+        w = word(ring, [(1, 2, one), (2, 1, zero), (1, 3, -one), (3, 1, one)])
+        assert eval_word(w * w.inverse(), 3) == eye
+        assert [dict(p.terms) for p in operands] == before
+        assert ring.one() is one and ring.zero() is zero
+        assert one.terms == {(0,) * len(ring.vars): BASE[ring.base].one}
+        assert zero.terms == {}
 
 
 def test_double_pair_validation():
