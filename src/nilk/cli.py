@@ -148,7 +148,7 @@ def cmd_sse_verify(args) -> int:
         if isinstance(parsed, nilsse.SSEChain):
             res = nilsse.verify_sse_chain(parsed)
             passed = f"SSE chain verified ({len(parsed.witnesses)} links)"
-            failed = f"chain fails at link {res.failed_link}"
+            failed = f"chain fails at link {res.failed}"
         else:
             a, b, w = parsed
             res = nilsse.verify_se(a, b, w)
@@ -192,16 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--emit", choices=["json", "latex"], default="json")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--json", action="store_true",
-                        help="machine-readable report")
 
     sp = sub.add_parser("theorem3", help="Laurent-polynomial representative "
                         "and its 10x10 nilpotent companion")
     common(sp)
+    sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(fn=cmd_theorem3)
 
     sp = sub.add_parser("theorem4", help="group-ring representative over Z[Z/4]")
     common(sp)
+    sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(fn=cmd_theorem4)
 
     sp = sub.add_parser("higman", help="nilpotent companion of a K1 representative")

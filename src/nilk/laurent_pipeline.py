@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .matrices import DoublePair, Matrix, block_assemble
-from .rings import (MONOMIAL_T2, Poly, Q_TS, Q_TSZ, Q_TZ, Ring, Var,
-                    ideal_member, subring_member, truncate_t2)
+from .matrices import DoublePair, Matrix, block_companion
+from .rings import (MONOMIAL_T2, Poly, Q_TS, Q_TSZ, Q_TZ, Var, ideal_member,
+                    subring_member, truncate_t2)
 
 
 class PipelineError(RuntimeError):
@@ -150,7 +150,7 @@ def double_idempotent_B() -> DoublePair:
     pair = DoublePair(b1, projector_P(), MONOMIAL_T2)
     _require("clutch.B1_idempotent", "B1^2 = B1", b1.is_idempotent())
     _require("clutch.B2_idempotent", "B2^2 = B2", pair.second.is_idempotent())
-    _require("clutch.pair_in_double", "B1 - B2 entrywise in (t^2)", pair.validate())
+    _require("clutch.pair_in_double", "B1 - B2 entrywise in (t^2)", pair.valid)
     return pair
 
 
@@ -169,7 +169,7 @@ def excision_transport(b: DoublePair, e2: Matrix) -> None:
     stage 3 is the pair (P, e2) in the double ring, the same membership (the
     ideal is closed under negation), with e2 over the subring.  Each of the
     two predicates is computed once and recorded under its own id too."""
-    _require("excision.stage1", "stage1: pair lies in the double ring", b.validate())
+    _require("excision.stage1", "stage1: pair lies in the double ring", b.valid)
     congruent = (e2 - projector_P()).all_entries(lambda x: ideal_member(x, MONOMIAL_T2))
     in_subring = e2.all_entries(subring_member)
     _require("excision.e2_congruent", "e2 - P entrywise in (t^2)", congruent)
@@ -180,9 +180,9 @@ def excision_transport(b: DoublePair, e2: Matrix) -> None:
 
 
 def loop_z(q: Matrix) -> Matrix:
-    """The loop map [Q] -> [I + (z-1)Q], adjoining z as a Laurent variable."""
-    if not q.is_idempotent():
-        raise ValueError("loop map requires an idempotent matrix")
+    """The loop map [Q] -> [I + (z-1)Q], adjoining z as a Laurent variable.
+    The inverse check proves Q^2 = Q too: (I + (z-1)Q)(I + (z^-1 - 1)Q) =
+    I + (z + z^-1 - 2)(Q - Q^2), and z + z^-1 - 2 is a non-zero-divisor."""
     ring = q.ring.extend(Var("z", laurent=True))
     z = ring.var("z")
     qz = q.into(ring)
@@ -286,31 +286,15 @@ def theorem31_display() -> Matrix:
 
 
 def decompose_M(rep: K1Rep) -> list[Matrix]:
-    """Write I - rep as sum_i s^i M_i with the M_i free of s (over Q[t,z,z^-1])."""
+    """I - rep as sum_{i >= 1} s^i M_i: M_i is the coefficient of s^i."""
     m = Matrix.identity(rep.matrix.ring, rep.matrix.rows) - rep.matrix
-    ring = rep.matrix.ring
-    s_idx = ring.index("s")
-    keep = [k for k, v in enumerate(ring.vars) if k != s_idx]
-    tgt = Ring(ring.base, tuple(ring.vars[k] for k in keep))
-    degree = 0
-    for row in m.entries:
-        for p in row:
-            for exps in p.terms:
-                if exps[s_idx] == 0:
-                    raise ValueError("nonzero s-constant term: not an s -> 0 trivial class")
-                degree = max(degree, exps[s_idx])
-    blocks = []
-    for i in range(1, degree + 1):
-        rows = []
-        for row in m.entries:
-            out_row = []
-            for p in row:
-                terms = {tuple(exps[k] for k in keep): c
-                         for exps, c in p.terms.items() if exps[s_idx] == i}
-                out_row.append(Poly(tgt, terms))
-            rows.append(out_row)
-        blocks.append(Matrix.from_rows(tgt, rows))
-    return blocks
+    k = m.ring.index("s")
+    degrees = {e[k] for row in m.entries for p in row for e in p.terms}
+    if degrees and min(degrees) < 1:
+        raise ValueError("I - rep has a term of s-degree below 1: not an s -> 0 trivial class")
+    tgt = m.ring.drop("s")
+    return [m.map_entries(lambda p: p.coefficient("s", i), tgt)
+            for i in range(1, max(degrees, default=0) + 1)]
 
 
 def higman_companion(blocks: list[Matrix]) -> Matrix:
@@ -318,15 +302,10 @@ def higman_companion(blocks: list[Matrix]) -> Matrix:
     within `Matrix.nilpotency_bound`, which holds over non-reduced rings too."""
     if not blocks:
         raise ValueError("no blocks")
-    ring = blocks[0].ring
-    n = blocks[0].rows
-    d = len(blocks)
+    ring, n = blocks[0].ring, blocks[0].rows
     if any(b.rows != n or b.cols != n or b.ring != ring for b in blocks):
         raise ValueError("blocks must be square, equal-sized, over one ring")
-    placements = [(0, k * n, b) for k, b in enumerate(blocks)]
-    eye = Matrix.identity(ring, n)
-    placements += [(n * (k + 1), n * k, eye) for k in range(d - 1)]
-    comp = block_assemble(ring, d * n, d * n, placements)
+    comp = block_companion(blocks)
     if comp.nilpotency is None:
         raise NotNilpotentError(
             f"companion is not nilpotent within {comp.nilpotency_bound()} steps")

@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import matmul
 from typing import Iterable, Optional, Sequence
 
 from .rings import (IdealSpec, NotAUnitError, Poly, Ring, RingMismatchError,
-                    add_products, ideal_member, int_from_json, poly_latex,
+                    add_products, ideal_member, int_from_json, ladder, poly_latex,
                     poly_terms_from_json, poly_terms_to_json, ring_from_json,
                     ring_to_json)
 
@@ -141,14 +142,7 @@ class Matrix:
             raise ValueError("power of non-square matrix")
         if k < 0:
             raise ValueError(f"negative matrix power {k}")
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return Matrix.identity(self.ring, self.rows) if out is None else out
+        return ladder(self, k, matmul) if k else Matrix.identity(self.ring, self.rows)
 
     # -- predicates
 
@@ -318,6 +312,15 @@ def block_assemble(ring: Ring, rows: int, cols: int,
     return Matrix.from_rows(ring, out, cols)
 
 
+def block_companion(blocks: Sequence[Matrix]) -> Matrix:
+    """[[B_1 .. B_d], [I on the block sub-diagonal]] for n x n blocks B_i."""
+    ring, n, d = blocks[0].ring, blocks[0].rows, len(blocks)
+    eye = Matrix.identity(ring, n)
+    return block_assemble(ring, d * n, d * n,
+                          [(0, k * n, b) for k, b in enumerate(blocks)]
+                          + [(n * (k + 1), n * k, eye) for k in range(d - 1)])
+
+
 @dataclass(frozen=True)
 class DoublePair:
     """A pair of matrices (first, second) with first - second entrywise in
@@ -327,7 +330,9 @@ class DoublePair:
     second: Matrix
     ideal: IdealSpec
 
-    def validate(self) -> bool:
+    @cached_property
+    def valid(self) -> bool:
+        """first - second entrywise in the ideal, computed once per pair."""
         return (self.first - self.second).all_entries(
             lambda a: ideal_member(a, self.ideal))
 

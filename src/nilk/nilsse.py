@@ -9,23 +9,17 @@ non-computable content the explicit examples certify).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .matrices import Matrix, block_assemble
+from .matrices import Matrix, block_companion
 
 
 def verschiebung(n: Matrix, k: int) -> Matrix:
-    """k-fold companion: N in the top-right block over an identity
-    sub-diagonal.  Sends [1 - tN] to [1 - t^k N]."""
+    """The block companion of (0, .., 0, N): N in the top-right block over an
+    identity sub-diagonal.  Sends [1 - tN] to [1 - t^k N]."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return n
-    size = n.rows
-    eye = Matrix.identity(n.ring, size)
-    placements = [(0, (k - 1) * size, n)]
-    placements += [(size * (i + 1), size * i, eye) for i in range(k - 1)]
-    return block_assemble(n.ring, k * size, k * size, placements)
+    zero = Matrix.zeros(n.ring, n.rows, n.rows)
+    return block_companion([zero] * (k - 1) + [n])
 
 
 def frobenius(n: Matrix, k: int) -> Matrix:
@@ -36,6 +30,17 @@ def frobenius(n: Matrix, k: int) -> Matrix:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    ok: bool
+    failed: int | str | None = None  # first bad link (1-based) or identity name
+
+
+def _check_shapes(a: Matrix, b: Matrix, w) -> None:
+    if (w.u.rows, w.u.cols) != (a.rows, b.rows) or (w.v.rows, w.v.cols) != (b.rows, a.rows):
+        raise ValueError("witness shapes incompatible with A, B")
+
+
+@dataclass(frozen=True)
 class ESSEWitness:
     u: Matrix
     v: Matrix
@@ -43,9 +48,7 @@ class ESSEWitness:
 
 def verify_esse(a: Matrix, b: Matrix, w: ESSEWitness) -> bool:
     """A = UV and B = VU, exactly."""
-    if (w.u.rows, w.u.cols) != (a.rows, b.rows) or \
-       (w.v.rows, w.v.cols) != (b.rows, a.rows):
-        raise ValueError("witness shapes incompatible with A, B")
+    _check_shapes(a, b, w)
     return w.u @ w.v == a and w.v @ w.u == b
 
 
@@ -61,17 +64,11 @@ class SSEChain:
             raise ValueError("chain needs one more matrix than witnesses")
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    ok: bool
-    failed_link: Optional[int] = None  # 1-based index of first bad link
-
-
-def verify_sse_chain(chain: SSEChain) -> ChainResult:
+def verify_sse_chain(chain: SSEChain) -> Verdict:
     for k, w in enumerate(chain.witnesses):
         if not verify_esse(chain.matrices[k], chain.matrices[k + 1], w):
-            return ChainResult(False, k + 1)
-    return ChainResult(True)
+            return Verdict(False, k + 1)
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -81,19 +78,11 @@ class SEWitness:
     lag: int
 
 
-@dataclass(frozen=True)
-class SEResult:
-    ok: bool
-    failed: Optional[str] = None  # name of the first failing identity
-
-
-def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> SEResult:
+def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> Verdict:
     """A^l = UV, B^l = VU, AU = UB, VA = BV, exactly."""
     if w.lag < 1:
         raise ValueError("lag must be >= 1")
-    if (w.u.rows, w.u.cols) != (a.rows, b.rows) or \
-       (w.v.rows, w.v.cols) != (b.rows, a.rows):
-        raise ValueError("witness shapes incompatible with A, B")
+    _check_shapes(a, b, w)
     checks = [
         ("A^l = UV", a.power(w.lag) == w.u @ w.v),
         ("B^l = VU", b.power(w.lag) == w.v @ w.u),
@@ -102,5 +91,5 @@ def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> SEResult:
     ]
     for name, ok in checks:
         if not ok:
-            return SEResult(False, name)
-    return SEResult(True)
+            return Verdict(False, name)
+    return Verdict(True)

@@ -26,8 +26,8 @@ from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     DualF2, GaussianInt, GroupRingZ4, hom_apply, ideal_member,
                     subring_member)
 from .sampling import random_poly
-from .words import (dennis_stein_word, dual_symbol_word, eval_word,
-                    reduced_X_word, word)
+from .words import (dennis_stein_word, dual_symbol_args, dual_symbol_word,
+                    eval_word, reduced_X_word, word)
 
 # ---------------------------------------------------------------------------
 # the Laurent-polynomial construction
@@ -134,7 +134,7 @@ def groupring_checks(con: grp.Construction | None = None) -> list[Check]:
         check("lift42.x_zero_det", "x -> 0 specialization has det 1 (recorded)",
               spec0.det(), spec0.ring.one()),
         check("kahler.nonzero", "D(<eps, x+eps>) = dx != 0",
-              grp.kahler_D(one_f2, x_f2), one_f2),
+              grp.symbol_D(*dual_symbol_args()), one_f2),
         check("kahler.zero", "D for (x, x^2) vanishes in char 2",
               grp.kahler_D(x_f2, x_f2 * x_f2), F2_X.zero()),
     ]

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 from typing import Callable, Mapping, Optional
 
 
@@ -499,18 +499,8 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            inv = self.try_invert()
-            if inv is None:
-                raise NotAUnitError(f"cannot raise non-unit {self} to power {n}")
-            return inv ** (-n)
-        out, base = None, self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.ring.one() if out is None else out
+            return self.invert() ** (-n)
+        return ladder(self, n, mul) if n else self.ring.one()
 
     # -- units
 
@@ -569,30 +559,23 @@ class Poly:
             out[tuple(e)] = c
         return Poly(ring, out)
 
+    def coefficient(self, name: str, k: int) -> "Poly":
+        """The coefficient of name^k, over the ring without name."""
+        i = self.ring.index(name)
+        return Poly._trusted(self.ring.drop(name), {
+            e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k})
+
     def substitute(self, assignments: Mapping[str, object]) -> "Poly":
-        """Homomorphic evaluation of some variables, into the ring without
-        them; a Laurent variable with a negative exponent needs a unit image.
-        """
-        ring = self.ring
-        target = ring.drop(*assignments)
-        images: list[Poly] = []
-        for v in ring.vars:
-            if v.name in assignments:
-                val = assignments[v.name]
-                if not isinstance(val, Poly):
-                    val = target.const(val)
-                elif val.ring != target:
-                    raise RingMismatchError("substitution image in wrong ring")
-                images.append(val)
-            else:
-                images.append(target.var(v.name))
-        out = target.zero()
-        for exps, c in self.terms.items():
-            term = target.const(c)
-            for img, e in zip(images, exps):
-                if e:
-                    term = term * img ** e
-            out = out + term
+        """Specialize each named variable to 0, into the ring without them: the
+        coefficient of their zeroth powers.  Only the value 0 is accepted, and
+        a negative power of a named variable has no value there."""
+        out = self
+        for name, val in assignments.items():
+            if val != 0:
+                raise ValueError(f"only the specialization {name} -> 0 is supported")
+            if any(e[self.ring.index(name)] < 0 for e in self.terms):
+                raise NotAUnitError(f"{self} has a negative power of {name}, no value at 0")
+            out = out.coefficient(name, 0)
         return out
 
     def derivative(self, name: str) -> "Poly":
@@ -637,6 +620,19 @@ class Poly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def ladder(x, k: int, mul):
+    """x^k for k >= 1 by square-and-multiply under the product mul, with no
+    square after the last bit and no product into one."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
 
 
 def add_products(out: dict, x: Poly, y: Poly) -> dict:

@@ -37,18 +37,23 @@ class StWord:
             if l.param.ring != self.ring:
                 raise RingMismatchError("letter parameter in wrong ring")
 
+    def _checked(self, letters: tuple[Letter, ...]) -> "StWord":
+        """This ring's word of letters checked against it already."""
+        w = object.__new__(StWord)
+        w.__dict__.update(ring=self.ring, letters=letters)
+        return w
+
     def __mul__(self, other: "StWord") -> "StWord":
-        if self.ring != other.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError("concatenating words over different rings")
-        return StWord(self.ring, self.letters + other.letters)
+        return self._checked(self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
 
     def inverse(self) -> "StWord":
-        return StWord(self.ring, tuple(
-            Letter(l.i, l.j, l.param, not l.inverted)
-            for l in reversed(self.letters)))
+        return self._checked(tuple(Letter(l.i, l.j, l.param, not l.inverted)
+                                   for l in reversed(self.letters)))
 
 
 def word(ring: Ring, letters: Iterable[tuple[int, int, object]]) -> StWord:
@@ -119,10 +124,15 @@ def _eps_x():
     return eps, x
 
 
-def dual_symbol_word() -> StWord:
-    """<eps, x + eps> over F2[eps,x]/(eps^2), with (i, j) = (1, 2)."""
+def dual_symbol_args() -> tuple[Poly, Poly]:
+    """(eps, x + eps), the arguments of the symbol <eps, x + eps>."""
     eps, x = _eps_x()
-    return dennis_stein_word(1, 2, eps, x + eps)
+    return eps, x + eps
+
+
+def dual_symbol_word() -> StWord:
+    """<eps, x + eps>, with (i, j) = (1, 2)."""
+    return dennis_stein_word(1, 2, *dual_symbol_args())
 
 
 def reduced_X_word() -> StWord:

@@ -153,6 +153,20 @@ def test_non_square_input_is_input_error(tmp_path, capsys, argv):
         err.endswith("expected a square matrix, got 2x3\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["versch", "-k", "2"], ["frob", "-k", "2"],
+                                  ["higman"]], ids=["versch", "frob", "higman"])
+def test_json_flag_is_usage_error_on_matrix_commands(tmp_path, capsys, argv):
+    # --json is a report option: only theorem3, theorem4 and verify-all print a report
+    src = tmp_path / "n.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.from_rows(Q_TS, [[0, 1], [0, 0]]))))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(src), *argv[1:], "--out", str(tmp_path), "--json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "unrecognized arguments: --json" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["n.json"]  # nothing written
+
+
 def test_versch_and_frob(tmp_path, capsys):
     n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
     src = tmp_path / "n.json"

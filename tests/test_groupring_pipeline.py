@@ -6,10 +6,11 @@ import sympy as sp
 from nilk import groupring_pipeline as grp
 from nilk.laurent_pipeline import PipelineError
 from nilk.matrices import Matrix
-from nilk.rings import (F2_X, PRINCIPAL_TWO, Z4_X, ZI_X, GaussianInt,
-                        GroupRingZ4, group_ring_from_gauss, ideal_member, psi)
+from nilk.rings import (F2E_X, F2_X, PRINCIPAL_TWO, Z4_X, ZI_X, DualF2,
+                        GaussianInt, GroupRingZ4, group_ring_from_gauss,
+                        ideal_member, psi)
 from nilk.sampling import random_poly
-from nilk.words import StWord
+from nilk.words import StWord, dual_symbol_args
 
 from helpers import matrix_to_sympy
 
@@ -144,3 +145,15 @@ def test_kahler_map():
     assert grp.kahler_D(F2_X.zero(), x).is_zero()
     with pytest.raises(ValueError):
         grp.kahler_D(Z4_X.one(), Z4_X.one())
+
+
+def test_symbol_D_reads_the_symbol_arguments():
+    eps, x = F2E_X.const(DualF2(0, 1)), F2E_X.var("x")
+    assert dual_symbol_args() == (eps, x + eps)
+    assert grp.symbol_D(*dual_symbol_args()) == F2_X.one()      # D(<eps, x+eps>) = dx
+    assert grp.symbol_D(eps, x * x + eps).is_zero()              # d(x^2) = 0 in char 2
+    assert grp.symbol_D(eps * x, x * x * x) == F2_X.var("x", 3)  # x d(x^3) = 3x^3 dx
+    # a outside (eps), or a symbol over another ring
+    for a, b in ((x, eps), (Z4_X.one(), Z4_X.one())):
+        with pytest.raises(ValueError):
+            grp.symbol_D(a, b)

@@ -6,7 +6,7 @@ import sympy as sp
 
 from nilk import laurent_pipeline as lp
 from nilk.matrices import Matrix
-from nilk.rings import MONOMIAL_T2, Q_TS, Q_TZ
+from nilk.rings import MONOMIAL_T2, Q_TS, Q_TZ, Ring, Var
 
 from helpers import matrix_to_sympy
 
@@ -28,7 +28,7 @@ def test_double_idempotent_B():
     pair = lp.double_idempotent_B()
     assert pair.first.is_idempotent()
     assert pair.second == Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
-    assert pair.validate()
+    assert pair.valid
 
 
 def test_clutch_projector_matches_conjugation_oracle():
@@ -130,7 +130,8 @@ def test_loop_z():
     zr = lz.ring
     assert lz == Matrix.diag(zr, [zr.var("z"), zr.one()])
     assert lp.loop_z(Matrix.zeros(Q_TS, 2, 2)) == Matrix.identity(zr, 2)
-    with pytest.raises(ValueError):
+    # a non-idempotent Q fails the inverse check: the product is I + (z + z^-1 - 2)(Q - Q^2)
+    with pytest.raises(lp.PipelineError, match="loop.invertible"):
         lp.loop_z(Matrix.from_rows(Q_TS, [[1, 1], [0, 1]]))
 
 
@@ -171,6 +172,17 @@ def test_decompose_rejects_constant_term():
     ring = lp.theorem31_matrix().matrix.ring
     with pytest.raises(ValueError):
         lp.decompose_M(lp.K1Rep(Matrix.diag(ring, [ring.const(2), ring.one()])))
+
+
+def test_decompose_rejects_negative_s_power():
+    ring = Ring("Q", (Var("t"), Var("s", laurent=True), Var("z", laurent=True)))
+    s, t = ring.var("s"), ring.var("t")
+    rep = Matrix.from_rows(ring, [[1, t * s.invert()], [0, 1]])
+    with pytest.raises(ValueError, match="s-degree below 1"):
+        lp.decompose_M(lp.K1Rep(rep))
+    # the same entry at s^1 decomposes into one block
+    assert lp.decompose_M(lp.K1Rep(Matrix.from_rows(ring, [[1, t * s], [0, 1]]))) == [
+        Matrix.from_rows(ring.drop("s"), [[0, -ring.drop("s").var("t")], [0, 0]])]
 
 
 def test_higman_companion_matches_display():

@@ -473,9 +473,9 @@ def test_kernel_users_leave_operands_and_constants_alone():
 def test_double_pair_validation():
     b1 = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(4), st(2)], [st(3), st(4)]])
     p = Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
-    assert DoublePair(b1, p, MONOMIAL_T2).validate()
+    assert DoublePair(b1, p, MONOMIAL_T2).valid
     bad = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(1), st(2)], [st(3), st(4)]])
-    assert not DoublePair(bad, p, MONOMIAL_T2).validate()
+    assert not DoublePair(bad, p, MONOMIAL_T2).valid
 
 
 def test_matrix_json_round_trip():

@@ -114,7 +114,7 @@ def test_sse_chain():
                      (ESSEWitness(u, Matrix.from_rows(Q_TS, [[1, 1]])),
                       ESSEWitness(zero1, zero1)))
     res = verify_sse_chain(worse)
-    assert not res.ok and res.failed_link == 1
+    assert not res.ok and res.failed == 1
 
 
 def test_sse_chain_shape():

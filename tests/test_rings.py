@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
-                        PRINCIPAL_TWO, Q_TS, Q_TSZ, Z4_X, ZI_X, DualF2,
-                        GaussianInt, GroupRingZ4, Poly, Ring, RingMismatchError,
-                        Var, group_ring_from_gauss, hom_apply, ideal_member,
-                        poly_latex, poly_terms_from_json, poly_terms_to_json,
+                        PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
+                        DualF2, GaussianInt, GroupRingZ4, NotAUnitError, Poly,
+                        Ring, RingMismatchError, Var, group_ring_from_gauss,
+                        hom_apply, ideal_member, poly_latex, poly_terms_from_json, poly_terms_to_json,
                         psi, rho, ring_from_json, ring_to_json,
                         subring_member, truncate_t2)
 from nilk.sampling import random_poly
@@ -199,9 +199,53 @@ def test_substitute_identity():
 
 
 def test_substitute_laurent_requires_unit():
-    z = Q_TSZ.var("z", -1)
-    with pytest.raises(Exception):
-        z.substitute({"z": Q_TS.var("t").into(Q_TSZ.drop("z"))})
+    # z^-1 has no value at z = 0
+    with pytest.raises(NotAUnitError):
+        Q_TSZ.var("z", -1).substitute({"z": 0})
+
+
+def evaluate_termwise(p: Poly, assignments: dict) -> Poly:
+    """Reference specialization: each term evaluated with every assigned
+    variable replaced by the constant given for it, the terms summed."""
+    target = p.ring.drop(*assignments)
+    out = target.zero()
+    for exps, c in p.terms.items():
+        term = target.const(c)
+        for v, e in zip(p.ring.vars, exps):
+            img = target.const(assignments[v.name]) if v.name in assignments \
+                else target.var(v.name)
+            term = term * img ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("ring", [Q_TSZ, Q_TS_MOD_T2, ZI_X, Z4_X, F2E_X],
+                         ids=["Q_TSZ", "Q_TS_MOD_T2", "ZI_X", "Z4_X", "F2E_X"])
+def test_coefficient_and_specialization_against_termwise(ring):
+    rng = random.Random(f"coefficient:{ring}")
+    names = [v.name for v in ring.vars]
+    for _ in range(150):
+        p = random_poly(rng, ring, 5, 3)
+        for name in names:
+            # sum_i name^i * coefficient(name, i) reassembles p
+            k = ring.index(name)
+            back = ring.zero()
+            for i in {e[k] for e in p.terms}:
+                back = back + p.coefficient(name, i).into(ring) * ring.var(name, i)
+            assert back == p
+            negative = any(e[k] < 0 for e in p.terms)
+            if negative:
+                with pytest.raises(NotAUnitError):
+                    p.substitute({name: 0})
+                with pytest.raises(NotAUnitError):
+                    evaluate_termwise(p, {name: 0})
+            else:
+                assert p.substitute({name: 0}) == evaluate_termwise(p, {name: 0})
+            with pytest.raises(ValueError, match="only the specialization"):
+                p.substitute({name: 1})
+        if len(names) > 1 and not any(e[-1] < 0 for e in p.terms):
+            pair = {names[0]: 0, names[-1]: 0}
+            assert p.substitute(pair) == evaluate_termwise(p, pair)
 
 
 # -- homomorphisms

@@ -4,7 +4,7 @@ import pytest
 
 from nilk.matrices import Matrix, elementary
 from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, DualF2,
-                        NotAUnitError)
+                        NotAUnitError, Ring, RingMismatchError)
 from nilk.sampling import random_poly
 from nilk.words import (Letter, StWord, dennis_stein_word, dual_symbol_word,
                         eval_word, expand_h, reduced_X_word, word)
@@ -51,6 +51,22 @@ def test_word_inverse():
         w = word(F2E_X, letters)
         assert eval_word(w * w.inverse(), 2) == EYE
     assert StWord(F2E_X).inverse() == StWord(F2E_X)
+
+
+def test_concatenation_and_inverse_compare_no_letter_ring(monkeypatch):
+    # letters are checked against the ring when a word is built from them;
+    # * and inverse reuse checked letters and compare no ring per letter
+    w = word(F2E_X, [(1, 2, EPS), (2, 1, F2E_X.var("x"))] * 10)
+    compared = []
+    eq = Ring.__eq__
+    monkeypatch.setattr(Ring, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+    ww = w * w.inverse()
+    assert compared == [] and len(ww) == 40 and ww.ring is F2E_X
+    assert eval_word(ww, 2) == EYE
+    with pytest.raises(RingMismatchError):
+        w * word(ZI_X, [(1, 2, 1)])
+    with pytest.raises(RingMismatchError):
+        StWord(ZI_X, w.letters)
 
 
 def test_expand_h_structure_and_value():
