@@ -17,8 +17,8 @@ from operator import attrgetter
 
 from .laurent_pipeline import Check, _require, recording
 from .matrices import Matrix
-from .rings import (F2E_X, F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO,
-                    Z4_X, ZI_X, GaussianInt, GroupRingZ4, Poly,
+from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
+                    ZI_X, GaussianInt, GroupRingZ4, Poly,
                     group_ring_from_gauss, ideal_member, psi, rho)
 from .words import StWord, eval_word, word
 
@@ -151,8 +151,6 @@ def kahler_D(f: Poly, g: Poly) -> Poly:
 
 def symbol_D(a: Poly, b: Poly) -> Poly:
     """D(<a, b>) for a = f eps, b = g + g' eps over F2[eps,x]/(eps^2): f dg."""
-    if a.ring != F2E_X or b.ring != F2E_X or any(c.a for c in a.terms.values()):
-        raise ValueError("the symbol must be <f eps, g + g' eps> over F2[eps,x]/(eps^2)")
     return kahler_D(a.coefficient_map(attrgetter("b"), F2_X),
                     b.coefficient_map(attrgetter("a"), F2_X))
 

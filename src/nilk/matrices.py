@@ -31,7 +31,7 @@ class NotInvertibleError(ValueError):
 
 def _as_entry(ring: Ring, x) -> Poly:
     if isinstance(x, Poly):
-        if x.ring != ring:
+        if x.ring is not ring and x.ring != ring:
             raise RingMismatchError(f"entry over {x.ring}, matrix over {ring}")
         return x
     return ring.const(x)

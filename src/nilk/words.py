@@ -34,26 +34,21 @@ class StWord:
 
     def __post_init__(self):
         for l in self.letters:
-            if l.param.ring != self.ring:
+            if l.param.ring is not self.ring and l.param.ring != self.ring:
                 raise RingMismatchError("letter parameter in wrong ring")
-
-    def _checked(self, letters: tuple[Letter, ...]) -> "StWord":
-        """This ring's word of letters checked against it already."""
-        w = object.__new__(StWord)
-        w.__dict__.update(ring=self.ring, letters=letters)
-        return w
 
     def __mul__(self, other: "StWord") -> "StWord":
         if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError("concatenating words over different rings")
-        return self._checked(self.letters + other.letters)
+        return StWord(self.ring, self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
 
     def inverse(self) -> "StWord":
-        return self._checked(tuple(Letter(l.i, l.j, l.param, not l.inverted)
-                                   for l in reversed(self.letters)))
+        return StWord(self.ring, tuple(
+            Letter(l.i, l.j, l.param, not l.inverted)
+            for l in reversed(self.letters)))
 
 
 def word(ring: Ring, letters: Iterable[tuple[int, int, object]]) -> StWord:
@@ -118,16 +113,10 @@ def dennis_stein_word(i: int, j: int, a: Poly, b: Poly) -> StWord:
     return head * expand_h(i, j, u, uinv).inverse()
 
 
-def _eps_x():
-    eps = F2E_X.const(DualF2(0, 1))
-    x = F2E_X.var("x")
-    return eps, x
-
-
 def dual_symbol_args() -> tuple[Poly, Poly]:
     """(eps, x + eps), the arguments of the symbol <eps, x + eps>."""
-    eps, x = _eps_x()
-    return eps, x + eps
+    eps = F2E_X.const(DualF2(0, 1))
+    return eps, F2E_X.var("x") + eps
 
 
 def dual_symbol_word() -> StWord:
@@ -136,13 +125,14 @@ def dual_symbol_word() -> StWord:
 
 
 def reduced_X_word() -> StWord:
-    """The relation-reduced form of <eps, x + eps>:
+    """The relation-reduced form of <a, b> = <eps, x + eps>, using a^2 = 0 and
+    (1 - ab)^{-1} = 1 + ab with ab = eps x:
 
         x_21(-x-eps-eps x^2) x_12(-eps) x_21(x+eps) x_12(eps) h_12(1-eps x)^{-1}
     """
-    eps, x = _eps_x()
+    a, b = dual_symbol_args()
     head = word(F2E_X, [
-        (2, 1, -x - eps - eps * x * x), (1, 2, -eps),
-        (2, 1, x + eps), (1, 2, eps),
+        (2, 1, -b - a * b * b), (1, 2, -a),
+        (2, 1, b), (1, 2, a),
     ])
-    return head * expand_h(1, 2, F2E_X.one() - eps * x).inverse()
+    return head * expand_h(1, 2, F2E_X.one() - a * b).inverse()

@@ -54,8 +54,8 @@ def test_word_inverse():
 
 
 def test_concatenation_and_inverse_compare_no_letter_ring(monkeypatch):
-    # letters are checked against the ring when a word is built from them;
-    # * and inverse reuse checked letters and compare no ring per letter
+    # a word checks its letters' rings with `is` first, so * and inverse
+    # over one ring object call no Ring.__eq__
     w = word(F2E_X, [(1, 2, EPS), (2, 1, F2E_X.var("x"))] * 10)
     compared = []
     eq = Ring.__eq__
@@ -124,6 +124,8 @@ def test_reduced_X_word():
     assert w.letters[0].param == -x - EPS - EPS * x * x
     # in characteristic 2 this equals x + eps + eps x^2
     assert w.letters[0].param == x + EPS + EPS * x * x
+    assert [l.param for l in w.letters[1:4]] == [-EPS, x + EPS, EPS]
+    assert w.letters[-1].param == F2E_X.one() - EPS * x   # h_12(1 - eps x)^{-1}
     assert eval_word(w, 2) == EYE
     assert eval_word(w, 2) == eval_word(dual_symbol_word(), 2)
 
