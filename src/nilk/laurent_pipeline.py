@@ -219,7 +219,8 @@ def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
     and z^-1 off the diagonal), and verify.  Returns e2 and the rep."""
     e2 = clutch_projector(lift, projector_P())
     loops = loop_z(e2)
-    rep = K1Rep(loops.col_scale(1, loops.ring.var("z").invert()))
+    zinv = loops.ring.var("z").invert()
+    rep = K1Rep(Matrix.from_rows(loops.ring, [[a * zinv, b] for a, b in loops.entries]))
     _require("rep31.det", "det = 1", rep.verify(), rep.matrix.ring.one())
     return e2, rep
 

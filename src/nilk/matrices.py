@@ -19,7 +19,7 @@ from functools import cached_property
 from operator import matmul
 from typing import Iterable, Optional, Sequence
 
-from .rings import (IdealSpec, NotAUnitError, Poly, Ring, RingMismatchError,
+from .rings import (IdealSpec, Poly, Ring, RingMismatchError,
                     add_products, ideal_member, int_from_json, ladder, poly_latex,
                     poly_terms_from_json, poly_terms_to_json, ring_from_json,
                     ring_to_json)
@@ -104,17 +104,13 @@ class Matrix:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, tuple(
-            tuple(-a for a in r) for r in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other, False)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
         ring, cols = self.ring, range(other.cols)
-        zero, trusted = ring.zero(), Poly._trusted
+        zero = ring.zero()
         brows = [[(j, b) for j, b in enumerate(rb) if b.terms]
                  for rb in other.entries]
         out = []
@@ -124,7 +120,7 @@ class Matrix:
                 if a.terms:
                     for j, b in rb:
                         add_products(acc[j], a, b)
-            out.append(tuple(trusted(ring, acc[j]) if j in acc else zero for j in cols))
+            out.append(tuple(Poly(ring, acc[j]) if j in acc else zero for j in cols))
         return Matrix(ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
@@ -210,7 +206,7 @@ class Matrix:
             for x, y in zip(xs, ys):
                 if x.terms and y.terms:
                     add_products(acc, x, y)
-            return Poly._trusted(ring, acc)
+            return Poly(ring, acc)
 
         cs = [ring.one()]
         for r in range(self.rows):
@@ -226,7 +222,7 @@ class Matrix:
                 for j in range(1, min(i, r + 1)):
                     if cs[j].terms and d[i - j - 1].terms:
                         add_products(acc, d[i - j - 1], cs[j])
-                acc = Poly._trusted(ring, acc)
+                acc = Poly(ring, acc)
                 nxt.append(cs[i] - acc if i <= r else -acc)
             cs = nxt
         return cs
@@ -254,19 +250,6 @@ class Matrix:
                 tuple(x + c if i == j else x for j, x in enumerate(r))
                 for i, r in enumerate((self @ adj).entries)))
         return adj.scale(dinv if n % 2 else -dinv)
-
-    # -- row/column operations (1-indexed, matching the displayed formulas)
-
-    def col_scale(self, j: int, u) -> "Matrix":
-        if not 1 <= j <= self.cols:
-            raise ValueError(f"column {j} out of range 1..{self.cols}")
-        u = _as_entry(self.ring, u)
-        if u.try_invert() is None:
-            raise NotAUnitError(f"column scale by non-unit {u}")
-        rows = [list(r) for r in self.entries]
-        for r in rows:
-            r[j - 1] = r[j - 1] * u
-        return Matrix.from_rows(self.ring, rows, self.cols)
 
     # -- entrywise helpers
 

@@ -13,7 +13,9 @@ a handful of exact coefficient domains:
 Quotients (eps^2 = 0, sigma^4 = 1, mod-2 coefficients, t-degree truncation)
 are enforced by normalization after every operation.  Polynomials are kept
 in canonical form: no zero coefficients, fixed variable order, so equality
-is literal equality of term maps.
+is literal equality of term maps.  Poly(ring, terms) is the one constructor;
+outside input is checked where it enters (poly_terms_from_json for JSON,
+Ring.const for a scalar).
 """
 
 from __future__ import annotations
@@ -38,55 +40,31 @@ class NotAUnitError(ValueError):
 # ---------------------------------------------------------------------------
 # coefficient domains
 #
-# The three algebras share one protocol: coercion from int, equality and
-# hashing by type and coordinates, the reflected + and *, - as self + (-o),
-# JSON as the coordinate list, and one unit rule.  Every unit u of Z[i],
-# Z[Z/4] (only +/- sigma^k, by Higman's theorem on the units of Z[C_4]) and
-# F2[eps] has u^4 = 1, so u is a unit iff u^4 = 1, and then u^-1 = u^3.
+# The three algebras share one protocol: equality by type and coordinates,
+# + and * between two elements of one algebra, JSON as the coordinate list,
+# and one unit rule.  Every unit u of Z[i], Z[Z/4] (only +/- sigma^k, by
+# Higman's theorem on the units of Z[C_4]) and F2[eps] has u^4 = 1, so u is
+# a unit iff u^4 = 1, and then u^-1 = u^3.
 
 
 class CoeffAlgebra:
     """Base of the coefficient algebras: subclasses name their coordinates
-    in __slots__ and write __init__, __add__, __neg__, __mul__ and __str__.
-    An element is false exactly when it is zero."""
+    in __slots__ and write __init__, __add__, __neg__, __mul__ and __str__,
+    whose operands are elements of the same algebra (Ring.const turns an int
+    into one).  An element is false exactly when it is zero."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.coords = property(attrgetter(*cls.__slots__))
 
-    def _coerce(self, other):
-        if type(other) is type(self):
-            return other
-        if isinstance(other, int):
-            return type(self)(other)
-        return None
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return self.coords == other.coords
 
-    def __hash__(self):
-        return hash(self.coords)
-
     def __bool__(self):
         return any(self.coords)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __repr__(self):
         return f"{type(self).__name__}{self.coords}"
@@ -113,19 +91,13 @@ class GaussianInt(CoeffAlgebra):
         self.re = re
         self.im = im
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o):
         return GaussianInt(self.re + o.re, self.im + o.im)
 
     def __neg__(self):
         return GaussianInt(-self.re, -self.im)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
         return GaussianInt(self.re * o.re - self.im * o.im,
                            self.re * o.im + self.im * o.re)
 
@@ -144,20 +116,14 @@ class GroupRingZ4(CoeffAlgebra):
         self.c2 = c2
         self.c3 = c3
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o):
         return GroupRingZ4(self.c0 + o.c0, self.c1 + o.c1,
                            self.c2 + o.c2, self.c3 + o.c3)
 
     def __neg__(self):
         return GroupRingZ4(-self.c0, -self.c1, -self.c2, -self.c3)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
         a0, a1, a2, a3 = self.coords
         b0, b1, b2, b3 = o.coords
         return GroupRingZ4(a0 * b0 + a1 * b3 + a2 * b2 + a3 * b1,
@@ -182,19 +148,13 @@ class DualF2(CoeffAlgebra):
         self.a = a % 2
         self.b = b % 2
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o):
         return DualF2(self.a ^ o.a, self.b ^ o.b)
 
     def __neg__(self):
         return self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
         return DualF2(self.a & o.a, (self.a & o.b) ^ (self.b & o.a))
 
     def __str__(self):
@@ -230,7 +190,10 @@ def _z_from_json(x) -> int:
 
 
 def _invert_q(c):
-    return Fraction(1, 1) / c if c else None
+    if not c:
+        return None
+    q = Fraction(1, 1) / c
+    return q.numerator if q.denominator == 1 else q
 
 
 def _invert_z(c):
@@ -258,11 +221,10 @@ def _algebra_ops(cls, latex: Callable) -> BaseOps:
 
 # An integral Q coefficient is stored as an int, which skips Fraction's gcd
 # normalization; int has .numerator and .denominator, so JSON and LaTeX
-# write both types alike.  Poly.__init__, Ring.const and _q_from_json turn a
+# write both types alike.  Ring.const, _invert_q and _q_from_json turn a
 # Fraction with denominator 1 into an int, and int arithmetic keeps it one.
-# Fraction arithmetic may still leave a Fraction(3, 1), which equals and
-# hashes like 3; normalizing it in Poly._trusted too slowed the verify
-# workload.
+# Fraction arithmetic may still leave a Fraction(3, 1), which equals 3;
+# normalizing it in Poly.__init__ too slowed the verify workload.
 BASE: dict[str, BaseOps] = {
     "Q": BaseOps(0, 1, int, _invert_q,
                  lambda c: f"{c.numerator}/{c.denominator}", _q_from_json,
@@ -335,11 +297,11 @@ class Ring:
             c = self.ops.from_int(c)
         elif type(c) is Fraction and c.denominator == 1:
             c = c.numerator
-        return Poly._trusted(self, {(0,) * len(self.vars): c})
+        return Poly(self, {(0,) * len(self.vars): c})
 
     @cached_property
     def _zero(self) -> "Poly":
-        return Poly._trusted(self, {})
+        return Poly(self, {})
 
     @cached_property
     def _one(self) -> "Poly":
@@ -375,44 +337,17 @@ class Ring:
 class Poly:
     """Canonical-form polynomial; immutable; equality is term-map equality."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Mapping[tuple, object]):
-        ops = ring.ops
-        nvars = len(ring.vars)
-        clean = {}
-        for exps, c in terms.items():
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError("exponent vector has wrong length")
-            keep = True
-            for e, v in zip(exps, ring.vars):
-                if e < 0 and not v.laurent:
-                    raise ValueError(f"negative exponent for ordinary variable {v.name}")
-                if v.trunc is not None and e >= v.trunc:
-                    keep = False
-                    break
-            if not keep:
-                continue
-            if isinstance(c, int) and ring.base != "Z":
-                c = ops.from_int(c)
-            elif type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            if c:
-                clean[exps] = c
-        self.ring = ring
-        self.terms = clean
-        self._hash = None
-
-    @classmethod
-    def _trusted(cls, ring: Ring, terms: dict) -> "Poly":
-        """The Poly of a term map whose exponents are valid and whose
-        coefficients lie in the base already (a constant, a random draw, the
-        result of arithmetic on canonical operands): only zero coefficients
-        and exponents >= trunc are dropped, and F2 coefficients (int
-        arithmetic) reduced mod 2.  The Poly takes terms as its own, so the
-        caller hands over a map nothing else holds; a second map is built
-        only when there is something to drop or reduce."""
+    def __init__(self, ring: Ring, terms: dict):
+        """The Poly of a term map whose exponent vectors are tuples of the
+        ring's length, with no negative power of an ordinary variable, and
+        whose coefficients lie in the base (JSON input is checked by
+        poly_terms_from_json, a scalar is coerced by Ring.const): zero
+        coefficients and exponents >= trunc are dropped, and F2 coefficients
+        (int arithmetic) reduced mod 2.  The Poly takes terms as its own, so
+        the caller hands over a map nothing else holds; a second map is
+        built only when there is something to drop or reduce."""
         if ring.base == "F2":
             terms = {e: 1 for e, c in terms.items() if c % 2}
         elif not all(terms.values()):
@@ -420,11 +355,8 @@ class Poly:
         trunc = ring.truncated
         if trunc and any(e[k] >= t for e in terms for k, t in trunc):
             terms = {e: c for e, c in terms.items() if all(e[k] < t for k, t in trunc)}
-        p = cls.__new__(cls)
-        p.ring = ring
-        p.terms = terms
-        p._hash = None
-        return p
+        self.ring = ring
+        self.terms = terms
 
     # -- basics
 
@@ -458,12 +390,6 @@ class Poly:
         return ((self.ring is o.ring or self.ring == o.ring)
                 and self.terms == o.terms)
 
-    def __hash__(self):
-        if self._hash is None:
-            items = frozenset(self.terms.items())
-            self._hash = hash((self.ring, items))
-        return self._hash
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -473,12 +399,12 @@ class Poly:
         out = dict(self.terms)
         for e, c in o.terms.items():
             out[e] = out[e] + c if e in out else c
-        return Poly._trusted(self.ring, out)
+        return Poly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -493,7 +419,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly._trusted(self.ring, add_products({}, self, o))
+        return Poly(self.ring, add_products({}, self, o))
 
     __rmul__ = __mul__
 
@@ -562,7 +488,7 @@ class Poly:
     def coefficient(self, name: str, k: int) -> "Poly":
         """The coefficient of name^k, over the ring without name."""
         i = self.ring.index(name)
-        return Poly._trusted(self.ring.drop(name), {
+        return Poly(self.ring.drop(name), {
             e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k})
 
     def substitute(self, assignments: Mapping[str, object]) -> "Poly":
@@ -638,7 +564,7 @@ def ladder(x, k: int, mul):
 def add_products(out: dict, x: Poly, y: Poly) -> dict:
     """Add the terms of x*y into the term map out, in place, and return it.
     A sum of products is built in one map and normalized once by
-    Poly._trusted: truncation, the mod-2 reduction and dropping zeros are
+    Poly(ring, out): truncation, the mod-2 reduction and dropping zeros are
     linear, so one pass over the sum equals one pass per product.  out may
     hold zero coefficients and exponents >= trunc until then; it must not be
     the terms of a Poly."""
@@ -791,6 +717,9 @@ def poly_terms_to_json(p: Poly) -> list:
 
 
 def poly_terms_from_json(ring: Ring, j: list) -> Poly:
+    """The Poly of an entry's JSON terms.  This is where outside input
+    becomes a Poly, so the exponent vectors Poly takes on trust are checked
+    here: the ring's length, and no negative power of an ordinary variable."""
     dec = ring.ops.from_json
     terms = {}
     for exps, c in j:
@@ -798,6 +727,12 @@ def poly_terms_from_json(ring: Ring, j: list) -> Poly:
         if key in terms:
             raise ValueError(f"exponent vector {list(key)} appears twice in one entry")
         terms[key] = dec(c)
+    for key in terms:
+        if len(key) != len(ring.vars):
+            raise ValueError("exponent vector has wrong length")
+        for e, v in zip(key, ring.vars):
+            if e < 0 and not v.laurent:
+                raise ValueError(f"negative exponent for ordinary variable {v.name}")
     return Poly(ring, terms)
 
 

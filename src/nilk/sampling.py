@@ -28,8 +28,8 @@ def random_coeff(rng: random.Random, base: str):
 def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
                 max_exp: int = 3) -> Poly:
     """Up to max_terms terms, each an exponent vector in range and then a
-    coefficient from random_coeff.  Both are canonical as drawn, so the Poly
-    is built without Poly.__init__'s validation pass."""
+    coefficient from random_coeff.  Both are canonical as drawn (an
+    integral Q coefficient is an int), as Poly requires of its terms."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exps = []
@@ -38,4 +38,4 @@ def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
             hi = min(max_exp, v.trunc - 1) if v.trunc is not None else max_exp
             exps.append(rng.randint(lo, hi))
         terms[tuple(exps)] = random_coeff(rng, ring.base)
-    return Poly._trusted(ring, terms)
+    return Poly(ring, terms)

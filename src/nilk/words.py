@@ -75,7 +75,7 @@ def eval_word(w: StWord, n: int) -> Matrix:
         a = -l.param if l.inverted else l.param
         for r in rows:
             if r[i].terms:
-                r[j] = Poly._trusted(w.ring, add_products(dict(r[j].terms), r[i], a))
+                r[j] = Poly(w.ring, add_products(dict(r[j].terms), r[i], a))
     return Matrix(w.ring, n, n, tuple(map(tuple, rows)))
 
 

@@ -1,9 +1,30 @@
-"""Shared test utilities: conversion to sympy for independent cross-checks."""
+"""Shared test utilities: the canonical-form check, and conversion to sympy
+for independent cross-checks."""
+
+from fractions import Fraction
 
 import sympy as sp
 
-from nilk.rings import GaussianInt, Poly
+from nilk.rings import BASE, GaussianInt, Poly
 from nilk.matrices import Matrix
+
+
+def assert_canonical(p: Poly):
+    """p is in the canonical form Poly takes on trust: exponent vectors of
+    the ring's length, no negative power of an ordinary variable, no zero
+    coefficient, no exponent >= trunc, F2 coefficients 1, and every
+    coefficient of the base's type.  A Q coefficient may be a Fraction with
+    denominator 1 here: Fraction arithmetic leaves one (see rings.BASE)."""
+    ring = p.ring
+    types = (int, Fraction) if ring.base == "Q" else (type(BASE[ring.base].one),)
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(ring.vars), exps
+        for e, v in zip(exps, ring.vars):
+            assert v.laurent or e >= 0, (v.name, e)
+            assert v.trunc is None or e < v.trunc, (v.name, e)
+        assert c, exps
+        assert type(c) in types, (exps, c)
+        assert ring.base != "F2" or c == 1, (exps, c)
 
 
 def poly_to_sympy(p: Poly):

@@ -263,6 +263,25 @@ def test_repeated_exponent_is_input_error(tmp_path, capsys, argv):
         "exponent vector [1, 0] appears twice in one entry" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exps, message", [
+    ([1], "exponent vector has wrong length"),
+    ([-1, 1], "negative exponent for ordinary variable t"),
+], ids=["wrong_length", "negative"])
+def test_bad_exponent_vector_is_input_error(tmp_path, capsys, exps, message):
+    # the JSON gate is the one place these are checked: Poly takes its
+    # exponent vectors on trust
+    doc = {"ring": {"base": "Q", "vars": [{"name": "t"}, {"name": "s"}]},
+           "rows": 1, "cols": 1, "entries": [[[[exps, "1/1"]]]]}
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json(doc)
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(["higman", str(src), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: cannot read matrix from") and \
+        message in err and err.count("\n") == 1
+
+
 def test_frob_rejects_non_nilpotent(tmp_path, capsys):
     # t^(10^12) = 0 bounds the search at 2 * 10^12 steps; I^2 lies outside
     # the nilradical (t), so it ends after two

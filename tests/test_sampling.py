@@ -7,9 +7,11 @@ import random
 
 import pytest
 
-from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, Poly,
+from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
                         poly_terms_to_json)
 from nilk.sampling import random_poly
+
+from helpers import assert_canonical
 
 # sha256 of the JSON terms of the first 200 draws at seed 2024, for each
 # (ring, max_terms, max_exp) the suites and tests draw with
@@ -38,12 +40,12 @@ def test_draw_sequence_pinned(case):
 
 
 def test_draws_are_canonical():
-    # random_poly skips the validating constructor; an integral Q
-    # coefficient is stored as an int
+    # random_poly draws canonical terms, and an integral Q coefficient is
+    # stored as an int
     rng = random.Random(2025)
     for ring in RINGS.values():
         for _ in range(200):
             p = random_poly(rng, ring)
-            assert p.terms == Poly(ring, dict(p.terms)).terms
+            assert_canonical(p)
             assert all(type(c) is int for c in p.terms.values()
                        if getattr(c, "denominator", None) == 1)
