@@ -8,6 +8,16 @@ rings.add_products and normalized once.  det and the Cayley-Hamilton
 adjugate inverse both come from one Berkowitz characteristic polynomial,
 division-free over every base ring, whose dot products and Toeplitz sums
 are summed the same way.
+
+Over Q the repeated products run on int coefficients.  For d the lcm of
+the denominators of A's coefficients, d*A has int coefficients, and
+    c_i(dA) = d^i c_i(A),    det(dA) = d^n det(A),
+    (dA)^k = d^k A^k,        index(dA) = index(A),
+so charpoly divides each c_i of d*A by d^i, det divides only c_n by d^n,
+power divides by d^k once, nilpotency_index searches d*A as it is, and
+inverse builds the adjugate from d*A and scales it once by
+d det(dA)^-1.  A quotient that is integral is an int.  An all-int matrix,
+and a matrix over another base, goes through the same code with d = 1.
 Values are immutable; entry equality is canonical polynomial equality.
 """
 
@@ -15,7 +25,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import matmul
 from typing import Iterable, Optional, Sequence
 
@@ -138,7 +150,10 @@ class Matrix:
             raise ValueError("power of non-square matrix")
         if k < 0:
             raise ValueError(f"negative matrix power {k}")
-        return ladder(self, k, matmul) if k else Matrix.identity(self.ring, self.rows)
+        if not k:
+            return Matrix.identity(self.ring, self.rows)
+        d, m = _cleared(self)
+        return _divided(ladder(m, k, matmul), d ** k)
 
     # -- predicates
 
@@ -170,10 +185,11 @@ class Matrix:
         (2^(J-1), 2^J] with the saved squares.  Squaring stops at a nonzero
         m^(2^j) with 2^j >= max_k, and at one with 2^j >= n outside the
         nilradical, which no nilpotent m has (see nilpotency_bound).
-        Integral Q coefficients are ints, so the squares stay cheap."""
+        The search runs on d*m, whose coefficients are ints and whose
+        powers vanish where m's do."""
         if self.rows != self.cols:
             raise ValueError("nilpotency of non-square matrix")
-        squares = [self]  # squares[j] = m^(2^j); all but the last nonzero
+        squares = [_cleared(self)[1]]  # squares[j] = m^(2^j); all but the last nonzero
         while not squares[-1].is_zero():
             p, e = squares[-1], 1 << (len(squares) - 1)
             if e >= max_k or (e >= self.rows and not p.all_entries(Poly.in_nilradical)):
@@ -192,7 +208,13 @@ class Matrix:
     # -- characteristic polynomial, determinant, inverse
 
     def charpoly(self) -> list[Poly]:
-        """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A), by Berkowitz's
+        """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A): those of d*A
+        divided by d^i."""
+        d, m = _cleared(self)
+        return [_quotient(c, d ** i) for i, c in enumerate(m._berkowitz())]
+
+    def _berkowitz(self) -> list[Poly]:
+        """The characteristic polynomial's coefficients, by Berkowitz's
         division-free recurrence: bordering the leading block A_r by the
         column C, the row R and the corner a multiplies its char poly by the
         Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ..., -RA_r^(r-1)C.
@@ -228,28 +250,35 @@ class Matrix:
         return cs
 
     def det(self) -> Poly:
-        """(-1)^n c_n of the characteristic polynomial."""
-        c = self.charpoly()[-1]
+        """(-1)^n c_n of the characteristic polynomial: c_n of d*A divided by
+        d^n, the other c_i left undivided."""
+        d, m = _cleared(self)
+        c = _quotient(m._berkowitz()[-1], d ** self.rows)
         return -c if self.rows % 2 else c
 
     def inverse(self) -> "Matrix":
         """Cayley-Hamilton adjugate (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ...
         + c_(n-1) I) scaled by det^-1; raises NotInvertibleError unless det
-        is a recognized unit.  Exact: self @ inverse == identity."""
+        is a recognized unit.  Built from B = d*A, as A^-1 = d adj(B) det(B)^-1.
+        Exact: self @ inverse == identity."""
         if self.rows != self.cols:
             raise NotInvertibleError("non-square matrix")
-        n = self.rows
-        cs = self.charpoly()
-        d = -cs[n] if n % 2 else cs[n]
-        dinv = d.try_invert()
+        ring, n = self.ring, self.rows
+        d, b = _cleared(self)
+        cs = b._berkowitz()
+        det = -cs[n] if n % 2 else cs[n]
+        dinv = det.try_invert()
         if dinv is None:
-            raise NotInvertibleError(f"determinant {d} is not a recognized unit")
-        adj = Matrix.identity(self.ring, n)
+            raise NotInvertibleError(
+                f"determinant {_quotient(det, d ** n)} is not a recognized unit")
+        adj = Matrix.identity(ring, n)
         for c in cs[1:n]:
-            adj = Matrix(self.ring, n, n, tuple(
+            adj = Matrix(ring, n, n, tuple(
                 tuple(x + c if i == j else x for j, x in enumerate(r))
-                for i, r in enumerate((self @ adj).entries)))
-        return adj.scale(dinv if n % 2 else -dinv)
+                for i, r in enumerate((b @ adj).entries)))
+        # the scalar d det(B)^-1 as u / q, u with int coefficients
+        q, u = _cleared(Matrix.diag(ring, [d * (dinv if n % 2 else -dinv)]))
+        return _divided(adj.scale(u[0, 0]), q)
 
     # -- entrywise helpers
 
@@ -269,15 +298,37 @@ class Matrix:
                                for r in self.entries) + "]"
 
 
-def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:
-    """Identity with a in position (i, j); 1-indexed, i != j."""
-    if i == j:
-        raise ValueError("elementary matrix requires i != j")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("index out of range")
-    rows = [list(r) for r in Matrix.identity(ring, n).entries]
-    rows[i - 1][j - 1] = _as_entry(ring, a)
-    return Matrix.from_rows(ring, rows)
+def _cleared(m: Matrix) -> tuple[int, Matrix]:
+    """(d, d*m) for d the lcm of the denominators of m's Q coefficients:
+    each coefficient c becomes the int c.numerator * (d // c.denominator),
+    with no Fraction built.  (1, m) over another base, and when every
+    coefficient is already an int."""
+    if m.ring.base != "Q":
+        return 1, m
+    dens = {c.denominator for r in m.entries for a in r for c in a.terms.values()
+            if type(c) is not int}
+    if not dens:
+        return 1, m
+    d, ring = lcm(*dens), m.ring
+    return d, Matrix(ring, m.rows, m.cols, tuple(tuple(
+        Poly(ring, {e: c.numerator * (d // c.denominator) for e, c in a.terms.items()})
+        if a.terms else a for a in r) for r in m.entries))
+
+
+def _quotient(p: Poly, q: int) -> Poly:
+    """p / q for p with int coefficients; a coefficient q divides stays an int."""
+    if q == 1:
+        return p
+    return Poly(p.ring, {e: c // q if not c % q else Fraction(c, q)
+                         for e, c in p.terms.items()})
+
+
+def _divided(m: Matrix, q: int) -> Matrix:
+    """m / q entrywise, for m with int coefficients (see _quotient)."""
+    if q == 1:
+        return m
+    return Matrix(m.ring, m.rows, m.cols, tuple(tuple(_quotient(a, q) for a in r)
+                                                for r in m.entries))
 
 
 def block_assemble(ring: Ring, rows: int, cols: int,

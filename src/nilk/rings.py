@@ -410,10 +410,17 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            c = -c
+            out[e] = out[e] + c if e in out else c
+        return Poly(self.ring, out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

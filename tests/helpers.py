@@ -1,11 +1,11 @@
-"""Shared test utilities: the canonical-form check, and conversion to sympy
-for independent cross-checks."""
+"""Shared test utilities: the canonical-form check, elementary matrices as
+a reference product, and conversion to sympy for independent cross-checks."""
 
 from fractions import Fraction
 
 import sympy as sp
 
-from nilk.rings import BASE, GaussianInt, Poly
+from nilk.rings import BASE, GaussianInt, Poly, Ring
 from nilk.matrices import Matrix
 
 
@@ -25,6 +25,18 @@ def assert_canonical(p: Poly):
         assert c, exps
         assert type(c) in types, (exps, c)
         assert ring.base != "F2" or c == 1, (exps, c)
+
+
+def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:
+    """Identity with a in position (i, j); 1-indexed, i != j.  A product of
+    these is the reference for words.eval_word's column operations."""
+    if i == j:
+        raise ValueError("elementary matrix requires i != j")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("index out of range")
+    rows = [list(r) for r in Matrix.identity(ring, n).entries]
+    rows[i - 1][j - 1] = a
+    return Matrix.from_rows(ring, rows)
 
 
 def poly_to_sympy(p: Poly):

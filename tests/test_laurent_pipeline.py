@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy as sp
@@ -224,6 +225,29 @@ def test_generalized_units():
 def test_generalized_reproduces_standard_case():
     rep = lp.generalized_unit_rep(Fraction(1), Fraction(1))
     assert rep.matrix == lp.theorem31_matrix().matrix
+
+
+def test_rational_companion_identities():
+    # a non-integral unit gives an N with denominators 24 to 11664, so det,
+    # inverse, power and the nilpotency search run on d*N, d = 11664
+    from nilk.nilsse import frobenius, verschiebung
+    from nilk.rings import Q_TSZ
+    n = lp.higman_companion(lp.decompose_M(
+        lp.generalized_unit_rep(Fraction(-2, 3), Fraction(5, 9))))
+    dens = {c.denominator for row in n.entries for a in row for c in a.terms.values()}
+    assert lcm(*dens) == 11664
+    s, one = Q_TSZ.var("s"), Q_TSZ.one()
+
+    def i_minus_s(m):
+        return Matrix.identity(Q_TSZ, m.rows) - m.into(Q_TSZ).scale(s)
+
+    for k in (1, 2, 3):
+        v = verschiebung(n, k)
+        assert v.nilpotency_index(v.rows) == 10 * k
+        assert i_minus_s(v).det() == one
+    assert frobenius(n, 10).is_zero()
+    m = i_minus_s(n)
+    assert m.inverse() @ m == Matrix.identity(Q_TSZ, 10)
 
 
 def test_generalized_rejects_zero():

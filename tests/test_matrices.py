@@ -8,8 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from nilk import laurent_pipeline as lp
 from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
-                           block_assemble, elementary, matrix_from_json,
-                           matrix_to_json)
+                           block_assemble, matrix_from_json, matrix_to_json)
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
@@ -17,7 +16,7 @@ from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
 
-from helpers import assert_canonical
+from helpers import assert_canonical, elementary
 
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
@@ -180,6 +179,17 @@ def test_not_invertible():
     m = Matrix.diag(Q_TS, [Q_TS.var("t"), Q_TS.one()])
     with pytest.raises(NotInvertibleError):
         m.inverse()
+
+
+def test_not_invertible_names_the_unscaled_determinant():
+    # inverse() works on d*M for d the lcm of M's denominators; its error
+    # names det(M) = s/2, not det(2M) = s
+    half_s = Q_TS.const(Fraction(1, 2)) * Q_TS.var("s")
+    m = Matrix.from_rows(Q_TS, [[half_s]])
+    with pytest.raises(NotInvertibleError) as err:
+        m.inverse()
+    assert m.det() == half_s
+    assert str(err.value) == f"determinant {half_s} is not a recognized unit"
 
 
 def test_inverse_of_deep_truncated_unit():
@@ -491,6 +501,23 @@ def test_integral_q_coefficients_are_ints():
     inv = m.inverse()
     assert m.det() == Q_TS.one() and m @ inv == Matrix.identity(Q_TS, 3)
     assert ints(m.det(), *(x for row in m.entries + inv.entries for x in row))
+    # Fraction coefficients in, int coefficients out wherever the result is
+    # integral: d*M has int coefficients, and each quotient by a power of d
+    # is an int where it divides.  mf is m with every coefficient a
+    # Fraction of denominator 1 (d = 1); h has denominator 2 (d = 2), with
+    # integral char poly 1, -1, 1, det 1 and h^3 = -I
+    mf = m.map_entries(lambda a: Poly(Q_TS, {e: Fraction(c) for e, c in a.terms.items()}),
+                       Q_TS)
+    assert not ints(*mf.entries[0])
+    assert mf.charpoly() == m.charpoly() and mf.inverse() == inv
+    assert ints(mf.det(), *mf.charpoly(), *(x for p in (mf.power(3), mf.inverse())
+                                            for row in p.entries for x in row))
+    h = Matrix.from_rows(Q_TS, [[Fraction(1, 2), Fraction(1, 2)],
+                                [Fraction(-3, 2), Fraction(1, 2)]])
+    assert h.charpoly() == [Q_TS.one(), -Q_TS.one(), Q_TS.one()] and h.det() == Q_TS.one()
+    assert h.power(3) == Matrix.diag(Q_TS, [-1, -1])
+    assert ints(h.det(), *h.charpoly(), *(x for row in h.power(3).entries for x in row))
+    assert h @ h.inverse() == Matrix.identity(Q_TS, 2)
     j = {"ring": {"base": "Q", "vars": [{"name": "t"}]}, "rows": 1, "cols": 2,
          "entries": [[[[[0], "3"]], [[[1], "3/1"], [[2], "6/2"]]]]}
     assert ints(*matrix_from_json(j).entries[0])

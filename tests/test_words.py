@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from nilk.matrices import Matrix, elementary
+from nilk.matrices import Matrix
 from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, DualF2,
                         NotAUnitError, Ring, RingMismatchError)
 from nilk.sampling import random_poly
 from nilk.words import (Letter, StWord, dennis_stein_word, dual_symbol_word,
                         eval_word, expand_h, reduced_X_word, word)
+
+from helpers import elementary
 
 EPS = F2E_X.const(DualF2(0, 1))
 EYE = Matrix.identity(F2E_X, 2)
