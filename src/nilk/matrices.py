@@ -12,12 +12,16 @@ are summed the same way.
 Over Q the repeated products run on int coefficients.  For d the lcm of
 the denominators of A's coefficients, d*A has int coefficients, and
     c_i(dA) = d^i c_i(A),    det(dA) = d^n det(A),
-    (dA)^k = d^k A^k,        index(dA) = index(A),
+    index(dA) = index(A),    (xX)(yY) = xy XY  for integers x, y,
 so charpoly divides each c_i of d*A by d^i, det divides only c_n by d^n,
-power divides by d^k once, nilpotency_index searches d*A as it is, and
-inverse builds the adjugate from d*A and scales it once by
-d det(dA)^-1.  A quotient that is integral is an int.  An all-int matrix,
-and a matrix over another base, goes through the same code with d = 1.
+nilpotency_index searches d*A as it is, inverse builds the adjugate from
+d*A and scales it once by d det(dA)^-1, and each product of power's
+ladder is the int product of its cleared factors divided once.  power
+does not divide the ladder of d*A by d^k at the end: (dA)^k grows with k
+even where A^k stays small (zero, or an idempotent), while each cleared
+product is in lowest terms, so the work grows with log k.  A quotient
+that is integral is an int.  An all-int matrix, and a matrix over
+another base, goes through the same code with d = 1.
 Values are immutable; entry equality is canonical polynomial equality.
 """
 
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import matmul
 from typing import Iterable, Optional, Sequence
 
 from .rings import (IdealSpec, Poly, Ring, RingMismatchError,
@@ -145,15 +148,15 @@ class Matrix:
         return Matrix(self.ring, self.cols, self.rows, cols)
 
     def power(self, k: int) -> "Matrix":
-        """self^k by square-and-multiply; self^0 is the identity."""
+        """self^k by square-and-multiply, each product cleared (see
+        _matmul_cleared); self^0 is the identity."""
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
         if k < 0:
             raise ValueError(f"negative matrix power {k}")
         if not k:
             return Matrix.identity(self.ring, self.rows)
-        d, m = _cleared(self)
-        return _divided(ladder(m, k, matmul), d ** k)
+        return ladder(self, k, _matmul_cleared)
 
     # -- predicates
 
@@ -189,7 +192,7 @@ class Matrix:
         powers vanish where m's do."""
         if self.rows != self.cols:
             raise ValueError("nilpotency of non-square matrix")
-        squares = [_cleared(self)[1]]  # squares[j] = m^(2^j); all but the last nonzero
+        squares = [self._cleared()[1]]  # squares[j] = m^(2^j); all but the last nonzero
         while not squares[-1].is_zero():
             p, e = squares[-1], 1 << (len(squares) - 1)
             if e >= max_k or (e >= self.rows and not p.all_entries(Poly.in_nilradical)):
@@ -210,7 +213,7 @@ class Matrix:
     def charpoly(self) -> list[Poly]:
         """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A): those of d*A
         divided by d^i."""
-        d, m = _cleared(self)
+        d, m = self._cleared()
         return [_quotient(c, d ** i) for i, c in enumerate(m._berkowitz())]
 
     def _berkowitz(self) -> list[Poly]:
@@ -252,7 +255,7 @@ class Matrix:
     def det(self) -> Poly:
         """(-1)^n c_n of the characteristic polynomial: c_n of d*A divided by
         d^n, the other c_i left undivided."""
-        d, m = _cleared(self)
+        d, m = self._cleared()
         c = _quotient(m._berkowitz()[-1], d ** self.rows)
         return -c if self.rows % 2 else c
 
@@ -264,7 +267,7 @@ class Matrix:
         if self.rows != self.cols:
             raise NotInvertibleError("non-square matrix")
         ring, n = self.ring, self.rows
-        d, b = _cleared(self)
+        d, b = self._cleared()
         cs = b._berkowitz()
         det = -cs[n] if n % 2 else cs[n]
         dinv = det.try_invert()
@@ -277,10 +280,20 @@ class Matrix:
                 tuple(x + c if i == j else x for j, x in enumerate(r))
                 for i, r in enumerate((b @ adj).entries)))
         # the scalar d det(B)^-1 as u / q, u with int coefficients
-        q, u = _cleared(Matrix.diag(ring, [d * (dinv if n % 2 else -dinv)]))
-        return _divided(adj.scale(u[0, 0]), q)
+        q, (u,) = _cleared([d * (dinv if n % 2 else -dinv)])
+        return _divided(adj.scale(u), q)
 
     # -- entrywise helpers
+
+    def _cleared(self) -> tuple[int, "Matrix"]:
+        """(d, d*self) for the d of _cleared on the entries."""
+        polys = [a for r in self.entries for a in r]
+        d, flat = _cleared(polys)
+        if flat is polys:
+            return 1, self
+        c = self.cols
+        return d, Matrix(self.ring, self.rows, c, tuple(
+            tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows)))
 
     def map_entries(self, f, ring: Ring) -> "Matrix":
         return Matrix.from_rows(ring, [[f(a) for a in r] for r in self.entries],
@@ -298,21 +311,18 @@ class Matrix:
                                for r in self.entries) + "]"
 
 
-def _cleared(m: Matrix) -> tuple[int, Matrix]:
-    """(d, d*m) for d the lcm of the denominators of m's Q coefficients:
-    each coefficient c becomes the int c.numerator * (d // c.denominator),
-    with no Fraction built.  (1, m) over another base, and when every
-    coefficient is already an int."""
-    if m.ring.base != "Q":
-        return 1, m
-    dens = {c.denominator for r in m.entries for a in r for c in a.terms.values()
-            if type(c) is not int}
+def _cleared(polys: list[Poly]) -> tuple[int, list[Poly]]:
+    """(d, [d*p for p in polys]) for d the lcm of the denominators of the
+    polys' Q coefficients: each coefficient c becomes the int
+    c.numerator * (d // c.denominator), with no Fraction built.  (1, polys)
+    when no coefficient is a Fraction, as over every base but Q."""
+    dens = {c.denominator for p in polys for c in p.terms.values() if type(c) is Fraction}
     if not dens:
-        return 1, m
-    d, ring = lcm(*dens), m.ring
-    return d, Matrix(ring, m.rows, m.cols, tuple(tuple(
-        Poly(ring, {e: c.numerator * (d // c.denominator) for e, c in a.terms.items()})
-        if a.terms else a for a in r) for r in m.entries))
+        return 1, polys
+    d = lcm(*dens)
+    return d, [Poly(p.ring, {e: c.numerator * (d // c.denominator)
+                             for e, c in p.terms.items()}) if p.terms else p
+               for p in polys]
 
 
 def _quotient(p: Poly, q: int) -> Poly:
@@ -321,6 +331,15 @@ def _quotient(p: Poly, q: int) -> Poly:
         return p
     return Poly(p.ring, {e: c // q if not c % q else Fraction(c, q)
                          for e, c in p.terms.items()})
+
+
+def _matmul_cleared(x: Matrix, y: Matrix) -> Matrix:
+    """x @ y as (d_x x)(d_y y) / (d_x d_y): the products are int products
+    and each entry is divided once.  The result is in lowest terms, so a
+    power ladder over it holds coefficients no larger than A^k's own."""
+    dx, cx = x._cleared()
+    dy, cy = y._cleared() if y is not x else (dx, cx)
+    return _divided(cx @ cy, dx * dy)
 
 
 def _divided(m: Matrix, q: int) -> Matrix:

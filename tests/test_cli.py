@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,18 @@ def test_sse_verify_se_witness(tmp_path, capsys):
     code, out, _ = _sse_verify(tmp_path, capsys, _se_doc(lag=10 ** 12))
     assert code == 0
     assert "lag 1000000000000" in out
+
+
+def test_fraction_matrix_at_huge_lag_and_k(tmp_path, capsys):
+    # A = [[0, 1/2], [0, 0]]: A^l and F_k(A) by squaring stay small at 10^12
+    half = Matrix.from_rows(Q_TS, [[0, Fraction(1, 2)], [0, 0]])
+    code, out, err = _sse_verify(tmp_path, capsys, {**_se_doc(lag=10 ** 12), "A": _bare(half)})
+    assert (code, out, err) == (0, "shift equivalence verified (lag 1000000000000)\n", "")
+    src = tmp_path / "half.json"
+    src.write_text(json.dumps(matrix_to_json(half)))
+    code, out, err = run(["frob", str(src), "-k", str(10 ** 12), "--out", str(tmp_path)],
+                         capsys)
+    assert (code, out, err) == (0, "2x2, nilpotency index 1\n", "")
 
 
 def test_sse_verify_se_to_empty_matrix(tmp_path, capsys):

@@ -227,6 +227,22 @@ def test_power_matches_repeated_product():
             m.power(-1)
 
 
+def test_power_of_fraction_matrix_costs_log_k():
+    # each product of the ladder is divided back to lowest terms, so a huge
+    # k costs about 2 log2(k) products of matrices no larger than A^k itself
+    # (clearing the whole ladder by d^k would build 2^(10^12) first)
+    half = Fraction(1, 2)
+    j = Matrix.from_rows(Q_TS, [[half, half], [half, half]])
+    assert j.power(10 ** 12) == j
+    assert Matrix.from_rows(Q_TS, [[0, half], [0, 0]]).power(10 ** 12).is_zero()
+    m = Matrix.from_rows(Q_TS, [[Fraction(2, 3) * Q_TS.var("t"), Fraction(-1, 4)],
+                                [Fraction(5, 6), Q_TS.var("s")]])
+    prod = Matrix.identity(Q_TS, 2)
+    for k in range(9):
+        assert m.power(k) == prod
+        prod = prod @ m
+
+
 def test_idempotent_and_nilpotent():
     p = Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
     assert p.is_idempotent()
