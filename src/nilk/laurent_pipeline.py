@@ -299,13 +299,9 @@ def decompose_M(rep: K1Rep) -> list[Matrix]:
 
 
 def higman_companion(blocks: list[Matrix]) -> Matrix:
-    """Block companion [[M1 .. Md], [I sub-diagonal]]; verified nilpotent
-    within `Matrix.nilpotency_bound`, which holds over non-reduced rings too."""
-    if not blocks:
-        raise ValueError("no blocks")
-    ring, n = blocks[0].ring, blocks[0].rows
-    if any(b.rows != n or b.cols != n or b.ring != ring for b in blocks):
-        raise ValueError("blocks must be square, equal-sized, over one ring")
+    """Block companion [[M1 .. Md], [I sub-diagonal]] (block_companion
+    checks the blocks); verified nilpotent within `Matrix.nilpotency_bound`,
+    which holds over non-reduced rings too."""
     comp = block_companion(blocks)
     if comp.nilpotency is None:
         raise NotNilpotentError(

@@ -1,28 +1,28 @@
 """Exact matrices over the rings in nilk.rings.
 
 Storage is dense: a tuple of row tuples of Poly, zero entries included.
-The product visits only nonzero entries: each nonzero a = A[i, k] is
-multiplied into the nonzero entries of row k of B, so zero pairs cost
-nothing.  Each output entry's products are summed into one term map by
-rings.add_products and normalized once.  det and the Cayley-Hamilton
-adjugate inverse both come from one Berkowitz characteristic polynomial,
-division-free over every base ring, whose dot products and Toeplitz sums
-are summed the same way.
+Matrix._entrywise is the one entrywise rebuild.  block_companion is the
+one block builder, and it checks its blocks: at least one, each n x n,
+all over one ring.  The product multiplies each nonzero A[i, k] into the
+nonzero entries of row k of B, so zero pairs cost nothing, and sums each
+output entry's products in one term map (rings.add_products), normalized
+once.  det and the Cayley-Hamilton adjugate inverse both come from one
+division-free Berkowitz characteristic polynomial, summed the same way.
 
 Over Q the repeated products run on int coefficients.  For d the lcm of
-the denominators of A's coefficients, d*A has int coefficients, and
+the denominators of A's coefficients (_denominator), d*A has int
+coefficients (_times on each entry), and
     c_i(dA) = d^i c_i(A),    det(dA) = d^n det(A),
     index(dA) = index(A),    (xX)(yY) = xy XY  for integers x, y,
 so charpoly divides each c_i of d*A by d^i, det divides only c_n by d^n,
 nilpotency_index searches d*A as it is, inverse builds the adjugate from
 d*A and scales it once by d det(dA)^-1, and each product of power's
 ladder is the int product of its cleared factors divided once.  power
-does not divide the ladder of d*A by d^k at the end: (dA)^k grows with k
-even where A^k stays small (zero, or an idempotent), while each cleared
-product is in lowest terms, so the work grows with log k.  A quotient
-that is integral is an int.  An all-int matrix, and a matrix over
-another base, goes through the same code with d = 1.
-Values are immutable; entry equality is canonical polynomial equality.
+does not divide the ladder of d*A by d^k: (dA)^k grows with k even where
+A^k stays small (zero, or an idempotent), while each cleared product is
+in lowest terms, so the work grows with log k.  An integral quotient is
+an int.  With no Fraction coefficient, over Q or another base, d = 1 and
+A is used as it is.  Values are immutable; entries compare canonically.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -109,15 +109,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other, True)
-        return Matrix(self.ring, self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._entrywise(Poly.__add__, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other, True)
-        return Matrix(self.ring, self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._entrywise(Poly.__sub__, other)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other, False)
@@ -139,9 +135,7 @@ class Matrix:
         return Matrix(ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
-        u = _as_entry(self.ring, u)
-        return Matrix(self.ring, self.rows, self.cols, tuple(
-            tuple(u * a for a in r) for r in self.entries))
+        return self._entrywise(_as_entry(self.ring, u).__mul__)
 
     def transpose(self) -> "Matrix":
         cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -279,21 +273,24 @@ class Matrix:
             adj = Matrix(ring, n, n, tuple(
                 tuple(x + c if i == j else x for j, x in enumerate(r))
                 for i, r in enumerate((b @ adj).entries)))
-        # the scalar d det(B)^-1 as u / q, u with int coefficients
-        q, (u,) = _cleared([d * (dinv if n % 2 else -dinv)])
-        return _divided(adj.scale(u), q)
+        # the scalar u = d det(B)^-1 applied as (q u) / q, q u with int coefficients
+        u = d * (dinv if n % 2 else -dinv)
+        q = _denominator([u])
+        return adj.scale(u) if q is None else _divided(adj.scale(_times(q, u)), q)
 
     # -- entrywise helpers
 
+    def _entrywise(self, f, *others: "Matrix") -> "Matrix":
+        """The matrix of f(a, b, ..) over the entries a of self, b of the
+        first of others, ..; others have self's shape."""
+        return Matrix(self.ring, self.rows, self.cols, tuple(
+            tuple(map(f, *rs)) for rs in zip(self.entries, *[o.entries for o in others])))
+
     def _cleared(self) -> tuple[int, "Matrix"]:
-        """(d, d*self) for the d of _cleared on the entries."""
-        polys = [a for r in self.entries for a in r]
-        d, flat = _cleared(polys)
-        if flat is polys:
-            return 1, self
-        c = self.cols
-        return d, Matrix(self.ring, self.rows, c, tuple(
-            tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows)))
+        """(d, d*self) for d the _denominator of the entries; (1, self)
+        when they have no Fraction coefficient."""
+        d = _denominator([a for r in self.entries for a in r])
+        return (1, self) if d is None else (d, self._entrywise(partial(_times, d)))
 
     def map_entries(self, f, ring: Ring) -> "Matrix":
         return Matrix.from_rows(ring, [[f(a) for a in r] for r in self.entries],
@@ -311,18 +308,19 @@ class Matrix:
                                for r in self.entries) + "]"
 
 
-def _cleared(polys: list[Poly]) -> tuple[int, list[Poly]]:
-    """(d, [d*p for p in polys]) for d the lcm of the denominators of the
-    polys' Q coefficients: each coefficient c becomes the int
-    c.numerator * (d // c.denominator), with no Fraction built.  (1, polys)
-    when no coefficient is a Fraction, as over every base but Q."""
+def _denominator(polys: Iterable[Poly]) -> Optional[int]:
+    """The lcm of the denominators of the polys' Fraction coefficients, or
+    None when there are none, as over every base but Q."""
     dens = {c.denominator for p in polys for c in p.terms.values() if type(c) is Fraction}
-    if not dens:
-        return 1, polys
-    d = lcm(*dens)
-    return d, [Poly(p.ring, {e: c.numerator * (d // c.denominator)
-                             for e, c in p.terms.items()}) if p.terms else p
-               for p in polys]
+    return lcm(*dens) if dens else None
+
+
+def _times(d: int, p: Poly) -> Poly:
+    """d*p with int coefficients, for d a multiple of the denominators of
+    p's Q coefficients: each c becomes c.numerator * (d // c.denominator),
+    with no Fraction built."""
+    return Poly(p.ring, {e: c.numerator * (d // c.denominator)
+                         for e, c in p.terms.items()}) if p.terms else p
 
 
 def _quotient(p: Poly, q: int) -> Poly:
@@ -344,34 +342,20 @@ def _matmul_cleared(x: Matrix, y: Matrix) -> Matrix:
 
 def _divided(m: Matrix, q: int) -> Matrix:
     """m / q entrywise, for m with int coefficients (see _quotient)."""
-    if q == 1:
-        return m
-    return Matrix(m.ring, m.rows, m.cols, tuple(tuple(_quotient(a, q) for a in r)
-                                                for r in m.entries))
-
-
-def block_assemble(ring: Ring, rows: int, cols: int,
-                   placements: Iterable[tuple[int, int, Matrix]]) -> Matrix:
-    """Zero matrix with the given blocks placed at (row, col) offsets."""
-    out = [[ring.zero()] * cols for _ in range(rows)]
-    for r0, c0, blk in placements:
-        if blk.ring != ring:
-            raise RingMismatchError("block over wrong ring")
-        if r0 < 0 or c0 < 0 or r0 + blk.rows > rows or c0 + blk.cols > cols:
-            raise ValueError("block does not fit")
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                out[r0 + i][c0 + j] = blk.entries[i][j]
-    return Matrix.from_rows(ring, out, cols)
+    return m if q == 1 else m._entrywise(lambda a: _quotient(a, q))
 
 
 def block_companion(blocks: Sequence[Matrix]) -> Matrix:
-    """[[B_1 .. B_d], [I on the block sub-diagonal]] for n x n blocks B_i."""
-    ring, n, d = blocks[0].ring, blocks[0].rows, len(blocks)
-    eye = Matrix.identity(ring, n)
-    return block_assemble(ring, d * n, d * n,
-                          [(0, k * n, b) for k, b in enumerate(blocks)]
-                          + [(n * (k + 1), n * k, eye) for k in range(d - 1)])
+    """[[B_1 .. B_d], [I on the block sub-diagonal]] for d >= 1 n x n
+    blocks B_i over one ring, built row by row: the top block row from the
+    blocks' rows, then as row n + j the row j of the dn x dn identity."""
+    if not blocks:
+        raise ValueError("no blocks")
+    ring, n, dn = blocks[0].ring, blocks[0].rows, len(blocks) * blocks[0].rows
+    if any(b.rows != n or b.cols != n or b.ring != ring for b in blocks):
+        raise ValueError("blocks must be square, equal-sized, over one ring")
+    top = tuple(tuple(a for b in blocks for a in b.entries[i]) for i in range(n))
+    return Matrix(ring, dn, dn, top + Matrix.identity(ring, dn).entries[:dn - n])
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ def verschiebung(n: Matrix, k: int) -> Matrix:
     identity sub-diagonal.  Sends [1 - tN] to [1 - t^k N]."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    zero = Matrix.zeros(n.ring, n.rows, n.rows)
-    return block_companion([zero] * (k - 1) + [n])
+    return block_companion([Matrix.zeros(n.ring, n.rows, n.rows)] * (k - 1) + [n])
 
 
 def frobenius(n: Matrix, k: int) -> Matrix:

@@ -1,5 +1,6 @@
 """Shared test utilities: the canonical-form check, elementary matrices as
-a reference product, and conversion to sympy for independent cross-checks."""
+a reference product, direct sums entry by entry, and conversion to sympy
+for independent cross-checks."""
 
 from fractions import Fraction
 
@@ -37,6 +38,18 @@ def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:
     rows = [list(r) for r in Matrix.identity(ring, n).entries]
     rows[i - 1][j - 1] = a
     return Matrix.from_rows(ring, rows)
+
+
+def direct_sum(*blocks: Matrix) -> Matrix:
+    """The block-diagonal matrix of the blocks, placed entry by entry."""
+    ring = blocks[0].ring
+    cols = sum(b.cols for b in blocks)
+    rows, c0 = [], 0
+    for b in blocks:
+        for r in b.entries:
+            rows.append([ring.zero()] * c0 + list(r) + [ring.zero()] * (cols - c0 - b.cols))
+        c0 += b.cols
+    return Matrix.from_rows(ring, rows, cols)
 
 
 def poly_to_sympy(p: Poly):

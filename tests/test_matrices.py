@@ -8,7 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from nilk import laurent_pipeline as lp
 from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
-                           block_assemble, matrix_from_json, matrix_to_json)
+                           block_companion, matrix_from_json, matrix_to_json)
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
@@ -343,18 +343,41 @@ def test_loop_inverse_identity_for_random_idempotents():
         assert lhs @ rhs == Matrix.identity(Q_TSZ, 2)
 
 
-def test_block_assemble_and_direct_sum():
-    a = Matrix.from_rows(Q_TS, [[1, 2], [3, 4]])
-    s = block_assemble(Q_TS, 3, 3, [(0, 0, a), (2, 2, Matrix.zeros(Q_TS, 1, 1))])
-    assert s.rows == 3 and s[0, 0] == Q_TS.one() and s[2, 2].is_zero()
-    b = block_assemble(Q_TS, 4, 4, [(0, 0, a), (2, 2, a)])
-    assert b[2, 2] == Q_TS.one() and b[0, 2].is_zero()
-    with pytest.raises(ValueError):
-        block_assemble(Q_TS, 3, 3, [(2, 2, a)])
-    one = Matrix.identity(Q_TS, 1)
-    for offset in ((-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            block_assemble(Q_TS, 2, 2, [(*offset, one)])
+def companion_reference(blocks):
+    """Entry (i, j) is B_(j // n)[i, j % n] for i < n, one where i >= n and
+    j = i - n, zero everywhere else."""
+    ring, n, dn = blocks[0].ring, blocks[0].rows, len(blocks) * blocks[0].rows
+
+    def entry(i, j):
+        if i < n:
+            return blocks[j // n][i, j % n]
+        return ring.one() if j == i - n else ring.zero()
+
+    return Matrix.from_rows(ring, [[entry(i, j) for j in range(dn)] for i in range(dn)])
+
+
+@pytest.mark.parametrize("ring", [Q_TSZ, F2E_X], ids=["Q_TSZ", "F2E_X"])
+def test_block_companion_matches_reference(ring):
+    rng = random.Random(17)
+    for d in range(1, 5):
+        for n in range(1, 4):
+            blocks = [rand_mat(rng, ring, n) for _ in range(d)]
+            assert block_companion(blocks) == companion_reference(blocks), (d, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_verschiebung_matches_reference(k):
+    n10 = lp.n10_display()
+    blocks = [Matrix.zeros(n10.ring, 10, 10)] * (k - 1) + [n10]
+    assert verschiebung(n10, k) == companion_reference(blocks)
+
+
+def test_block_companion_rejects_mismatched_blocks():
+    a = Matrix.identity(Q_TS, 2)
+    for blocks in ([a, Matrix.identity(Q_TS, 3)], [a, Matrix.identity(Q_TSZ, 2)],
+                   [Matrix.zeros(Q_TS, 2, 3)]):
+        with pytest.raises(ValueError, match="blocks must be square"):
+            block_companion(blocks)
 
 
 def test_empty_dimensions():
@@ -365,7 +388,6 @@ def test_empty_dimensions():
         t = Matrix.zeros(Q_TS, m, n).transpose()
         assert t == Matrix.zeros(Q_TS, n, m)
         assert t.transpose() == Matrix.zeros(Q_TS, m, n)
-    assert block_assemble(Q_TS, 0, 3, []) == Matrix.zeros(Q_TS, 0, 3)
 
 
 def reference_product(a, b):

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from nilk import laurent_pipeline as lp
-from nilk.matrices import Matrix, block_assemble
+from nilk.matrices import Matrix, block_companion
 from nilk.nilsse import (ESSEWitness, SEWitness, SSEChain, frobenius,
                          verify_esse, verify_se, verify_sse_chain,
                          verschiebung)
 from nilk.rings import Q_TS
 from nilk.sampling import random_poly
+
+from helpers import direct_sum
 
 
 def n10():
@@ -25,6 +27,20 @@ def test_verschiebung_examples():
         verschiebung(n, 0)
 
 
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3)])
+def test_verschiebung_of_non_square_raises(rows, cols):
+    # V_k is defined for square N only
+    n = Matrix.zeros(Q_TS, rows, cols)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="blocks must be square"):
+            verschiebung(n, k)
+
+
+def test_block_companion_of_no_blocks_raises():
+    with pytest.raises(ValueError, match="no blocks"):
+        block_companion([])
+
+
 def test_verschiebung_of_n10():
     v2 = verschiebung(n10(), 2)
     assert v2.rows == 20
@@ -35,9 +51,7 @@ def test_verschiebung_of_n10():
 def test_verschiebung_kth_power_is_block_sum(k):
     # V_k(N)^k = N (+) ... (+) N: Almkvist 1974, Stienstra 1982
     n = n10()
-    blocks = block_assemble(n.ring, 10 * k, 10 * k,
-                            [(10 * i, 10 * i, n) for i in range(k)])
-    assert verschiebung(n, k).power(k) == blocks
+    assert verschiebung(n, k).power(k) == direct_sum(*[n] * k)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -85,7 +99,7 @@ def test_esse_examples():
 def test_esse_stabilization_step():
     # A (+) 0 is ESSE to A via U = [A ; 0], V = [I | 0]
     a = Matrix.from_rows(Q_TS, [[1, 2], [3, 4]])
-    a_plus_zero = block_assemble(Q_TS, 3, 3, [(0, 0, a)])
+    a_plus_zero = direct_sum(a, Matrix.zeros(Q_TS, 1, 1))
     u = Matrix.from_rows(Q_TS, [[1, 2], [3, 4], [0, 0]])
     v = Matrix.from_rows(Q_TS, [[1, 0, 0], [0, 1, 0]])
     assert verify_esse(a_plus_zero, a, ESSEWitness(u, v))
