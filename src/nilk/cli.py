@@ -24,16 +24,24 @@ EXIT_VERIFY = 1
 EXIT_IO = 2
 
 
+class _BadInput(Exception):
+    """Bad input or an I/O error; main prints the message as one line, exits 2."""
+
+
+def _read_json(path: str, what: str, parse):
+    """parse(JSON of the file at path); any failure, deep nesting too, is bad input."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, IndexError, TypeError, RecursionError) as e:
+        raise _BadInput(f"{what}: {e}") from e
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as e:
-        raise _IOFailure(str(e)) from e
-
-
-class _IOFailure(Exception):
-    pass
+        raise _BadInput(f"i/o error: {e}") from e
 
 
 def _emit_matrix(m: Matrix, out: Path, name: str, emit: str) -> None:
@@ -73,21 +81,19 @@ def cmd_theorem4(args) -> int:
 
 
 def _load_square(path: str) -> Matrix:
-    try:
-        m = matrix_from_json(json.loads(Path(path).read_text()))
+    def square(j) -> Matrix:
+        m = matrix_from_json(j)
         if m.rows != m.cols:
             raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
         return m
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise _IOFailure(f"cannot read matrix from {path}: {e}") from e
+    return _read_json(path, f"i/o error: cannot read matrix from {path}", square)
 
 
 def cmd_higman(args) -> int:
     m = _load_square(args.input)
     if m.rows == 0 or not {"s", "t"} <= {v.name for v in m.ring.vars}:
-        print("higman needs a nonempty matrix over a ring with the variables s and t",
-              file=sys.stderr)
-        return EXIT_IO
+        raise _BadInput("higman needs a nonempty matrix over a ring with the "
+                        "variables s and t")
     rep = lp.K1Rep(m)
     try:
         rep.verify()
@@ -138,12 +144,7 @@ def _witness_from_json(j: dict):
 
 
 def cmd_sse_verify(args) -> int:
-    try:
-        j = json.loads(Path(args.input).read_text())
-        parsed = _witness_from_json(j)
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as e:
-        print(f"cannot parse witness file: {e}", file=sys.stderr)
-        return EXIT_IO
+    parsed = _read_json(args.input, "cannot parse witness file", _witness_from_json)
     try:
         if isinstance(parsed, nilsse.SSEChain):
             res = nilsse.verify_sse_chain(parsed)
@@ -155,8 +156,7 @@ def cmd_sse_verify(args) -> int:
             passed = f"shift equivalence verified (lag {w.lag})"
             failed = f"identity failed: {res.failed}"
     except ValueError as e:  # shapes that do not fit, or lag < 1
-        print(f"invalid witness: {e}", file=sys.stderr)
-        return EXIT_IO
+        raise _BadInput(f"invalid witness: {e}") from e
     if res.ok:
         print(passed)
         return EXIT_OK
@@ -239,8 +239,8 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
-    except _IOFailure as e:
-        print(f"i/o error: {e}", file=sys.stderr)
+    except _BadInput as e:
+        print(e, file=sys.stderr)
         return EXIT_IO
     except BrokenPipeError:  # stdout closed early, e.g. piped into head
         # point stdout at devnull so the interpreter's last flush cannot raise

@@ -167,8 +167,9 @@ class Matrix:
         """A k with m^k = 0 for every nilpotent n x n matrix m over this ring:
         over the reduced quotient by the nilradical J a nilpotent m has
         m^n = 0, so m^n has entries in J, and J^e = 0 for e = the ring's
-        nilradical exponent.  k = n * e."""
-        return self.rows * self.ring.nilradical_exponent
+        nilradical exponent.  k = n * e, and at least 1, the index of the
+        0 x 0 matrix."""
+        return max(1, self.rows * self.ring.nilradical_exponent)
 
     @cached_property
     def nilpotency(self) -> Optional[int]:

@@ -130,7 +130,7 @@ def groupring_checks(con: grp.Construction | None = None) -> list[Check]:
               "diagonal 1-(1-sigma^2)(..), off-diagonal (sigma^2-1)(..)",
               grp.entry_shapes_ok(lifted)),
         check("lift42.display", "lift matches the stated A, B, C, D block",
-              lifted, grp.theorem42_display(), known_discrepancy=True),
+              lifted, grp.theorem42_display()),
         check("lift42.x_zero_det", "x -> 0 specialization has det 1 (recorded)",
               spec0.det(), spec0.ring.one()),
         check("kahler.nonzero", "D(<eps, x+eps>) = dx != 0",

@@ -79,6 +79,9 @@ class CoeffAlgebra:
 
     @classmethod
     def from_json(cls, j: list):
+        if type(j) is not list or len(j) != len(cls.__slots__):
+            raise ValueError(f"coefficient must be a list of {len(cls.__slots__)} "
+                             f"integers, got {json.dumps(j)}")
         return cls(*(int_from_json(x, "coefficient") for x in j))
 
 
@@ -170,7 +173,10 @@ def int_from_json(x, what: str) -> int:
     return x
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+# integers in strings: ASCII digits only, where int() and Fraction() also
+# take "1_000", " 7 " and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + "(/[0-9]+)?")
 
 
 def _q_from_json(x):
@@ -186,7 +192,9 @@ def _q_from_json(x):
 
 
 def _z_from_json(x) -> int:
-    return int(x) if type(x) is str else int_from_json(x, "coefficient")
+    if type(x) is str and _INTEGER.fullmatch(x):
+        return int(x)
+    return int_from_json(x, "coefficient")
 
 
 def _invert_q(c):

@@ -166,6 +166,16 @@ def test_report_reads_the_stage_ledger():
             assert by_id[cid] is con.checks[cid], cid
 
 
+def test_theorem42_display_mismatch_fails(monkeypatch):
+    # lift42.display matches the paper: a changed display is a failure, not
+    # a tolerated discrepancy
+    shown = grp.theorem42_display()
+    monkeypatch.setattr(grp, "theorem42_display",
+                        lambda: shown + Matrix.identity(shown.ring, shown.rows))
+    by_id = {c.id: c for c in report.groupring_checks(grp.construct())}
+    assert by_id["lift42.display"].status == report.FAIL
+
+
 # the calls one build makes to each stage
 LAURENT_STAGES = dict.fromkeys(("lift_A", "double_idempotent_B", "clutch_projector",
                                 "excision_transport", "decompose_M",

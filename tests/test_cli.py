@@ -203,6 +203,16 @@ def test_nilpotent_over_non_reduced_ring(tmp_path, capsys, cmd, entry):
     assert (code, out, err) == (0, "1x1, nilpotency index 2\n", "")
 
 
+@pytest.mark.parametrize("argv", [["frob", "-k", "1"], ["versch", "-k", "2"]],
+                         ids=["frob", "versch"])
+def test_empty_matrix_is_nilpotent(tmp_path, capsys, argv):
+    # the 0x0 matrix has index 1, within a bound of at least 1
+    src = tmp_path / "e0.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.zeros(Q_TS, 0, 0))))
+    code, out, err = run([argv[0], str(src), *argv[1:], "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (0, "0x0, nilpotency index 1\n", "")
+
+
 @pytest.mark.parametrize("argv, out", [
     (["frob", "-k", "1"], "1x1, nilpotency index 1000000000000\n"),
     (["versch", "-k", "2"], "2x2, nilpotency index 2000000000000\n"),
@@ -294,6 +304,27 @@ def test_frob_rejects_non_nilpotent(tmp_path, capsys):
                             "--out", str(tmp_path)], capsys)
         assert code == 1
         assert "not nilpotent" in err
+
+
+DEEP = 200000
+
+
+@pytest.mark.parametrize("text", ["[" * DEEP + "]" * DEEP,
+                                  '{"a": ' * DEEP + "1" + "}" * DEEP],
+                         ids=["array", "object"])
+@pytest.mark.parametrize("argv", [["higman"], ["versch", "-k", "2"], ["frob", "-k", "2"],
+                                  ["sse-verify"]],
+                         ids=["higman", "versch", "frob", "sse_verify"])
+def test_deep_nesting_is_input_error(tmp_path, capsys, argv, text):
+    # json.loads raises RecursionError here, which is bad input like any
+    # other file that does not parse
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    out_dir = [] if argv[0] == "sse-verify" else ["--out", str(tmp_path)]
+    code, out, err = run([argv[0], str(src), *argv[1:], *out_dir], capsys)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "maximum recursion depth exceeded" in err
 
 
 def _bare(m):
@@ -412,6 +443,22 @@ def test_sse_verify_malformed(tmp_path, capsys):
      "cannot parse witness file: coefficient must be an integer, got 2.9"),
     (_bad_entry_doc("F2", [0, 0], 1.5),
      "cannot parse witness file: coefficient must be an integer, got 1.5"),
+    (_bad_entry_doc("Zi", [0, 0], [1]),
+     "cannot parse witness file: coefficient must be a list of 2 integers, got [1]"),
+    (_bad_entry_doc("Zi", [0, 0], []),
+     "cannot parse witness file: coefficient must be a list of 2 integers, got []"),
+    (_bad_entry_doc("Z4", [0, 0], [1, 2]),
+     "cannot parse witness file: coefficient must be a list of 4 integers, got [1, 2]"),
+    (_bad_entry_doc("Z", [0, 0], "1_000"),
+     'cannot parse witness file: coefficient must be an integer, got "1_000"'),
+    (_bad_entry_doc("Z", [0, 0], " 7 "),
+     'cannot parse witness file: coefficient must be an integer, got " 7 "'),
+    (_bad_entry_doc("Z", [0, 0], "\u0663"),
+     'cannot parse witness file: coefficient must be an integer, got "\\u0663"'),
+    (_bad_entry_doc("Q", [0, 0], "\u0661/\u0662"),
+     'cannot parse witness file: rational coefficient must be "p/q", got "\\u0661/\\u0662"'),
+    (_bad_entry_doc("Q", [0, 0], " 1/2"),
+     'cannot parse witness file: rational coefficient must be "p/q", got " 1/2"'),
     (_bad_entry_doc("Q", [0, 0.5], "1/1"),
      "cannot parse witness file: exponent must be an integer, got 0.5"),
     (_bad_entry_doc("Q", [1, 0], "1/1", [[1, 0], "-1/1"]),
@@ -422,6 +469,8 @@ def test_sse_verify_malformed(tmp_path, capsys):
      "cannot parse witness file: cols must be an integer, got true"),
 ], ids=["se_shapes", "se_lag_zero", "chain_shapes", "se_lag_float", "se_lag_bool",
         "q_zero_denominator", "q_infinity", "zi_float", "z_float", "f2_float",
+        "zi_short", "zi_empty", "z4_short", "z_underscore", "z_spaces", "z_arabic_digit",
+        "q_arabic_digits", "q_leading_space",
         "exponent_float", "exponent_repeated", "rows_float", "cols_bool"])
 def test_sse_verify_bad_witness_is_input_error(tmp_path, capsys, doc, prefix):
     code, out, err = _sse_verify(tmp_path, capsys, doc)

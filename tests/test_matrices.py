@@ -388,6 +388,8 @@ def test_empty_dimensions():
         t = Matrix.zeros(Q_TS, m, n).transpose()
         assert t == Matrix.zeros(Q_TS, n, m)
         assert t.transpose() == Matrix.zeros(Q_TS, m, n)
+    # m^1 = 0 for the 0 x 0 matrix: a bound of 0 would read it as not nilpotent
+    assert Matrix.zeros(Q_TS, 0, 0).nilpotency == 1
 
 
 def reference_product(a, b):
