@@ -45,11 +45,12 @@ def _write(path: Path, text: str) -> None:
 
 
 def _emit_matrix(m: Matrix, out: Path, name: str, emit: str) -> None:
-    if emit == "latex":
-        _write(out / f"{name}.tex", matrix_latex(m) + "\n")
-    else:
-        _write(out / f"{name}.json",
-               json.dumps(matrix_to_json(m), indent=2) + "\n")
+    try:
+        text = matrix_latex(m) if emit == "latex" else \
+            json.dumps(matrix_to_json(m), indent=2)
+    except ValueError as e:  # an int past sys.get_int_max_str_digits()
+        raise _BadInput(f"cannot write {name}: {e}") from e
+    _write(out / f"{name}.{'tex' if emit == 'latex' else 'json'}", text + "\n")
 
 
 def _print_checks(checks, as_json: bool) -> None:
@@ -177,7 +178,7 @@ def cmd_verify_all(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:  # [0-9]+
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 

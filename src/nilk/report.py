@@ -26,7 +26,7 @@ from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     DualF2, GaussianInt, GroupRingZ4, hom_apply, ideal_member,
                     subring_member)
 from .sampling import random_poly
-from .words import (dennis_stein_word, dual_symbol_args, dual_symbol_word,
+from .words import (StWord, dennis_stein_word, dual_symbol_args, dual_symbol_word,
                     eval_word, reduced_X_word, word)
 
 # ---------------------------------------------------------------------------
@@ -169,150 +169,122 @@ def sse_checks(con: lp.Construction | None = None) -> list[Check]:
 # randomized property suites (seeded, deterministic)
 
 
-def suite_ring_axioms(cases: int = 1000, seed: int = 1) -> int:
+def _suite(seed: int, cases: int, case, domains=((),)) -> int:
+    """Failed identities over exactly `cases` calls case(rng, *domain), all
+    drawing from one random.Random(seed): the domains in order, the first
+    cases % len(domains) of them one case more than the rest."""
     rng = random.Random(seed)
-    rings = [Q_TSZ, Q_TS, ZI_X, Z4_X, F2E_X, Q_TS_MOD_T2]
-    fails = 0
-    per = max(1, cases // len(rings))
-    for ring in rings:
-        for _ in range(per):
-            a = random_poly(rng, ring)
-            b = random_poly(rng, ring)
-            c = random_poly(rng, ring)
-            if (a + b) + c != a + (b + c):
-                fails += 1
-            if a * b != b * a or (a * b) * c != a * (b * c):
-                fails += 1
-            if a * (b + c) != a * b + a * c:
-                fails += 1
-            if a * ring.one() != a or a + ring.zero() != a:
-                fails += 1
-    return fails
+    per, extra = divmod(cases, len(domains))
+    return sum(case(rng, *domain) for k, domain in enumerate(domains)
+               for _ in range(per + (k < extra)))
 
 
-def suite_hom_multiplicative(cases: int = 1000, seed: int = 2) -> int:
-    rng = random.Random(seed)
-    fails = 0
-    homs = [("pi_t2", Q_TS, Q_TS_MOD_T2), ("psi", Z4_X, ZI_X),
-            ("rho", ZI_X, F2E_X)]
-    per = max(1, cases // len(homs))
-    for name, ring, target in homs:
-        for _ in range(per):
-            a = random_poly(rng, ring)
-            b = random_poly(rng, ring)
-            if hom_apply(name, a * b) != hom_apply(name, a) * hom_apply(name, b):
-                fails += 1
-            if hom_apply(name, a + b) != hom_apply(name, a) + hom_apply(name, b):
-                fails += 1
-            if hom_apply(name, ring.one()) != target.one():
-                fails += 1
-    return fails
+def suite_ring_axioms(cases: int, seed: int) -> int:
+    def case(rng, ring):
+        a, b, c = (random_poly(rng, ring) for _ in range(3))
+        return (((a + b) + c != a + (b + c))
+                + (a * b != b * a or (a * b) * c != a * (b * c))
+                + (a * (b + c) != a * b + a * c)
+                + (a * ring.one() != a or a + ring.zero() != a))
+    rings = (Q_TSZ, Q_TS, ZI_X, Z4_X, F2E_X, Q_TS_MOD_T2)
+    return _suite(seed, cases, case, [(ring,) for ring in rings])
 
 
-def suite_ideal_closure(cases: int = 1000, seed: int = 3) -> int:
-    rng = random.Random(seed)
-    fails = 0
-    t2 = Q_TS.var("t", 2)
-    two = ZI_X.const(GaussianInt(2, 0))
-    sig = Z4_X.const(GroupRingZ4(1, 0, -1, 0))
-    gens = [(MONOMIAL_T2, Q_TS, t2), (PRINCIPAL_TWO, ZI_X, two),
-            (PRINCIPAL_ONE_MINUS_SIGMA_SQ, Z4_X, sig)]
-    per = max(1, cases // len(gens))
-    for ideal, ring, gen in gens:
-        for _ in range(per):
-            a = gen * random_poly(rng, ring)
-            b = gen * random_poly(rng, ring)
-            r = random_poly(rng, ring)
-            if not (ideal_member(a, ideal) and ideal_member(a + b, ideal)
-                    and ideal_member(r * a, ideal)):
-                fails += 1
-    return fails
+def suite_hom_multiplicative(cases: int, seed: int) -> int:
+    def case(rng, name, ring, target):
+        a, b = random_poly(rng, ring), random_poly(rng, ring)
+        return ((hom_apply(name, a * b) != hom_apply(name, a) * hom_apply(name, b))
+                + (hom_apply(name, a + b) != hom_apply(name, a) + hom_apply(name, b))
+                + (hom_apply(name, ring.one()) != target.one()))
+    return _suite(seed, cases, case, [("pi_t2", Q_TS, Q_TS_MOD_T2),
+                                      ("psi", Z4_X, ZI_X), ("rho", ZI_X, F2E_X)])
 
 
-def suite_det_multiplicative(cases: int = 1000, seed: int = 4) -> int:
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(cases):
-        a = Matrix.from_rows(Q_TS, [[random_poly(rng, Q_TS, 2, 2)
-                                     for _ in range(2)] for _ in range(2)])
-        b = Matrix.from_rows(Q_TS, [[random_poly(rng, Q_TS, 2, 2)
-                                     for _ in range(2)] for _ in range(2)])
-        if (a @ b).det() != a.det() * b.det():
-            fails += 1
-    return fails
+def suite_ideal_closure(cases: int, seed: int) -> int:
+    def case(rng, ideal, ring, gen):
+        a = gen * random_poly(rng, ring)
+        b = gen * random_poly(rng, ring)
+        r = random_poly(rng, ring)
+        return not (ideal_member(a, ideal) and ideal_member(a + b, ideal)
+                    and ideal_member(r * a, ideal))
+    return _suite(seed, cases, case, [
+        (MONOMIAL_T2, Q_TS, Q_TS.var("t", 2)),
+        (PRINCIPAL_TWO, ZI_X, ZI_X.const(GaussianInt(2, 0))),
+        (PRINCIPAL_ONE_MINUS_SIGMA_SQ, Z4_X, Z4_X.const(GroupRingZ4(1, 0, -1, 0)))])
 
 
-def _random_word(rng: random.Random, ring, length: int):
+def suite_det_multiplicative(cases: int, seed: int) -> int:
+    def case(rng):
+        a, b = (Matrix.from_rows(Q_TS, [[random_poly(rng, Q_TS, 2, 2) for _ in range(2)]
+                                        for _ in range(2)]) for _ in range(2))
+        return (a @ b).det() != a.det() * b.det()
+    return _suite(seed, cases, case)
+
+
+def _random_word(rng: random.Random) -> StWord:
     letters = []
-    for _ in range(length):
+    for _ in range(rng.randint(0, 3)):
         i = rng.choice([1, 2])
-        letters.append((i, 3 - i, random_poly(rng, ring, 2, 2)))
-    return word(ring, letters)
+        letters.append((i, 3 - i, random_poly(rng, F2E_X, 2, 2)))
+    return word(F2E_X, letters)
 
 
-def suite_eval_homomorphism(cases: int = 1000, seed: int = 5) -> int:
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(cases):
-        w1 = _random_word(rng, F2E_X, rng.randint(0, 3))
-        w2 = _random_word(rng, F2E_X, rng.randint(0, 3))
-        if eval_word(w1 * w2, 2) != eval_word(w1, 2) @ eval_word(w2, 2):
-            fails += 1
-        if eval_word(w1 * w1.inverse(), 2) != Matrix.identity(F2E_X, 2):
-            fails += 1
-    return fails
+def suite_eval_homomorphism(cases: int, seed: int) -> int:
+    def case(rng):
+        w1, w2 = _random_word(rng), _random_word(rng)
+        return ((eval_word(w1 * w2, 2) != eval_word(w1, 2) @ eval_word(w2, 2))
+                + (eval_word(w1 * w1.inverse(), 2) != Matrix.identity(F2E_X, 2)))
+    return _suite(seed, cases, case)
 
 
-def suite_dennis_stein_identity(cases: int = 1000, seed: int = 6) -> int:
-    rng = random.Random(seed)
+def suite_dennis_stein_identity(cases: int, seed: int) -> int:
     eps = F2E_X.const(DualF2(0, 1))
     eye = Matrix.identity(F2E_X, 2)
-    fails = 0
-    for _ in range(cases):
+
+    def case(rng):
         a = eps * random_poly(rng, F2E_X, 2, 3)  # guarantees 1 - ab is a unit
         b = random_poly(rng, F2E_X, 2, 3)
-        w = dennis_stein_word(1, 2, a, b)
-        if eval_word(w, 2) != eye:
-            fails += 1
-    return fails
+        return eval_word(dennis_stein_word(1, 2, a, b), 2) != eye
+    return _suite(seed, cases, case)
 
 
-def suite_generalized_units(cases: int = 50, seed: int = 7) -> int:
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(cases):
+def suite_generalized_units(cases: int, seed: int) -> int:
+    def case(rng):
         a = Fraction(rng.randint(1, 9) * rng.choice([1, -1]), rng.randint(1, 5))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         try:
             lp.generalized_unit_rep(a, b)
         except lp.PipelineError:
-            fails += 1
-    return fails
+            return 1
+        return 0
+    return _suite(seed, cases, case)
+
+
+# (id, anchor, suite, cases, seed): the one place the report's random suites
+# get their case counts and seeds
+SUITES = (
+    ("random.generalized_units",
+     "any unit a + bst yields a class passing the same checks",
+     suite_generalized_units, 50, 7),
+    ("random.ring_axioms", "ring axioms on randomized elements",
+     suite_ring_axioms, 1000, 1),
+    ("random.hom_multiplicative", "homomorphisms additive and multiplicative",
+     suite_hom_multiplicative, 1000, 2),
+    ("random.ideal_closure", "ideal membership closed under + and ring multiples",
+     suite_ideal_closure, 1000, 3),
+    ("random.det_multiplicative", "det(AB) = det(A) det(B)",
+     suite_det_multiplicative, 1000, 4),
+    ("random.eval_homomorphism", "eval(w1 w2) = eval(w1) eval(w2)",
+     suite_eval_homomorphism, 1000, 5),
+    ("random.dennis_stein_identity", "Dennis-Stein words evaluate to the identity",
+     suite_dennis_stein_identity, 1000, 6),
+)
 
 
 def random_checks() -> list[Check]:
-    suites = [
-        ("random.generalized_units",
-         "any unit a + bst yields a class passing the same checks",
-         suite_generalized_units, 50),
-        ("random.ring_axioms", "ring axioms on randomized elements",
-         suite_ring_axioms, 1000),
-        ("random.hom_multiplicative",
-         "homomorphisms additive and multiplicative", suite_hom_multiplicative, 1000),
-        ("random.ideal_closure",
-         "ideal membership closed under + and ring multiples",
-         suite_ideal_closure, 1000),
-        ("random.det_multiplicative", "det(AB) = det(A) det(B)",
-         suite_det_multiplicative, 1000),
-        ("random.eval_homomorphism", "eval(w1 w2) = eval(w1) eval(w2)",
-         suite_eval_homomorphism, 1000),
-        ("random.dennis_stein_identity",
-         "Dennis-Stein words evaluate to the identity",
-         suite_dennis_stein_identity, 1000),
-    ]
     out = []
-    for cid, anchor, fn, cases in suites:
-        fails = fn(cases)
+    for cid, anchor, fn, cases, seed in SUITES:
+        fails = fn(cases, seed)
         out.append(Check(cid, anchor, PASS if fails == 0 else FAIL,
                          f"{fails} failures / {cases} cases", "0 failures"))
     return out

@@ -129,7 +129,7 @@ def test_higman_rejects_empty_and_s_free_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["versch", "frob"])
-@pytest.mark.parametrize("k", ["0", "-1", "two"])
+@pytest.mark.parametrize("k", ["0", "-1", "two", "\u0662", "\uff10\uff11"])
 def test_bad_k_is_usage_error(tmp_path, capsys, cmd, k):
     src = tmp_path / "n.json"
     src.write_text(json.dumps(matrix_to_json(
@@ -304,6 +304,25 @@ def test_frob_rejects_non_nilpotent(tmp_path, capsys):
                             "--out", str(tmp_path)], capsys)
         assert code == 1
         assert "not nilpotent" in err
+
+
+@pytest.mark.parametrize("emit", ["json", "latex"])
+def test_output_past_int_digit_limit_is_input_error(tmp_path, capsys, emit):
+    # F_k([2t]) = [2^k t^k]; 2^k has more decimal digits than Python writes
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python writes ints of any length")
+    k = 4 * limit  # 2^k has about 1.2 * limit digits
+    deep = Ring("Q", (Var("t", trunc=10 ** 6),))
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps(matrix_to_json(Matrix.from_rows(deep, [[2 * deep.var("t")]]))))
+    out_dir = tmp_path / "out"
+    code, out, err = run(["frob", str(src), "-k", str(k), "--emit", emit,
+                          "--out", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write frob{k}: ") and f"({limit} digits)" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 DEEP = 200000
