@@ -203,8 +203,7 @@ class K1Rep:
         """Check the defining properties; returns the determinant."""
         m = self.matrix
         d = m.det()
-        _require("rep31.det_unit", "determinant a recognized unit",
-                 d.try_invert() is not None)
+        _require("rep31.det_unit", "determinant a recognized unit", d.is_unit())
         _require("rep31.s_to_zero", "maps to [I] under s -> 0",
                  m.substitute({"s": 0}), Matrix.identity(m.ring.drop("s"), m.rows))
         _require("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",

@@ -274,10 +274,7 @@ class Matrix:
             adj = Matrix(ring, n, n, tuple(
                 tuple(x + c if i == j else x for j, x in enumerate(r))
                 for i, r in enumerate((b @ adj).entries)))
-        # the scalar u = d det(B)^-1 applied as (q u) / q, q u with int coefficients
-        u = d * (dinv if n % 2 else -dinv)
-        q = _denominator([u])
-        return adj.scale(u) if q is None else _divided(adj.scale(_times(q, u)), q)
+        return adj.scale(d * (dinv if n % 2 else -dinv))
 
     # -- entrywise helpers
 

@@ -41,10 +41,8 @@ class NotAUnitError(ValueError):
 # coefficient domains
 #
 # The three algebras share one protocol: equality by type and coordinates,
-# + and * between two elements of one algebra, JSON as the coordinate list,
-# and one unit rule.  Every unit u of Z[i], Z[Z/4] (only +/- sigma^k, by
-# Higman's theorem on the units of Z[C_4]) and F2[eps] has u^4 = 1, so u is
-# a unit iff u^4 = 1, and then u^-1 = u^3.
+# + and * between two elements of one algebra, and JSON as the coordinate
+# list.  Their unit rule is _invert_unit, shared with Z and F2.
 
 
 class CoeffAlgebra:
@@ -68,11 +66,6 @@ class CoeffAlgebra:
 
     def __repr__(self):
         return f"{type(self).__name__}{self.coords}"
-
-    def invert(self):
-        """u^-1 = u^3 when u^4 = 1, else None."""
-        sq = self * self
-        return sq * self if sq * sq == type(self)(1) else None
 
     def to_json(self) -> list:
         return list(self.coords)
@@ -204,12 +197,13 @@ def _invert_q(c):
     return q.numerator if q.denominator == 1 else q
 
 
-def _invert_z(c):
-    return c if c in (1, -1) else None
-
-
-def _invert_f2(c):
-    return 1 if c == 1 else None
+def _invert_unit(u):
+    """u^-1 = u^3 when u^4 = 1, else None: the unit rule of every base but
+    Q.  The units of Z (+/-1), F2 (1), Z[i] (+/-1, +/-i), Z[Z/4] (+/-sigma^k,
+    by Higman's theorem on the units of Z[C_4]) and F2[eps] (1, 1 + eps)
+    are exactly their u with u^4 = 1."""
+    sq = u * u
+    return sq * u if sq * sq == type(u)(1) else None
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,7 @@ class BaseOps:
 
 
 def _algebra_ops(cls, latex: Callable) -> BaseOps:
-    return BaseOps(cls(), cls(1), cls, cls.invert, cls.to_json, cls.from_json, latex)
+    return BaseOps(cls(), cls(1), cls, _invert_unit, cls.to_json, cls.from_json, latex)
 
 
 # An integral Q coefficient is stored as an int, which skips Fraction's gcd
@@ -238,12 +232,12 @@ BASE: dict[str, BaseOps] = {
                  lambda c: f"{c.numerator}/{c.denominator}", _q_from_json,
                  lambda c: (str(c.numerator) if c.denominator == 1
                             else rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}")),
-    "Z": BaseOps(0, 1, int, _invert_z, str, _z_from_json, str),
+    "Z": BaseOps(0, 1, int, _invert_unit, str, _z_from_json, str),
     "Zi": _algebra_ops(GaussianInt, str),
     "Z4": _algebra_ops(GroupRingZ4, lambda c: "(" + "+".join(
         f"{v}" + ("" if k == 0 else rf"\sigma^{{{k}}}" if k > 1 else r"\sigma")
         for k, v in enumerate(c.coords) if v).replace("+-", "-") + ")"),
-    "F2": BaseOps(0, 1, lambda n: n % 2, _invert_f2, lambda c: c,
+    "F2": BaseOps(0, 1, lambda n: n % 2, _invert_unit, lambda c: c,
                   lambda j: int_from_json(j, "coefficient") % 2, str),
     "F2e": _algebra_ops(DualF2, lambda c: str(c).replace("ε", r"\epsilon")),
 }
@@ -371,14 +365,18 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def in_nilradical(self) -> bool:
-        """Membership in the nilradical, which the truncated variables and eps
-        generate: each term has a truncated variable or an eps-multiple
-        coefficient."""
+    def _terms_outside_nilradical(self):
+        """The terms (exps, c) outside the nilradical J, which the truncated
+        variables and eps generate: a term is in J when it has a truncated
+        variable or an eps-multiple coefficient."""
         trunc = [k for k, _ in self.ring.truncated]
         eps = self.ring.base == "F2e"
-        return all(any(exps[k] for k in trunc) or (eps and not c.a)
-                   for exps, c in self.terms.items())
+        return ((exps, c) for exps, c in self.terms.items()
+                if not (any(exps[k] for k in trunc) or (eps and not c.a)))
+
+    def in_nilradical(self) -> bool:
+        """Membership in J: no term outside it."""
+        return next(self._terms_outside_nilradical(), None) is None
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -445,39 +443,42 @@ class Poly:
 
     # -- units
 
-    def try_invert(self) -> Optional["Poly"]:
-        """Inverse, or None.  Recognizes unit monomials (Laurent units) and
-        a unit monomial times 1 - nilpotent, via truncated geometric series."""
-        ring = self.ring
-        if self.is_zero():
+    def _unit_term(self) -> Optional[tuple]:
+        """(exps, m^-1) for self = m(1 - n), m = c x^exps a unit monomial and
+        n in the nilradical J; else None.  m is the one term outside J: a unit
+        monomial is not in J (it has no truncated variable, and over F2[eps] a
+        unit coefficient), and m, m^-1 map J-terms one to one to J-terms."""
+        outside = self._terms_outside_nilradical()
+        term = next(outside, None)
+        if term is None or next(outside, None) is not None:
             return None
+        m_inv = _monomial_inverse(self.ring, *term)
+        return None if m_inv is None else (term[0], m_inv)
+
+    def is_unit(self) -> bool:
+        """Whether try_invert recognizes self, without its series."""
+        return self._unit_term() is not None
+
+    def try_invert(self) -> Optional["Poly"]:
+        """Inverse, or None.  Recognizes a unit monomial m times 1 - n, n in
+        the nilradical (see _unit_term), and inverts it by the geometric
+        series m^-1 (1 + n + n^2 + ...), which ends within the ring's
+        nilradical exponent."""
+        unit = self._unit_term()
+        if unit is None:
+            return None
+        exps, m_inv = unit
         if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            return _monomial_inverse(ring, exps, c)
-        # self = m(1 - n) for a unit term m, the constant term tried first.
-        # n can be nilpotent only as an element of the nilradical
-        bound = ring.nilradical_exponent
-        one = ring.one()
-        constant = (0,) * len(ring.vars)
-        for exps, c in sorted(self.terms.items(), key=lambda t: t[0] != constant):
-            m_inv = _monomial_inverse(ring, exps, c)
-            if m_inv is None:
-                continue
-            n = -(m_inv * (self - Poly(ring, {exps: c})))
-            if not n.in_nilradical():
-                continue
-            acc = power = one
-            for _ in range(bound):
-                power = power * n
-                if power.is_zero():
-                    break
-                acc = acc + power
-            else:
-                continue
-            q = m_inv * acc
-            if self * q == one:
-                return q
-        return None
+            return m_inv
+        n = m_inv * Poly(self.ring, {e: -c for e, c in self.terms.items() if e != exps})
+        acc = power = one = self.ring.one()
+        for _ in range(self.ring.nilradical_exponent):
+            power = power * n
+            if power.is_zero():
+                break
+            acc = acc + power
+        q = m_inv * acc
+        return q if self * q == one else None
 
     def invert(self) -> "Poly":
         inv = self.try_invert()

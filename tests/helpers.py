@@ -1,8 +1,9 @@
-"""Shared test utilities: the canonical-form check, elementary matrices as
-a reference product, direct sums entry by entry, and conversion to sympy
-for independent cross-checks."""
+"""Shared test utilities: the canonical-form check, a candidate-loop unit
+recognition and elementary matrices as references, direct sums entry by
+entry, and conversion to sympy for independent cross-checks."""
 
 from fractions import Fraction
+from typing import Optional
 
 import sympy as sp
 
@@ -26,6 +27,41 @@ def assert_canonical(p: Poly):
         assert c, exps
         assert type(c) in types, (exps, c)
         assert ring.base != "F2" or c == 1, (exps, c)
+
+
+def reference_try_invert(p: Poly) -> Optional[Poly]:
+    """p^-1 or None by trying each term m of p, the constant term first: a
+    unit monomial m that leaves n = 1 - m^-1 p in the nilradical J gives
+    m^-1 (1 + n + n^2 + ...), kept when it inverts p.  A reference for
+    Poly.try_invert, which takes the one term of p outside J instead."""
+    ring, one = p.ring, p.ring.one()
+    trunc = [k for k, _ in ring.truncated]
+
+    def in_nilradical(q: Poly) -> bool:
+        return all(any(e[k] for k in trunc) or (ring.base == "F2e" and not c.a)
+                   for e, c in q.terms.items())
+
+    constant = (0,) * len(ring.vars)
+    for exps, c in sorted(p.terms.items(), key=lambda t: t[0] != constant):
+        cinv = ring.ops.invert(c)
+        if cinv is None or any(e and not v.laurent for e, v in zip(exps, ring.vars)):
+            continue
+        m_inv = Poly(ring, {tuple(-e for e in exps): cinv})
+        n = one - m_inv * p
+        if not in_nilradical(n):
+            continue
+        acc = power = one
+        for _ in range(ring.nilradical_exponent):
+            power = power * n
+            if power.is_zero():
+                break
+            acc = acc + power
+        else:
+            continue
+        q = m_inv * acc
+        if p * q == one:
+            return q
+    return None
 
 
 def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:

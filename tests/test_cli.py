@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,21 @@ def test_higman_rejects_identity(tmp_path, capsys):
     code, _, err = run(["higman", str(src), "--out", str(tmp_path)], capsys)
     assert code == 1
     assert "verification failure" in err
+
+
+def test_higman_checks_a_long_series_unit_in_bounded_work(tmp_path, capsys):
+    # det [[1 - t]] over Q[t]/(t^(10^12))[s] is a unit whose inverse series
+    # has 10^12 terms: rep31.det_unit recognizes it without the series, and
+    # rep31.s_to_zero then fails
+    src = tmp_path / "one_minus_t.json"
+    src.write_text('{"ring": {"base": "Q", "vars": [{"name": "t", "trunc": 1000000000000}, '
+                   '{"name": "s"}]}, "rows": 1, "cols": 1, '
+                   '"entries": [[[[[0, 0], "1"], [[1, 0], "-1"]]]]}')
+    start = time.perf_counter()
+    code, _, err = run(["higman", str(src), "--out", str(tmp_path)], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "rep31.s_to_zero" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("ring, nil", [

@@ -12,9 +12,9 @@ from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGM
                         hom_apply, ideal_member, poly_latex, poly_terms_from_json, poly_terms_to_json,
                         psi, rho, ring_from_json, ring_to_json,
                         subring_member, truncate_t2)
-from nilk.sampling import random_poly
+from nilk.sampling import random_coeff, random_poly
 
-from helpers import assert_canonical
+from helpers import assert_canonical, reference_try_invert
 
 
 def st(k):
@@ -68,8 +68,10 @@ def test_mixed_ring_arithmetic_rejected():
 
 # -- coefficient algebras
 
-# a coordinate box of each algebra, with the coordinates of its units
+# a coordinate box of each base but Q, with the coordinates of its units
 ALGEBRA_BOXES = {
+    "Z": (list(range(-3, 4)), {1, -1}),
+    "F2": ([0, 1], {1}),
     "Zi": ([GaussianInt(a, b) for a, b in itertools.product(range(-3, 4), repeat=2)],
            {(1, 0), (-1, 0), (0, 1), (0, -1)}),
     "Z4": ([GroupRingZ4(*c) for c in itertools.product(range(-2, 3), repeat=4)],
@@ -86,11 +88,15 @@ def test_unit_rule_on_a_box(base):
     one = BASE[base].one
     inverted = set()
     for u in box:
-        inv = u.invert()
+        inv = BASE[base].invert(u)
         if inv is not None:
             assert u * inv == one and inv * u == one
-            inverted.add(u.coords)
+            inverted.add(_coords(u))
     assert inverted == units
+
+
+def _coords(u):
+    return u if type(u) is int else u.coords
 
 
 @pytest.mark.parametrize("base", sorted(ALGEBRA_BOXES))
@@ -374,6 +380,48 @@ def test_arithmetic_results_are_canonical(ring):
         assert (a - a).is_zero()
         for r in (a + b, a - b, -a, a * b):
             assert_canonical(r)
+
+
+def _random_unit_monomial(rng: random.Random, ring: Ring) -> Poly:
+    """c x^e with c a unit of the base and e nonzero only on Laurent variables."""
+    if ring.base == "Q":
+        c = 0
+        while not c:
+            c = random_coeff(rng, "Q")
+    else:
+        box, units = ALGEBRA_BOXES[ring.base]
+        c = rng.choice([u for u in box if _coords(u) in units])
+    return Poly(ring, {tuple(rng.randint(-3, 3) if v.laurent else 0 for v in ring.vars): c})
+
+
+def _random_nilradical_element(rng: random.Random, ring: Ring) -> Poly:
+    """A random combination of the nilradical's generators: the truncated
+    variables and, over F2[eps], eps."""
+    gens = [ring.var(v.name) for v in ring.vars if v.trunc is not None]
+    if ring.base == "F2e":
+        gens.append(ring.const(DualF2(0, 1)))
+    return sum((random_poly(rng, ring) * g for g in gens), ring.zero())
+
+
+UNIT_RINGS = [Q_TS_MOD_T2, F2E_X, Q_TSZ, ZI_X, Z4_X,
+              Ring("Q", (Var("t", trunc=4), Var("z", laurent=True)))]
+
+
+@pytest.mark.parametrize("ring", UNIT_RINGS, ids=str)
+def test_unit_recognition_matches_the_candidate_loop(ring):
+    # random polys, mostly non-units, and built units m(1 - n), m a unit
+    # monomial and n in the nilradical, which the recognition must invert
+    rng = random.Random(17)
+    for k in range(400):
+        if k % 2:
+            p = random_poly(rng, ring)
+        else:
+            m = _random_unit_monomial(rng, ring)
+            p = m * (ring.one() - _random_nilradical_element(rng, ring))
+        inv = p.try_invert()
+        assert inv == reference_try_invert(p), p
+        assert p.is_unit() == (inv is not None), p
+        assert k % 2 or inv is not None, p
 
 
 def test_invert_contract_randomized():
