@@ -456,14 +456,15 @@ class Poly:
         return None if m_inv is None else (term[0], m_inv)
 
     def is_unit(self) -> bool:
-        """Whether try_invert recognizes self, without its series."""
+        """Whether try_invert recognizes self, without building the inverse."""
         return self._unit_term() is not None
 
     def try_invert(self) -> Optional["Poly"]:
         """Inverse, or None.  Recognizes a unit monomial m times 1 - n, n in
-        the nilradical (see _unit_term), and inverts it by the geometric
-        series m^-1 (1 + n + n^2 + ...), which ends within the ring's
-        nilradical exponent."""
+        the nilradical (see _unit_term), and inverts it as
+        m^-1 (1 + n)(1 + n^2)(1 + n^4)... up to the first n^(2^i) = 0, which
+        comes within ceil(log2 e) squarings for e the ring's nilradical
+        exponent."""
         unit = self._unit_term()
         if unit is None:
             return None
@@ -471,12 +472,10 @@ class Poly:
         if len(self.terms) == 1:
             return m_inv
         n = m_inv * Poly(self.ring, {e: -c for e, c in self.terms.items() if e != exps})
-        acc = power = one = self.ring.one()
-        for _ in range(self.ring.nilradical_exponent):
-            power = power * n
-            if power.is_zero():
-                break
-            acc = acc + power
+        one = self.ring.one()
+        acc, n = one + n, n * n
+        while not n.is_zero():
+            acc, n = acc * (one + n), n * n
         q = m_inv * acc
         return q if self * q == one else None
 

@@ -1,6 +1,7 @@
 """Shared test utilities: the canonical-form check, a candidate-loop unit
 recognition and elementary matrices as references, direct sums entry by
-entry, and conversion to sympy for independent cross-checks."""
+entry, matrices as witness files hold them, and conversion to sympy for
+independent cross-checks."""
 
 from fractions import Fraction
 from typing import Optional
@@ -8,7 +9,7 @@ from typing import Optional
 import sympy as sp
 
 from nilk.rings import BASE, GaussianInt, Poly, Ring
-from nilk.matrices import Matrix
+from nilk.matrices import Matrix, matrix_to_json
 
 
 def assert_canonical(p: Poly):
@@ -86,6 +87,12 @@ def direct_sum(*blocks: Matrix) -> Matrix:
             rows.append([ring.zero()] * c0 + list(r) + [ring.zero()] * (cols - c0 - b.cols))
         c0 += b.cols
     return Matrix.from_rows(ring, rows, cols)
+
+
+def bare(m: Matrix) -> dict:
+    """A matrix object as witness files hold it, without the ring."""
+    j = matrix_to_json(m)
+    return {k: j[k] for k in ("rows", "cols", "entries")}
 
 
 def poly_to_sympy(p: Poly):

@@ -20,6 +20,8 @@ from nilk.cli import main
 from nilk.matrices import Matrix, matrix_to_json
 from nilk.rings import Q_TS
 
+from helpers import bare
+
 SEED = 1506
 CASES = 150
 TIME_LIMIT_S = 2.0
@@ -29,11 +31,6 @@ T, S = Q_TS.var("t"), Q_TS.var("s")
 RING = matrix_to_json(Matrix.zeros(Q_TS, 0, 0))["ring"]
 
 
-def _bare(m):
-    j = matrix_to_json(m)
-    return {k: j[k] for k in ("rows", "cols", "entries")}
-
-
 N = Matrix.from_rows(Q_TS, [[0, T ** 2], [0, 0]])
 MATRIX_DOCS = {
     "nilpotent": matrix_to_json(N),
@@ -41,13 +38,13 @@ MATRIX_DOCS = {
 }
 ZERO1 = Matrix.zeros(Q_TS, 1, 1)
 WITNESS_DOCS = {
-    "se": {"ring": RING, "A": _bare(N), "B": _bare(ZERO1),
-           "U": _bare(Matrix.zeros(Q_TS, 2, 1)), "V": _bare(Matrix.zeros(Q_TS, 1, 2)),
+    "se": {"ring": RING, "A": bare(N), "B": bare(ZERO1),
+           "U": bare(Matrix.zeros(Q_TS, 2, 1)), "V": bare(Matrix.zeros(Q_TS, 1, 2)),
            "lag": 2},
     "chain": {"ring": RING, "steps": [
-        {"matrix": _bare(N)},
-        {"matrix": _bare(ZERO1), "U": _bare(Matrix.from_rows(Q_TS, [[1], [0]])),
-         "V": _bare(Matrix.from_rows(Q_TS, [[0, T ** 2]]))}]},
+        {"matrix": bare(N)},
+        {"matrix": bare(ZERO1), "U": bare(Matrix.from_rows(Q_TS, [[1], [0]])),
+         "V": bare(Matrix.from_rows(Q_TS, [[0, T ** 2]]))}]},
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -197,6 +198,17 @@ def test_inverse_of_deep_truncated_unit():
     u = r.one() + r.var("t")
     inv = Matrix.diag(r, [u, 1]).inverse()
     assert inv == Matrix.diag(r, [u.invert(), 1])
+
+
+def test_inverse_of_a_long_series_unit_in_bounded_work():
+    # (1 - t)^-1 has T terms, reached as (1 + t)(1 + t^2)(1 + t^4)... in 15
+    # squarings at T = 2 * 10^4, not in one product per term
+    T = 2 * 10 ** 4
+    r = Ring("Q", (Var("t", trunc=T), Var("s")))
+    start = time.perf_counter()
+    inv = Matrix.from_rows(r, [[r.one() - r.var("t")]]).inverse()
+    assert time.perf_counter() - start < 2
+    assert inv == Matrix.from_rows(r, [[Poly(r, {(i, 0): 1 for i in range(T)})]])
 
 
 def test_elementary():
