@@ -141,12 +141,12 @@ def matrix_doc(ring, rows):
     return matrix_to_json(Matrix.from_rows(ring, rows))
 
 
-def case(id, argv, doc, code, out, err, marks=()):
+def case(id, argv, doc, code, out, err, marks=(), test="exit_code_contract"):
     """One row of the CLI contract: `nilk argv[0] IN argv[1:]`, with IN a
     file holding doc (a dict as JSON, a str as is, None for no file), exits
     code, prints out (None: unchecked) and writes err into stderr, where the
-    input path reads as IN."""
-    return pytest.param(argv, doc, code, out, err, id=id, marks=marks)
+    input path reads as IN. The row runs as test_<test>[id]."""
+    return "test_" + test, pytest.param(argv, doc, code, out, err, id=id, marks=marks)
 
 
 NIL = matrix_to_json(N2)
@@ -161,8 +161,7 @@ NON_REDUCED = {"eps": (Ring("F2e", (Var("t"), Var("s"))), lambda r: r.const(Dual
 NILPOTENTS = {"eps": F2E_X.const(DualF2(0, 1)), "t_mod_t2": Q_TS_MOD_T2.var("t")}
 MATRIX_CMDS = {"versch": ["versch", "-k", "2"], "frob": ["frob", "-k", "2"],
                "higman": ["higman"]}
-BAD_K = {"zero": "0", "negative": "-1", "word": "two", "arabic_digit": "\u0662",
-         "fullwidth_digits": "\uff10\uff11"}
+BAD_K = ("0", "-1", "two", "\u0662", "\uff10\uff11")
 BAD_TRUNC = {"zero": {"trunc": 0}, "float": {"trunc": 2.5}, "bool": {"trunc": True},
              "laurent": {"trunc": 2, "laurent": True}}
 NOT_BOOL = "variable name must be a string and laurent a bool, got "
@@ -196,9 +195,8 @@ CASES = [
          one_entry([{"name": "t", "trunc": 10 ** 12}, {"name": "s"}],
                    [[0, 0], "1"], [[1, 0], "-1"]), 1, "", "rep31.s_to_zero"),
     # [1 + eps s] has companion [eps], of index 2 although it is 1x1
-    *[case(f"higman-non_reduced-{name}", ["higman"],
-           matrix_doc(r, [[r.one() + nil(r) * r.var("s")]]), 0,
-           "companion size 1, nilpotency index 2\n", "")
+    *[case(name, ["higman"], matrix_doc(r, [[r.one() + nil(r) * r.var("s")]]), 0,
+           "companion size 1, nilpotency index 2\n", "", test="higman_over_non_reduced_ring")
       for name, (r, nil) in NON_REDUCED.items()],
     case("higman-missing_file", ["higman"], None, 2, None,
          READ + "[Errno 2] No such file or directory"),
@@ -210,20 +208,23 @@ CASES = [
          READ + "coefficient must be a list of 2 integers, got [1]"),
     *[case(f"higman-bad_exponent-{name}", ["higman"], one_entry(TS, [exps, "1/1"]),
            2, None, READ + message) for name, (exps, message) in BAD_EXPONENTS.items()],
-    *[case(f"{cmd}-bad_k-{name}", [cmd, "-k", k], NIL, 2, None,
-           f"argument -k: expected an integer >= 1, got {k!r}")
-      for cmd in ("versch", "frob") for name, k in BAD_K.items()],
-    *[case(f"{cmd}-non_square", argv, matrix_doc(Q_TS, [[0, 0, 0], [0, 0, 0]]), 2, None,
-           READ + "expected a square matrix, got 2x3") for cmd, argv in MATRIX_CMDS.items()],
-    # --json is a report option: only theorem3, theorem4 and verify-all print a report
-    *[case(f"{cmd}-json_flag", [*argv, "--json"], NIL, 2, None,
-           "unrecognized arguments: --json") for cmd, argv in MATRIX_CMDS.items()],
-    # read into a dict, the second term would replace the first: t - t as -t
-    *[case(f"{cmd}-repeated_exponent", argv,
-           one_entry(TS, [[1, 0], "1/1"], [[1, 0], "-1/1"]), 2, None,
-           READ + "exponent vector [1, 0] appears twice in one entry")
+    *[case(f"{k}-{cmd}", [cmd, "-k", k], NIL, 2, None,
+           f"argument -k: expected an integer >= 1, got {k!r}", test="bad_k_is_usage_error")
+      for cmd in ("versch", "frob") for k in BAD_K],
+    *[case(cmd, argv, matrix_doc(Q_TS, [[0, 0, 0], [0, 0, 0]]), 2, None,
+           READ + "expected a square matrix, got 2x3", test="non_square_input_is_input_error")
       for cmd, argv in MATRIX_CMDS.items()],
-    *[case(f"{cmd}-deep_{name}", argv, text, 2, None, "maximum recursion depth exceeded")
+    # --json is a report option: only theorem3, theorem4 and verify-all print a report
+    *[case(cmd, [*argv, "--json"], NIL, 2, None, "unrecognized arguments: --json",
+           test="json_flag_is_usage_error_on_matrix_commands")
+      for cmd, argv in MATRIX_CMDS.items()],
+    # read into a dict, the second term would replace the first: t - t as -t
+    *[case(cmd, argv, one_entry(TS, [[1, 0], "1/1"], [[1, 0], "-1/1"]), 2, None,
+           READ + "exponent vector [1, 0] appears twice in one entry",
+           test="repeated_exponent_is_input_error")
+      for cmd, argv in MATRIX_CMDS.items()],
+    *[case(f"{cmd}-{name}", argv, text, 2, None, "maximum recursion depth exceeded",
+           test="deep_nesting_is_input_error")
       for cmd, argv in {**MATRIX_CMDS, "sse_verify": ["sse-verify"]}.items()
       for name, text in DEEP_TEXTS.items()],
     case("versch-k3", ["versch", "-k", "3"], NIL, 0, "6x6, nilpotency index 6\n", ""),
@@ -231,18 +232,19 @@ CASES = [
     case("versch-n10_k8", ["versch", "-k", "8"], matrix_to_json(lp.construct().n10), 0,
          "80x80, nilpotency index 80\n", ""),
     # [eps] and [t] are 1x1 with index 2: the bound is not the size alone
-    *[case(f"{cmd}-non_reduced-{name}", [cmd, "-k", "1"], matrix_doc(x.ring, [[x]]), 0,
-           "1x1, nilpotency index 2\n", "")
+    *[case(f"{name}-{cmd}", [cmd, "-k", "1"], matrix_doc(x.ring, [[x]]), 0,
+           "1x1, nilpotency index 2\n", "", test="nilpotent_over_non_reduced_ring")
       for cmd in ("versch", "frob") for name, x in NILPOTENTS.items()],
     # the 0x0 matrix has index 1, within a bound of at least 1
-    *[case(f"{argv[0]}-empty", argv, matrix_doc(Q_TS, []), 0, "0x0, nilpotency index 1\n", "")
+    *[case(argv[0], argv, matrix_doc(Q_TS, []), 0, "0x0, nilpotency index 1\n", "",
+           test="empty_matrix_is_nilpotent")
       for argv in (["frob", "-k", "1"], ["versch", "-k", "2"])],
     # [t] over Q[t]/(t^(10^12)): squaring and bisection find the index in
     # about 2 log2(10^12) products, where one product a step would take 10^12
-    case("frob-index_1e12", ["frob", "-k", "1"], matrix_doc(T12, [[T12.var("t")]]), 0,
-         "1x1, nilpotency index 1000000000000\n", ""),
-    case("versch-index_1e12", ["versch", "-k", "2"], matrix_doc(T12, [[T12.var("t")]]), 0,
-         "2x2, nilpotency index 2000000000000\n", ""),
+    case("frob", ["frob", "-k", "1"], matrix_doc(T12, [[T12.var("t")]]), 0,
+         "1x1, nilpotency index 1000000000000\n", "", test="index_of_ten_to_the_twelve"),
+    case("versch", ["versch", "-k", "2"], matrix_doc(T12, [[T12.var("t")]]), 0,
+         "2x2, nilpotency index 2000000000000\n", "", test="index_of_ten_to_the_twelve"),
     # A = [[0, 1/2], [0, 0]]: F_k(A) by squaring stays small at k = 10^12
     case("frob-fraction_k1e12", ["frob", "-k", str(10 ** 12)], matrix_to_json(HALF), 0,
          "2x2, nilpotency index 1\n", ""),
@@ -252,19 +254,18 @@ CASES = [
          "frob output is not nilpotent within 2 steps"),
     case("frob-not_nilpotent_t1e12", ["frob", "-k", "1"], matrix_doc(T12S, [[1, 0], [0, 1]]),
          1, "", "frob output is not nilpotent within 2000000000000 steps"),
-    *[case(f"frob-bad_trunc-{name}", ["frob", "-k", "1"],
-           one_entry([{"name": "t", **var}], [[1], "1/1"]), 2, None,
-           READ + "variable t: trunc must be an integer >= 1")
-      for name, var in BAD_TRUNC.items()],
-    *[case(f"frob-bad_ring_var-{name}", ["frob", "-k", "1"],
-           one_entry(vars_, [[0] * len(vars_), "1/1"]), 2, None, READ + message)
+    *[case(name, ["frob", "-k", "1"], one_entry([{"name": "t", **var}], [[1], "1/1"]), 2,
+           None, READ + "variable t: trunc must be an integer >= 1",
+           test="bad_truncation_is_input_error") for name, var in BAD_TRUNC.items()],
+    *[case(name, ["frob", "-k", "1"], one_entry(vars_, [[0] * len(vars_), "1/1"]), 2, None,
+           READ + message, test="bad_ring_var_is_input_error")
       for name, (vars_, message) in BAD_VARS.items()],
     # F_K([2t]) = [2^K t^K]
-    *[case(f"frob-digit_limit-{emit}", ["frob", "-k", str(K), "--emit", emit],
+    *[case(emit, ["frob", "-k", str(K), "--emit", emit],
            matrix_doc(T6, [[2 * T6.var("t")]]), 2, None,
            f"cannot write frob{K}: Exceeds the limit ({LIMIT} digits)",
-           pytest.mark.skipif(not LIMIT, reason="this Python writes ints of any length"))
-      for emit in ("json", "latex")],
+           pytest.mark.skipif(not LIMIT, reason="this Python writes ints of any length"),
+           test="output_past_int_digit_limit_is_input_error") for emit in ("json", "latex")],
     case("sse-chain", ["sse-verify"], _chain_doc(), 0, "SSE chain verified (1 links)\n", ""),
     case("sse-chain_corrupt", ["sse-verify"], _chain_doc(corrupt=True), 1, "",
          "chain fails at link 1"),
@@ -282,7 +283,8 @@ CASES = [
     case("sse-not_json", ["sse-verify"], "{not json", 2, None, WITNESS + "Expecting"),
     case("sse-no_witness", ["sse-verify"], {"ring": {"base": "Q", "vars": []}}, 2, None,
          WITNESS + "'A'"),
-    *[case(f"sse-{name}", ["sse-verify"], d, 2, None, err) for name, d, err in (
+    *[case(name, ["sse-verify"], d, 2, None, err, test="sse_verify_bad_witness_is_input_error")
+      for name, d, err in (
         ("se_shapes", _se_doc(u_rows=3), "invalid witness:"),
         ("se_lag_zero", _se_doc(lag=0), "invalid witness:"),
         ("chain_shapes", _chain_doc(u_rows=3), "invalid witness:"),
@@ -326,33 +328,40 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, doc, code, out, err", CASES)
-def test_exit_code_contract(tmp_path, capsys, argv, doc, code, out, err):
-    """The exit-code contract: 0 verified, 1 an identity failed, 2 bad input
-    (one stderr line, or argparse's usage message), never a traceback; only
-    exit 0 writes into --out."""
-    src, out_dir = tmp_path / "in.json", tmp_path / "out"
-    if doc is not None:
-        src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    opts = [] if argv[0] == "sse-verify" else ["--out", str(out_dir)]
-    start = time.perf_counter()
-    try:
-        got, usage = main([argv[0], str(src), *argv[1:], *opts]), False
-    except SystemExit as e:
-        got, usage = e.code, True
-    elapsed = time.perf_counter() - start
-    printed, errs = capsys.readouterr()
-    errs = errs.replace(str(src), "IN")
-    assert got == code, errs
-    assert out is None or printed == out
-    assert err in errs and "Traceback" not in errs
-    if code == 0:
-        assert errs == ""
-    elif code == 2:
-        assert printed == ""
-        assert errs.startswith("usage: nilk ") if usage else errs.count("\n") == 1
-    assert elapsed < TIME_LIMIT_S
-    assert out_dir.exists() == (code == 0 and bool(opts))
+def contract_test(rows):
+    @pytest.mark.parametrize("argv, doc, code, out, err", rows)
+    def test(tmp_path, capsys, argv, doc, code, out, err):
+        """The exit-code contract: 0 verified, 1 an identity failed, 2 bad input
+        (one stderr line, or argparse's usage message), never a traceback; only
+        exit 0 writes into --out."""
+        src, out_dir = tmp_path / "in.json", tmp_path / "out"
+        if doc is not None:
+            src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        opts = [] if argv[0] == "sse-verify" else ["--out", str(out_dir)]
+        start = time.perf_counter()
+        try:
+            got, usage = main([argv[0], str(src), *argv[1:], *opts]), False
+        except SystemExit as e:
+            got, usage = e.code, True
+        elapsed = time.perf_counter() - start
+        printed, errs = capsys.readouterr()
+        errs = errs.replace(str(src), "IN")
+        assert got == code, errs
+        assert out is None or printed == out
+        assert err in errs and "Traceback" not in errs
+        if code == 0:
+            assert errs == ""
+        elif code == 2:
+            assert printed == ""
+            assert errs.startswith("usage: nilk ") if usage else errs.count("\n") == 1
+        assert elapsed < TIME_LIMIT_S
+        assert out_dir.exists() == (code == 0 and bool(opts))
+    return test
+
+
+# every row runs under the test name it gives, with the one body above
+for _name in dict.fromkeys(name for name, _ in CASES):
+    globals()[_name] = contract_test([row for name, row in CASES if name == _name])
 
 
 @pytest.fixture
