@@ -74,19 +74,17 @@ def lift_to_group_ring(m: Matrix) -> Matrix:
 
     Entrywise: entry - delta = 2g, return delta + (1-sigma^2)*ghat where
     ghat is the canonical lift g0 + g1*i -> g0 + g1*sigma.  Well-defined
-    because (1-sigma^2)(1+sigma^2) = 0.
+    because (1-sigma^2)(1+sigma^2) = 0.  The map 2g -> (1-sigma^2)*ghat is
+    additive, so it is applied to the nonzero entries of m - I.
     """
     one_minus_s2 = Z4_X.const(GroupRingZ4(1, 0, -1, 0))
 
-    def lift_entry(e: Poly, diag: bool) -> Poly:
-        d = e - (m.ring.one() if diag else m.ring.zero())
-        g = d.coefficient_map(_halve, m.ring)
-        ghat = g.coefficient_map(group_ring_from_gauss, Z4_X)
-        out = one_minus_s2 * ghat
-        return out + Z4_X.one() if diag else out
+    def lift_entry(d: Poly) -> Poly:
+        ghat = d.coefficient_map(_halve, m.ring).coefficient_map(group_ring_from_gauss, Z4_X)
+        return one_minus_s2 * ghat
 
-    lifted = Matrix.from_rows(Z4_X, [[lift_entry(e, r == c) for c, e in enumerate(row)]
-                                     for r, row in enumerate(m.entries)])
+    lifted = ((m - Matrix.identity(m.ring, m.rows)).map_entries(lift_entry, Z4_X)
+              + Matrix.identity(Z4_X, m.rows))
     _require("lift42.psi", "psi(lift) = YZ", lifted.map_entries(psi, m.ring), m)
     _require("lift42.det", "det(lift) = 1", lifted.det(), Z4_X.one())
     return lifted

@@ -289,7 +289,7 @@ def decompose_M(rep: K1Rep) -> list[Matrix]:
     """I - rep as sum_{i >= 1} s^i M_i: M_i is the coefficient of s^i."""
     m = Matrix.identity(rep.matrix.ring, rep.matrix.rows) - rep.matrix
     k = m.ring.index("s")
-    degrees = {e[k] for row in m.entries for p in row for e in p.terms}
+    degrees = {e[k] for row in m.nonzero for p in row.values() for e in p.terms}
     if degrees and min(degrees) < 1:
         raise ValueError("I - rep has a term of s-degree below 1: not an s -> 0 trivial class")
     tgt = m.ring.drop("s")
@@ -309,25 +309,17 @@ def higman_companion(blocks: list[Matrix]) -> Matrix:
 
 
 def n10_display() -> Matrix:
-    """The stated 10x10 nilpotent companion, verbatim."""
+    """The stated 10x10 nilpotent companion, verbatim: the nonzero entries
+    of its top two rows by column, over ones on the sub-diagonal."""
     ring = Q_TZ
     one = ring.one()
     z = ring.var("z")
     zi = z.invert()
     t = lambda k: ring.var("t", k)
-    top = {
-        (0, 3): (one - z) * t(2), (0, 5): (z - one) * t(3),
-        (0, 6): (one - zi) * t(4),
-        (1, 2): (zi - one) * t(2), (1, 4): (zi - one) * t(3),
-        (1, 6): (zi - one) * t(4), (1, 7): (one - z) * t(4),
-        (1, 8): (zi - one) * t(5),
-    }
-    rows = [[ring.zero()] * 10 for _ in range(10)]
-    for (r, c), v in top.items():
-        rows[r][c] = v
-    for k in range(8):
-        rows[k + 2][k] = one
-    return Matrix.from_rows(ring, rows)
+    top = ({3: (one - z) * t(2), 5: (z - one) * t(3), 6: (one - zi) * t(4)},
+           {2: (zi - one) * t(2), 4: (zi - one) * t(3), 6: (zi - one) * t(4),
+            7: (one - z) * t(4), 8: (zi - one) * t(5)})
+    return Matrix(ring, 10, 10, top + tuple({k: one} for k in range(8)))
 
 
 def generalized_unit_rep(a: Fraction, b: Fraction) -> K1Rep:

@@ -1,13 +1,16 @@
 """Exact matrices over the rings in nilk.rings.
 
-Storage is dense: a tuple of row tuples of Poly, zero entries included.
-Matrix._entrywise is the one entrywise rebuild.  block_companion is the
-one block builder, and it checks its blocks: at least one, each n x n,
-all over one ring.  The product multiplies each nonzero A[i, k] into the
-nonzero entries of row k of B, so zero pairs cost nothing, and sums each
-output entry's products in one term map (rings.add_products), normalized
-once.  det and the Cayley-Hamilton adjugate inverse both come from one
-division-free Berkowitz characteristic polynomial, summed the same way.
+Storage is sparse: per row, a dict {column: Poly} of its nonzero entries
+(Matrix.nonzero); no zero is stored, so equal matrices have equal rows, and
+the dense view Matrix.entries is derived.  Every walk visits nonzeros only:
+the entrywise maps (Matrix.map_entries of one matrix, Matrix._entrywise of
+two) send zeros to zero, and the product multiplies each A[i, k] into row
+k of B, summing each output entry's products in one term map
+(rings.add_products), normalized once.
+block_companion is the one block builder; it checks its blocks: at least
+one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
+inverse both come from one division-free Berkowitz characteristic
+polynomial, summed the same way.
 
 Over Q the repeated products run on int coefficients.  For d the lcm of
 the denominators of A's coefficients (_denominator), d*A has int
@@ -57,7 +60,7 @@ class Matrix:
     ring: Ring
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples of Poly
+    nonzero: tuple  # per row, a dict {column: Poly} of its nonzero entries
 
     # -- constructors
 
@@ -68,32 +71,33 @@ class Matrix:
         the first row's length, so a matrix with no rows needs it given."""
         nr = len(rows)
         nc = cols if cols is not None else len(rows[0]) if nr else 0
-        ents = []
+        out = []
         for r in rows:
             if len(r) != nc:
                 raise ValueError(f"a row of length {len(r)} in a matrix of {nc} columns")
-            ents.append(tuple(_as_entry(ring, x) for x in r))
-        return Matrix(ring, nr, nc, tuple(ents))
+            out.append(_nonzero(enumerate(_as_entry(ring, x) for x in r)))
+        return Matrix(ring, nr, nc, tuple(out))
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        one, zero = ring.one(), ring.zero()
-        return Matrix(ring, n, n, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        one = ring.one()
+        return Matrix(ring, n, n, tuple({i: one} for i in range(n)))
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
-        zero = ring.zero()
-        return Matrix(ring, rows, cols, tuple(tuple(zero for _ in range(cols))
-                                              for _ in range(rows)))
+        return Matrix(ring, rows, cols, tuple({} for _ in range(rows)))
 
     @staticmethod
     def diag(ring: Ring, elems: Sequence) -> "Matrix":
         n = len(elems)
-        m = [[ring.zero()] * n for _ in range(n)]
-        for i, e in enumerate(elems):
-            m[i][i] = _as_entry(ring, e)
-        return Matrix.from_rows(ring, m)
+        return Matrix(ring, n, n, tuple(_nonzero([(i, _as_entry(ring, e))])
+                                        for i, e in enumerate(elems)))
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The dense view: a tuple of row tuples of Poly, zeros included."""
+        zero, cols = self.ring.zero(), range(self.cols)
+        return tuple(tuple(r.get(j, zero) for j in cols) for r in self.nonzero)
 
     def __getitem__(self, rc) -> Poly:
         r, c = rc
@@ -120,26 +124,25 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        ring, cols = self.ring, range(other.cols)
-        zero = ring.zero()
-        brows = [[(j, b) for j, b in enumerate(rb) if b.terms]
-                 for rb in other.entries]
+        ring, brows = self.ring, other.nonzero
         out = []
-        for ra in self.entries:
+        for ra in self.nonzero:
             acc = defaultdict(dict)  # column -> term map of the entry's products
-            for a, rb in zip(ra, brows):
-                if a.terms:
-                    for j, b in rb:
-                        add_products(acc[j], a, b)
-            out.append(tuple(Poly(ring, acc[j]) if j in acc else zero for j in cols))
+            for k, a in ra.items():
+                for j, b in brows[k].items():
+                    add_products(acc[j], a, b)
+            out.append(_nonzero((j, Poly(ring, t)) for j, t in acc.items()))
         return Matrix(ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
-        return self._entrywise(_as_entry(self.ring, u).__mul__)
+        return self.map_entries(_as_entry(self.ring, u).__mul__, self.ring)
 
     def transpose(self) -> "Matrix":
-        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return Matrix(self.ring, self.cols, self.rows, cols)
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzero):
+            for j, a in r.items():
+                cols[j][i] = a
+        return Matrix(self.ring, self.cols, self.rows, tuple(cols))
 
     def power(self, k: int) -> "Matrix":
         """self^k by square-and-multiply, each product cleared (see
@@ -155,10 +158,14 @@ class Matrix:
     # -- predicates
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.entries for a in r)
+        return not any(self.nonzero)
 
     def all_entries(self, pred) -> bool:
-        return all(pred(a) for r in self.entries for a in r)
+        """pred holds at every entry: at each nonzero one, and at zero (asked
+        once) when some entry is zero."""
+        full = sum(map(len, self.nonzero)) == self.rows * self.cols
+        return ((full or pred(self.ring.zero()))
+                and all(pred(a) for r in self.nonzero for a in r.values()))
 
     def is_idempotent(self) -> bool:
         return self.rows == self.cols and self @ self == self
@@ -219,23 +226,21 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
-        ring, a = self.ring, self.entries
-
-        def dot(xs, ys) -> Poly:  # over the first len(ys) entries
-            acc = {}
-            for x, y in zip(xs, ys):
-                if x.terms and y.terms:
-                    add_products(acc, x, y)
-            return Poly(ring, acc)
+        ring, cols = self.ring, self.transpose().nonzero  # cols[k] = {i: A[i, k]}
 
         cs = [ring.one()]
         for r in range(self.rows):
-            col = [a[i][r] for i in range(r)]
-            d = [a[r][r]]  # the Toeplitz column negated, without its leading 1
+            col = {i: x for i, x in cols[r].items() if i < r}  # C, then A_r^j C
+            d = [cols[r].get(r, ring.zero())]  # the Toeplitz column negated, without its 1
             for j in range(r):
-                d.append(dot(a[r], col))
-                if j + 1 < r:
-                    col = [dot(a[i], col) for i in range(r)]
+                acc = defaultdict(dict)  # A_(r+1) col: A_r col above row r, R col at row r
+                low = r if j + 1 == r else 0  # the last step needs only row r
+                for k, y in col.items():
+                    for i, x in cols[k].items():
+                        if low <= i <= r:
+                            add_products(acc[i], x, y)
+                d.append(Poly(ring, acc.pop(r, {})))
+                col = _nonzero((i, Poly(ring, t)) for i, t in acc.items())
             nxt = [cs[0]]
             for i in range(1, r + 2):
                 acc = dict(d[i - 1].terms)
@@ -271,28 +276,32 @@ class Matrix:
                 f"determinant {_quotient(det, d ** n)} is not a recognized unit")
         adj = Matrix.identity(ring, n)
         for c in cs[1:n]:
-            adj = Matrix(ring, n, n, tuple(
-                tuple(x + c if i == j else x for j, x in enumerate(r))
-                for i, r in enumerate((b @ adj).entries)))
+            adj = b @ adj + Matrix.diag(ring, [c] * n)
         return adj.scale(d * (dinv if n % 2 else -dinv))
 
     # -- entrywise helpers
 
-    def _entrywise(self, f, *others: "Matrix") -> "Matrix":
-        """The matrix of f(a, b, ..) over the entries a of self, b of the
-        first of others, ..; others have self's shape."""
+    def _entrywise(self, f, other: "Matrix") -> "Matrix":
+        """The matrix of f(a, b) over the entries a of self and b of other,
+        of self's shape.  f(0, 0) = 0, so it visits only the columns where
+        a or b is nonzero."""
+        zero = self.ring.zero()
         return Matrix(self.ring, self.rows, self.cols, tuple(
-            tuple(map(f, *rs)) for rs in zip(self.entries, *[o.entries for o in others])))
+            _nonzero((j, f(r.get(j, zero), s.get(j, zero))) for j in r.keys() | s.keys())
+            for r, s in zip(self.nonzero, other.nonzero)))
 
     def _cleared(self) -> tuple[int, "Matrix"]:
         """(d, d*self) for d the _denominator of the entries; (1, self)
         when they have no Fraction coefficient."""
-        d = _denominator([a for r in self.entries for a in r])
-        return (1, self) if d is None else (d, self._entrywise(partial(_times, d)))
+        d = _denominator([a for r in self.nonzero for a in r.values()])
+        return (1, self) if d is None else (d, self.map_entries(partial(_times, d), self.ring))
 
     def map_entries(self, f, ring: Ring) -> "Matrix":
-        return Matrix.from_rows(ring, [[f(a) for a in r] for r in self.entries],
-                                self.cols)
+        """The matrix of f(a) over ring, for an additive f, so f(0) = 0: f
+        is applied to the nonzero entries only.  The one entrywise map of
+        one matrix (scale, the Q clearing and the homomorphisms)."""
+        return Matrix(ring, self.rows, self.cols, tuple(
+            _nonzero((j, _as_entry(ring, f(a))) for j, a in r.items()) for r in self.nonzero))
 
     def into(self, ring: Ring) -> "Matrix":
         return self.map_entries(lambda a: a.into(ring), ring)
@@ -304,6 +313,12 @@ class Matrix:
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r)
                                for r in self.entries) + "]"
+
+
+def _nonzero(pairs: Iterable[tuple[int, Poly]]) -> dict:
+    """The row {column: entry} of the (column, entry) pairs whose entry is
+    nonzero."""
+    return {j: a for j, a in pairs if a.terms}
 
 
 def _denominator(polys: Iterable[Poly]) -> Optional[int]:
@@ -340,20 +355,21 @@ def _matmul_cleared(x: Matrix, y: Matrix) -> Matrix:
 
 def _divided(m: Matrix, q: int) -> Matrix:
     """m / q entrywise, for m with int coefficients (see _quotient)."""
-    return m if q == 1 else m._entrywise(lambda a: _quotient(a, q))
+    return m if q == 1 else m.map_entries(lambda a: _quotient(a, q), m.ring)
 
 
 def block_companion(blocks: Sequence[Matrix]) -> Matrix:
     """[[B_1 .. B_d], [I on the block sub-diagonal]] for d >= 1 n x n
     blocks B_i over one ring, built row by row: the top block row from the
-    blocks' rows, then as row n + j the row j of the dn x dn identity."""
+    blocks' rows, then as row n + j the identity row {j: 1}."""
     if not blocks:
         raise ValueError("no blocks")
     ring, n, dn = blocks[0].ring, blocks[0].rows, len(blocks) * blocks[0].rows
     if any(b.rows != n or b.cols != n or b.ring != ring for b in blocks):
         raise ValueError("blocks must be square, equal-sized, over one ring")
-    top = tuple(tuple(a for b in blocks for a in b.entries[i]) for i in range(n))
-    return Matrix(ring, dn, dn, top + Matrix.identity(ring, dn).entries[:dn - n])
+    top = tuple({k * n + j: a for k, b in enumerate(blocks) for j, a in b.nonzero[i].items()}
+                for i in range(n))
+    return Matrix(ring, dn, dn, top + tuple({j: ring.one()} for j in range(dn - n)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, attrgetter, mul
 from typing import Callable, Mapping, Optional
 
@@ -271,6 +271,8 @@ class Ring:
     def __post_init__(self):
         if self.base not in BASE:
             raise ValueError(f"unknown base ring {self.base!r}")
+        # the one zero, built with the ring: reading zero() never builds a Poly
+        object.__setattr__(self, "_zero", Poly(self, {}))
 
     @property
     def ops(self) -> BaseOps:
@@ -302,10 +304,6 @@ class Ring:
         return Poly(self, {(0,) * len(self.vars): c})
 
     @cached_property
-    def _zero(self) -> "Poly":
-        return Poly(self, {})
-
-    @cached_property
     def _one(self) -> "Poly":
         return self.const(self.ops.one)
 
@@ -323,9 +321,11 @@ class Ring:
         exps[k] = power
         return Poly(self, {tuple(exps): self.ops.one})
 
+    @cache
     def extend(self, *new_vars: Var) -> "Ring":
         return Ring(self.base, self.vars + tuple(new_vars))
 
+    @cache
     def drop(self, *names: str) -> "Ring":
         return Ring(self.base, tuple(v for v in self.vars if v.name not in names))
 
@@ -607,15 +607,21 @@ def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:
 # homomorphisms
 
 
+@cache
+def _hom_target(src: Ring, base: str, t_trunc: Optional[int] = None) -> Ring:
+    """src's variables over base, t truncated at t_trunc when given: one
+    target ring per source ring for truncate_t2, psi and rho."""
+    return Ring(base, tuple(Var(v.name, v.laurent, t_trunc) if v.name == "t" and t_trunc
+                            else v for v in src.vars))
+
+
 def truncate_t2(p: Poly) -> Poly:
     """Quotient map from Q[t,...] onto the t-degree < 2 normal form."""
     src = p.ring
     k = src.index("t")
     if src.vars[k].trunc is not None:
         return p
-    tgt = Ring(src.base, tuple(
-        Var(v.name, v.laurent, 2 if v.name == "t" else v.trunc) for v in src.vars))
-    return Poly(tgt, dict(p.terms))
+    return Poly(_hom_target(src, src.base, 2), dict(p.terms))
 
 
 def gauss_from_group_ring(c: GroupRingZ4) -> GaussianInt:
@@ -636,14 +642,14 @@ def psi(p: Poly) -> Poly:
     """Z[Z/4][vars] -> Z[i][vars], sigma -> i."""
     if p.ring.base != "Z4":
         raise RingMismatchError("psi expects a Z[Z/4] coefficient ring")
-    return p.coefficient_map(gauss_from_group_ring, Ring("Zi", p.ring.vars))
+    return p.coefficient_map(gauss_from_group_ring, _hom_target(p.ring, "Zi"))
 
 
 def rho(p: Poly) -> Poly:
     """Z[i][vars] -> F2[eps][vars]/(eps^2), i -> 1 + eps."""
     if p.ring.base != "Zi":
         raise RingMismatchError("rho expects a Z[i] coefficient ring")
-    return p.coefficient_map(dual_from_gauss, Ring("F2e", p.ring.vars))
+    return p.coefficient_map(dual_from_gauss, _hom_target(p.ring, "F2e"))
 
 
 HOMS: dict[str, Callable[[Poly], Poly]] = {

@@ -65,18 +65,22 @@ def eval_word(w: StWord, n: int) -> Matrix:
 
     Right multiplication by x_ij(a) adds column i times a to column j, so
     each letter is applied as that column operation.  An inverted letter
-    contributes x_ij(-a); no unit condition needed.
+    contributes x_ij(-a); no unit condition needed.  The column operations
+    act on the matrix's {column: entry} rows, and drop an entry that cancels.
     """
-    rows = [list(r) for r in Matrix.identity(w.ring, n).entries]
+    one, zero = w.ring.one(), w.ring.zero()
+    rows = [{i: one} for i in range(n)]
     for l in w.letters:
         if not (1 <= l.i <= n and 1 <= l.j <= n):
             raise ValueError(f"letter indices ({l.i}, {l.j}) out of range for size {n}")
         i, j = l.i - 1, l.j - 1
         a = -l.param if l.inverted else l.param
         for r in rows:
-            if r[i].terms:
-                r[j] = Poly(w.ring, add_products(dict(r[j].terms), r[i], a))
-    return Matrix(w.ring, n, n, tuple(map(tuple, rows)))
+            if i in r:
+                r[j] = Poly(w.ring, add_products(dict(r.get(j, zero).terms), r[i], a))
+                if not r[j].terms:
+                    del r[j]
+    return Matrix(w.ring, n, n, tuple(rows))
 
 
 def expand_h(i: int, j: int, a: Poly, ainv: Optional[Poly] = None) -> StWord:

@@ -1,7 +1,7 @@
-"""Shared test utilities: the canonical-form check, a candidate-loop unit
-recognition and elementary matrices as references, direct sums entry by
-entry, matrices as witness files hold them, and conversion to sympy for
-independent cross-checks."""
+"""Shared test utilities: the canonical-form and sparse-storage checks, a
+candidate-loop unit recognition and elementary matrices as references,
+direct sums entry by entry, matrices as witness files hold them, and
+conversion to sympy for independent cross-checks."""
 
 from fractions import Fraction
 from typing import Optional
@@ -28,6 +28,20 @@ def assert_canonical(p: Poly):
         assert c, exps
         assert type(c) in types, (exps, c)
         assert ring.base != "F2" or c == 1, (exps, c)
+
+
+def assert_sparse(m: Matrix):
+    """m keeps the storage rule: m.nonzero has one row per row of m, each
+    mapping columns of m to canonical nonzero Polys (no stored zero, not
+    even one that cancelled), and the dense view m.entries holds exactly
+    those entries, with zeros everywhere else."""
+    assert len(m.nonzero) == len(m.entries) == m.rows
+    for row, dense in zip(m.nonzero, m.entries):
+        for j, a in row.items():
+            assert 0 <= j < m.cols and not a.is_zero(), (j, a)
+            assert_canonical(a)
+        assert len(dense) == m.cols
+        assert {j: a for j, a in enumerate(dense) if not a.is_zero()} == row
 
 
 def reference_try_invert(p: Poly) -> Optional[Poly]:

@@ -17,7 +17,7 @@ from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
 
-from helpers import assert_canonical, elementary
+from helpers import assert_canonical, assert_sparse, elementary
 
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
@@ -168,6 +168,9 @@ def test_inverse_of_lift():
         [-st(2), Q_TS.one() + st(1) + st(2) + st(3)],
     ])
     assert a @ ainv == Matrix.identity(Q_TS, 2)
+    # the off-diagonal entries of a @ ainv cancel, and are not stored
+    assert_sparse(ainv)
+    assert_sparse(a @ ainv)
 
 
 def test_inverse_of_laurent_diag():
@@ -436,15 +439,58 @@ def test_product_against_reference(ring):
             assert a @ b == reference_product(a, b)
             assert (a - a) @ b == Matrix.zeros(ring, m, n)
             assert a @ (b - b) == Matrix.zeros(ring, m, n)
+            for p in (a @ b, (a - a) @ b, a @ (b - b)):
+                assert_sparse(p)
     # nonzero products that cancel: 1*1 + 1*(-1), and x*x + x*x over F2
     one = ring.one()
     row = Matrix.from_rows(ring, [[one, 0, one]])
     col = Matrix.from_rows(ring, [[one], [one], [-one]])
     assert row @ col == Matrix.zeros(ring, 1, 1)
     assert (col @ row) @ col == Matrix.zeros(ring, 3, 1)
+    assert_sparse(row @ col)
+    assert_sparse((col @ row) @ col)
     if ring == F2_X:
         x = Matrix.from_rows(ring, [[ring.var("x"), ring.var("x")]])
         assert x @ x.transpose() == Matrix.zeros(ring, 1, 1)
+        assert_sparse(x @ x.transpose())
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_entrywise_maps_store_no_zero(ring):
+    # m - m, scale(0), sums that cancel in some entries, and over Z[Z/4]
+    # and F2[eps] a scale by a zero divisor, leave no zero in the rows
+    rng = random.Random(23)
+    divisors = {"Z4": (GroupRingZ4(1, 0, -1, 0), GroupRingZ4(1, 0, 1, 0)),
+                "F2e": (DualF2(0, 1), DualF2(0, 1))}.get(ring.base)
+    for n in range(1, 5):
+        for _ in range(4):
+            a, b = sparse_mat(rng, ring, n, n), sparse_mat(rng, ring, n, n)
+            assert a - a == a.scale(0) == Matrix.zeros(ring, n, n)
+            assert (a + b) - b == a and a - (a + b) == b.scale(-1)
+            for m in (a - a, a.scale(0), a + b, (a + b) - b, a - (a + b), a.transpose()):
+                assert_sparse(m)
+            if divisors:
+                killed = a.scale(divisors[1]).scale(divisors[0])
+                assert killed == Matrix.zeros(ring, n, n)
+                assert_sparse(killed)
+
+
+def test_all_entries_asks_zero_once():
+    # all_entries may not assume pred(0): a predicate false at zero fails
+    # on any matrix with a zero entry, and zero is asked once
+    asked = []
+
+    def nonzero(a):
+        asked.append(a)
+        return not a.is_zero()
+
+    assert Matrix.diag(Q_TS, [1]).all_entries(nonzero)
+    assert Matrix.zeros(Q_TS, 0, 3).all_entries(nonzero)
+    assert not Matrix.identity(Q_TS, 2).all_entries(nonzero)
+    assert not Matrix.zeros(Q_TS, 2, 2).all_entries(nonzero)
+    asked.clear()
+    assert Matrix.diag(Q_TS, [1, 2, 3]).all_entries(lambda a: nonzero(a) or True)
+    assert sorted(map(str, asked)) == ["0", "1", "2", "3"]
 
 
 def naive_product(a, b):
@@ -510,6 +556,7 @@ def test_kernel_users_leave_operands_and_constants_alone():
         assert eye.inverse() == eye and eye.det() == one
         w = word(ring, [(1, 2, one), (2, 1, zero), (1, 3, -one), (3, 1, one)])
         assert eval_word(w * w.inverse(), 3) == eye
+        assert_sparse(eval_word(w * w.inverse(), 3))
         assert [dict(p.terms) for p in operands] == before
         assert ring.one() is one and ring.zero() is zero
         assert one.terms == {(0,) * len(ring.vars): BASE[ring.base].one}

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -59,6 +60,15 @@ def test_verschiebung_index_scales_by_k(k):
     # index(V_k N) = k index(N) follows from the identity above
     assert n10().nilpotency_index(10) == 10
     assert verschiebung(n10(), k).nilpotency_index(10 * k) == 10 * k
+
+
+def test_verschiebung_index_at_scale_in_bounded_work():
+    # V_128(N) is 1280 x 1280 with 1286 nonzero entries; the index search
+    # walks the nonzero entries of its powers only
+    n = n10()
+    start = time.perf_counter()
+    assert verschiebung(n, 128).nilpotency == 1280
+    assert time.perf_counter() - start < 2
 
 
 def test_verschiebung_index_bound_randomized():

@@ -9,7 +9,7 @@ from nilk.sampling import random_poly
 from nilk.words import (Letter, StWord, dennis_stein_word, dual_symbol_word,
                         eval_word, expand_h, reduced_X_word, word)
 
-from helpers import elementary
+from helpers import assert_sparse, elementary
 
 EPS = F2E_X.const(DualF2(0, 1))
 EYE = Matrix.identity(F2E_X, 2)
@@ -42,6 +42,7 @@ def test_eval_matches_elementary_product(ring):
         for l in letters:
             ref = ref @ elementary(ring, n, l.i, l.j, -l.param if l.inverted else l.param)
         assert eval_word(StWord(ring, letters), n) == ref
+        assert_sparse(eval_word(StWord(ring, letters), n))
 
 
 def test_word_inverse():
@@ -52,6 +53,7 @@ def test_word_inverse():
         letters = [(i, 3 - i, a) for i, _, a in letters]
         w = word(F2E_X, letters)
         assert eval_word(w * w.inverse(), 2) == EYE
+        assert_sparse(eval_word(w * w.inverse(), 2))  # the cancelled entries are dropped
     assert StWord(F2E_X).inverse() == StWord(F2E_X)
 
 
