@@ -6,7 +6,8 @@ the dense view Matrix.entries is derived.  Every walk visits nonzeros only:
 the entrywise maps (Matrix.map_entries of one matrix, Matrix._entrywise of
 two) send zeros to zero, and the product multiplies each A[i, k] into row
 k of B, summing each output entry's products in one term map
-(rings.add_products), normalized once.
+(rings.add_products, the generated kernel for the ring's exponent arity,
+whose source depends on the arity only), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
@@ -393,11 +394,15 @@ class DoublePair:
 
 
 def matrix_to_json(m: Matrix) -> dict:
+    """The dense JSON format, zeros included, written from the rows: a zero
+    entry is [] and only the stored entries are encoded."""
+    cols = range(m.cols)
     return {
         "ring": ring_to_json(m.ring),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[poly_terms_to_json(a) for a in r] for r in m.entries],
+        "entries": [[poly_terms_to_json(r[j]) if j in r else [] for j in cols]
+                    for r in m.nonzero],
     }
 
 

@@ -15,7 +15,9 @@ are enforced by normalization after every operation.  Polynomials are kept
 in canonical form: no zero coefficients, fixed variable order, so equality
 is literal equality of term maps.  Poly(ring, terms) is the one constructor;
 outside input is checked where it enters (poly_terms_from_json for JSON,
-Ring.const for a scalar).
+Ring.const for a scalar).  Every product is summed by add_products, which
+runs the generated kernel for the ring's exponent arity (_product_kernel);
+the generated source depends on the arity only, never on a variable name.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 from typing import Callable, Mapping, Optional
 
 
@@ -282,6 +284,12 @@ class Ring:
     def truncated(self) -> tuple[tuple[int, int], ...]:
         """(index, trunc) of each truncated variable."""
         return tuple((k, v.trunc) for k, v in enumerate(self.vars) if v.trunc is not None)
+
+    @cached_property
+    def _products(self) -> Callable[[dict, dict, dict], dict]:
+        """The term-product kernel for this ring's exponent arity, looked up
+        once per ring (see add_products)."""
+        return _product_kernel(len(self.vars))
 
     @cached_property
     def nilradical_exponent(self) -> int:
@@ -582,14 +590,41 @@ def add_products(out: dict, x: Poly, y: Poly) -> dict:
     Poly(ring, out): truncation, the mod-2 reduction and dropping zeros are
     linear, so one pass over the sum equals one pass per product.  out may
     hold zero coefficients and exponents >= trunc until then; it must not be
-    the terms of a Poly."""
-    ys = y.terms.items()
-    for e1, c1 in x.terms.items():
-        for e2, c2 in ys:
-            e = tuple(map(add, e1, e2))
-            c = c1 * c2
-            out[e] = out[e] + c if e in out else c
-    return out
+    the terms of a Poly.  The loop is the ring's generated kernel for its
+    exponent arity (_product_kernel)."""
+    return x.ring._products(out, x.terms, y.terms)
+
+
+def _tuple_display(items) -> str:
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+@cache
+def _product_kernel(n: int) -> Callable[[dict, dict, dict], dict]:
+    """The term-product loop of add_products for exponent tuples of length
+    n, as kernel(out, xs, ys) over two term maps.  Its for targets unpack
+    both exponent tuples and it writes their sum as a tuple display, so the
+    exponent sum of a term product makes no function call:
+
+        for (a0, a1), c1 in xs.items():
+            for (b0, b1), c2 in ys:
+                e = (a0 + b0, a1 + b1)
+
+    The source is generated once per n and depends on the integer n only;
+    no variable name enters it."""
+    src = "\n".join((
+        "def kernel(out, xs, ys):",
+        "    ys = ys.items()",
+        f"    for {_tuple_display(f'a{k}' for k in range(n))}, c1 in xs.items():",
+        f"        for {_tuple_display(f'b{k}' for k in range(n))}, c2 in ys:",
+        f"            e = {_tuple_display(f'a{k} + b{k}' for k in range(n))}",
+        "            c = c1 * c2",
+        "            out[e] = out[e] + c if e in out else c",
+        "    return out",
+    ))
+    namespace = {}
+    exec(compile(src, f"<product kernel, arity {n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:

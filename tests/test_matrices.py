@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,8 @@ from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
-                        Ring, Var, add_products, poly_latex, poly_terms_to_json)
+                        Ring, Var, add_products, poly_latex, poly_terms_to_json,
+                        ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
 
@@ -503,7 +505,15 @@ def naive_product(a, b):
     return out
 
 
-KERNEL_RINGS = [Q_TSZ, Q_TS_MOD_T2, ZI_X, Z4_X, F2E_X, F2_X]
+KERNEL_RINGS = [
+    Q_TSZ, Q_TS_MOD_T2, ZI_X, Z4_X, F2E_X, F2_X,
+    Ring("Q", ()),  # arity 0: every exponent tuple is ()
+    Ring("Z", (Var("u"), Var("v", laurent=True), Var("w", trunc=3), Var("x", laurent=True),
+               Var("y", trunc=2), Var("z"), Var("q", laurent=True))),
+    # names that are not Python identifiers: the kernel's source never holds them
+    ring_from_json({"base": "Q", "vars": [{"name": "a); x", "laurent": True},
+                                          {"name": "é", "trunc": 4}, {"name": "0"}]}),
+]
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
@@ -571,14 +581,31 @@ def test_double_pair_validation():
     assert not DoublePair(bad, p, MONOMIAL_T2).valid
 
 
-def test_matrix_json_round_trip():
+def json_samples():
+    """Matrices for the JSON writer and reader: dense ones, shapes with no
+    row to read cols from, zero matrices, all-zero rows and sparse ones
+    over every base."""
     rng = random.Random(6)
-    for ring in (Q_TS, Q_TSZ):
-        m = rand_mat(rng, ring, 3)
+    out = [rand_mat(rng, ring, 3) for ring in (Q_TS, Q_TSZ)]
+    out += [Matrix.zeros(Q_TS, rows, cols) for rows, cols in ((0, 3), (3, 0), (0, 0),
+                                                               (1, 1), (2, 3))]
+    out.append(Matrix.from_rows(Q_TS, [[0, 0, 0], [1, 0, st(2)], [0, 0, 0]]))
+    out += [sparse_mat(rng, ring, 3, 4) for ring in RINGS]
+    return out
+
+
+def test_matrix_json_round_trip():
+    for m in json_samples():
         assert matrix_from_json(matrix_to_json(m)) == m
-    for rows, cols in ((0, 3), (3, 0), (0, 0)):  # no row to read cols from
-        m = Matrix.zeros(Q_TS, rows, cols)
-        assert matrix_from_json(matrix_to_json(m)) == m
+
+
+def test_matrix_to_json_writes_the_dense_encoding():
+    # the writer encodes the stored entries only and writes [] for the
+    # rest; its bytes are those of encoding every entry of the dense view
+    for m in json_samples():
+        dense = {"ring": ring_to_json(m.ring), "rows": m.rows, "cols": m.cols,
+                 "entries": [[poly_terms_to_json(a) for a in r] for r in m.entries]}
+        assert json.dumps(matrix_to_json(m), indent=2) == json.dumps(dense, indent=2)
 
 
 def test_integral_q_coefficients_are_ints():
