@@ -6,8 +6,8 @@ the identity over F2[eps,x]/(eps^2) (the symbol lives in K2).  Lifting
 through sigma -> i produces the 2x2 block over Z[Z/4][x]; the Kahler
 differential map D certifies the symbol <eps, x+eps> is nontrivial.
 `construct()` builds YZ and its lift once, each verified when built; the
-identities `_require` proves are recorded in the record's `checks` ledger,
-which the report reads.
+identities `ledger.require` proves are recorded in the record's `checks`
+ledger, which the report reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .laurent_pipeline import Check, _require, recording
+from .ledger import Check, recording, require
 from .matrices import Matrix
 from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
                     ZI_X, GaussianInt, GroupRingZ4, Poly,
@@ -51,10 +51,10 @@ def word_Z() -> StWord:
 def yz_matrix() -> Matrix:
     """YZ over Z[i][x], verified to have det 1 and to be the identity mod (2)."""
     m = eval_word(word_Y(), 2) @ eval_word(word_Z(), 2)
-    _require("yz.det", "det(YZ) = 1", m.det(), m.ring.one())
-    _require("yz.congruent", "YZ - I entrywise in (2)",
-             (m - Matrix.identity(m.ring, m.rows)).all_entries(
-                 lambda x: ideal_member(x, PRINCIPAL_TWO)))
+    require("yz.det", "det(YZ) = 1", m.det(), m.ring.one())
+    require("yz.congruent", "YZ - I entrywise in (2)",
+            (m - Matrix.identity(m.ring, m.rows)).all_entries(
+                lambda x: ideal_member(x, PRINCIPAL_TWO)))
     return m
 
 
@@ -85,8 +85,8 @@ def lift_to_group_ring(m: Matrix) -> Matrix:
 
     lifted = ((m - Matrix.identity(m.ring, m.rows)).map_entries(lift_entry, Z4_X)
               + Matrix.identity(Z4_X, m.rows))
-    _require("lift42.psi", "psi(lift) = YZ", lifted.map_entries(psi, m.ring), m)
-    _require("lift42.det", "det(lift) = 1", lifted.det(), Z4_X.one())
+    require("lift42.psi", "psi(lift) = YZ", lifted.map_entries(psi, m.ring), m)
+    require("lift42.det", "det(lift) = 1", lifted.det(), Z4_X.one())
     return lifted
 
 

@@ -7,91 +7,25 @@ Q |-> I + (z-1)Q; normalize away the diag(z,1) factor; finally convert the
 result to a nilpotent block companion via Higman's trick.
 
 `construct()` runs the chain once.  Each stage proves its defining identities
-with `_require` as it builds them: a failure raises PipelineError naming the
-check id (a bug, not bad input), and under `construct()` every identity is
-recorded as a report `Check` in the record's `checks` ledger, which the report
-reads instead of computing it again.
+with `ledger.require` as it builds them, and under `construct()` every
+identity is recorded in the record's `checks` ledger, which the report reads
+instead of computing it again.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .matrices import DoublePair, Matrix, block_companion
-from .rings import (MONOMIAL_T2, Poly, Q_TS, Q_TSZ, Q_TZ, Var, ideal_member,
-                    subring_member, truncate_t2)
-
-
-class PipelineError(RuntimeError):
-    """An internal verification of the construction failed."""
+from .ledger import Check, recording, require
+from .matrices import Matrix, block_companion
+from .rings import (MONOMIAL_T2, IdealSpec, Poly, Q_TS, Q_TSZ, Q_TZ, Var,
+                    ideal_member, subring_member, truncate_t2)
 
 
 class NotNilpotentError(ValueError):
     """Companion matrix failed its nilpotency bound."""
-
-
-PASS = "pass"
-FAIL = "fail"
-DISCREPANCY = "discrepancy"
-
-
-@dataclass
-class Check:
-    id: str
-    anchor: str
-    status: str
-    computed: str = ""
-    expected: str = ""
-
-    def line(self) -> str:
-        out = f"[{self.status.upper():11s}] {self.id}  ({self.anchor})"
-        if self.status != PASS:
-            out += f"\n    computed: {self.computed}\n    expected: {self.expected}"
-        return out
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "anchor": self.anchor, "status": self.status,
-                "computed": self.computed, "expected": self.expected}
-
-
-def check(cid: str, anchor: str, computed, expected=True,
-          known_discrepancy: bool = False) -> Check:
-    """The report entry for computed == expected; a boolean identity
-    (expected True) reads "true" on the expected side."""
-    status = PASS if computed == expected else DISCREPANCY if known_discrepancy else FAIL
-    return Check(cid, anchor, status, str(computed),
-                 "true" if expected is True else str(expected))
-
-
-# the ledger of the construction being built, open only inside construct()
-_ledger: ContextVar[dict[str, Check] | None] = ContextVar("ledger", default=None)
-
-
-def _require(cid: str, anchor: str, computed, expected=True):
-    """Prove computed == expected, recording the check while a ledger is open."""
-    ledger = _ledger.get()
-    if ledger is None:
-        ok = computed == expected
-    else:
-        c = ledger[cid] = check(cid, anchor, computed, expected)
-        ok = c.status == PASS
-    if not ok:
-        raise PipelineError(f"verification failed: {cid} ({anchor})")
-
-
-@contextmanager
-def recording():
-    """Open a fresh ledger for the checks `_require` proves in the block."""
-    ledger: dict[str, Check] = {}
-    token = _ledger.set(ledger)
-    try:
-        yield ledger
-    finally:
-        _ledger.reset(token)
 
 
 def _st(k: int) -> Poly:
@@ -116,9 +50,9 @@ def _lift(a: Fraction, b: Fraction) -> Matrix:
     w = one - u * v
     lift = Matrix.from_rows(Q_TS, [[u * (one + w), -w], [w, v]])
     red = lift.map_entries(truncate_t2, truncate_t2(one).ring)
-    _require("lift.reduction", "pi(A) = diag(1+st, 1-st)",
-             red, Matrix.diag(red.ring, [truncate_t2(u), truncate_t2(v)]))
-    _require("lift.det", "det(A) = 1", lift.det(), one)
+    require("lift.reduction", "pi(A) = diag(1+st, 1-st)",
+            red, Matrix.diag(red.ring, [truncate_t2(u), truncate_t2(v)]))
+    require("lift.det", "det(A) = 1", lift.det(), one)
     return lift
 
 
@@ -140,6 +74,22 @@ def lift_A_stated_factors() -> list[Matrix]:
     ]
 
 
+@dataclass(frozen=True)
+class DoublePair:
+    """A pair of matrices (first, second) with first - second entrywise in
+    the declared ideal: an element of the double ring D(R, I)."""
+
+    first: Matrix
+    second: Matrix
+    ideal: IdealSpec
+
+    @cached_property
+    def valid(self) -> bool:
+        """first - second entrywise in the ideal, computed once per pair."""
+        return (self.first - self.second).all_entries(
+            lambda a: ideal_member(a, self.ideal))
+
+
 def double_idempotent_B() -> DoublePair:
     """The idempotent pair (B1, P) over D(Q[t,s], t^2 Q[t,s]) representing
     the clutched module of the unit 1+st."""
@@ -148,9 +98,9 @@ def double_idempotent_B() -> DoublePair:
         [_st(3) - _st(2), _st(4)],
     ])
     pair = DoublePair(b1, projector_P(), MONOMIAL_T2)
-    _require("clutch.B1_idempotent", "B1^2 = B1", b1.is_idempotent())
-    _require("clutch.B2_idempotent", "B2^2 = B2", pair.second.is_idempotent())
-    _require("clutch.pair_in_double", "B1 - B2 entrywise in (t^2)", pair.valid)
+    require("clutch.B1_idempotent", "B1^2 = B1", b1.is_idempotent())
+    require("clutch.B2_idempotent", "B2^2 = B2", pair.second.is_idempotent())
+    require("clutch.pair_in_double", "B1 - B2 entrywise in (t^2)", pair.valid)
     return pair
 
 
@@ -159,7 +109,7 @@ def clutch_projector(a: Matrix, p: Matrix) -> Matrix:
     row vectors)."""
     at = a.transpose()
     e2 = at.inverse() @ p @ at
-    _require("excision.e2_idempotent", "e2^2 = e2", e2.is_idempotent())
+    require("excision.e2_idempotent", "e2^2 = e2", e2.is_idempotent())
     return e2
 
 
@@ -169,14 +119,14 @@ def excision_transport(b: DoublePair, e2: Matrix) -> None:
     stage 3 is the pair (P, e2) in the double ring, the same membership (the
     ideal is closed under negation), with e2 over the subring.  Each of the
     two predicates is computed once and recorded under its own id too."""
-    _require("excision.stage1", "stage1: pair lies in the double ring", b.valid)
+    require("excision.stage1", "stage1: pair lies in the double ring", b.valid)
     congruent = (e2 - projector_P()).all_entries(lambda x: ideal_member(x, MONOMIAL_T2))
     in_subring = e2.all_entries(subring_member)
-    _require("excision.e2_congruent", "e2 - P entrywise in (t^2)", congruent)
-    _require("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]", in_subring)
-    _require("excision.stage2", "stage2: unitized ideal part in (t^2)", congruent)
-    _require("excision.stage3", "stage3: pair over the t^2,t^3 subring",
-             congruent and in_subring)
+    require("excision.e2_congruent", "e2 - P entrywise in (t^2)", congruent)
+    require("excision.e2_subring", "e2 entries lie in Q[t^2,t^3,s]", in_subring)
+    require("excision.stage2", "stage2: unitized ideal part in (t^2)", congruent)
+    require("excision.stage3", "stage3: pair over the t^2,t^3 subring",
+            congruent and in_subring)
 
 
 def loop_z(q: Matrix) -> Matrix:
@@ -188,8 +138,8 @@ def loop_z(q: Matrix) -> Matrix:
     qz = q.into(ring)
     out = Matrix.identity(ring, q.rows) + qz.scale(z - ring.one())
     inv = Matrix.identity(ring, q.rows) + qz.scale(z.invert() - ring.one())
-    _require("loop.invertible", "I + (z-1)Q invertible with inverse I + (z^-1 - 1)Q",
-             out @ inv, Matrix.identity(ring, q.rows))
+    require("loop.invertible", "I + (z-1)Q invertible with inverse I + (z^-1 - 1)Q",
+            out @ inv, Matrix.identity(ring, q.rows))
     return out
 
 
@@ -203,11 +153,11 @@ class K1Rep:
         """Check the defining properties; returns the determinant."""
         m = self.matrix
         d = m.det()
-        _require("rep31.det_unit", "determinant a recognized unit", d.is_unit())
-        _require("rep31.s_to_zero", "maps to [I] under s -> 0",
-                 m.substitute({"s": 0}), Matrix.identity(m.ring.drop("s"), m.rows))
-        _require("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
-                 m.all_entries(subring_member))
+        require("rep31.det_unit", "determinant a recognized unit", d.is_unit())
+        require("rep31.s_to_zero", "maps to [I] under s -> 0",
+                m.substitute({"s": 0}), Matrix.identity(m.ring.drop("s"), m.rows))
+        require("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
+                m.all_entries(subring_member))
         return d
 
 
@@ -220,7 +170,7 @@ def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
     loops = loop_z(e2)
     zinv = loops.ring.var("z").invert()
     rep = K1Rep(Matrix.from_rows(loops.ring, [[a * zinv, b] for a, b in loops.entries]))
-    _require("rep31.det", "det = 1", rep.verify(), rep.matrix.ring.one())
+    require("rep31.det", "det = 1", rep.verify(), rep.matrix.ring.one())
     return e2, rep
 
 

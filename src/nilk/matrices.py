@@ -38,10 +38,9 @@ from functools import cached_property, partial
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .rings import (IdealSpec, Poly, Ring, RingMismatchError,
-                    add_products, ideal_member, int_from_json, ladder, poly_latex,
-                    poly_terms_from_json, poly_terms_to_json, ring_from_json,
-                    ring_to_json)
+from .rings import (Poly, Ring, RingMismatchError, add_products, int_from_json,
+                    ladder, poly_latex, poly_terms_from_json, poly_terms_to_json,
+                    ring_from_json, ring_to_json)
 
 
 class NotInvertibleError(ValueError):
@@ -224,24 +223,25 @@ class Matrix:
         division-free recurrence: bordering the leading block A_r by the
         column C, the row R and the corner a multiplies its char poly by the
         Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ..., -RA_r^(r-1)C.
+        It walks rows, as the row RA_r^j times [A_r C] is [RA_r^(j+1), RA_r^jC].
         """
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
-        ring, cols = self.ring, self.transpose().nonzero  # cols[k] = {i: A[i, k]}
+        ring, rows = self.ring, self.nonzero
 
         cs = [ring.one()]
         for r in range(self.rows):
-            col = {i: x for i, x in cols[r].items() if i < r}  # C, then A_r^j C
-            d = [cols[r].get(r, ring.zero())]  # the Toeplitz column negated, without its 1
+            vec = {k: x for k, x in rows[r].items() if k < r}  # R, then R A_r^j
+            d = [rows[r].get(r, ring.zero())]  # the Toeplitz column negated, without its 1
             for j in range(r):
-                acc = defaultdict(dict)  # A_(r+1) col: A_r col above row r, R col at row r
-                low = r if j + 1 == r else 0  # the last step needs only row r
-                for k, y in col.items():
-                    for i, x in cols[k].items():
+                acc = defaultdict(dict)  # vec [A_r C]: R A_r^(j+1), and R A_r^j C at r
+                low = r if j + 1 == r else 0  # the last step needs only column r
+                for k, y in vec.items():
+                    for i, x in rows[k].items():
                         if low <= i <= r:
                             add_products(acc[i], x, y)
                 d.append(Poly(ring, acc.pop(r, {})))
-                col = _nonzero((i, Poly(ring, t)) for i, t in acc.items())
+                vec = _nonzero((i, Poly(ring, t)) for i, t in acc.items())
             nxt = [cs[0]]
             for i in range(1, r + 2):
                 acc = dict(d[i - 1].terms)
@@ -371,22 +371,6 @@ def block_companion(blocks: Sequence[Matrix]) -> Matrix:
     top = tuple({k * n + j: a for k, b in enumerate(blocks) for j, a in b.nonzero[i].items()}
                 for i in range(n))
     return Matrix(ring, dn, dn, top + tuple({j: ring.one()} for j in range(dn - n)))
-
-
-@dataclass(frozen=True)
-class DoublePair:
-    """A pair of matrices (first, second) with first - second entrywise in
-    the declared ideal: an element of the double ring D(R, I)."""
-
-    first: Matrix
-    second: Matrix
-    ideal: IdealSpec
-
-    @cached_property
-    def valid(self) -> bool:
-        """first - second entrywise in the ideal, computed once per pair."""
-        return (self.first - self.second).all_entries(
-            lambda a: ideal_member(a, self.ideal))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse
-from .laurent_pipeline import DISCREPANCY, FAIL, PASS, Check, check
+from .ledger import FAIL, PASS, Check, PipelineError, check
 from .matrices import Matrix
 from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
@@ -254,7 +254,7 @@ def suite_generalized_units(cases: int, seed: int) -> int:
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         try:
             lp.generalized_unit_rep(a, b)
-        except lp.PipelineError:
+        except PipelineError:
             return 1
         return 0
     return _suite(seed, cases, case)
@@ -293,13 +293,3 @@ def random_checks() -> list[Check]:
 def run_all_checks() -> list[Check]:
     con = lp.construct()
     return laurent_checks(con) + groupring_checks() + sse_checks(con) + random_checks()
-
-
-def summarize(checks: list[Check], allow_known_discrepancies: bool = False) -> bool:
-    """True iff the report passes (discrepancies tolerated only when allowed)."""
-    for c in checks:
-        if c.status == FAIL:
-            return False
-        if c.status == DISCREPANCY and not allow_known_discrepancies:
-            return False
-    return True

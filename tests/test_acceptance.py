@@ -7,6 +7,7 @@ import json
 
 from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
+from nilk import ledger
 from nilk import report
 from nilk.cli import main
 from nilk.matrices import Matrix
@@ -58,8 +59,8 @@ def _criterion(num: int, checks, extra_ok: bool = True) -> None:
     desc, ids = CRITERIA[num]
     status = {c.id: c.status for c in checks}
     off = {i: status.get(i) for i in ids
-           if status.get(i) != (report.DISCREPANCY if i in KNOWN_DISCREPANCIES
-                                else report.PASS)}
+           if status.get(i) != (ledger.DISCREPANCY if i in KNOWN_DISCREPANCIES
+                                else ledger.PASS)}
     ok = not off and extra_ok
     print(f"[ACCEPTANCE {num}] {'PASS' if ok else 'FAIL'}: {desc}")
     assert ok, f"criterion {num}: {desc}; checks off: {off}"
@@ -173,7 +174,7 @@ def test_theorem42_display_mismatch_fails(monkeypatch):
     monkeypatch.setattr(grp, "theorem42_display",
                         lambda: shown + Matrix.identity(shown.ring, shown.rows))
     by_id = {c.id: c for c in report.groupring_checks(grp.construct())}
-    assert by_id["lift42.display"].status == report.FAIL
+    assert by_id["lift42.display"].status == ledger.FAIL
 
 
 # the calls one build makes to each stage

@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 
 from nilk import groupring_pipeline as grp
-from nilk.laurent_pipeline import PipelineError
+from nilk.ledger import PipelineError
 from nilk.matrices import Matrix
 from nilk.rings import (F2E_X, F2_X, PRINCIPAL_TWO, Z4_X, ZI_X, DualF2,
                         GaussianInt, GroupRingZ4, group_ring_from_gauss,

@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 
 from nilk import laurent_pipeline as lp
+from nilk import ledger
 from nilk.matrices import Matrix
 from nilk.rings import MONOMIAL_T2, Q_TS, Q_TZ, Ring, Var
 
@@ -30,6 +31,16 @@ def test_double_idempotent_B():
     assert pair.first.is_idempotent()
     assert pair.second == Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
     assert pair.valid
+
+
+def test_double_pair_validation():
+    b1 = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(Q_TS, 4), st(Q_TS, 2)],
+                                 [st(Q_TS, 3), st(Q_TS, 4)]])
+    p = Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
+    assert lp.DoublePair(b1, p, MONOMIAL_T2).valid
+    bad = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(Q_TS, 1), st(Q_TS, 2)],
+                                  [st(Q_TS, 3), st(Q_TS, 4)]])
+    assert not lp.DoublePair(bad, p, MONOMIAL_T2).valid
 
 
 def test_clutch_projector_matches_conjugation_oracle():
@@ -67,7 +78,7 @@ TRANSPORT_STAGES = [("excision.stage1", "stage1: pair lies in the double ring"),
 
 
 def _transport_ledger(pair, e2):
-    with lp.recording() as checks:
+    with ledger.recording() as checks:
         assert lp.excision_transport(pair, e2) is None
     return list(checks.values())
 
@@ -77,20 +88,19 @@ def test_excision_transport_stages():
     e2 = lp.clutch_projector(lp.lift_A(), lp.projector_P())
     stages = _transport_ledger(pair, e2)
     assert [(c.id, c.anchor) for c in stages] == TRANSPORT_STAGES
-    assert all(c.status == lp.PASS for c in stages)
+    assert all(c.status == ledger.PASS for c in stages)
 
 
 def test_excision_transport_trivial():
-    from nilk.matrices import DoublePair
     p = lp.projector_P()
-    stages = _transport_ledger(DoublePair(p, p, MONOMIAL_T2), p)
+    stages = _transport_ledger(lp.DoublePair(p, p, MONOMIAL_T2), p)
     assert [(c.id, c.anchor) for c in stages] == TRANSPORT_STAGES
-    assert all(c.status == lp.PASS for c in stages)
+    assert all(c.status == ledger.PASS for c in stages)
 
 
 def test_ledger_open_only_inside_construct():
     con = lp.construct()
-    assert lp._ledger.get() is None
+    assert ledger._ledger.get() is None
     recorded = dict(con.checks)
     lp.lift_A()
     lp.excision_transport(con.pair, con.e2)
@@ -106,22 +116,22 @@ class _Unprintable:
 
 def test_require_formats_only_when_recording():
     x = _Unprintable()
-    lp._require("probe.id", "probe anchor", x, x)  # no ledger open: no str()
+    ledger.require("probe.id", "probe anchor", x, x)  # no ledger open: no str()
     with pytest.raises(AssertionError, match="formatted"):
-        with lp.recording():
-            lp._require("probe.id", "probe anchor", x, x)
+        with ledger.recording():
+            ledger.require("probe.id", "probe anchor", x, x)
 
 
 def test_failing_identity_names_its_check_id():
-    with pytest.raises(lp.PipelineError,
+    with pytest.raises(ledger.PipelineError,
                        match=r"^verification failed: probe\.id \(probe anchor\)$"):
-        lp._require("probe.id", "probe anchor", 1, 2)
-    with lp.recording() as checks:
-        with pytest.raises(lp.PipelineError, match="probe.id"):
-            lp._require("probe.id", "probe anchor", False)
-    assert lp._ledger.get() is None
+        ledger.require("probe.id", "probe anchor", 1, 2)
+    with ledger.recording() as checks:
+        with pytest.raises(ledger.PipelineError, match="probe.id"):
+            ledger.require("probe.id", "probe anchor", False)
+    assert ledger._ledger.get() is None
     assert checks["probe.id"].to_json() == {
-        "id": "probe.id", "anchor": "probe anchor", "status": lp.FAIL,
+        "id": "probe.id", "anchor": "probe anchor", "status": ledger.FAIL,
         "computed": "False", "expected": "true"}
 
 
@@ -132,7 +142,7 @@ def test_loop_z():
     assert lz == Matrix.diag(zr, [zr.var("z"), zr.one()])
     assert lp.loop_z(Matrix.zeros(Q_TS, 2, 2)) == Matrix.identity(zr, 2)
     # a non-idempotent Q fails the inverse check: the product is I + (z + z^-1 - 2)(Q - Q^2)
-    with pytest.raises(lp.PipelineError, match="loop.invertible"):
+    with pytest.raises(ledger.PipelineError, match="loop.invertible"):
         lp.loop_z(Matrix.from_rows(Q_TS, [[1, 1], [0, 1]]))
 
 

@@ -9,10 +9,10 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from nilk import laurent_pipeline as lp
-from nilk.matrices import (DoublePair, Matrix, NotInvertibleError,
-                           block_companion, matrix_from_json, matrix_to_json)
+from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
+                           matrix_from_json, matrix_to_json)
 from nilk.nilsse import verschiebung
-from nilk.rings import (BASE, F2_X, F2E_X, MONOMIAL_T2, Q_TS, Q_TS_MOD_T2, Q_TSZ,
+from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
                         Ring, Var, add_products, poly_latex, poly_terms_to_json,
                         ring_from_json, ring_to_json)
@@ -571,14 +571,6 @@ def test_kernel_users_leave_operands_and_constants_alone():
         assert ring.one() is one and ring.zero() is zero
         assert one.terms == {(0,) * len(ring.vars): BASE[ring.base].one}
         assert zero.terms == {}
-
-
-def test_double_pair_validation():
-    b1 = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(4), st(2)], [st(3), st(4)]])
-    p = Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
-    assert DoublePair(b1, p, MONOMIAL_T2).valid
-    bad = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(1), st(2)], [st(3), st(4)]])
-    assert not DoublePair(bad, p, MONOMIAL_T2).valid
 
 
 def json_samples():
