@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Commands: theorem3, theorem4, higman, versch, frob, sse-verify, verify-all.
-Exit codes: 0 pass, 1 verification failure, 2 input or I/O error.
+Exit codes: 0 pass, 1 verification failure, 2 input or I/O error.  A failed
+identity raises PipelineError and bad input raises _BadInput; `main` is the
+one place that prints either as one stderr line and returns 1 or 2.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ def _print_checks(checks, as_json: bool) -> None:
 
 
 def _emit_theorem(args, checks, matrices: dict) -> int:
-    for name, m in matrices.items():
-        _emit_matrix(m, Path(args.out), name, args.emit)
+    ok = summarize(checks, allow_known_discrepancies=True)
+    if ok:  # only exit 0 writes into --out
+        for name, m in matrices.items():
+            _emit_matrix(m, Path(args.out), name, args.emit)
     _print_checks(checks, args.json)
-    return EXIT_OK if summarize(checks, allow_known_discrepancies=True) else EXIT_VERIFY
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_theorem3(args) -> int:
@@ -96,13 +100,8 @@ def cmd_higman(args) -> int:
         raise _BadInput("higman needs a nonempty matrix over a ring with the "
                         "variables s and t")
     rep = lp.K1Rep(m)
-    try:
-        rep.verify()
-        blocks = lp.decompose_M(rep)
-        n = lp.higman_companion(blocks)
-    except (PipelineError, ValueError) as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return EXIT_VERIFY
+    rep.verify()
+    n = lp.higman_companion(lp.decompose_M(rep))
     _emit_matrix(n, Path(args.out), f"N{n.rows}", args.emit)
     print(f"companion size {n.rows}, nilpotency index {n.nilpotency}")
     return EXIT_OK
@@ -112,9 +111,8 @@ def _nilpotent_map(args, fn, name: str) -> int:
     m = _load_square(args.input)
     out = fn(m, args.k)
     if out.nilpotency is None:
-        print(f"{name} output is not nilpotent within {out.nilpotency_bound()} steps",
-              file=sys.stderr)
-        return EXIT_VERIFY
+        raise PipelineError(f"{name} output is not nilpotent within "
+                            f"{out.nilpotency_bound()} steps")
     _emit_matrix(out, Path(args.out), f"{name}{args.k}", args.emit)
     print(f"{out.rows}x{out.cols}, nilpotency index {out.nilpotency}")
     return EXIT_OK
@@ -158,11 +156,10 @@ def cmd_sse_verify(args) -> int:
             failed = f"identity failed: {res.failed}"
     except ValueError as e:  # shapes that do not fit, or lag < 1
         raise _BadInput(f"invalid witness: {e}") from e
-    if res.ok:
-        print(passed)
-        return EXIT_OK
-    print(failed, file=sys.stderr)
-    return EXIT_VERIFY
+    if not res.ok:
+        raise PipelineError(failed)
+    print(passed)
+    return EXIT_OK
 
 
 def cmd_verify_all(args) -> int:
@@ -240,6 +237,9 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
+    except PipelineError as e:
+        print(f"verification failure: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     except _BadInput as e:
         print(e, file=sys.stderr)
         return EXIT_IO

@@ -20,12 +20,8 @@ from fractions import Fraction
 
 from .ledger import Check, recording, require
 from .matrices import Matrix, block_companion
-from .rings import (MONOMIAL_T2, IdealSpec, Poly, Q_TS, Q_TSZ, Q_TZ, Var,
-                    ideal_member, subring_member, truncate_t2)
-
-
-class NotNilpotentError(ValueError):
-    """Companion matrix failed its nilpotency bound."""
+from .rings import (MONOMIAL_T2, Poly, Q_TS, Q_TSZ, Q_TZ, Var, ideal_member,
+                    subring_member, truncate_t2)
 
 
 def _st(k: int) -> Poly:
@@ -77,17 +73,16 @@ def lift_A_stated_factors() -> list[Matrix]:
 @dataclass(frozen=True)
 class DoublePair:
     """A pair of matrices (first, second) with first - second entrywise in
-    the declared ideal: an element of the double ring D(R, I)."""
+    I = (t^2): an element of the double ring D(R, I)."""
 
     first: Matrix
     second: Matrix
-    ideal: IdealSpec
 
     @cached_property
     def valid(self) -> bool:
-        """first - second entrywise in the ideal, computed once per pair."""
+        """first - second entrywise in (t^2), computed once per pair."""
         return (self.first - self.second).all_entries(
-            lambda a: ideal_member(a, self.ideal))
+            lambda a: ideal_member(a, MONOMIAL_T2))
 
 
 def double_idempotent_B() -> DoublePair:
@@ -97,7 +92,7 @@ def double_idempotent_B() -> DoublePair:
         [Q_TS.one() - _st(4), -_st(2) * (Q_TS.one() + _st(1) + _st(2) + _st(3))],
         [_st(3) - _st(2), _st(4)],
     ])
-    pair = DoublePair(b1, projector_P(), MONOMIAL_T2)
+    pair = DoublePair(b1, projector_P())
     require("clutch.B1_idempotent", "B1^2 = B1", b1.is_idempotent())
     require("clutch.B2_idempotent", "B2^2 = B2", pair.second.is_idempotent())
     require("clutch.pair_in_double", "B1 - B2 entrywise in (t^2)", pair.valid)
@@ -154,8 +149,11 @@ class K1Rep:
         m = self.matrix
         d = m.det()
         require("rep31.det_unit", "determinant a recognized unit", d.is_unit())
+        k = m.ring.index("s")  # a negative power of s has no value at 0: None fails
+        regular = m.all_entries(lambda p: all(e[k] >= 0 for e in p.terms))
         require("rep31.s_to_zero", "maps to [I] under s -> 0",
-                m.substitute({"s": 0}), Matrix.identity(m.ring.drop("s"), m.rows))
+                m.substitute({"s": 0}) if regular else None,
+                Matrix.identity(m.ring.drop("s"), m.rows))
         require("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
                 m.all_entries(subring_member))
         return d
@@ -248,13 +246,14 @@ def decompose_M(rep: K1Rep) -> list[Matrix]:
 
 
 def higman_companion(blocks: list[Matrix]) -> Matrix:
-    """Block companion [[M1 .. Md], [I sub-diagonal]] (block_companion
-    checks the blocks); verified nilpotent within `Matrix.nilpotency_bound`,
-    which holds over non-reduced rings too."""
+    """Block companion [[M1 .. Md], [I sub-diagonal]] of at least one block
+    (block_companion checks their shapes); verified nilpotent within
+    `Matrix.nilpotency_bound`, which holds over non-reduced rings too."""
+    require("higman.s_part", "I - rep has a term in s", bool(blocks))
     comp = block_companion(blocks)
-    if comp.nilpotency is None:
-        raise NotNilpotentError(
-            f"companion is not nilpotent within {comp.nilpotency_bound()} steps")
+    require("higman.companion_nilpotent",
+            f"N nilpotent within {comp.nilpotency_bound()} steps",
+            comp.nilpotency is not None)
     return comp
 
 

@@ -1,9 +1,9 @@
 """The check ledger both constructions and the report share.
 
 A pipeline stage proves each defining identity with `require` as it builds
-it: a failure raises PipelineError naming the check id (a bug, not bad
-input).  Inside `recording()` every identity is also kept as a report
-`Check` by id, which the report reads instead of computing it again.
+it: a failure raises PipelineError naming the check id, which the CLI
+reports as exit 1.  Inside `recording()` every identity is also kept as a
+report `Check` by id, which the report reads instead of computing it again.
 """
 
 from __future__ import annotations

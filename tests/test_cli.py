@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -53,6 +54,20 @@ def test_theorem4_emits_files(tmp_path, capsys):
     for name in ("yz_matrix.json", "theorem42_matrix.json"):
         j = json.loads((tmp_path / name).read_text())
         matrix_from_json(j)  # parses back
+
+
+EXPECTED = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("cmd", ["theorem3", "theorem4"])
+@pytest.mark.parametrize("emit, ext", [("json", ".json"), ("latex", ".tex")])
+def test_emitted_bytes_match_stored_digests(cmd, emit, ext, tmp_path, capsys):
+    code, _, _ = run([cmd, "--emit", emit, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    want = {k.split("/")[1]: v for k, v in EXPECTED["digests"].items()
+            if k.startswith(cmd + "/") and k.endswith(ext)}
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == want
 
 
 def test_determinism(tmp_path, capsys):
@@ -155,6 +170,7 @@ T12S = Ring("Q", (Var("t", trunc=10 ** 12), Var("s")))
 T6 = Ring("Q", (Var("t", trunc=10 ** 6),))
 HALF = Matrix.from_rows(Q_TS, [[0, Fraction(1, 2)], [0, 0]])
 Q_S = Ring("Q", (Var("s"),))
+Q_TS_LAURENT = Ring("Q", (Var("t"), Var("s", laurent=True)))
 NON_REDUCED = {"eps": (Ring("F2e", (Var("t"), Var("s"))), lambda r: r.const(DualF2(0, 1))),
                "e_mod_e2": (Ring("Q", (Var("t"), Var("s"), Var("e", trunc=2))),
                             lambda r: r.var("e"))}
@@ -194,6 +210,10 @@ CASES = [
     case("higman-one_minus_t12", ["higman"],
          one_entry([{"name": "t", "trunc": 10 ** 12}, {"name": "s"}],
                    [[0, 0], "1"], [[1, 0], "-1"]), 1, "", "rep31.s_to_zero"),
+    # s^-1 has no value at s = 0: rep31.s_to_zero fails instead of raising
+    case("higman-negative_s_power", ["higman"],
+         matrix_doc(Q_TS_LAURENT, [[Q_TS_LAURENT.var("s").invert()]]), 1, "",
+         "rep31.s_to_zero"),
     # [1 + eps s] has companion [eps], of index 2 although it is 1x1
     *[case(name, ["higman"], matrix_doc(r, [[r.one() + nil(r) * r.var("s")]]), 0,
            "companion size 1, nilpotency index 2\n", "", test="higman_over_non_reduced_ring")

@@ -8,7 +8,7 @@ import sympy as sp
 from nilk import laurent_pipeline as lp
 from nilk import ledger
 from nilk.matrices import Matrix
-from nilk.rings import MONOMIAL_T2, Q_TS, Q_TZ, Ring, Var
+from nilk.rings import Q_TS, Q_TZ, Ring, Var
 
 from helpers import matrix_to_sympy
 
@@ -37,10 +37,10 @@ def test_double_pair_validation():
     b1 = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(Q_TS, 4), st(Q_TS, 2)],
                                  [st(Q_TS, 3), st(Q_TS, 4)]])
     p = Matrix.diag(Q_TS, [Q_TS.one(), Q_TS.zero()])
-    assert lp.DoublePair(b1, p, MONOMIAL_T2).valid
+    assert lp.DoublePair(b1, p).valid
     bad = Matrix.from_rows(Q_TS, [[Q_TS.one() - st(Q_TS, 1), st(Q_TS, 2)],
                                   [st(Q_TS, 3), st(Q_TS, 4)]])
-    assert not lp.DoublePair(bad, p, MONOMIAL_T2).valid
+    assert not lp.DoublePair(bad, p).valid
 
 
 def test_clutch_projector_matches_conjugation_oracle():
@@ -93,7 +93,7 @@ def test_excision_transport_stages():
 
 def test_excision_transport_trivial():
     p = lp.projector_P()
-    stages = _transport_ledger(lp.DoublePair(p, p, MONOMIAL_T2), p)
+    stages = _transport_ledger(lp.DoublePair(p, p), p)
     assert [(c.id, c.anchor) for c in stages] == TRANSPORT_STAGES
     assert all(c.status == ledger.PASS for c in stages)
 

@@ -1,6 +1,6 @@
 """The module layout of src/nilk, read with ast: the two constructions share
-only the ledger, matrices is linear algebra alone, and no module reaches into
-another's private names."""
+only the ledger, matrices is linear algebra alone, no module reaches into
+another's private names, and the CLI writes stderr in `main` alone."""
 
 import ast
 from pathlib import Path
@@ -57,3 +57,11 @@ def test_matrices_knows_no_ideals():
                                         ("DoublePair", "laurent_pipeline")])
 def test_defined_in_one_module(name, home):
     assert [m for m, tree in SOURCES.items() if name in _defined(tree)] == [home]
+
+
+def test_only_cli_main_writes_stderr():
+    # every exit 1 and exit 2 leaves through main's except branches
+    writers = {fn.name for fn in ast.walk(SOURCES["cli"]) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "stderr"}
+    assert writers == {"main"}
