@@ -252,7 +252,7 @@ def higman_companion(blocks: list[Matrix]) -> Matrix:
     require("higman.s_part", "I - rep has a term in s", bool(blocks))
     comp = block_companion(blocks)
     require("higman.companion_nilpotent",
-            f"N nilpotent within {comp.nilpotency_bound()} steps",
+            "N nilpotent within Matrix.nilpotency_bound()",
             comp.nilpotency is not None)
     return comp
 
