@@ -5,28 +5,24 @@ Storage is sparse: per row, a dict {column: Poly} of its nonzero entries
 the dense view Matrix.entries is derived.  Every walk visits nonzeros only:
 the entrywise maps (Matrix.map_entries of one matrix, Matrix._entrywise of
 two) send zeros to zero, and the product multiplies each A[i, k] into row
-k of B, summing each output entry's products in one term map
-(rings.add_products, the generated kernel for the ring's exponent arity,
-whose source depends on the arity only), normalized once.
+k of B, summing each output entry's products in one term map (the ring's
+generated kernel, Ring._products, through rings.add_products on Polys or
+directly on cleared Q term maps), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
 polynomial, summed the same way.
 
-Over Q the repeated products run on int coefficients.  For d the lcm of
-the denominators of A's coefficients (_denominator), d*A has int
-coefficients (_times on each entry), and
-    c_i(dA) = d^i c_i(A),    det(dA) = d^n det(A),
-    index(dA) = index(A),    (xX)(yY) = xy XY  for integers x, y,
-so charpoly divides each c_i of d*A by d^i, det divides only c_n by d^n,
-nilpotency_index searches d*A as it is, inverse builds the adjugate from
-d*A and scales it once by d det(dA)^-1, and each product of power's
-ladder is the int product of its cleared factors divided once.  power
-does not divide the ladder of d*A by d^k: (dA)^k grows with k even where
-A^k stays small (zero, or an idempotent), while each cleared product is
-in lowest terms, so the work grows with log k.  An integral quotient is
-an int.  With no Fraction coefficient, over Q or another base, d = 1 and
-A is used as it is.  Values are immutable; entries compare canonically.
+Over Q every product runs on int coefficients.  For d the lcm of the
+denominators of A's Fraction coefficients (_int_rows), d*A has int
+coefficients, and (xX)(yY) = xy XY for integers x, y: A @ B sums the int
+products of d_A*A and d_B*B and divides each entry once by d_A d_B, into
+lowest terms, so power (the ladder of @) does work growing with log k.  As
+c_i(dA) = d^i c_i(A), charpoly divides c_i of d*A by d^i and det only c_n;
+nilpotency_index searches d*A, whose powers vanish where A's do; inverse
+scales d*A's adjugate once by d det(dA)^-1.  An integral quotient is an
+int; without a Fraction A is used as is, and over every base but Q, @
+scans no denominator.  Values are immutable; entries compare canonically.
 """
 
 from __future__ import annotations
@@ -34,8 +30,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import lcm
+from operator import matmul
 from typing import Iterable, Optional, Sequence
 
 from .rings import (Poly, Ring, RingMismatchError, add_products, int_from_json,
@@ -106,7 +103,7 @@ class Matrix:
     # -- arithmetic
 
     def _check(self, other: "Matrix", same_shape: bool):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
         if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -120,18 +117,30 @@ class Matrix:
         return self._entrywise(Poly.__sub__, other)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Over Q on d_x x and d_y y (_int_rows), each entry divided by d_x d_y."""
         self._check(other, False)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        ring, brows = self.ring, other.nonzero
+        ring = self.ring
+        if ring.base == "Q":
+            dx, xs = _int_rows(self)
+            dy, ys = (dx, xs) if other is self else _int_rows(other)
+            products, q = ring._products, (dx or 1) * (dy or 1)
+        else:
+            xs, ys, products, q = self.nonzero, other.nonzero, add_products, 1
         out = []
-        for ra in self.nonzero:
+        for ra in xs:
             acc = defaultdict(dict)  # column -> term map of the entry's products
             for k, a in ra.items():
-                for j, b in brows[k].items():
-                    add_products(acc[j], a, b)
-            out.append(_nonzero((j, Poly(ring, t)) for j, t in acc.items()))
+                for j, b in ys[k].items():
+                    products(acc[j], a, b)
+            row = {}
+            for j, t in acc.items():
+                a = Poly(ring, t if q == 1 else _quotient(t, q))
+                if a.terms:
+                    row[j] = a
+            out.append(row)
         return Matrix(ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
@@ -145,15 +154,12 @@ class Matrix:
         return Matrix(self.ring, self.cols, self.rows, tuple(cols))
 
     def power(self, k: int) -> "Matrix":
-        """self^k by square-and-multiply, each product cleared (see
-        _matmul_cleared); self^0 is the identity."""
+        """self^k by square-and-multiply under @; self^0 is the identity."""
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
         if k < 0:
             raise ValueError(f"negative matrix power {k}")
-        if not k:
-            return Matrix.identity(self.ring, self.rows)
-        return ladder(self, k, _matmul_cleared)
+        return ladder(self, k, matmul) if k else Matrix.identity(self.ring, self.rows)
 
     # -- predicates
 
@@ -190,8 +196,7 @@ class Matrix:
         (2^(J-1), 2^J] with the saved squares.  Squaring stops at a nonzero
         m^(2^j) with 2^j >= max_k, and at one with 2^j >= n outside the
         nilradical, which no nilpotent m has (see nilpotency_bound).
-        The search runs on d*m, whose coefficients are ints and whose
-        powers vanish where m's do."""
+        It searches d*m, whose powers vanish where m's do."""
         if self.rows != self.cols:
             raise ValueError("nilpotency of non-square matrix")
         squares = [self._cleared()[1]]  # squares[j] = m^(2^j); all but the last nonzero
@@ -215,49 +220,51 @@ class Matrix:
     def charpoly(self) -> list[Poly]:
         """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A): those of d*A
         divided by d^i."""
-        d, m = self._cleared()
-        return [_quotient(c, d ** i) for i, c in enumerate(m._berkowitz())]
+        d, cs = self._berkowitz()
+        return cs if d == 1 else [Poly(self.ring, _quotient(c.terms, d ** i))
+                                  for i, c in enumerate(cs)]
 
-    def _berkowitz(self) -> list[Poly]:
-        """The characteristic polynomial's coefficients, by Berkowitz's
-        division-free recurrence: bordering the leading block A_r by the
-        column C, the row R and the corner a multiplies its char poly by the
-        Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ..., -RA_r^(r-1)C.
-        It walks rows, as the row RA_r^j times [A_r C] is [RA_r^(j+1), RA_r^jC].
-        """
+    def _berkowitz(self) -> tuple[int, list[Poly]]:
+        """(d, the char poly's coefficients of d*A, on the int term maps of
+        _int_rows; d = 1 without a Fraction) by Berkowitz's division-free
+        recurrence: bordering the leading block A_r by the column C, the row
+        R and the corner a multiplies its char poly by the Toeplitz matrix
+        with first column 1, -a, -RC, -RA_rC, ..., -RA_r^(r-1)C.  It walks
+        rows, as the row RA_r^j times [A_r C] is [RA_r^(j+1), RA_r^jC]."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
-        ring, rows = self.ring, self.nonzero
+        ring, products = self.ring, self.ring._products
+        d, rows = _int_rows(self)
 
         cs = [ring.one()]
         for r in range(self.rows):
             vec = {k: x for k, x in rows[r].items() if k < r}  # R, then R A_r^j
-            d = [rows[r].get(r, ring.zero())]  # the Toeplitz column negated, without its 1
+            col = [rows[r].get(r, {})]  # the Toeplitz column negated, without its 1
             for j in range(r):
                 acc = defaultdict(dict)  # vec [A_r C]: R A_r^(j+1), and R A_r^j C at r
                 low = r if j + 1 == r else 0  # the last step needs only column r
                 for k, y in vec.items():
                     for i, x in rows[k].items():
                         if low <= i <= r:
-                            add_products(acc[i], x, y)
-                d.append(Poly(ring, acc.pop(r, {})))
-                vec = _nonzero((i, Poly(ring, t)) for i, t in acc.items())
+                            products(acc[i], x, y)
+                col.append(Poly(ring, acc.pop(r, {})).terms)
+                vec = {i: t for i, t in ((i, Poly(ring, t).terms) for i, t in acc.items())
+                       if t}
             nxt = [cs[0]]
             for i in range(1, r + 2):
-                acc = dict(d[i - 1].terms)
+                acc = dict(col[i - 1])
                 for j in range(1, min(i, r + 1)):
-                    if cs[j].terms and d[i - j - 1].terms:
-                        add_products(acc, d[i - j - 1], cs[j])
+                    if cs[j].terms and col[i - j - 1]:
+                        products(acc, col[i - j - 1], cs[j].terms)
                 acc = Poly(ring, acc)
                 nxt.append(cs[i] - acc if i <= r else -acc)
             cs = nxt
-        return cs
+        return d or 1, cs
 
     def det(self) -> Poly:
-        """(-1)^n c_n of the characteristic polynomial: c_n of d*A divided by
-        d^n, the other c_i left undivided."""
-        d, m = self._cleared()
-        c = _quotient(m._berkowitz()[-1], d ** self.rows)
+        """(-1)^n c_n of the characteristic polynomial; of d*A's, only c_n is divided."""
+        d, cs = self._berkowitz()
+        c = cs[-1] if d == 1 else Poly(self.ring, _quotient(cs[-1].terms, d ** self.rows))
         return -c if self.rows % 2 else c
 
     def inverse(self) -> "Matrix":
@@ -269,12 +276,12 @@ class Matrix:
             raise NotInvertibleError("non-square matrix")
         ring, n = self.ring, self.rows
         d, b = self._cleared()
-        cs = b._berkowitz()
+        cs = b._berkowitz()[1]
         det = -cs[n] if n % 2 else cs[n]
         dinv = det.try_invert()
         if dinv is None:
-            raise NotInvertibleError(
-                f"determinant {_quotient(det, d ** n)} is not a recognized unit")
+            shown = det if d == 1 else Poly(ring, _quotient(det.terms, d ** n))
+            raise NotInvertibleError(f"determinant {shown} is not a recognized unit")
         adj = Matrix.identity(ring, n)
         for c in cs[1:n]:
             adj = b @ adj + Matrix.diag(ring, [c] * n)
@@ -292,15 +299,15 @@ class Matrix:
             for r, s in zip(self.nonzero, other.nonzero)))
 
     def _cleared(self) -> tuple[int, "Matrix"]:
-        """(d, d*self) for d the _denominator of the entries; (1, self)
-        when they have no Fraction coefficient."""
-        d = _denominator([a for r in self.nonzero for a in r.values()])
-        return (1, self) if d is None else (d, self.map_entries(partial(_times, d), self.ring))
+        """(d, d*self) for d as in _int_rows; (1, self) without a Fraction."""
+        d, rows = _int_rows(self)
+        return (1, self) if d is None else (d, Matrix(self.ring, self.rows, self.cols, tuple(
+            {k: Poly(self.ring, t) for k, t in r.items()} for r in rows)))
 
     def map_entries(self, f, ring: Ring) -> "Matrix":
         """The matrix of f(a) over ring, for an additive f, so f(0) = 0: f
         is applied to the nonzero entries only.  The one entrywise map of
-        one matrix (scale, the Q clearing and the homomorphisms)."""
+        one matrix (scale and the homomorphisms)."""
         return Matrix(ring, self.rows, self.cols, tuple(
             _nonzero((j, _as_entry(ring, f(a))) for j, a in r.items()) for r in self.nonzero))
 
@@ -322,41 +329,32 @@ def _nonzero(pairs: Iterable[tuple[int, Poly]]) -> dict:
     return {j: a for j, a in pairs if a.terms}
 
 
-def _denominator(polys: Iterable[Poly]) -> Optional[int]:
-    """The lcm of the denominators of the polys' Fraction coefficients, or
-    None when there are none, as over every base but Q."""
-    dens = {c.denominator for p in polys for c in p.terms.values() if type(c) is Fraction}
-    return lcm(*dens) if dens else None
+def _int_rows(m: Matrix) -> tuple[Optional[int], list]:
+    """(d, d*m's rows as {column: term map}, each c as the int c.numerator *
+    (d // c.denominator)) for d the lcm of the denominators of m's Fraction
+    coefficients; (None, m's own term maps) without one, as off Q."""
+    dens = {c.denominator for r in m.nonzero for a in r.values()
+            for c in a.terms.values() if type(c) is Fraction}
+    if not dens:
+        return None, [{k: a.terms for k, a in r.items()} for r in m.nonzero]
+    d, rows = lcm(*dens), []
+    for r in m.nonzero:  # loops, not comprehensions: the maps are often tiny
+        row = {}
+        for k, a in r.items():
+            row[k] = t = {}
+            for e, c in a.terms.items():
+                t[e] = c.numerator * (d // c.denominator)
+        rows.append(row)
+    return d, rows
 
 
-def _times(d: int, p: Poly) -> Poly:
-    """d*p with int coefficients, for d a multiple of the denominators of
-    p's Q coefficients: each c becomes c.numerator * (d // c.denominator),
-    with no Fraction built."""
-    return Poly(p.ring, {e: c.numerator * (d // c.denominator)
-                         for e, c in p.terms.items()}) if p.terms else p
-
-
-def _quotient(p: Poly, q: int) -> Poly:
-    """p / q for p with int coefficients; a coefficient q divides stays an int."""
-    if q == 1:
-        return p
-    return Poly(p.ring, {e: c // q if not c % q else Fraction(c, q)
-                         for e, c in p.terms.items()})
-
-
-def _matmul_cleared(x: Matrix, y: Matrix) -> Matrix:
-    """x @ y as (d_x x)(d_y y) / (d_x d_y): the products are int products
-    and each entry is divided once.  The result is in lowest terms, so a
-    power ladder over it holds coefficients no larger than A^k's own."""
-    dx, cx = x._cleared()
-    dy, cy = y._cleared() if y is not x else (dx, cx)
-    return _divided(cx @ cy, dx * dy)
-
-
-def _divided(m: Matrix, q: int) -> Matrix:
-    """m / q entrywise, for m with int coefficients (see _quotient)."""
-    return m if q == 1 else m.map_entries(lambda a: _quotient(a, q), m.ring)
+def _quotient(t: dict, q: int) -> dict:
+    """The int term map t divided by q, as a new term map; a coefficient q
+    divides stays an int."""
+    out = {}
+    for e, c in t.items():
+        out[e] = c // q if not c % q else Fraction(c, q)
+    return out
 
 
 def block_companion(blocks: Sequence[Matrix]) -> Matrix:
@@ -392,7 +390,9 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(j: dict) -> Matrix:
     ring = ring_from_json(j["ring"])
-    rows = [[poly_terms_from_json(ring, e) for e in r] for r in j["entries"]]
+    zero = ring.zero()  # an entry [] is the ring's zero, read without a parse
+    rows = [[zero if e == [] else poly_terms_from_json(ring, e) for e in r]
+            for r in j["entries"]]
     nr, nc = int_from_json(j["rows"], "rows"), int_from_json(j["cols"], "cols")
     if nr != len(rows) or nc < 0:
         raise ValueError("inconsistent matrix dimensions")

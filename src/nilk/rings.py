@@ -15,9 +15,10 @@ are enforced by normalization after every operation.  Polynomials are kept
 in canonical form: no zero coefficients, fixed variable order, so equality
 is literal equality of term maps.  Poly(ring, terms) is the one constructor;
 outside input is checked where it enters (poly_terms_from_json for JSON,
-Ring.const for a scalar).  Every product is summed by add_products, which
-runs the generated kernel for the ring's exponent arity (_product_kernel);
-the generated source depends on the arity only, never on a variable name.
+Ring.const for a scalar).  Every product is summed by the generated kernel
+for the ring's exponent arity (Ring._products, _product_kernel), through
+add_products on Polys or, in matrices, on cleared term maps; the generated
+source depends on the arity only, never on a variable name.
 """
 
 from __future__ import annotations
@@ -288,7 +289,8 @@ class Ring:
     @cached_property
     def _products(self) -> Callable[[dict, dict, dict], dict]:
         """The term-product kernel for this ring's exponent arity, looked up
-        once per ring (see add_products)."""
+        once per ring: add_products runs it on two Polys, and matrices on
+        the int term maps of cleared Q rows."""
         return _product_kernel(len(self.vars))
 
     @cached_property

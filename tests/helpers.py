@@ -1,7 +1,7 @@
 """Shared test utilities: the canonical-form and sparse-storage checks, a
-candidate-loop unit recognition and elementary matrices as references,
-direct sums entry by entry, matrices as witness files hold them, and
-conversion to sympy for independent cross-checks."""
+candidate-loop unit recognition, a dense product and elementary matrices
+as references, direct sums entry by entry, matrices as witness files hold
+them, and conversion to sympy for independent cross-checks."""
 
 from fractions import Fraction
 from typing import Optional
@@ -77,6 +77,22 @@ def reference_try_invert(p: Poly) -> Optional[Poly]:
         if p * q == one:
             return q
     return None
+
+
+def reference_product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b as the dense sums a[i, 0] b[0, j] + ... + a[i, k-1] b[k-1, j]
+    in plain Poly arithmetic, every entry pair visited and no denominator
+    cleared: the reference for the sparse, cleared product."""
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a.ring.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix.from_rows(a.ring, rows, b.cols)
 
 
 def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:

@@ -152,6 +152,18 @@ def _bad_entry_doc(base, exps, coeff, *more_terms, **shape):
     return doc
 
 
+# A lag-3 shift equivalence over Q[t,s] with Fraction coefficients: for R
+# 3x2 and S 2x3, A = RS, B = SR, U = R and V = S A^2
+SE_Q_LAG3 = (Path(__file__).parent / "data" / "se_q_lag3.json").read_text()
+
+
+def _se_q_lag3_changed_v():
+    """SE_Q_LAG3 with the first coefficient of V's (1, 1) entry changed."""
+    doc = json.loads(SE_Q_LAG3)
+    doc["V"]["entries"][0][0][0][1] = "1/7"
+    return doc
+
+
 def matrix_doc(ring, rows):
     return matrix_to_json(Matrix.from_rows(ring, rows))
 
@@ -291,6 +303,10 @@ CASES = [
          "chain fails at link 1"),
     case("sse-se", ["sse-verify"], _se_doc(), 0, "shift equivalence verified (lag 2)\n", ""),
     case("sse-se_lag1", ["sse-verify"], _se_doc(lag=1), 1, "", "identity failed: A^l = UV\n"),
+    case("sse-se_q_lag3", ["sse-verify"], SE_Q_LAG3, 0, "shift equivalence verified (lag 3)\n",
+         ""),
+    case("sse-se_q_lag3_changed_v", ["sse-verify"], _se_q_lag3_changed_v(), 1, "",
+         "identity failed: A^l = UV\n"),
     # A^l by squaring: a lag of 10^12 takes 51 matrix products
     *[case(f"sse-se_lag1e12-{name}", ["sse-verify"], _se_doc(lag=10 ** 12, a=a), 0,
            "shift equivalence verified (lag 1000000000000)\n", "")

@@ -9,17 +9,18 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from nilk import laurent_pipeline as lp
+from nilk import matrices
 from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
                            matrix_from_json, matrix_to_json)
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
-                        Ring, Var, add_products, poly_latex, poly_terms_to_json,
-                        ring_from_json, ring_to_json)
+                        Ring, Var, add_products, poly_latex, poly_terms_from_json,
+                        poly_terms_to_json, ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
 
-from helpers import assert_canonical, assert_sparse, elementary
+from helpers import assert_canonical, assert_sparse, elementary, reference_product
 
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
@@ -409,20 +410,6 @@ def test_empty_dimensions():
     assert Matrix.zeros(Q_TS, 0, 0).nilpotency == 1
 
 
-def reference_product(a, b):
-    """Every entry pair visited: the oracle for the sparse product."""
-    rows = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = a.ring.zero()
-            for k in range(a.cols):
-                acc = acc + a[i, k] * b[k, j]
-            row.append(acc)
-        rows.append(row)
-    return Matrix.from_rows(a.ring, rows)
-
-
 def sparse_mat(rng, ring, rows, cols):
     return Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1)
                                     if rng.random() < 0.35 else ring.zero()
@@ -455,6 +442,50 @@ def test_product_against_reference(ring):
         x = Matrix.from_rows(ring, [[ring.var("x"), ring.var("x")]])
         assert x @ x.transpose() == Matrix.zeros(ring, 1, 1)
         assert_sparse(x @ x.transpose())
+
+
+def q_entry(rng, ring, kind):
+    """A random entry over ring whose Q coefficients are ints ("int"),
+    random_coeff's mix of int and Fraction ("mixed"), or Fractions of
+    denominator 1 ("fraction_1"); over another base, random_coeff's."""
+    p = random_poly(rng, ring, 3, 2)
+    if kind == "mixed" or ring.base != "Q":
+        return p
+    c = int if kind == "int" else Fraction
+    return Poly(ring, {e: c(rng.randint(-9, 9)) for e in p.terms})
+
+
+CLEARED_PRODUCTS = [(ring, kind) for ring in (Q_TS, Q_TSZ, Q_TS_MOD_T2)
+                    for kind in ("int", "mixed", "fraction_1")] + [(Z4_X, "mixed")]
+
+
+@pytest.mark.parametrize("ring, kind", CLEARED_PRODUCTS,
+                         ids=[f"{ring}-{kind}" for ring, kind in CLEARED_PRODUCTS])
+def test_cleared_product_against_reference(ring, kind):
+    # over Q, @ multiplies d_x x by d_y y on int coefficients and divides
+    # each entry once by d_x d_y; the dense Poly sums of reference_product
+    # clear nothing.  An integral output coefficient is an int, whatever
+    # the operands' coefficients were, and x @ x clears x once for both.
+    rng = random.Random(29)
+
+    def mat(rows, cols):
+        return Matrix.from_rows(ring, [[q_entry(rng, ring, kind) for _ in range(cols)]
+                                       for _ in range(rows)], cols)
+
+    for m, k, n in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 3, 2), (2, 2, 2), (3, 3, 3)):
+        for _ in range(6):
+            x, y, sq = mat(m, k), mat(k, n), mat(k, k)
+            before = [dict(p.terms) for a in (x, y, sq) for r in a.nonzero for p in r.values()]
+            for a, b in ((x, y), (sq, sq)):
+                got = a @ b
+                assert (got.rows, got.cols) == (a.rows, b.cols)
+                assert got == reference_product(a, b)
+                assert_sparse(got)
+                assert ring.base != "Q" or all(
+                    type(c) is int or c.denominator != 1
+                    for r in got.nonzero for p in r.values() for c in p.terms.values())
+            assert before == [dict(p.terms) for a in (x, y, sq)
+                              for r in a.nonzero for p in r.values()]
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -586,9 +617,25 @@ def json_samples():
     return out
 
 
-def test_matrix_json_round_trip():
+def test_matrix_json_round_trip(monkeypatch):
+    # an entry [] reads as the ring's zero without a parse: only the
+    # nonzero entries reach poly_terms_from_json, which checks them as before
+    parsed = []
+
+    def parse(ring, j):
+        parsed.append(j)
+        return poly_terms_from_json(ring, j)
+
+    monkeypatch.setattr(matrices, "poly_terms_from_json", parse)
     for m in json_samples():
-        assert matrix_from_json(matrix_to_json(m)) == m
+        parsed.clear()
+        back = matrix_from_json(matrix_to_json(m))
+        assert back == m and len(parsed) == sum(map(len, m.nonzero))
+        assert_sparse(back)
+    bad = matrix_to_json(Matrix.zeros(Q_TS, 1, 2))
+    bad["entries"][0][1] = [[[0], "1/1"]]
+    with pytest.raises(ValueError, match="exponent vector has wrong length"):
+        matrix_from_json(bad)
 
 
 def test_matrix_to_json_writes_the_dense_encoding():
@@ -628,7 +675,8 @@ def test_integral_q_coefficients_are_ints():
                        Q_TS)
     assert not ints(*mf.entries[0])
     assert mf.charpoly() == m.charpoly() and mf.inverse() == inv
-    assert ints(mf.det(), *mf.charpoly(), *(x for p in (mf.power(3), mf.inverse())
+    assert mf @ mf == m @ m
+    assert ints(mf.det(), *mf.charpoly(), *(x for p in (mf.power(3), mf.inverse(), mf @ mf)
                                             for row in p.entries for x in row))
     h = Matrix.from_rows(Q_TS, [[Fraction(1, 2), Fraction(1, 2)],
                                 [Fraction(-3, 2), Fraction(1, 2)]])
