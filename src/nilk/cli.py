@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse, report
 from .ledger import DISCREPANCY, FAIL, PipelineError, summarize
-from .matrices import Matrix, matrix_from_json, matrix_latex, matrix_to_json
+from .matrices import Matrix, matrix_from_json, matrix_json_text, matrix_latex
 from .rings import int_from_json
 
 EXIT_OK = 0
@@ -49,8 +50,7 @@ def _write(path: Path, text: str) -> None:
 
 def _emit_matrix(m: Matrix, out: Path, name: str, emit: str) -> None:
     try:
-        text = matrix_latex(m) if emit == "latex" else \
-            json.dumps(matrix_to_json(m), indent=2)
+        text = matrix_latex(m) if emit == "latex" else matrix_json_text(m)
     except ValueError as e:  # an int past sys.get_int_max_str_digits()
         raise _BadInput(f"cannot write {name}: {e}") from e
     _write(out / f"{name}.{'tex' if emit == 'latex' else 'json'}", text + "\n")
@@ -180,7 +180,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first main call.  It
+    holds no command function: main looks cmd_<command> up when it runs."""
     p = argparse.ArgumentParser(
         prog="nilk",
         description="Rebuild and verify the explicit NK1/Nil0 representatives "
@@ -195,46 +198,39 @@ def build_parser() -> argparse.ArgumentParser:
                         "and its 10x10 nilpotent companion")
     common(sp)
     sp.add_argument("--json", action="store_true", help="machine-readable report")
-    sp.set_defaults(fn=cmd_theorem3)
 
     sp = sub.add_parser("theorem4", help="group-ring representative over Z[Z/4]")
     common(sp)
     sp.add_argument("--json", action="store_true", help="machine-readable report")
-    sp.set_defaults(fn=cmd_theorem4)
 
     sp = sub.add_parser("higman", help="nilpotent companion of a K1 representative")
     sp.add_argument("input")
     common(sp)
-    sp.set_defaults(fn=cmd_higman)
 
     sp = sub.add_parser("versch", help="Verschiebung companion of a nilpotent")
     sp.add_argument("input")
     sp.add_argument("-k", type=_positive_int, required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_versch)
 
     sp = sub.add_parser("frob", help="Frobenius power of a nilpotent")
     sp.add_argument("input")
     sp.add_argument("-k", type=_positive_int, required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_frob)
 
     sp = sub.add_parser("sse-verify", help="verify an SSE chain or SE witness file")
     sp.add_argument("input")
-    sp.set_defaults(fn=cmd_sse_verify)
 
     sp = sub.add_parser("verify-all", help="run the full verification report")
     sp.add_argument("--allow-known-typos", action="store_true",
                     help="tolerate the recorded display discrepancies")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_verify_all)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except PipelineError as e:

@@ -1,8 +1,13 @@
 """Exact matrices over the rings in nilk.rings.
 
 Storage is sparse: per row, a dict {column: Poly} of its nonzero entries
-(Matrix.nonzero); no zero is stored, so equal matrices have equal rows, and
-the dense view Matrix.entries is derived.  Every walk visits nonzeros only:
+(Matrix.nonzero); no zero is stored, so equal matrices have equal rows.
+The writers walk the rows too: matrix_json_text writes the bytes of
+json.dumps(matrix_to_json(m), indent=2) row by row, with a constant line
+per zero entry, and matrix_latex and str write "0" for one; the reader
+matrix_from_json builds each row's dict directly.  The derived dense view
+Matrix.entries is left for __getitem__, laurent_pipeline's 2 x 2 loop, the
+tests and the benchmark's matmul counter.  Every walk visits nonzeros only:
 the entrywise maps (Matrix.map_entries of one matrix, Matrix._entrywise of
 two) send zeros to zero, and the product multiplies each A[i, k] into row
 k of B, summing each output entry's products in one term map (the ring's
@@ -27,6 +32,7 @@ scans no denominator.  Values are immutable; entries compare canonically.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,8 +325,8 @@ class Matrix:
                                 self.ring.drop(*assignments))
 
     def __str__(self):
-        return "[" + "; ".join(", ".join(str(a) for a in r)
-                               for r in self.entries) + "]"
+        return "[" + "; ".join(", ".join(_dense_row(self, r, "0", str))
+                               for r in self.nonzero) + "]"
 
 
 def _nonzero(pairs: Iterable[tuple[int, Poly]]) -> dict:
@@ -388,17 +394,50 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
+def _dense_row(m: Matrix, r: dict, zero: str, write) -> list:
+    """Row r of m as text, one item per column: zero where r stores nothing,
+    write(a) for each stored entry a."""
+    line = [zero] * m.cols
+    for j, a in r.items():
+        line[j] = write(a)
+    return line
+
+
+def _json_entry(a: Poly) -> str:
+    """A stored entry's lines in a matrix file: its JSON at indent 2, six
+    spaces deep."""
+    return "      " + json.dumps(poly_terms_to_json(a), indent=2).replace("\n", "\n      ")
+
+
+def matrix_json_text(m: Matrix) -> str:
+    """json.dumps(matrix_to_json(m), indent=2), written row by row: the
+    head (ring, rows, cols) by json.dumps, a zero entry as the line
+    "      []", and each stored entry's JSON re-indented to its depth."""
+    head = json.dumps({"ring": ring_to_json(m.ring), "rows": m.rows, "cols": m.cols},
+                      indent=2)[:-2] + ',\n  "entries": '
+    if not m.rows:
+        return head + "[]\n}"
+    rows = ("    [\n" + ",\n".join(_dense_row(m, r, "      []", _json_entry)) + "\n    ]"
+            if m.cols else "    []" for r in m.nonzero)
+    return head + "[\n" + ",\n".join(rows) + "\n  ]\n}"
+
+
 def matrix_from_json(j: dict) -> Matrix:
-    ring = ring_from_json(j["ring"])
-    zero = ring.zero()  # an entry [] is the ring's zero, read without a parse
-    rows = [[zero if e == [] else poly_terms_from_json(ring, e) for e in r]
-            for r in j["entries"]]
+    """The matrix of a JSON document, each row's {column: Poly} built
+    directly: an entry [] is the ring's zero, read without a parse, and
+    every other entry goes through poly_terms_from_json."""
+    ring, entries = ring_from_json(j["ring"]), j["entries"]
+    rows = tuple(_nonzero((k, poly_terms_from_json(ring, e)) for k, e in enumerate(r) if e != [])
+                 for r in entries)
     nr, nc = int_from_json(j["rows"], "rows"), int_from_json(j["cols"], "cols")
     if nr != len(rows) or nc < 0:
         raise ValueError("inconsistent matrix dimensions")
-    return Matrix.from_rows(ring, rows, nc)
+    for r in entries:
+        if len(r) != nc:
+            raise ValueError(f"a row of length {len(r)} in a matrix of {nc} columns")
+    return Matrix(ring, nr, nc, rows)
 
 
 def matrix_latex(m: Matrix) -> str:
-    body = " \\\\\n".join(" & ".join(poly_latex(a) for a in r) for r in m.entries)
+    body = " \\\\\n".join(" & ".join(_dense_row(m, r, "0", poly_latex)) for r in m.nonzero)
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"

@@ -1,14 +1,17 @@
 """Shared test utilities: the canonical-form and sparse-storage checks, a
 candidate-loop unit recognition, a dense product and elementary matrices
-as references, direct sums entry by entry, matrices as witness files hold
-them, and conversion to sympy for independent cross-checks."""
+as references, the dense-view JSON, LaTeX and str forms of a matrix as
+references for its row-walking writers, direct sums entry by entry,
+matrices as witness files hold them, and conversion to sympy for
+independent cross-checks."""
 
+import json
 from fractions import Fraction
 from typing import Optional
 
 import sympy as sp
 
-from nilk.rings import BASE, GaussianInt, Poly, Ring
+from nilk.rings import BASE, GaussianInt, Poly, Ring, poly_latex
 from nilk.matrices import Matrix, matrix_to_json
 
 
@@ -105,6 +108,22 @@ def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:
     rows = [list(r) for r in Matrix.identity(ring, n).entries]
     rows[i - 1][j - 1] = a
     return Matrix.from_rows(ring, rows)
+
+
+def reference_json_text(m: Matrix) -> str:
+    """The bytes of a matrix file: the byte oracle for matrices.matrix_json_text."""
+    return json.dumps(matrix_to_json(m), indent=2)
+
+
+def reference_latex(m: Matrix) -> str:
+    """matrix_latex written from the dense view, every entry through poly_latex."""
+    body = " \\\\\n".join(" & ".join(poly_latex(a) for a in r) for r in m.entries)
+    return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+
+
+def reference_str(m: Matrix) -> str:
+    """str(m) written from the dense view, every entry through str."""
+    return "[" + "; ".join(", ".join(str(a) for a in r) for r in m.entries) + "]"
 
 
 def direct_sum(*blocks: Matrix) -> Matrix:

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import nilk
+from nilk import cli, report
 from nilk import laurent_pipeline as lp
-from nilk import report
 from nilk.cli import main
 from nilk.matrices import Matrix, matrix_from_json, matrix_to_json
 from nilk.rings import F2E_X, Q_TS, Q_TS_MOD_T2, Q_TZ, DualF2, Ring, Var
@@ -259,6 +259,11 @@ CASES = [
            test="deep_nesting_is_input_error")
       for cmd, argv in {**MATRIX_CMDS, "sse_verify": ["sse-verify"]}.items()
       for name, text in DEEP_TEXTS.items()],
+    # the reader's two shape checks
+    case("frob-ragged_row", ["frob", "-k", "1"], {**NIL, "entries": [[[], []], [[]]]}, 2, None,
+         READ + "a row of length 1 in a matrix of 2 columns"),
+    case("frob-rows_disagree", ["frob", "-k", "1"], {**NIL, "rows": 3}, 2, None,
+         READ + "inconsistent matrix dimensions"),
     case("versch-k3", ["versch", "-k", "3"], NIL, 0, "6x6, nilpotency index 6\n", ""),
     case("frob-k2", ["frob", "-k", "2"], NIL, 0, "2x2, nilpotency index 1\n", ""),
     case("versch-n10_k8", ["versch", "-k", "8"], matrix_to_json(lp.construct().n10), 0,
@@ -398,6 +403,32 @@ def contract_test(rows):
 # every row runs under the test name it gives, with the one body above
 for _name in dict.fromkeys(name for name, _ in CASES):
     globals()[_name] = contract_test([row for name, row in CASES if name == _name])
+
+
+def test_second_main_call_gets_a_fresh_namespace(tmp_path, capsys):
+    # one parser serves every call in a process: the first call's command
+    # and options leave nothing behind for the second
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(NIL))
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(["versch", str(src), "-k", "3", "--emit", "latex",
+                        "--out", str(tmp_path / "a")], capsys)
+    assert (code, out) == (0, "6x6, nilpotency index 6\n")
+    code, out, _ = run(["frob", str(src), "-k", "2", "--out", str(tmp_path / "b")], capsys)
+    assert (code, out) == (0, "2x2, nilpotency index 1\n")
+    assert [f.name for f in (tmp_path / "a").iterdir()] == ["versch3.tex"]
+    assert [f.name for f in (tmp_path / "b").iterdir()] == ["frob2.json"]
+
+
+def test_main_looks_the_command_up_when_it_runs(monkeypatch):
+    # main calls whatever cli.cmd_<command> is bound to at call time, so a
+    # wrapper put there after the parser was built is the one that runs
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_frob", lambda args: seen.append(vars(args)) or 0)
+    assert main(["frob", "in.json", "-k", "2"]) == 0
+    assert seen == [{"command": "frob", "input": "in.json", "k": 2, "emit": "json",
+                     "out": "."}]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 from nilk import laurent_pipeline as lp
 from nilk import matrices
 from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
-                           matrix_from_json, matrix_to_json)
+                           matrix_from_json, matrix_json_text, matrix_latex, matrix_to_json)
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
@@ -20,7 +20,8 @@ from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
 
-from helpers import assert_canonical, assert_sparse, elementary, reference_product
+from helpers import (assert_canonical, assert_sparse, elementary, reference_json_text,
+                     reference_latex, reference_product, reference_str)
 
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
@@ -413,7 +414,7 @@ def test_empty_dimensions():
 def sparse_mat(rng, ring, rows, cols):
     return Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1)
                                     if rng.random() < 0.35 else ring.zero()
-                                    for _ in range(cols)] for _ in range(rows)])
+                                    for _ in range(cols)] for _ in range(rows)], cols)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -644,7 +645,36 @@ def test_matrix_to_json_writes_the_dense_encoding():
     for m in json_samples():
         dense = {"ring": ring_to_json(m.ring), "rows": m.rows, "cols": m.cols,
                  "entries": [[poly_terms_to_json(a) for a in r] for r in m.entries]}
-        assert json.dumps(matrix_to_json(m), indent=2) == json.dumps(dense, indent=2)
+        assert reference_json_text(m) == json.dumps(dense, indent=2)
+
+
+def writer_samples():
+    """json_samples(), V_4(N), and random sparse matrices over every test
+    ring, 0 x n and n x 0 among their shapes."""
+    rng = random.Random(43)
+    out = json_samples() + [verschiebung(lp.n10_display(), 4)]
+    out += [sparse_mat(rng, ring, rows, cols) for ring in RINGS
+            for rows, cols in ((0, 2), (2, 0), (1, 1), (1, 4), (4, 1), (5, 5))]
+    return out
+
+
+def test_row_writers_match_the_dense_view():
+    # matrix_json_text writes a file's bytes row by row, and matrix_latex
+    # and str walk the stored entries: each equals its dense-view reference
+    for m in writer_samples():
+        assert matrix_json_text(m) == reference_json_text(m), (m.rows, m.cols)
+        assert matrix_latex(m) == reference_latex(m), (m.rows, m.cols)
+        assert str(m) == reference_str(m), (m.rows, m.cols)
+
+
+def test_json_writer_matches_the_oracle_at_scale():
+    # V_128(N): 1280 x 1280 with 1286 stored entries, a 16.5 MB file
+    # (compared as a bool: pytest's diff of two 16.5 MB strings would not end)
+    v = verschiebung(lp.n10_display(), 128)
+    got, want = matrix_json_text(v), reference_json_text(v)
+    same = got == want
+    assert same, next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                      min(len(got), len(want)))
 
 
 def test_integral_q_coefficients_are_ints():
