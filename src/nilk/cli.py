@@ -182,8 +182,12 @@ def _positive_int(text: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first main call.  It
-    holds no command function: main looks cmd_<command> up when it runs."""
+    """The one parser of this process, built on the first main call.  The
+    cache pays only where main runs more than once in one process (the
+    tests, perfbench's in-process cli workload, a Python caller); a `nilk`
+    process calls main once and builds one parser either way.  The parser
+    holds no command function: main looks cmd_<command> up when it runs, so
+    a wrapper bound to cli.cmd_* after the first call is the one called."""
     p = argparse.ArgumentParser(
         prog="nilk",
         description="Rebuild and verify the explicit NK1/Nil0 representatives "
