@@ -21,7 +21,7 @@ from . import laurent_pipeline as lp
 from . import nilsse, report
 from .ledger import DISCREPANCY, FAIL, PipelineError, summarize
 from .matrices import Matrix, matrix_from_json, matrix_json_text, matrix_latex
-from .rings import int_from_json
+from .rings import int_from_json, ring_from_json
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -85,20 +85,31 @@ def cmd_theorem4(args) -> int:
                          {"yz_matrix": con.yz, "theorem42_matrix": con.block})
 
 
-def _load_square(path: str) -> Matrix:
+def _load_square(path: str, check_ring=lambda ring: None) -> Matrix:
+    """The square matrix in the file at path; check_ring(ring) runs on the
+    ring alone, before any entry is parsed."""
     def square(j) -> Matrix:
-        m = matrix_from_json(j)
+        ring = ring_from_json(j["ring"])
+        check_ring(ring)
+        m = matrix_from_json(j, ring)
         if m.rows != m.cols:
             raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
         return m
     return _read_json(path, f"i/o error: cannot read matrix from {path}", square)
 
 
+_HIGMAN_INPUT = "higman needs a nonempty matrix over a ring with the variables s and t"
+
+
+def _has_s_and_t(ring) -> None:
+    if not {"s", "t"} <= {v.name for v in ring.vars}:
+        raise _BadInput(_HIGMAN_INPUT)
+
+
 def cmd_higman(args) -> int:
-    m = _load_square(args.input)
-    if m.rows == 0 or not {"s", "t"} <= {v.name for v in m.ring.vars}:
-        raise _BadInput("higman needs a nonempty matrix over a ring with the "
-                        "variables s and t")
+    m = _load_square(args.input, _has_s_and_t)
+    if m.rows == 0:
+        raise _BadInput(_HIGMAN_INPUT)
     rep = lp.K1Rep(m)
     rep.verify()
     n = lp.higman_companion(lp.decompose_M(rep))

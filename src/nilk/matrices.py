@@ -422,11 +422,14 @@ def matrix_json_text(m: Matrix) -> str:
     return head + "[\n" + ",\n".join(rows) + "\n  ]\n}"
 
 
-def matrix_from_json(j: dict) -> Matrix:
+def matrix_from_json(j: dict, ring: Optional[Ring] = None) -> Matrix:
     """The matrix of a JSON document, each row's {column: Poly} built
     directly: an entry [] is the ring's zero, read without a parse, and
-    every other entry goes through poly_terms_from_json."""
-    ring, entries = ring_from_json(j["ring"]), j["entries"]
+    every other entry goes through poly_terms_from_json.  ring, when given,
+    is ring_from_json(j["ring"]), read already."""
+    if ring is None:
+        ring = ring_from_json(j["ring"])
+    entries = j["entries"]
     rows = tuple(_nonzero((k, poly_terms_from_json(ring, e)) for k, e in enumerate(r) if e != [])
                  for r in entries)
     nr, nc = int_from_json(j["rows"], "rows"), int_from_json(j["cols"], "cols")

@@ -25,7 +25,7 @@ from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
                     DualF2, GaussianInt, GroupRingZ4, hom_apply, ideal_member,
                     subring_member)
-from .sampling import random_poly
+from .sampling import choice, randint, random_poly
 from .words import (StWord, dennis_stein_word, dual_symbol_args, dual_symbol_word,
                     eval_word, reduced_X_word, word)
 
@@ -223,8 +223,8 @@ def suite_det_multiplicative(cases: int, seed: int) -> int:
 
 def _random_word(rng: random.Random) -> StWord:
     letters = []
-    for _ in range(rng.randint(0, 3)):
-        i = rng.choice([1, 2])
+    for _ in range(randint(rng, 0, 3)):
+        i = choice(rng, (1, 2))
         letters.append((i, 3 - i, random_poly(rng, F2E_X, 2, 2)))
     return word(F2E_X, letters)
 
@@ -250,8 +250,8 @@ def suite_dennis_stein_identity(cases: int, seed: int) -> int:
 
 def suite_generalized_units(cases: int, seed: int) -> int:
     def case(rng):
-        a = Fraction(rng.randint(1, 9) * rng.choice([1, -1]), rng.randint(1, 5))
-        b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        a = Fraction(randint(rng, 1, 9) * choice(rng, (1, -1)), randint(rng, 1, 5))
+        b = Fraction(randint(rng, -9, 9), randint(rng, 1, 5))
         try:
             lp.generalized_unit_rep(a, b)
         except PipelineError:

@@ -10,6 +10,10 @@ a handful of exact coefficient domains:
     F2   field with two elements
     F2e  dual numbers over F2:  a + b*eps, eps^2 = 0
 
+F2[eps] has four values, each one shared DualF2 instance, and its + and *
+are lookups in a table of the four; the other algebras test zero and
+equality on their coordinate slots.
+
 Quotients (eps^2 = 0, sigma^4 = 1, mod-2 coefficients, t-degree truncation)
 are enforced by normalization after every operation.  Polynomials are kept
 in canonical form: no zero coefficients, fixed variable order, so equality
@@ -50,22 +54,17 @@ class NotAUnitError(ValueError):
 
 class CoeffAlgebra:
     """Base of the coefficient algebras: subclasses name their coordinates
-    in __slots__ and write __init__, __add__, __neg__, __mul__ and __str__,
-    whose operands are elements of the same algebra (Ring.const turns an int
-    into one).  An element is false exactly when it is zero."""
+    in __slots__ and write __add__, __neg__, __mul__, __eq__, __bool__ and
+    __str__ on those slots, whose operands are elements of the same algebra
+    (Ring.const turns an int into one).  Two elements are equal when they
+    have the same type and coordinates, and an element is false exactly
+    when it is zero.  F2[eps] has four values, each one shared instance,
+    and its + and * are lookups in a table of the four (DualF2)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.coords = property(attrgetter(*cls.__slots__))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __bool__(self):
-        return any(self.coords)
 
     def __repr__(self):
         return f"{type(self).__name__}{self.coords}"
@@ -89,6 +88,14 @@ class GaussianInt(CoeffAlgebra):
     def __init__(self, re: int = 0, im: int = 0):
         self.re = re
         self.im = im
+
+    def __eq__(self, o):
+        if type(o) is not GaussianInt:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
 
     def __add__(self, o):
         return GaussianInt(self.re + o.re, self.im + o.im)
@@ -115,6 +122,14 @@ class GroupRingZ4(CoeffAlgebra):
         self.c2 = c2
         self.c3 = c3
 
+    def __eq__(self, o):
+        if type(o) is not GroupRingZ4:
+            return NotImplemented
+        return self.c0 == o.c0 and self.c1 == o.c1 and self.c2 == o.c2 and self.c3 == o.c3
+
+    def __bool__(self):
+        return self.c0 != 0 or self.c1 != 0 or self.c2 != 0 or self.c3 != 0
+
     def __add__(self, o):
         return GroupRingZ4(self.c0 + o.c0, self.c1 + o.c1,
                            self.c2 + o.c2, self.c3 + o.c3)
@@ -123,8 +138,8 @@ class GroupRingZ4(CoeffAlgebra):
         return GroupRingZ4(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __mul__(self, o):
-        a0, a1, a2, a3 = self.coords
-        b0, b1, b2, b3 = o.coords
+        a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
+        b0, b1, b2, b3 = o.c0, o.c1, o.c2, o.c3
         return GroupRingZ4(a0 * b0 + a1 * b3 + a2 * b2 + a3 * b1,
                            a0 * b1 + a1 * b0 + a2 * b3 + a3 * b2,
                            a0 * b2 + a1 * b1 + a2 * b0 + a3 * b3,
@@ -139,25 +154,55 @@ class GroupRingZ4(CoeffAlgebra):
 
 
 class DualF2(CoeffAlgebra):
-    """a + b*eps over F2, with eps^2 = 0; built reduced mod 2."""
+    """a + b*eps over F2, with eps^2 = 0.  F2[eps] has four values, and
+    DualF2(a, b) returns the one shared instance for (a mod 2, b mod 2), so
+    equal values are one object, hashed by identity.  + and * look their
+    result up in a table of the four (_DUAL_SUM, _DUAL_PRODUCT); a copy,
+    a deep copy and a pickle give back the shared instance (__reduce__)."""
 
     __slots__ = ("a", "b")
+    __hash__ = object.__hash__
 
-    def __init__(self, a: int = 0, b: int = 0):
-        self.a = a % 2
-        self.b = b % 2
+    def __new__(cls, a: int = 0, b: int = 0):
+        return _DUAL[a % 2][b % 2]
+
+    def __reduce__(self):
+        return DualF2, (self.a, self.b)
+
+    def __eq__(self, o):
+        if type(o) is not DualF2:
+            return NotImplemented
+        return self is o
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
 
     def __add__(self, o):
-        return DualF2(self.a ^ o.a, self.b ^ o.b)
+        return _DUAL_SUM[self][o]
 
     def __neg__(self):
         return self
 
     def __mul__(self, o):
-        return DualF2(self.a & o.a, (self.a & o.b) ^ (self.b & o.a))
+        return _DUAL_PRODUCT[self][o]
 
     def __str__(self):
         return {(0, 0): "0", (1, 0): "1", (0, 1): "ε", (1, 1): "(1+ε)"}[self.coords]
+
+
+def _dual_value(a: int, b: int) -> DualF2:
+    v = object.__new__(DualF2)
+    v.a, v.b = a, b
+    return v
+
+
+# _DUAL[a][b] is a + b*eps; the tables hold (a + b eps) + (c + d eps) =
+# (a + c) + (b + d) eps and (a + b eps)(c + d eps) = ac + (ad + bc) eps
+_DUAL = [[_dual_value(a, b) for b in (0, 1)] for a in (0, 1)]
+_FOUR = [v for row in _DUAL for v in row]
+_DUAL_SUM = {x: {y: _DUAL[x.a ^ y.a][x.b ^ y.b] for y in _FOUR} for x in _FOUR}
+_DUAL_PRODUCT = {x: {y: _DUAL[x.a & y.a][(x.a & y.b) ^ (x.b & y.a)] for y in _FOUR}
+                 for x in _FOUR}
 
 
 def int_from_json(x, what: str) -> int:
@@ -276,6 +321,16 @@ class Ring:
             raise ValueError(f"unknown base ring {self.base!r}")
         # the one zero, built with the ring: reading zero() never builds a Poly
         object.__setattr__(self, "_zero", Poly(self, {}))
+        # the hash, computed once: the caches keyed by a ring hash it per call
+        object.__setattr__(self, "_hash", hash((self.base, self.vars)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # a copy or a pickle is built from the fields: the cached kernel is
+        # generated source, which pickle cannot name
+        return Ring, (self.base, self.vars)
 
     @property
     def ops(self) -> BaseOps:

@@ -236,6 +236,10 @@ CASES = [
            "higman needs a nonempty matrix over a ring with the variables s and t")
       for name, d in (("empty", matrix_doc(Q_TS, [])), ("no_s", matrix_doc(Q_TZ, [[1, 0], [0, 1]])),
                       ("no_t", matrix_doc(Q_S, [[1, Q_S.var("s")], [0, 1]])))],
+    # the ring is checked before any entry is parsed: this entry's exponent
+    # vector has the wrong length, and the ring message still comes first
+    case("higman-no_s_before_entries", ["higman"], one_entry([{"name": "t"}], [[0, 0], "1"]),
+         2, None, "higman needs a nonempty matrix over a ring with the variables s and t"),
     case("higman-zi_short", ["higman"], one_entry(TS, [[0, 0], [1]], base="Zi"), 2, None,
          READ + "coefficient must be a list of 2 integers, got [1]"),
     *[case(f"higman-bad_exponent-{name}", ["higman"], one_entry(TS, [exps, "1/1"]),

@@ -1,14 +1,20 @@
 """Planted faults: a stage identity broken by a monkeypatch must end the CLI
 with exit 1 and one stderr line naming the check, never a traceback, and
-with nothing written into --out."""
+with nothing written into --out.  Each row of FAULTS breaks the input of a
+check (a word, a stage output or a block, never `check` or `require`) and
+shows that the check, and no other, turns FAIL."""
+
+import dataclasses
 
 import pytest
 
 from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
+from nilk import report
 from nilk.cli import main
+from nilk.ledger import FAIL, PipelineError, recording
 from nilk.matrices import Matrix
-from nilk.rings import ZI_X
+from nilk.rings import F2E_X, ZI_X, GroupRingZ4
 from nilk.words import StWord
 
 
@@ -56,3 +62,90 @@ def test_failed_report_check_writes_nothing(monkeypatch, tmp_path, capsys):
     assert code == 1
     assert "[FAIL       ] lift42.display" in printed and err == ""
     assert not out_dir.exists()
+
+
+def _last_letter_dropped(name):
+    """Plant: the report's word report.<name>() without its last letter."""
+    def plant(monkeypatch):
+        build = getattr(report, name)
+        monkeypatch.setattr(report, name, lambda: StWord(F2E_X, build().letters[:-1]))
+    return plant
+
+
+def _yz_output_times_e12(monkeypatch):
+    # the report reduces YZ e12(1), which is not I mod (2), the kernel of
+    # i -> 1 + eps; the stage identities held on the YZ they were proved on
+    construct, e12 = grp.construct, Matrix.from_rows(ZI_X, [[1, 1], [0, 1]])
+
+    def shifted():
+        con = construct()
+        return dataclasses.replace(con, yz=con.yz @ e12)
+    monkeypatch.setattr(grp, "construct", shifted)
+
+
+def _one_plus_2x():
+    return ZI_X.one() + 2 * ZI_X.var("x")
+
+
+def _y_and_z_blocks_scaled(monkeypatch):
+    # Y and Z evaluate to (1 + 2x) times their blocks: YZ is still I mod (2),
+    # but det(YZ) = (1 + 2x)^4
+    ev = grp.eval_word
+    monkeypatch.setattr(grp, "eval_word", lambda w, n: ev(w, n).scale(_one_plus_2x()))
+
+
+def _i_lifted_to_sigma_cubed(monkeypatch):
+    # psi(sigma^3) = -i, so psi(lift) is no longer YZ
+    monkeypatch.setattr(grp, "group_ring_from_gauss", lambda c: GroupRingZ4(c.re, 0, 0, c.im))
+
+
+def _yz_output_scaled(monkeypatch):
+    # the lift stage gets (1 + 2x) YZ, whose lift is exact (psi holds) and
+    # whose det maps to (1 + 2x)^2 under psi
+    yz = grp.yz_matrix
+    monkeypatch.setattr(grp, "yz_matrix", lambda: yz().scale(_one_plus_2x()))
+
+
+# id: (plant, the check ids that turn FAIL)
+FAULTS = {
+    "symbol.dennis_stein": (_last_letter_dropped("dual_symbol_word"), ["symbol.dennis_stein"]),
+    "symbol.reduced_X": (_last_letter_dropped("reduced_X_word"), ["symbol.reduced_X"]),
+    "yz.reduce_to_dual": (_yz_output_times_e12, ["yz.reduce_to_dual"]),
+    "yz.det": (_y_and_z_blocks_scaled, ["yz.det"]),
+    "lift42.psi": (_i_lifted_to_sigma_cubed, ["lift42.psi"]),
+    "lift42.det": (_yz_output_scaled, ["lift42.det"]),
+}
+
+
+def _statuses() -> dict[str, str]:
+    """Status by id of every report check but the random suites, which read
+    no binding a row patches.  A failed stage identity ends the group-ring
+    construction; its part is then the ledger of the stages up to it."""
+    con = lp.construct()
+    checks = report.laurent_checks(con) + report.sse_checks(con)
+    try:
+        checks += report.groupring_checks()
+    except PipelineError:
+        with recording() as ledger, pytest.raises(PipelineError):
+            grp.lift_to_group_ring(grp.yz_matrix())
+        checks += ledger.values()
+    return {c.id: c.status for c in checks}
+
+
+@pytest.mark.parametrize("plant, cids", FAULTS.values(), ids=FAULTS)
+def test_planted_fault_fails_its_check_only(plant, cids, report_checks, monkeypatch, capsys):
+    stage_ids = set(grp.construct().checks)
+    before = {c.id: c.status for c in report_checks}
+    plant(monkeypatch)
+    after = _statuses()
+    assert [after[cid] for cid in cids] == [FAIL] * len(cids)
+    assert {cid: s for cid, s in after.items() if cid not in cids} == {
+        cid: before[cid] for cid in after if cid not in cids}
+    code = main(["theorem4"])
+    printed, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    for cid in cids:
+        if cid in stage_ids:
+            assert err.startswith(f"verification failure: verification failed: {cid} (")
+        else:
+            assert f"[FAIL       ] {cid}  (" in printed and err == ""

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -113,6 +115,40 @@ def test_coefficient_equality():
     for c in (GaussianInt(2, -1), GroupRingZ4(1, 0, -1, 2), DualF2(3, 2)):
         twin = type(c)(*c.coords)
         assert twin == c
+
+
+DUAL_COORDS = [(a, b) for a in (0, 1) for b in (0, 1)]
+
+
+def test_dual_numbers_are_four_shared_values():
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        v = DualF2(a, b)
+        assert v is DualF2(a % 2, b % 2) and v.coords == (a % 2, b % 2)
+
+
+def test_dual_number_tables_match_a_plus_b_eps():
+    # (a + b eps) + (c + d eps) = (a + c) + (b + d) eps and
+    # (a + b eps)(c + d eps) = ac + (ad + bc) eps, mod 2
+    for (a, b), (c, d) in itertools.product(DUAL_COORDS, repeat=2):
+        x, y = DualF2(a, b), DualF2(c, d)
+        assert (x + y).coords == ((a + c) % 2, (b + d) % 2)
+        assert (x * y).coords == (a * c % 2, (a * d + b * c) % 2)
+        assert -x is x
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_dual_numbers_are_the_shared_values(clone):
+    x, eps = F2E_X.var("x"), F2E_X.const(DualF2(0, 1))
+    p = x * F2E_X.const(DualF2(1, 1)) + eps + x * x * eps
+    for a, b in DUAL_COORDS:
+        assert clone(DualF2(a, b)) is DualF2(a, b)
+    q = clone(p)
+    assert q == p and q.ring == F2E_X
+    assert all(c is DualF2(*c.coords) for c in q.terms.values())
+    # no copy wrote into a shared value
+    assert [DualF2(a, b).coords for a, b in DUAL_COORDS] == DUAL_COORDS
 
 
 @pytest.mark.parametrize("c, text, latex", [

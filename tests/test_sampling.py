@@ -1,5 +1,8 @@
 """The random suites' draws are part of the report: a suite's seed and case
-count name its cases only while random_poly draws the same sequence."""
+count name its cases only while random_poly draws the same sequence.  The
+draws replay Random.randint and Random.choice through randint and choice,
+which run CPython's _randbelow_with_getrandbits on rng.getrandbits; the
+digests below hold on Python 3.10 to 3.13, as CI runs them."""
 
 import hashlib
 import json
@@ -9,7 +12,7 @@ import pytest
 
 from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
                         poly_terms_to_json)
-from nilk.sampling import random_poly
+from nilk.sampling import choice, randint, random_poly
 
 from helpers import assert_canonical
 
@@ -49,3 +52,32 @@ def test_draws_are_canonical():
             assert_canonical(p)
             assert all(type(c) is int for c in p.terms.values()
                        if getattr(c, "denominator", None) == 1)
+
+
+# widths 1, 2, 3 and 2^k - 1, 2^k, 2^k + 1 up to 2^40: the rejection loop
+# draws k bits for a width of bit length k, and rejects most often at 2^k + 1
+WIDTHS = sorted({1, 2, 3} | {2 ** k + d for k in range(1, 41) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("lo", [0, 1, -7, -2 ** 40])
+def test_randint_replays_random_randint(lo):
+    ours, theirs = random.Random(11), random.Random(11)
+    for n in WIDTHS:
+        for _ in range(10):
+            assert randint(ours, lo, lo + n - 1) == theirs.randint(lo, lo + n - 1)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_choice_replays_random_choice():
+    ours, theirs = random.Random(12), random.Random(12)
+    for n in (1, 2, 3, 4, 5, 8, 9, 100):
+        seq = tuple(range(n, 2 * n))
+        for _ in range(20):
+            assert choice(ours, seq) == theirs.choice(seq)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_randint_rejects_an_empty_range():
+    # Random.randint raises here too; the rejection loop would never end
+    with pytest.raises(ValueError, match="empty range"):
+        randint(random.Random(0), 3, 2)
