@@ -4,6 +4,8 @@ Commands: theorem3, theorem4, higman, versch, frob, sse-verify, verify-all.
 Exit codes: 0 pass, 1 verification failure, 2 input or I/O error.  A failed
 identity raises PipelineError and bad input raises _BadInput; `main` is the
 one place that prints either as one stderr line and returns 1 or 2.
+`_read_json` is the one reader of input files: it reads a file's ring once,
+before anything else, and every matrix of the file shares that one Ring.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ class _BadInput(Exception):
 
 
 def _read_json(path: str, what: str, parse):
-    """parse(JSON of the file at path); any failure, deep nesting too, is bad input."""
+    """parse(j, ring) for the JSON j of the file at path and its top-level
+    ring, read before anything else: the one Ring of all the file's
+    matrices.  Any failure, deep nesting too, is bad input."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        j = json.loads(Path(path).read_text())
+        return parse(j, ring_from_json(j["ring"]))
     except (OSError, ValueError, KeyError, IndexError, TypeError, RecursionError) as e:
         raise _BadInput(f"{what}: {e}") from e
 
@@ -85,32 +90,28 @@ def cmd_theorem4(args) -> int:
                          {"yz_matrix": con.yz, "theorem42_matrix": con.block})
 
 
-def _load_square(path: str, check_ring=lambda ring: None) -> Matrix:
-    """The square matrix in the file at path; check_ring(ring) runs on the
-    ring alone, before any entry is parsed."""
-    def square(j) -> Matrix:
-        ring = ring_from_json(j["ring"])
-        check_ring(ring)
-        m = matrix_from_json(j, ring)
-        if m.rows != m.cols:
-            raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
-        return m
-    return _read_json(path, f"i/o error: cannot read matrix from {path}", square)
+def _square(j, ring) -> Matrix:
+    m = matrix_from_json(j, ring)
+    if m.rows != m.cols:
+        raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
+    return m
 
 
-_HIGMAN_INPUT = "higman needs a nonempty matrix over a ring with the variables s and t"
+def _read_matrix(path: str, parse=_square) -> Matrix:
+    return _read_json(path, f"i/o error: cannot read matrix from {path}", parse)
 
 
-def _has_s_and_t(ring) -> None:
-    if not {"s", "t"} <= {v.name for v in ring.vars}:
-        raise _BadInput(_HIGMAN_INPUT)
+def _higman_input(j, ring) -> Matrix:
+    """A nonempty square matrix over a ring with s and t; the ring is
+    checked before any entry is parsed."""
+    m = _square(j, ring) if {"s", "t"} <= {v.name for v in ring.vars} else None
+    if m is None or m.rows == 0:
+        raise _BadInput("higman needs a nonempty matrix over a ring with the variables s and t")
+    return m
 
 
 def cmd_higman(args) -> int:
-    m = _load_square(args.input, _has_s_and_t)
-    if m.rows == 0:
-        raise _BadInput(_HIGMAN_INPUT)
-    rep = lp.K1Rep(m)
+    rep = lp.K1Rep(_read_matrix(args.input, _higman_input))
     rep.verify()
     n = lp.higman_companion(lp.decompose_M(rep))
     _emit_matrix(n, Path(args.out), f"N{n.rows}", args.emit)
@@ -119,8 +120,7 @@ def cmd_higman(args) -> int:
 
 
 def _nilpotent_map(args, fn, name: str) -> int:
-    m = _load_square(args.input)
-    out = fn(m, args.k)
+    out = fn(_read_matrix(args.input), args.k)
     if out.nilpotency is None:
         raise PipelineError(f"{name} output is not nilpotent within "
                             f"{out.nilpotency_bound()} steps")
@@ -137,14 +137,11 @@ def cmd_frob(args) -> int:
     return _nilpotent_map(args, nilsse.frobenius, "frob")
 
 
-def _witness_from_json(j: dict):
-    def mat(x):
-        return matrix_from_json({"ring": j["ring"], **x})
-
+def _witness_from_json(j: dict, ring):
+    mat = functools.partial(matrix_from_json, ring=ring)
     if "steps" in j:
         steps = j["steps"]
-        mats = [mat(steps[0]["matrix"])]
-        wits = []
+        mats, wits = [mat(steps[0]["matrix"])], []
         for st in steps[1:]:
             mats.append(mat(st["matrix"]))
             wits.append(nilsse.ESSEWitness(mat(st["U"]), mat(st["V"])))

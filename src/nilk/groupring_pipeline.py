@@ -151,9 +151,3 @@ def symbol_D(a: Poly, b: Poly) -> Poly:
     """D(<a, b>) for a = f eps, b = g + g' eps over F2[eps,x]/(eps^2): f dg."""
     return kahler_D(a.coefficient_map(attrgetter("b"), F2_X),
                     b.coefficient_map(attrgetter("a"), F2_X))
-
-
-def x_zero_specialization(m: Matrix) -> Matrix:
-    """The x -> 0 image of a block over Z[Z/4][x]; recorded in the report
-    (its K1-triviality is part of the non-computable membership argument)."""
-    return m.substitute({"x": 0})

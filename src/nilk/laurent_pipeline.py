@@ -166,8 +166,9 @@ def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
     and z^-1 off the diagonal), and verify.  Returns e2 and the rep."""
     e2 = clutch_projector(lift, projector_P())
     loops = loop_z(e2)
-    zinv = loops.ring.var("z").invert()
-    rep = K1Rep(Matrix.from_rows(loops.ring, [[a * zinv, b] for a, b in loops.entries]))
+    zero, zinv = loops.ring.zero(), loops.ring.var("z").invert()
+    rep = K1Rep(Matrix.from_rows(loops.ring, [[r.get(0, zero) * zinv, r.get(1, zero)]
+                                              for r in loops.nonzero]))
     require("rep31.det", "det = 1", rep.verify(), rep.matrix.ring.one())
     return e2, rep
 

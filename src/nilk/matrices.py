@@ -6,13 +6,13 @@ The writers walk the rows too: matrix_json_text writes the bytes of
 json.dumps(matrix_to_json(m), indent=2) row by row, with a constant line
 per zero entry, and matrix_latex and str write "0" for one; the reader
 matrix_from_json builds each row's dict directly.  The derived dense view
-Matrix.entries is left for __getitem__, laurent_pipeline's 2 x 2 loop, the
-tests and the benchmark's matmul counter.  Every walk visits nonzeros only:
-the entrywise maps (Matrix.map_entries of one matrix, Matrix._entrywise of
-two) send zeros to zero, and the product multiplies each A[i, k] into row
-k of B, summing each output entry's products in one term map (the ring's
-generated kernel, Ring._products, through rings.add_products on Polys or
-directly on cleared Q term maps), normalized once.
+Matrix.entries is left for __getitem__, the tests and the benchmark's
+matmul counter.  Every walk visits nonzeros only: the entrywise maps
+(Matrix.map_entries of one matrix, Matrix._entrywise of two) send zeros to
+zero, and the product multiplies each A[i, k] into row k of B, summing
+each output entry's products in one term map (the ring's generated
+kernel, Ring._products, through rings.add_products on Polys or directly
+on cleared Q term maps), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
@@ -286,8 +286,7 @@ class Matrix:
         det = -cs[n] if n % 2 else cs[n]
         dinv = det.try_invert()
         if dinv is None:
-            shown = det if d == 1 else Poly(ring, _quotient(det.terms, d ** n))
-            raise NotInvertibleError(f"determinant {shown} is not a recognized unit")
+            raise NotInvertibleError(f"determinant {self.det()} is not a recognized unit")
         adj = Matrix.identity(ring, n)
         for c in cs[1:n]:
             adj = b @ adj + Matrix.diag(ring, [c] * n)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nilk
-from nilk import cli, report
+from nilk import cli, nilsse, report
 from nilk import laurent_pipeline as lp
 from nilk.cli import main
 from nilk.matrices import Matrix, matrix_from_json, matrix_to_json
@@ -155,6 +155,9 @@ def _bad_entry_doc(base, exps, coeff, *more_terms, **shape):
 # A lag-3 shift equivalence over Q[t,s] with Fraction coefficients: for R
 # 3x2 and S 2x3, A = RS, B = SR, U = R and V = S A^2
 SE_Q_LAG3 = (Path(__file__).parent / "data" / "se_q_lag3.json").read_text()
+# A 2-link SSE chain over Q[t,s] with Fraction coefficients: R S, S R = G V,
+# then V G, for R 3x2, S 2x3, G invertible 2x2 and V = G^-1 S R
+SSE_CHAIN_Q = (Path(__file__).parent / "data" / "sse_chain_q.json").read_text()
 
 
 def _se_q_lag3_changed_v():
@@ -314,6 +317,7 @@ CASES = [
     case("sse-se_lag1", ["sse-verify"], _se_doc(lag=1), 1, "", "identity failed: A^l = UV\n"),
     case("sse-se_q_lag3", ["sse-verify"], SE_Q_LAG3, 0, "shift equivalence verified (lag 3)\n",
          ""),
+    case("sse-chain_q", ["sse-verify"], SSE_CHAIN_Q, 0, "SSE chain verified (2 links)\n", ""),
     case("sse-se_q_lag3_changed_v", ["sse-verify"], _se_q_lag3_changed_v(), 1, "",
          "identity failed: A^l = UV\n"),
     # A^l by squaring: a lag of 10^12 takes 51 matrix products
@@ -328,6 +332,9 @@ CASES = [
     case("sse-not_json", ["sse-verify"], "{not json", 2, None, WITNESS + "Expecting"),
     case("sse-no_witness", ["sse-verify"], {"ring": {"base": "Q", "vars": []}}, 2, None,
          WITNESS + "'A'"),
+    # the ring is read before any matrix, so its error comes first
+    case("sse-unknown_base_before_matrices", ["sse-verify"], {"ring": {"base": "R", "vars": []}},
+         2, None, WITNESS + "unknown base ring 'R'"),
     *[case(name, ["sse-verify"], d, 2, None, err, test="sse_verify_bad_witness_is_input_error")
       for name, d, err in (
         ("se_shapes", _se_doc(u_rows=3), "invalid witness:"),
@@ -407,6 +414,23 @@ def contract_test(rows):
 # every row runs under the test name it gives, with the one body above
 for _name in dict.fromkeys(name for name, _ in CASES):
     globals()[_name] = contract_test([row for name, row in CASES if name == _name])
+
+
+@pytest.mark.parametrize("links", [1, 2])
+def test_witness_matrices_share_one_ring(links, tmp_path, capsys, monkeypatch):
+    # a file's ring is read once: every matrix parsed from it is over that Ring
+    seen = []
+    verify = nilsse.verify_sse_chain
+    monkeypatch.setattr(nilsse, "verify_sse_chain",
+                        lambda chain: seen.append(chain) or verify(chain))
+    src = tmp_path / "chain.json"
+    src.write_text(SSE_CHAIN_Q if links == 2 else json.dumps(_chain_doc()))
+    code, out, _ = run(["sse-verify", str(src)], capsys)
+    assert (code, out) == (0, f"SSE chain verified ({links} links)\n")
+    [chain] = seen
+    mats = [*chain.matrices, *(m for w in chain.witnesses for m in (w.u, w.v))]
+    assert len(mats) == 3 * links + 1
+    assert len({id(m.ring) for m in mats}) == 1
 
 
 def test_second_main_call_gets_a_fresh_namespace(tmp_path, capsys):

@@ -131,7 +131,7 @@ def test_lift_well_defined_modulo_one_plus_sigma_sq():
 
 
 def test_x_zero_specialization():
-    spec = grp.x_zero_specialization(grp.theorem42_block())
+    spec = grp.theorem42_block().substitute({"x": 0})
     assert spec.det() == spec.ring.one()
     # the (1,1) entry at x = 0 is 1 + (1-sigma^2)*sigma
     expected = spec.ring.one() + spec.ring.const(GroupRingZ4(0, 1, 0, -1))

@@ -1,8 +1,8 @@
 """Planted faults: a stage identity broken by a monkeypatch must end the CLI
 with exit 1 and one stderr line naming the check, never a traceback, and
 with nothing written into --out.  Each row of FAULTS breaks the input of a
-check (a word, a stage output or a block, never `check` or `require`) and
-shows that the check, and no other, turns FAIL."""
+check (a word, a display, a map, a stage output or a block, never `check`
+or `require`) and shows that the check, and no other, turns FAIL."""
 
 import dataclasses
 
@@ -10,11 +10,11 @@ import pytest
 
 from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
-from nilk import report
+from nilk import nilsse, report
 from nilk.cli import main
 from nilk.ledger import FAIL, PipelineError, recording
 from nilk.matrices import Matrix
-from nilk.rings import F2E_X, ZI_X, GroupRingZ4
+from nilk.rings import F2E_X, Q_TS, Q_TSZ, Q_TZ, ZI_X, GroupRingZ4
 from nilk.words import StWord
 
 
@@ -106,14 +106,54 @@ def _yz_output_scaled(monkeypatch):
     monkeypatch.setattr(grp, "yz_matrix", lambda: yz().scale(_one_plus_2x()))
 
 
-# id: (plant, the check ids that turn FAIL)
+def _b2_shifted(monkeypatch):
+    # B2 = P + t^2 e12 is still idempotent and congruent to B1 mod t^2, but
+    # it is not diag(1, 0)
+    build = lp.double_idempotent_B
+    shift = Matrix.from_rows(Q_TS, [[0, Q_TS.var("t", 2)], [0, 0]])
+    monkeypatch.setattr(lp, "double_idempotent_B",
+                        lambda: dataclasses.replace(build(), second=lp.projector_P() + shift))
+
+
+def _display_plus(name, ring, rows, r, c):
+    """Plant: the display lp.<name>() plus the elementary matrix e_rc."""
+    def plant(monkeypatch):
+        shown = getattr(lp, name)()
+        e = Matrix.from_rows(ring, [[int((i, j) == (r, c)) for j in range(rows)]
+                                    for i in range(rows)])
+        monkeypatch.setattr(lp, name, lambda: shown + e)
+    return plant
+
+
+def _frobenius_one_short(monkeypatch):
+    # F_9(N) = N^9 is not zero
+    frob = nilsse.frobenius
+    monkeypatch.setattr(nilsse, "frobenius", lambda m, k: frob(m, k - 1))
+
+
+def _verschiebung1_doubled(monkeypatch):
+    versch = nilsse.verschiebung
+    monkeypatch.setattr(nilsse, "verschiebung",
+                        lambda m, k: versch(m, k).scale(2) if k == 1 else versch(m, k))
+
+
+# id: (plant, the command that prints the check, the check ids that turn FAIL)
 FAULTS = {
-    "symbol.dennis_stein": (_last_letter_dropped("dual_symbol_word"), ["symbol.dennis_stein"]),
-    "symbol.reduced_X": (_last_letter_dropped("reduced_X_word"), ["symbol.reduced_X"]),
-    "yz.reduce_to_dual": (_yz_output_times_e12, ["yz.reduce_to_dual"]),
-    "yz.det": (_y_and_z_blocks_scaled, ["yz.det"]),
-    "lift42.psi": (_i_lifted_to_sigma_cubed, ["lift42.psi"]),
-    "lift42.det": (_yz_output_scaled, ["lift42.det"]),
+    "symbol.dennis_stein": (_last_letter_dropped("dual_symbol_word"), "theorem4",
+                            ["symbol.dennis_stein"]),
+    "symbol.reduced_X": (_last_letter_dropped("reduced_X_word"), "theorem4",
+                         ["symbol.reduced_X"]),
+    "yz.reduce_to_dual": (_yz_output_times_e12, "theorem4", ["yz.reduce_to_dual"]),
+    "yz.det": (_y_and_z_blocks_scaled, "theorem4", ["yz.det"]),
+    "lift42.psi": (_i_lifted_to_sigma_cubed, "theorem4", ["lift42.psi"]),
+    "lift42.det": (_yz_output_scaled, "theorem4", ["lift42.det"]),
+    "clutch.B2": (_b2_shifted, "theorem3", ["clutch.B2"]),
+    "higman.N_display": (_display_plus("n10_display", Q_TZ, 10, 0, 0), "theorem3",
+                         ["higman.N_display"]),
+    "rep31.off_entries": (_display_plus("theorem31_display", Q_TSZ, 2, 1, 0), "theorem3",
+                          ["rep31.off_entries"]),
+    "maps.frobenius10": (_frobenius_one_short, "theorem3", ["maps.frobenius10"]),
+    "maps.verschiebung1": (_verschiebung1_doubled, "theorem3", ["maps.verschiebung1"]),
 }
 
 
@@ -132,18 +172,21 @@ def _statuses() -> dict[str, str]:
     return {c.id: c.status for c in checks}
 
 
-@pytest.mark.parametrize("plant, cids", FAULTS.values(), ids=FAULTS)
-def test_planted_fault_fails_its_check_only(plant, cids, report_checks, monkeypatch, capsys):
-    stage_ids = set(grp.construct().checks)
+@pytest.mark.parametrize("plant, cmd, cids", FAULTS.values(), ids=FAULTS)
+def test_planted_fault_fails_its_check_only(plant, cmd, cids, report_checks, monkeypatch,
+                                            tmp_path, capsys):
+    stage_ids = set(lp.construct().checks) | set(grp.construct().checks)
     before = {c.id: c.status for c in report_checks}
     plant(monkeypatch)
     after = _statuses()
     assert [after[cid] for cid in cids] == [FAIL] * len(cids)
     assert {cid: s for cid, s in after.items() if cid not in cids} == {
         cid: before[cid] for cid in after if cid not in cids}
-    code = main(["theorem4"])
+    out_dir = tmp_path / "out"
+    code = main([cmd, "--out", str(out_dir)])
     printed, err = capsys.readouterr()
     assert code == 1 and "Traceback" not in err
+    assert not out_dir.exists()
     for cid in cids:
         if cid in stage_ids:
             assert err.startswith(f"verification failure: verification failed: {cid} (")
