@@ -198,28 +198,36 @@ class Matrix:
 
     def nilpotency_index(self, max_k: int) -> Optional[int]:
         """Least k <= max_k with m^k = 0, or None, in about 2 log2(k)
-        products: square up to the first zero power m^(2^J), then bisect
-        (2^(J-1), 2^J] with the saved squares.  Squaring stops at a nonzero
-        m^(2^j) with 2^j >= max_k, and at one with 2^j >= n outside the
-        nilradical, which no nilpotent m has (see nilpotency_bound).
-        It searches d*m, whose powers vanish where m's do."""
+        products, none of a power above max_k: square while 2^(j+1) <= max_k,
+        up to the first zero square, then grow k from the top nonzero square
+        m^(2^J) by each smaller 2^j with k + 2^j <= max_k and m^(k+2^j) != 0.
+        If k < max_k, m^(k+1) = 0 is proven: k + 1 is the power tested zero
+        at k's lowest missing bit, or the zero square m^(2^(J+1)) (a skipped
+        step or an unformed square would put k + 1 above max_k).  A nonzero
+        m^(2^j) with 2^j >= n outside the nilradical, which no nilpotent m
+        has (see nilpotency_bound), stops the search.  It searches d*m,
+        whose powers vanish where m's do."""
         if self.rows != self.cols:
             raise ValueError("nilpotency of non-square matrix")
-        squares = [self._cleared()[1]]  # squares[j] = m^(2^j); all but the last nonzero
-        while not squares[-1].is_zero():
-            p, e = squares[-1], 1 << (len(squares) - 1)
-            if e >= max_k or (e >= self.rows and not p.all_entries(Poly.in_nilradical)):
+        squares, p = [], self._cleared()[1]  # squares[j] = m^(2^j) != 0
+        while not p.is_zero():
+            squares.append(p)
+            e = 1 << (len(squares) - 1)
+            if e >= self.rows and not p.all_entries(Poly.in_nilradical):
                 return None
-            squares.append(p @ p)
-        if len(squares) == 1:
+            if 2 * e > max_k:
+                break
+            p = p @ p
+        if not squares:
             return 1 if max_k >= 1 else None
         # m^k != 0 with k a sum of distinct 2^j, grown greedily from the top
-        p, k = squares[-2], 1 << (len(squares) - 2)
-        for j in range(len(squares) - 3, -1, -1):
-            q = p @ squares[j]
-            if not q.is_zero():
-                p, k = q, k + (1 << j)
-        return k + 1 if k + 1 <= max_k else None
+        p, k = squares[-1], 1 << (len(squares) - 1)
+        for j in range(len(squares) - 2, -1, -1):
+            if k + (1 << j) <= max_k:
+                q = p @ squares[j]
+                if not q.is_zero():
+                    p, k = q, k + (1 << j)
+        return k + 1 if k < max_k else None
 
     # -- characteristic polynomial, determinant, inverse
 

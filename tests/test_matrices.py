@@ -332,9 +332,14 @@ def test_nilpotency_index_against_stepwise():
         bound = m.nilpotency_bound()
         index = stepwise_nilpotency_index(m, bound)
         seen.add((kind, index is not None, index is not None and index > n))
-        asks = (index - 1, index, index + 1) if index else (0, 1, n, bound)
-        for max_k in asks:
-            assert m.nilpotency_index(max_k) == stepwise_nilpotency_index(m, max_k)
+        # around each power of two up to bound + 1, where the squaring stops
+        twos = [1 << j for j in range((bound + 1).bit_length())]
+        asks = {0, *(x + d for x in twos for d in (-1, 0, 1))}
+        asks |= {index - 1, index, index + 1} if index else {1, n, bound}
+        for max_k in sorted(asks):
+            # = stepwise_nilpotency_index(m, max_k): m^k != 0 below index, = 0 from it on
+            expected = index if index is not None and index <= max_k else None
+            assert m.nilpotency_index(max_k) == expected, (case, max_k)
         assert m.nilpotency == index
     assert {("upper", True, False), ("conjugated", True, False),
             ("nil_diagonal", True, True), ("random", False, False)} <= seen
@@ -343,6 +348,22 @@ def test_nilpotency_index_against_stepwise():
     m = Matrix.from_rows(Q_T3, [[t, 1], [0, t]])
     assert [m.nilpotency_index(k) for k in range(6)] == [None] * 4 + [4, 4]
     assert m.nilpotency == 4
+
+
+def test_nilpotency_search_forms_no_power_above_max_k(monkeypatch):
+    matmul, products = Matrix.__matmul__, []
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    shift = Matrix.from_rows(Q_TS, [[int(j == i + 1) for j in range(8)] for i in range(8)])
+    n10 = lp.n10_display()
+    # (m, max_k, index, products).  The 8 x 8 shift has index exactly 2^3: at
+    # 7 it squares to m^4 and tests m^6, m^7; from 8 on it squares to m^8 = 0.
+    # N at 10 squares to N^8 and tests N^10, N^9; V_6(N) at 60 squares to
+    # m^32 and tests m^48, m^56, m^60, m^58, m^59.
+    for m, max_k, index, count in [(shift, 7, None, 4), (shift, 8, 8, 5), (shift, 9, 8, 5),
+                                   (shift, 64, 8, 5), (n10, 10, 10, 5),
+                                   (verschiebung(n10, 6), 60, 60, 10)]:
+        products.clear()
+        assert (m.nilpotency_index(max_k), len(products)) == (index, count), (m.rows, max_k)
 
 
 def test_loop_inverse_identity_for_random_idempotents():

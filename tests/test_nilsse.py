@@ -24,7 +24,7 @@ def test_verschiebung_examples():
     assert v2 == Matrix.from_rows(Q_TS, [[0, 0], [1, 0]])
     n = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
     assert verschiebung(n, 1) == n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1"):
         verschiebung(n, 0)
 
 
@@ -55,11 +55,11 @@ def test_verschiebung_kth_power_is_block_sum(k):
     assert verschiebung(n, k).power(k) == direct_sum(*[n] * k)
 
 
-@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 4, 6, 8])
 def test_verschiebung_index_scales_by_k(k):
     # index(V_k N) = k index(N) follows from the identity above
-    assert n10().nilpotency_index(10) == 10
-    assert verschiebung(n10(), k).nilpotency_index(10 * k) == 10 * k
+    v = verschiebung(n10(), k)
+    assert (v.nilpotency_index(10 * k - 1), v.nilpotency_index(10 * k)) == (None, 10 * k)
 
 
 def test_verschiebung_index_at_scale_in_bounded_work():
@@ -91,6 +91,8 @@ def test_frobenius():
     assert frobenius(n, 1) == n  # F_10(N) = 0: report maps.frobenius10
     small = Matrix.from_rows(Q_TS, [[0, 1], [0, 0]])
     assert frobenius(small, 2).is_zero()
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        frobenius(small, 0)
 
 
 def test_esse_examples():

@@ -107,6 +107,17 @@ def test_truth_is_nonzero_on_a_box(base):
     assert [c for c in box if not c] == [BASE[base].zero]
 
 
+def test_reflected_subtraction():
+    t = Q_TS.var("t")
+    assert 1 - t == Q_TS.one() - t
+    assert Fraction(1, 2) - t == Q_TS.const(Fraction(1, 2)) - t
+
+
+def test_coefficient_repr():
+    assert repr(GaussianInt(1, -2)) == "GaussianInt(1, -2)"
+    assert repr(DualF2(1, 1)) == "DualF2(1, 1)"
+
+
 def test_coefficient_equality():
     assert GaussianInt(1, 0) != DualF2(1, 0)
     assert GaussianInt(1, 0) != GroupRingZ4(1, 0)
