@@ -11,23 +11,22 @@ matmul counter.  Every walk visits nonzeros only: the entrywise maps
 (Matrix.map_entries of one matrix, Matrix._entrywise of two) send zeros to
 zero, and the product multiplies each A[i, k] into row k of B, summing
 each output entry's products in one term map (the ring's generated
-kernel, Ring._products, through rings.add_products on Polys or directly
-on cleared Q term maps), normalized once.
+kernel, Ring._products), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
 polynomial, summed the same way.
 
-Over Q every product runs on int coefficients.  For d the lcm of the
-denominators of A's Fraction coefficients (_int_rows), d*A has int
-coefficients, and (xX)(yY) = xy XY for integers x, y: A @ B sums the int
-products of d_A*A and d_B*B and divides each entry once by d_A d_B, into
-lowest terms, so power (the ladder of @) does work growing with log k.  As
-c_i(dA) = d^i c_i(A), charpoly divides c_i of d*A by d^i and det only c_n;
+Every product runs on a matrix's cleared form (Matrix._cleared_rows), made
+once per matrix: (d, d*A's rows as {column: term map}), d the lcm of the
+denominators of A's Fraction coefficients, so d*A's are ints; d = 1 and
+A's own term maps without a Fraction, as over every base but Q, which is
+not scanned.  A @ B sums the products of d_A*A and d_B*B and divides each
+entry once by d_A d_B, an integral quotient as an int.  As c_i(dA) =
+d^i c_i(A), charpoly divides c_i of d*A by d^i and det only c_n;
 nilpotency_index searches d*A, whose powers vanish where A's do; inverse
-scales d*A's adjugate once by d det(dA)^-1.  An integral quotient is an
-int; without a Fraction A is used as is, and over every base but Q, @
-scans no denominator.  Values are immutable; entries compare canonically.
+scales d*A's adjugate once by d det(dA)^-1.  Values are immutable; entries
+compare canonically.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from math import lcm
 from operator import matmul
 from typing import Iterable, Optional, Sequence
 
-from .rings import (Poly, Ring, RingMismatchError, add_products, int_from_json,
-                    ladder, poly_latex, poly_terms_from_json, poly_terms_to_json,
-                    ring_from_json, ring_to_json)
+from .rings import (Poly, Ring, RingMismatchError, int_from_json, ladder, poly_latex,
+                    poly_terms_from_json, poly_terms_to_json, ring_from_json, ring_to_json)
 
 
 class NotInvertibleError(ValueError):
@@ -106,6 +104,26 @@ class Matrix:
         r, c = rc
         return self.entries[r][c]
 
+    @cached_property
+    def _cleared_rows(self) -> tuple[int, list]:
+        """The cleared form (d, d*self's rows as {column: term map}): d the
+        lcm of the denominators of self's Fraction coefficients, each c
+        written as the int c.numerator * (d // c.denominator); (1, self's own
+        term maps) without a Fraction, and off Q without a scan."""
+        dens = {c.denominator for r in self.nonzero for a in r.values()
+                for c in a.terms.values() if type(c) is Fraction} if self.ring.base == "Q" else ()
+        if not dens:
+            return 1, [{k: a.terms for k, a in r.items()} for r in self.nonzero]
+        d, rows = lcm(*dens), []
+        for r in self.nonzero:  # loops, not comprehensions: the maps are often tiny
+            row = {}
+            for k, a in r.items():
+                row[k] = t = {}
+                for e, c in a.terms.items():
+                    t[e] = c.numerator * (d // c.denominator)
+            rows.append(row)
+        return d, rows
+
     # -- arithmetic
 
     def _check(self, other: "Matrix", same_shape: bool):
@@ -123,19 +141,14 @@ class Matrix:
         return self._entrywise(Poly.__sub__, other)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Over Q on d_x x and d_y y (_int_rows), each entry divided by d_x d_y."""
+        """On the cleared forms d_x x and d_y y, each entry divided by d_x d_y."""
         self._check(other, False)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        ring = self.ring
-        if ring.base == "Q":
-            dx, xs = _int_rows(self)
-            dy, ys = (dx, xs) if other is self else _int_rows(other)
-            products, q = ring._products, (dx or 1) * (dy or 1)
-        else:
-            xs, ys, products, q = self.nonzero, other.nonzero, add_products, 1
-        out = []
+        ring, products = self.ring, self.ring._products
+        (dx, xs), (dy, ys) = self._cleared_rows, other._cleared_rows
+        q, out = dx * dy, []
         for ra in xs:
             acc = defaultdict(dict)  # column -> term map of the entry's products
             for k, a in ra.items():
@@ -239,16 +252,16 @@ class Matrix:
                                   for i, c in enumerate(cs)]
 
     def _berkowitz(self) -> tuple[int, list[Poly]]:
-        """(d, the char poly's coefficients of d*A, on the int term maps of
-        _int_rows; d = 1 without a Fraction) by Berkowitz's division-free
-        recurrence: bordering the leading block A_r by the column C, the row
-        R and the corner a multiplies its char poly by the Toeplitz matrix
-        with first column 1, -a, -RC, -RA_rC, ..., -RA_r^(r-1)C.  It walks
-        rows, as the row RA_r^j times [A_r C] is [RA_r^(j+1), RA_r^jC]."""
+        """(d, the char poly's coefficients of d*A) on the cleared form, by
+        Berkowitz's division-free recurrence: bordering the leading block A_r
+        by the column C, the row R and the corner a multiplies its char poly
+        by the Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ...,
+        -RA_r^(r-1)C.  It walks rows, as the row RA_r^j times [A_r C] is
+        [RA_r^(j+1), RA_r^jC]."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
         ring, products = self.ring, self.ring._products
-        d, rows = _int_rows(self)
+        d, rows = self._cleared_rows
 
         cs = [ring.one()]
         for r in range(self.rows):
@@ -273,7 +286,7 @@ class Matrix:
                 acc = Poly(ring, acc)
                 nxt.append(cs[i] - acc if i <= r else -acc)
             cs = nxt
-        return d or 1, cs
+        return d, cs
 
     def det(self) -> Poly:
         """(-1)^n c_n of the characteristic polynomial; of d*A's, only c_n is divided."""
@@ -312,9 +325,9 @@ class Matrix:
             for r, s in zip(self.nonzero, other.nonzero)))
 
     def _cleared(self) -> tuple[int, "Matrix"]:
-        """(d, d*self) for d as in _int_rows; (1, self) without a Fraction."""
-        d, rows = _int_rows(self)
-        return (1, self) if d is None else (d, Matrix(self.ring, self.rows, self.cols, tuple(
+        """(d, d*self) for the cleared form's d; (1, self) when d = 1."""
+        d, rows = self._cleared_rows
+        return (1, self) if d == 1 else (d, Matrix(self.ring, self.rows, self.cols, tuple(
             {k: Poly(self.ring, t) for k, t in r.items()} for r in rows)))
 
     def map_entries(self, f, ring: Ring) -> "Matrix":
@@ -340,25 +353,6 @@ def _nonzero(pairs: Iterable[tuple[int, Poly]]) -> dict:
     """The row {column: entry} of the (column, entry) pairs whose entry is
     nonzero."""
     return {j: a for j, a in pairs if a.terms}
-
-
-def _int_rows(m: Matrix) -> tuple[Optional[int], list]:
-    """(d, d*m's rows as {column: term map}, each c as the int c.numerator *
-    (d // c.denominator)) for d the lcm of the denominators of m's Fraction
-    coefficients; (None, m's own term maps) without one, as off Q."""
-    dens = {c.denominator for r in m.nonzero for a in r.values()
-            for c in a.terms.values() if type(c) is Fraction}
-    if not dens:
-        return None, [{k: a.terms for k, a in r.items()} for r in m.nonzero]
-    d, rows = lcm(*dens), []
-    for r in m.nonzero:  # loops, not comprehensions: the maps are often tiny
-        row = {}
-        for k, a in r.items():
-            row[k] = t = {}
-            for e, c in a.terms.items():
-                t[e] = c.numerator * (d // c.denominator)
-        rows.append(row)
-    return d, rows
 
 
 def _quotient(t: dict, q: int) -> dict:

@@ -293,4 +293,5 @@ def random_checks() -> list[Check]:
 
 def run_all_checks() -> list[Check]:
     con = lp.construct()
-    return laurent_checks(con) + groupring_checks() + sse_checks(con) + random_checks()
+    return (laurent_checks(con) + groupring_checks(grp.construct()) + sse_checks(con)
+            + random_checks())

@@ -3,7 +3,7 @@
 Every element is a multivariate (optionally Laurent) polynomial over one of
 a handful of exact coefficient domains:
 
-    Q    rationals: int when integral, else Fraction (see BASE)
+    Q    rationals: int when integral, else Fraction (rational, BASE)
     Z    integers
     Zi   Gaussian integers  a + b*i
     Z4   group ring Z[Z/4]  c0 + c1*sigma + c2*sigma^2 + c3*sigma^3
@@ -21,8 +21,8 @@ is literal equality of term maps.  Poly(ring, terms) is the one constructor;
 outside input is checked where it enters (poly_terms_from_json for JSON,
 Ring.const for a scalar).  Every product is summed by the generated kernel
 for the ring's exponent arity (Ring._products, _product_kernel), through
-add_products on Polys or, in matrices, on cleared term maps; the generated
-source depends on the arity only, never on a variable name.
+add_products on Polys or, in matrices, on each matrix's cleared term maps;
+the generated source depends on the arity only, never on a variable name.
 """
 
 from __future__ import annotations
@@ -220,16 +220,20 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(_INTEGER.pattern + "(/[0-9]+)?")
 
 
+def rational(q: Fraction):
+    """q as Q stores it (see BASE): the numerator when q is integral, else q."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def _q_from_json(x):
-    """A rational as the format writes it: "p/q" (or "p") with integers p, q;
-    an int when q divides p."""
+    """A rational as the format writes it: "p/q" (or "p"), p and q read by int()."""
     if type(x) is not str or not _RATIONAL.fullmatch(x):
         raise ValueError(f'rational coefficient must be "p/q", got {json.dumps(x)}')
+    p, _, q = x.partition("/")
     try:
-        q = Fraction(x)
+        return rational(Fraction(int(p), int(q or 1)))
     except ZeroDivisionError:
         raise ValueError(f"rational coefficient {x} has denominator 0") from None
-    return q.numerator if q.denominator == 1 else q
 
 
 def _z_from_json(x) -> int:
@@ -239,10 +243,7 @@ def _z_from_json(x) -> int:
 
 
 def _invert_q(c):
-    if not c:
-        return None
-    q = Fraction(1, 1) / c
-    return q.numerator if q.denominator == 1 else q
+    return rational(Fraction(1, 1) / c) if c else None
 
 
 def _invert_unit(u):
@@ -270,11 +271,11 @@ def _algebra_ops(cls, latex: Callable) -> BaseOps:
 
 
 # An integral Q coefficient is stored as an int, which skips Fraction's gcd
-# normalization; int has .numerator and .denominator, so JSON and LaTeX
-# write both types alike.  Ring.const, _invert_q and _q_from_json turn a
-# Fraction with denominator 1 into an int, and int arithmetic keeps it one.
-# Fraction arithmetic may still leave a Fraction(3, 1), which equals 3;
-# normalizing it in Poly.__init__ too slowed the verify workload.
+# normalization: every Fraction that enters passes through rational, and
+# int arithmetic keeps an int one.  int has .numerator and .denominator, so
+# JSON and LaTeX write both types alike.  Fraction arithmetic may still
+# leave a Fraction(3, 1), which equals 3; normalizing it in Poly.__init__
+# too slowed the verify workload.
 BASE: dict[str, BaseOps] = {
     "Q": BaseOps(0, 1, int, _invert_q,
                  lambda c: f"{c.numerator}/{c.denominator}", _q_from_json,
@@ -345,7 +346,7 @@ class Ring:
     def _products(self) -> Callable[[dict, dict, dict], dict]:
         """The term-product kernel for this ring's exponent arity, looked up
         once per ring: add_products runs it on two Polys, and matrices on
-        the int term maps of cleared Q rows."""
+        the term maps of a matrix's cleared form."""
         return _product_kernel(len(self.vars))
 
     @cached_property
@@ -364,8 +365,8 @@ class Ring:
     def const(self, c) -> "Poly":
         if isinstance(c, int):
             c = self.ops.from_int(c)
-        elif type(c) is Fraction and c.denominator == 1:
-            c = c.numerator
+        elif type(c) is Fraction:
+            c = rational(c)
         return Poly(self, {(0,) * len(self.vars): c})
 
     @cached_property
@@ -701,19 +702,16 @@ def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:
 
 @cache
 def _hom_target(src: Ring, base: str, t_trunc: Optional[int] = None) -> Ring:
-    """src's variables over base, t truncated at t_trunc when given: one
-    target ring per source ring for truncate_t2, psi and rho."""
-    return Ring(base, tuple(Var(v.name, v.laurent, t_trunc) if v.name == "t" and t_trunc
-                            else v for v in src.vars))
+    """src's variables over base, t truncated at t_trunc when given (or lower,
+    as src has it): one target ring per source for truncate_t2, psi and rho."""
+    return Ring(base, tuple(Var(v.name, v.laurent, min(v.trunc or t_trunc, t_trunc))
+                            if v.name == "t" and t_trunc else v for v in src.vars))
 
 
 def truncate_t2(p: Poly) -> Poly:
-    """Quotient map from Q[t,...] onto the t-degree < 2 normal form."""
-    src = p.ring
-    k = src.index("t")
-    if src.vars[k].trunc is not None:
-        return p
-    return Poly(_hom_target(src, src.base, 2), dict(p.terms))
+    """Quotient map from Q[t,...] or Q[t<n,...] onto the t-degree < 2 form."""
+    p.ring.index("t")  # a ring without t raises KeyError
+    return Poly(_hom_target(p.ring, p.ring.base, 2), dict(p.terms))
 
 
 def gauss_from_group_ring(c: GroupRingZ4) -> GaussianInt:

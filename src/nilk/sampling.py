@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .rings import DualF2, GaussianInt, GroupRingZ4, Poly, Ring
+from .rings import DualF2, GaussianInt, GroupRingZ4, Poly, Ring, rational
 
 
 def randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -34,13 +34,9 @@ def choice(rng: random.Random, seq):
     return seq[randint(rng, 0, len(seq) - 1)]
 
 
-def _canonical(q: Fraction):
-    return q.numerator if q.denominator == 1 else q
-
-
-# Fraction(p, q) for p in -6..6 and q in 1..4, an int when integral (the
-# form Poly stores), at [p + 6][q - 1]
-_Q_VALUES = [[_canonical(Fraction(p, q)) for q in range(1, 5)] for p in range(-6, 7)]
+# Fraction(p, q) for p in -6..6 and q in 1..4, as Poly stores it (rational),
+# at [p + 6][q - 1]
+_Q_VALUES = [[rational(Fraction(p, q)) for q in range(1, 5)] for p in range(-6, 7)]
 
 # one coefficient over each base, drawn coordinate by coordinate in order
 _COEFF = {

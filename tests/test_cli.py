@@ -292,6 +292,10 @@ CASES = [
     # A = [[0, 1/2], [0, 0]]: F_k(A) by squaring stays small at k = 10^12
     case("frob-fraction_k1e12", ["frob", "-k", str(10 ** 12)], matrix_to_json(HALF), 0,
          "2x2, nilpotency index 1\n", ""),
+    # a Z coefficient is read from a JSON integer or, as Z writes it, a string
+    case("frob-z_string_coefficient", ["frob", "-k", "1"],
+         one_entry([{"name": "t", "trunc": 2}], [[1], "7"], base="Z"), 0,
+         "1x1, nilpotency index 2\n", ""),
     # t^(10^12) = 0 bounds the search at 2 * 10^12 steps; I^2 lies outside
     # the nilradical (t), so it ends after two
     case("frob-not_nilpotent", ["frob", "-k", "1"], matrix_doc(Q_TS, [[1, 0], [0, 1]]), 1, "",

@@ -53,6 +53,29 @@ def test_matrices_knows_no_ideals():
     assert names.isdisjoint({"IdealSpec", "ideal_member"})
 
 
+def _function(tree, path):
+    """The def at path ("Class.method" or "function") in a module's tree."""
+    *cls, name = path.split(".")
+    body = tree.body
+    for c in cls:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == c).body
+    return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_matrix_product_has_no_base_ring_fork():
+    # every base multiplies on the one cleared form; only that form asks Q
+    fn = _function(SOURCES["matrices"], "Matrix.__matmul__")
+    assert [n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+            and n.attr == "base"] == []
+
+
+def test_sampling_stores_rationals_by_the_rings_rule():
+    tree = SOURCES["sampling"]
+    assert ("rings", "rational") in _imports(tree)
+    assert [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and n.attr in ("numerator", "denominator")] == []
+
+
 @pytest.mark.parametrize("name, home", [*((n, "ledger") for n in LEDGER_NAMES),
                                         ("DoublePair", "laurent_pipeline")])
 def test_defined_in_one_module(name, home):

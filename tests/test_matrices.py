@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,7 @@ from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
-                        Ring, Var, add_products, poly_latex, poly_terms_from_json,
+                        Ring, RingMismatchError, Var, add_products, poly_latex, poly_terms_from_json,
                         poly_terms_to_json, ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
@@ -488,7 +489,7 @@ def test_cleared_product_against_reference(ring, kind):
     # over Q, @ multiplies d_x x by d_y y on int coefficients and divides
     # each entry once by d_x d_y; the dense Poly sums of reference_product
     # clear nothing.  An integral output coefficient is an int, whatever
-    # the operands' coefficients were, and x @ x clears x once for both.
+    # the operands' coefficients were.
     rng = random.Random(29)
 
     def mat(rows, cols):
@@ -509,6 +510,54 @@ def test_cleared_product_against_reference(ring, kind):
                     for r in got.nonzero for p in r.values() for c in p.terms.values())
             assert before == [dict(p.terms) for a in (x, y, sq)
                               for r in a.nonzero for p in r.values()]
+
+
+def test_each_matrix_is_cleared_once(monkeypatch):
+    # the cleared form is made on first use and read again, the same
+    # object, by every later @, det, charpoly, inverse and index search
+    made = []
+    clear = Matrix.__dict__["_cleared_rows"].func
+    form = cached_property(lambda m: made.append(m) or clear(m))
+    form.__set_name__(Matrix, "_cleared_rows")
+    monkeypatch.setattr(Matrix, "_cleared_rows", form)
+    m = Matrix.from_rows(Q_TS, [[Fraction(1, 2), Q_TS.var("t")], [0, Fraction(2, 3)]])
+    assert made == [] and "_cleared_rows" not in vars(m)
+    (m @ m) @ m
+    first = m._cleared_rows
+    assert first == (6, [{0: {(0, 0): 3}, 1: {(1, 0): 6}}, {1: {(0, 0): 4}}])
+    m.det(), m.charpoly(), m.inverse(), m.nilpotency_index(4), m @ m.power(2)
+    assert m._cleared_rows is first
+    assert len(made) == len({id(x) for x in made}) and sum(x is m for x in made) == 1
+    # without a Fraction, and off Q, the form holds the entries' own term maps
+    for ring in (Q_TS, ZI_X):
+        e = Matrix.identity(ring, 2)
+        d, rows = e._cleared_rows
+        assert d == 1 and rows[0][0] is e.nonzero[0][0].terms
+
+
+Q2, Q3, Q23 = Matrix.identity(Q_TS, 2), Matrix.identity(Q_TS, 3), Matrix.zeros(Q_TS, 2, 3)
+GUARDS = {
+    "entry_ring": (lambda: Matrix.from_rows(Q_TS, [[ZI_X.one()]]),
+                   RingMismatchError, "entry over Zi[x], matrix over Q[t,s]"),
+    "ragged_rows": (lambda: Matrix.from_rows(Q_TS, [[1, 2], [3]]),
+                    ValueError, "a row of length 1 in a matrix of 2 columns"),
+    "operand_ring": (lambda: Q2 + Matrix.identity(ZI_X, 2), RingMismatchError, "Q[t,s] vs Zi[x]"),
+    "sum_shape": (lambda: Q2 - Q3, ValueError, "shape mismatch"),
+    "product_shape": (lambda: Q23 @ Q23, ValueError, "cannot multiply 2x3 by 2x3"),
+    "power": (lambda: Q23.power(2), ValueError, "power of non-square matrix"),
+    "nilpotency": (lambda: Q23.nilpotency_index(2), ValueError, "nilpotency of non-square matrix"),
+    "charpoly": (lambda: Q23.charpoly(), ValueError,
+                 "characteristic polynomial of non-square matrix"),
+    "det": (lambda: Q23.det(), ValueError, "characteristic polynomial of non-square matrix"),
+    "inverse": (lambda: Q23.inverse(), NotInvertibleError, "non-square matrix"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_shape_and_ring_guards(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

@@ -164,7 +164,7 @@ def _statuses() -> dict[str, str]:
     con = lp.construct()
     checks = report.laurent_checks(con) + report.sse_checks(con)
     try:
-        checks += report.groupring_checks()
+        checks += report.groupring_checks(grp.construct())
     except PipelineError:
         with recording() as ledger, pytest.raises(PipelineError):
             grp.lift_to_group_ring(grp.yz_matrix())

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
-                        PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
-                        DualF2, GaussianInt, GroupRingZ4, NotAUnitError, Poly,
+                        PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, Z4_X, ZI_X,
+                        DualF2, GaussianInt, GroupRingZ4, IdealSpec, NotAUnitError, Poly,
                         Ring, RingMismatchError, Var, group_ring_from_gauss,
                         hom_apply, ideal_member, poly_latex, poly_terms_from_json, poly_terms_to_json,
                         psi, rho, ring_from_json, ring_to_json,
-                        subring_member, truncate_t2)
+                        rational, subring_member, truncate_t2)
 from nilk.sampling import random_coeff, random_poly
 
 from helpers import assert_canonical, reference_try_invert
@@ -70,8 +70,10 @@ def test_mixed_ring_arithmetic_rejected():
 
 # -- coefficient algebras
 
-# a coordinate box of each base but Q, with the coordinates of its units
+# a coordinate box of each base, with the coordinates of its units
 ALGEBRA_BOXES = {
+    "Q": ([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)],
+          {1, -1, 2, Fraction(1, 2), Fraction(-2, 3)}),
     "Z": (list(range(-3, 4)), {1, -1}),
     "F2": ([0, 1], {1}),
     "Zi": ([GaussianInt(a, b) for a, b in itertools.product(range(-3, 4), repeat=2)],
@@ -98,13 +100,20 @@ def test_unit_rule_on_a_box(base):
 
 
 def _coords(u):
-    return u if type(u) is int else u.coords
+    return getattr(u, "coords", u)  # an int or Fraction is its own coordinate
 
 
 @pytest.mark.parametrize("base", sorted(ALGEBRA_BOXES))
 def test_truth_is_nonzero_on_a_box(base):
     box, _ = ALGEBRA_BOXES[base]
     assert [c for c in box if not c] == [BASE[base].zero]
+
+
+def test_rational_is_an_int_when_integral():
+    assert [(type(q), q) for q in map(rational, (Fraction(6, 3), Fraction(-2, 4)))] == [
+        (int, 2), (Fraction, Fraction(-1, 2))]
+    assert type(BASE["Q"].invert(Fraction(1, 2))) is int
+    assert type(Q_TS.const(Fraction(4, 2)).terms[(0, 0)]) is int
 
 
 def test_reflected_subtraction():
@@ -312,6 +321,16 @@ def test_pi_t2_truncates():
     assert q == truncate_t2(Q_TS.one() + st(1))
 
 
+def test_pi_t2_truncates_a_truncated_t_further():
+    q_t3s = Ring("Q", (Var("t", trunc=3), Var("s")))
+    q = truncate_t2(q_t3s.var("t", 2) + q_t3s.var("s"))
+    assert q == Q_TS_MOD_T2.var("s") and q.ring == Q_TS_MOD_T2
+    p = Q_TS_MOD_T2.var("t") + Q_TS_MOD_T2.var("s")
+    assert truncate_t2(p) == p and truncate_t2(p).ring == Q_TS_MOD_T2
+    q_t1 = Ring("Q", (Var("t", trunc=1),))
+    assert truncate_t2(q_t1.one()).ring == q_t1
+
+
 def test_psi_one_minus_sigma_sq():
     p = Z4_X.const(GroupRingZ4(1, 0, -1, 0))
     assert psi(p) == ZI_X.const(GaussianInt(2, 0))
@@ -325,6 +344,46 @@ def test_rho_i_to_one_plus_eps():
 def test_hom_apply_unknown():
     with pytest.raises(KeyError):
         hom_apply("nope", Q_TS.one())
+
+
+GUARDS = {
+    "index": (lambda: Q_TS.index("z"), KeyError, "\"no variable 'z' in Q[t,s]\""),
+    "pi_t2_without_t": (lambda: truncate_t2(ZI_X.one()), KeyError,
+                        "\"no variable 't' in Zi[x]\""),
+    "into": (lambda: Q_TS.one().into(ZI_X), RingMismatchError, "base Q vs Zi"),
+    "coefficient_map": (lambda: Q_TS.one().coefficient_map(lambda c: c, Q_TZ),
+                        RingMismatchError, "coefficient_map requires identical variables"),
+    "psi": (lambda: psi(ZI_X.one()), RingMismatchError, "psi expects a Z[Z/4] coefficient ring"),
+    "rho": (lambda: rho(Z4_X.one()), RingMismatchError, "rho expects a Z[i] coefficient ring"),
+    "ideal_t2": (lambda: ideal_member(ZI_X.one(), MONOMIAL_T2), RingMismatchError,
+                 "the (t^2) ideal lives over Q[t,...]"),
+    "ideal_two": (lambda: ideal_member(Q_TS.one(), PRINCIPAL_TWO), RingMismatchError,
+                  "the ideal (2) lives over Z[i][...]"),
+    "ideal_one_minus_sigma_sq": (lambda: ideal_member(ZI_X.one(), PRINCIPAL_ONE_MINUS_SIGMA_SQ),
+                                 RingMismatchError,
+                                 "the ideal (1-sigma^2) lives over Z[Z/4][...]"),
+    "ideal_unknown": (lambda: ideal_member(Q_TS.one(), IdealSpec("nope")), ValueError,
+                      "unknown ideal 'nope'"),
+    "poly_plus_str": (lambda: Q_TS.one() + "x", TypeError,
+                      "unsupported operand type(s) for +: 'Poly' and 'str'"),
+    "poly_minus_str": (lambda: Q_TS.one() - "x", TypeError,
+                       "unsupported operand type(s) for -: 'Poly' and 'str'"),
+    "str_minus_poly": (lambda: "x" - Q_TS.one(), TypeError,
+                       "unsupported operand type(s) for -: 'str' and 'Poly'"),
+    "poly_times_str": (lambda: Q_TS.one() * "x", TypeError,
+                       "can't multiply sequence by non-int of type 'Poly'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_ring_guards(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_poly_is_not_equal_to_a_foreign_value():
+    assert (Q_TS.one() == "x") is False and (Q_TS.one() != "x") is True
 
 
 # -- ideals and subring

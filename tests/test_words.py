@@ -29,6 +29,13 @@ def test_eval_index_bound():
             eval_word(w, 2)
 
 
+def test_letter_indices_must_differ():
+    with pytest.raises(ValueError) as raised:
+        Letter(2, 2, Q_TS.one())
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "generator indices must differ"
+
+
 @pytest.mark.parametrize("ring", [Q_TS_MOD_T2, Q_TSZ, ZI_X, Z4_X, F2E_X], ids=[
     "Q_TS_MOD_T2", "Q_TSZ", "ZI_X", "Z4_X", "F2E_X"])
 def test_eval_matches_elementary_product(ring):
