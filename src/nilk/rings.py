@@ -21,8 +21,9 @@ is literal equality of term maps.  Poly(ring, terms) is the one constructor;
 outside input is checked where it enters (poly_terms_from_json for JSON,
 Ring.const for a scalar).  Every product is summed by the generated kernel
 for the ring's exponent arity (Ring._products, _product_kernel), through
-add_products on Polys or, in matrices, on each matrix's cleared term maps;
-the generated source depends on the arity only, never on a variable name.
+add_products on Polys, in matrices on each matrix's cleared term maps, and
+in words.eval_word on the entries' term maps; the generated source depends
+on the arity only, never on a variable name.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class CoeffAlgebra:
     __str__ on those slots, whose operands are elements of the same algebra
     (Ring.const turns an int into one).  Two elements are equal when they
     have the same type and coordinates, and an element is false exactly
-    when it is zero.  F2[eps] has four values, each one shared instance,
-    and its + and * are lookups in a table of the four (DualF2)."""
+    when it is zero.  F2[eps] has four values, each one shared instance, so
+    it keeps object's identity __eq__, and its + and * are lookups in a
+    table of the four (DualF2)."""
 
     __slots__ = ()
 
@@ -156,23 +158,18 @@ class GroupRingZ4(CoeffAlgebra):
 class DualF2(CoeffAlgebra):
     """a + b*eps over F2, with eps^2 = 0.  F2[eps] has four values, and
     DualF2(a, b) returns the one shared instance for (a mod 2, b mod 2), so
-    equal values are one object, hashed by identity.  + and * look their
+    equal values are one object, compared and hashed by identity (object's
+    __eq__ and __hash__, inherited).  + and * look their
     result up in a table of the four (_DUAL_SUM, _DUAL_PRODUCT); a copy,
     a deep copy and a pickle give back the shared instance (__reduce__)."""
 
     __slots__ = ("a", "b")
-    __hash__ = object.__hash__
 
     def __new__(cls, a: int = 0, b: int = 0):
         return _DUAL[a % 2][b % 2]
 
     def __reduce__(self):
         return DualF2, (self.a, self.b)
-
-    def __eq__(self, o):
-        if type(o) is not DualF2:
-            return NotImplemented
-        return self is o
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -292,6 +289,10 @@ BASE: dict[str, BaseOps] = {
 }
 
 
+# the bases where -c = c
+_CHARACTERISTIC_2 = frozenset(("F2", "F2e"))
+
+
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
@@ -345,8 +346,8 @@ class Ring:
     @cached_property
     def _products(self) -> Callable[[dict, dict, dict], dict]:
         """The term-product kernel for this ring's exponent arity, looked up
-        once per ring: add_products runs it on two Polys, and matrices on
-        the term maps of a matrix's cleared form."""
+        once per ring: add_products runs it on two Polys, matrices on the
+        term maps of a matrix's cleared form, and eval_word on entries'."""
         return _product_kernel(len(self.vars))
 
     @cached_property
@@ -363,10 +364,14 @@ class Ring:
         raise KeyError(f"no variable {name!r} in {self}")
 
     def const(self, c) -> "Poly":
+        """The constant c: an int, an element of the base, or a Fraction,
+        which off Q must be integral."""
+        if type(c) is Fraction:
+            c = rational(c)
+            if type(c) is Fraction and self.base != "Q":
+                raise ValueError(f"the rational {c} is not in the base {self.base}")
         if isinstance(c, int):
             c = self.ops.from_int(c)
-        elif type(c) is Fraction:
-            c = rational(c)
         return Poly(self, {(0,) * len(self.vars): c})
 
     @cached_property
@@ -476,6 +481,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.ring.base in _CHARACTERISTIC_2:  # -c = c, and a Poly is immutable
+            return self
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):

@@ -1,6 +1,11 @@
 """Formal words in elementary/Steinberg generators x_ij(a), and their
 evaluation to matrices.
 
+A letter is an immutable tuple (i, j, param, inverted); a word is a tuple of
+letters over one ring.  eval_word applies each letter as a column operation
+on term maps with the ring's product kernel (Ring._products), as
+Matrix.__matmul__ does, and builds one Poly per changed entry.
+
 Words are never rewritten with Steinberg relations; any claimed equality of
 words is checked at the evaluation level only.
 """
@@ -8,23 +13,34 @@ words is checked at the evaluation level only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .matrices import Matrix
-from .rings import (F2E_X, DualF2, NotAUnitError, Poly, Ring, RingMismatchError,
-                    add_products)
+from .rings import F2E_X, DualF2, NotAUnitError, Poly, Ring, RingMismatchError
 
 
-@dataclass(frozen=True)
-class Letter:
+class _LetterFields(NamedTuple):
     i: int
     j: int
     param: Poly
-    inverted: bool = False
+    inverted: bool
 
-    def __post_init__(self):
-        if self.i == self.j:
+
+class Letter(_LetterFields):
+    """x_ij(param), or x_ij(param)^-1 = x_ij(-param) when inverted: a tuple,
+    so it is immutable and built without a per-field setattr."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, param: Poly, inverted: bool = False):
+        if i == j:
             raise ValueError("generator indices must differ")
+        return tuple.__new__(cls, (i, j, param, inverted))
+
+    @classmethod
+    def _make(cls, fields):
+        # NamedTuple's _make, behind _replace too, would skip the check
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,7 @@ class StWord:
 
     def inverse(self) -> "StWord":
         return StWord(self.ring, tuple(
-            Letter(l.i, l.j, l.param, not l.inverted)
-            for l in reversed(self.letters)))
+            Letter(i, j, a, not inverted) for i, j, a, inverted in reversed(self.letters)))
 
 
 def word(ring: Ring, letters: Iterable[tuple[int, int, object]]) -> StWord:
@@ -65,22 +80,28 @@ def eval_word(w: StWord, n: int) -> Matrix:
 
     Right multiplication by x_ij(a) adds column i times a to column j, so
     each letter is applied as that column operation.  An inverted letter
-    contributes x_ij(-a); no unit condition needed.  The column operations
-    act on the matrix's {column: entry} rows, and drop an entry that cancels.
+    contributes x_ij(-a), negated once per letter; no unit condition needed.
+    The column operations act on the matrix's {column: entry} rows: each
+    row with an entry in column i sums entry_j + entry_i * a on term maps
+    with the ring's kernel, builds one Poly of the sum, and drops the entry
+    when it cancels.
     """
-    one, zero = w.ring.one(), w.ring.zero()
-    rows = [{i: one} for i in range(n)]
-    for l in w.letters:
-        if not (1 <= l.i <= n and 1 <= l.j <= n):
-            raise ValueError(f"letter indices ({l.i}, {l.j}) out of range for size {n}")
-        i, j = l.i - 1, l.j - 1
-        a = -l.param if l.inverted else l.param
+    ring = w.ring
+    products = ring._products
+    rows = [{i: ring.one()} for i in range(n)]
+    for i, j, a, inverted in w.letters:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"letter indices ({i}, {j}) out of range for size {n}")
+        i, j = i - 1, j - 1
+        a = (-a if inverted else a).terms
         for r in rows:
             if i in r:
-                r[j] = Poly(w.ring, add_products(dict(r.get(j, zero).terms), r[i], a))
-                if not r[j].terms:
-                    del r[j]
-    return Matrix(w.ring, n, n, tuple(rows))
+                e = Poly(ring, products(dict(r[j].terms) if j in r else {}, r[i].terms, a))
+                if e.terms:
+                    r[j] = e
+                else:
+                    r.pop(j, None)
+    return Matrix(ring, n, n, tuple(rows))
 
 
 def expand_h(i: int, j: int, a: Poly, ainv: Optional[Poly] = None) -> StWord:

@@ -68,6 +68,27 @@ def test_mixed_ring_arithmetic_rejected():
         Q_TS.one() + ZI_X.one()
 
 
+@pytest.mark.parametrize("ring", [F2_X, F2E_X], ids=["F2_X", "F2E_X"])
+def test_negation_in_characteristic_2_is_the_poly_itself(ring):
+    rng = random.Random(5)
+    for _ in range(100):
+        p = random_poly(rng, ring, 3, 3)
+        assert -p is p and (p + (-p)).is_zero()
+
+
+@pytest.mark.parametrize("ring", [Q_TS, ZI_X, Z4_X], ids=["Q_TS", "ZI_X", "Z4_X"])
+def test_negation_elsewhere_is_an_additive_inverse(ring):
+    rng = random.Random(5)
+    nonzero = 0
+    for _ in range(100):
+        p = random_poly(rng, ring, 3, 3)
+        assert (p + (-p)).is_zero() and -(-p) == p
+        if not p.is_zero():
+            nonzero += 1
+            assert -p != p
+    assert nonzero > 50
+
+
 # -- coefficient algebras
 
 # a coordinate box of each base, with the coordinates of its units
@@ -116,6 +137,13 @@ def test_rational_is_an_int_when_integral():
     assert type(Q_TS.const(Fraction(4, 2)).terms[(0, 0)]) is int
 
 
+def test_an_integral_fraction_is_the_int_on_every_base():
+    assert ZI_X.const(Fraction(4, 2)) == ZI_X.const(2)
+    for ring in (Ring("Z", (Var("x"),)), F2_X, Z4_X, F2E_X, Q_TS):
+        assert ring.const(Fraction(-6, 2)) == ring.const(-3)
+        assert ring.one() * Fraction(4, 2) == ring.const(2)
+
+
 def test_reflected_subtraction():
     t = Q_TS.var("t")
     assert 1 - t == Q_TS.one() - t
@@ -129,6 +157,8 @@ def test_coefficient_repr():
 
 def test_coefficient_equality():
     assert GaussianInt(1, 0) != DualF2(1, 0)
+    assert (DualF2(1, 0) == GaussianInt(1, 0)) is False
+    assert (DualF2(1, 0) != GaussianInt(1, 0)) is True
     assert GaussianInt(1, 0) != GroupRingZ4(1, 0)
     assert GroupRingZ4(1, 0) != DualF2(1, 0)
     assert DualF2(3, 2) == DualF2(1, 0)
@@ -372,6 +402,16 @@ GUARDS = {
                        "unsupported operand type(s) for -: 'str' and 'Poly'"),
     "poly_times_str": (lambda: Q_TS.one() * "x", TypeError,
                        "can't multiply sequence by non-int of type 'Poly'"),
+    "const_half_over_Z": (lambda: Ring("Z", (Var("x"),)).const(Fraction(1, 2)), ValueError,
+                          "the rational 1/2 is not in the base Z"),
+    "const_half_over_F2": (lambda: F2_X.const(Fraction(1, 2)), ValueError,
+                           "the rational 1/2 is not in the base F2"),
+    "const_half_over_F2e": (lambda: F2E_X.const(Fraction(-1, 2)), ValueError,
+                            "the rational -1/2 is not in the base F2e"),
+    "zi_times_half": (lambda: ZI_X.one() * Fraction(1, 2), ValueError,
+                      "the rational 1/2 is not in the base Zi"),
+    "z4_plus_third": (lambda: Z4_X.one() + Fraction(2, 3), ValueError,
+                      "the rational 2/3 is not in the base Z4"),
 }
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nilk.matrices import Matrix
-from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, DualF2,
+from nilk.rings import (F2E_X, F2_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, DualF2,
                         NotAUnitError, Ring, RingMismatchError)
 from nilk.sampling import random_poly
 from nilk.words import (Letter, StWord, dennis_stein_word, dual_symbol_word,
@@ -34,10 +34,32 @@ def test_letter_indices_must_differ():
         Letter(2, 2, Q_TS.one())
     assert type(raised.value) is ValueError
     assert str(raised.value) == "generator indices must differ"
+    for build in (lambda: Letter(1, 2, Q_TS.one())._replace(j=1),
+                  lambda: Letter._make((2, 2, Q_TS.one(), False))):
+        with pytest.raises(ValueError, match="^generator indices must differ$"):
+            build()
+    assert Letter(1, 2, Q_TS.one())._replace(j=3) == Letter(1, 3, Q_TS.one())
 
 
-@pytest.mark.parametrize("ring", [Q_TS_MOD_T2, Q_TSZ, ZI_X, Z4_X, F2E_X], ids=[
-    "Q_TS_MOD_T2", "Q_TSZ", "ZI_X", "Z4_X", "F2E_X"])
+def test_letter_is_an_immutable_value():
+    a, b = Letter(1, 2, EPS), Letter(1, 2, F2E_X.const(DualF2(0, 1)), False)
+    assert a == b and a is not b and a.param is not b.param
+    assert a != Letter(1, 2, EPS, True) and a != Letter(2, 1, EPS)
+    assert (a.i, a.j, a.param, a.inverted) == (1, 2, EPS, False)
+    with pytest.raises(AttributeError):
+        a.param = F2E_X.one()
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.param is EPS
+    # a letter hashes as its fields do: equal letters over hashable fields
+    # hash equal, and a Poly parameter has no hash, as before
+    assert hash(Letter(1, 2, 7)) == hash(Letter(1, 2, 7, False))
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+@pytest.mark.parametrize("ring", [Q_TS_MOD_T2, Q_TSZ, ZI_X, Z4_X, F2E_X, F2_X], ids=[
+    "Q_TS_MOD_T2", "Q_TSZ", "ZI_X", "Z4_X", "F2E_X", "F2_X"])
 def test_eval_matches_elementary_product(ring):
     rng = random.Random(3)
     for _ in range(100):
