@@ -120,10 +120,13 @@ def cmd_higman(args) -> int:
 
 
 def _nilpotent_map(args, fn, name: str) -> int:
-    out = fn(_read_matrix(args.input), args.k)
-    if out.nilpotency is None:
-        raise PipelineError(f"{name} output is not nilpotent within "
-                            f"{out.nilpotency_bound()} steps")
+    """fn(m, k) for an input m found nilpotent first: the output of either
+    map is nilpotent, within its own bound, exactly when m is."""
+    m = _read_matrix(args.input)
+    if m.nilpotency is None:
+        raise PipelineError(f"{name} input is not nilpotent within "
+                            f"{m.nilpotency_bound()} steps")
+    out = fn(m, args.k)
     _emit_matrix(out, Path(args.out), f"{name}{args.k}", args.emit)
     print(f"{out.rows}x{out.cols}, nilpotency index {out.nilpotency}")
     return EXIT_OK

@@ -152,7 +152,7 @@ class K1Rep:
         k = m.ring.index("s")  # a negative power of s has no value at 0: None fails
         regular = m.all_entries(lambda p: all(e[k] >= 0 for e in p.terms))
         require("rep31.s_to_zero", "maps to [I] under s -> 0",
-                m.substitute({"s": 0}) if regular else None,
+                m.substitute("s") if regular else None,
                 Matrix.identity(m.ring.drop("s"), m.rows))
         require("rep31.subring", "entries lie in Q[t^2,t^3,z,z^-1,s]",
                 m.all_entries(subring_member))

@@ -10,8 +10,8 @@ Matrix.entries is left for __getitem__, the tests and the benchmark's
 matmul counter.  Every walk visits nonzeros only: the entrywise maps
 (Matrix.map_entries of one matrix, Matrix._entrywise of two) send zeros to
 zero, and the product multiplies each A[i, k] into row k of B, summing
-each output entry's products in one term map (the ring's generated
-kernel, Ring._products), normalized once.
+each output entry's products in one term map (Ring.products, the ring's
+generated kernel), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
@@ -146,7 +146,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        ring, products = self.ring, self.ring._products
+        ring, products = self.ring, self.ring.products
         (dx, xs), (dy, ys) = self._cleared_rows, other._cleared_rows
         q, out = dx * dy, []
         for ra in xs:
@@ -260,7 +260,7 @@ class Matrix:
         [RA_r^(j+1), RA_r^jC]."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
-        ring, products = self.ring, self.ring._products
+        ring, products = self.ring, self.ring.products
         d, rows = self._cleared_rows
 
         cs = [ring.one()]
@@ -340,9 +340,9 @@ class Matrix:
     def into(self, ring: Ring) -> "Matrix":
         return self.map_entries(lambda a: a.into(ring), ring)
 
-    def substitute(self, assignments) -> "Matrix":
-        return self.map_entries(lambda a: a.substitute(assignments),
-                                self.ring.drop(*assignments))
+    def substitute(self, name: str) -> "Matrix":
+        """The value at name = 0, entrywise, over the ring without name."""
+        return self.map_entries(lambda a: a.substitute(name), self.ring.drop(name))
 
     def __str__(self):
         return "[" + "; ".join(", ".join(_dense_row(self, r, "0", str))

@@ -116,7 +116,7 @@ def groupring_checks(con: grp.Construction | None = None) -> list[Check]:
     eye2 = Matrix.identity(F2E_X, 2)
     lifted = con.block
     # x -> 0, recorded: its K1-triviality is part of the non-computable membership argument
-    spec0 = lifted.substitute({"x": 0})
+    spec0 = lifted.substitute("x")
     one_f2, x_f2 = F2_X.one(), F2_X.var("x")
     return [
         check("symbol.dennis_stein", "<eps, x+eps> evaluates to the identity in GL",

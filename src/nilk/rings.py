@@ -19,11 +19,11 @@ are enforced by normalization after every operation.  Polynomials are kept
 in canonical form: no zero coefficients, fixed variable order, so equality
 is literal equality of term maps.  Poly(ring, terms) is the one constructor;
 outside input is checked where it enters (poly_terms_from_json for JSON,
-Ring.const for a scalar).  Every product is summed by the generated kernel
-for the ring's exponent arity (Ring._products, _product_kernel), through
-add_products on Polys, in matrices on each matrix's cleared term maps, and
-in words.eval_word on the entries' term maps; the generated source depends
-on the arity only, never on a variable name.
+Ring.const for a scalar).  Every product is summed by Ring.products, the
+generated kernel for the ring's exponent arity (_product_kernel): in
+Poly.__mul__, in matrices on each matrix's cleared term maps, and in
+words.eval_word on the entries' term maps; the generated source depends on
+the arity only, never on a variable name.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import attrgetter, mul
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 
 class RingMismatchError(ValueError):
@@ -344,10 +344,15 @@ class Ring:
         return tuple((k, v.trunc) for k, v in enumerate(self.vars) if v.trunc is not None)
 
     @cached_property
-    def _products(self) -> Callable[[dict, dict, dict], dict]:
-        """The term-product kernel for this ring's exponent arity, looked up
-        once per ring: add_products runs it on two Polys, matrices on the
-        term maps of a matrix's cleared form, and eval_word on entries'."""
+    def products(self) -> Callable[[dict, dict, dict], dict]:
+        """products(out, xs, ys) adds the terms of xs*ys, two term maps of
+        this ring, into the term map out, in place, and returns it: the
+        generated kernel for the ring's exponent arity (_product_kernel),
+        looked up once per ring.  A sum of products is built in one map and
+        normalized once by Poly(ring, out): truncation, the mod-2 reduction
+        and dropping zeros are linear, so one pass over the sum equals one
+        pass per product.  out may hold zero coefficients and exponents
+        >= trunc until then; it is never the terms of a Poly."""
         return _product_kernel(len(self.vars))
 
     @cached_property
@@ -397,8 +402,10 @@ class Ring:
         return Ring(self.base, self.vars + tuple(new_vars))
 
     @cache
-    def drop(self, *names: str) -> "Ring":
-        return Ring(self.base, tuple(v for v in self.vars if v.name not in names))
+    def drop(self, name: str) -> "Ring":
+        """The ring without the variable name, which it must have."""
+        k = self.index(name)
+        return Ring(self.base, self.vars[:k] + self.vars[k + 1:])
 
     def __str__(self):
         vs = ",".join(v.name + ("±" if v.laurent else "") +
@@ -462,7 +469,7 @@ class Poly:
         if other is self:
             return True
         o = self._coerce(other) if not isinstance(other, Poly) else other
-        if o is None or not isinstance(o, Poly):
+        if o is None:
             return NotImplemented
         return ((self.ring is o.ring or self.ring == o.ring)
                 and self.terms == o.terms)
@@ -505,7 +512,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly(self.ring, add_products({}, self, o))
+        return Poly(self.ring, self.ring.products({}, self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -579,18 +586,12 @@ class Poly:
         return Poly(self.ring.drop(name), {
             e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k})
 
-    def substitute(self, assignments: Mapping[str, object]) -> "Poly":
-        """Specialize each named variable to 0, into the ring without them: the
-        coefficient of their zeroth powers.  Only the value 0 is accepted, and
-        a negative power of a named variable has no value there."""
-        out = self
-        for name, val in assignments.items():
-            if val != 0:
-                raise ValueError(f"only the specialization {name} -> 0 is supported")
-            if any(e[self.ring.index(name)] < 0 for e in self.terms):
-                raise NotAUnitError(f"{self} has a negative power of {name}, no value at 0")
-            out = out.coefficient(name, 0)
-        return out
+    def substitute(self, name: str) -> "Poly":
+        """The value at name = 0, over the ring without name: the coefficient
+        of name^0.  A negative power of name has no value there."""
+        if any(e[self.ring.index(name)] < 0 for e in self.terms):
+            raise NotAUnitError(f"{self} has a negative power of {name}, no value at 0")
+        return self.coefficient(name, 0)
 
     def derivative(self, name: str) -> "Poly":
         k = self.ring.index(name)
@@ -614,15 +615,12 @@ class Poly:
 
     # -- display
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __str__(self):
         if self.is_zero():
             return "0"
         names = [v.name for v in self.ring.vars]
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps, c in sorted(self.terms.items()):
             factors = [f"{n}^{e}" if e != 1 else n
                        for n, e in zip(names, exps) if e]
             if factors and c == self.ring.ops.one:
@@ -649,27 +647,16 @@ def ladder(x, k: int, mul):
         x = mul(x, x)
 
 
-def add_products(out: dict, x: Poly, y: Poly) -> dict:
-    """Add the terms of x*y into the term map out, in place, and return it.
-    A sum of products is built in one map and normalized once by
-    Poly(ring, out): truncation, the mod-2 reduction and dropping zeros are
-    linear, so one pass over the sum equals one pass per product.  out may
-    hold zero coefficients and exponents >= trunc until then; it must not be
-    the terms of a Poly.  The loop is the ring's generated kernel for its
-    exponent arity (_product_kernel)."""
-    return x.ring._products(out, x.terms, y.terms)
-
-
 def _tuple_display(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
 @cache
 def _product_kernel(n: int) -> Callable[[dict, dict, dict], dict]:
-    """The term-product loop of add_products for exponent tuples of length
-    n, as kernel(out, xs, ys) over two term maps.  Its for targets unpack
-    both exponent tuples and it writes their sum as a tuple display, so the
-    exponent sum of a term product makes no function call:
+    """The term-product loop of Ring.products for exponent tuples of
+    length n, as kernel(out, xs, ys) over two term maps.  Its for targets
+    unpack both exponent tuples and it writes their sum as a tuple display,
+    so the exponent sum of a term product makes no function call:
 
         for (a0, a1), c1 in xs.items():
             for (b0, b1), c2 in ys:
@@ -768,31 +755,27 @@ def hom_apply(name: str, p: Poly) -> Poly:
 # ideals and the index-2 monomial subring
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    kind: str  # "t2" | "two" | "one_minus_sigma_sq"
+# the names of the ideals ideal_member decides
+MONOMIAL_T2 = "t2"
+PRINCIPAL_TWO = "two"
+PRINCIPAL_ONE_MINUS_SIGMA_SQ = "one_minus_sigma_sq"
 
 
-MONOMIAL_T2 = IdealSpec("t2")
-PRINCIPAL_TWO = IdealSpec("two")
-PRINCIPAL_ONE_MINUS_SIGMA_SQ = IdealSpec("one_minus_sigma_sq")
-
-
-def ideal_member(p: Poly, ideal: IdealSpec) -> bool:
-    if ideal.kind == "t2":
+def ideal_member(p: Poly, ideal: str) -> bool:
+    if ideal == MONOMIAL_T2:
         if p.ring.base != "Q":
             raise RingMismatchError("the (t^2) ideal lives over Q[t,...]")
         k = p.ring.index("t")
         return all(exps[k] >= 2 for exps in p.terms)
-    if ideal.kind == "two":
+    if ideal == PRINCIPAL_TWO:
         if p.ring.base != "Zi":
             raise RingMismatchError("the ideal (2) lives over Z[i][...]")
         return all(c.re % 2 == 0 and c.im % 2 == 0 for c in p.terms.values())
-    if ideal.kind == "one_minus_sigma_sq":
+    if ideal == PRINCIPAL_ONE_MINUS_SIGMA_SQ:
         if p.ring.base != "Z4":
             raise RingMismatchError("the ideal (1-sigma^2) lives over Z[Z/4][...]")
         return all(c.c2 == -c.c0 and c.c3 == -c.c1 for c in p.terms.values())
-    raise ValueError(f"unknown ideal {ideal.kind!r}")
+    raise ValueError(f"unknown ideal {ideal!r}")
 
 
 def subring_member(p: Poly) -> bool:
@@ -831,7 +814,7 @@ def ring_from_json(j: dict) -> Ring:
 
 def poly_terms_to_json(p: Poly) -> list:
     enc = p.ring.ops.to_json
-    return [[list(exps), enc(c)] for exps, c in p.sorted_terms()]
+    return [[list(exps), enc(c)] for exps, c in sorted(p.terms.items())]
 
 
 def poly_terms_from_json(ring: Ring, j: list) -> Poly:
@@ -860,7 +843,7 @@ def poly_latex(p: Poly) -> str:
     names = [v.name for v in p.ring.vars]
     coeff, one = p.ring.ops.latex, p.ring.ops.one
     parts = []
-    for exps, c in p.sorted_terms():
+    for exps, c in sorted(p.terms.items()):
         mono = "".join(f"{n}^{{{e}}}" if e != 1 else n
                        for n, e in zip(names, exps) if e)
         if mono and c == one:

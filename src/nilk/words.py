@@ -3,7 +3,7 @@ evaluation to matrices.
 
 A letter is an immutable tuple (i, j, param, inverted); a word is a tuple of
 letters over one ring.  eval_word applies each letter as a column operation
-on term maps with the ring's product kernel (Ring._products), as
+on term maps with the ring's product kernel (Ring.products), as
 Matrix.__matmul__ does, and builds one Poly per changed entry.
 
 Words are never rewritten with Steinberg relations; any claimed equality of
@@ -58,9 +58,6 @@ class StWord:
             raise RingMismatchError("concatenating words over different rings")
         return StWord(self.ring, self.letters + other.letters)
 
-    def __len__(self):
-        return len(self.letters)
-
     def inverse(self) -> "StWord":
         return StWord(self.ring, tuple(
             Letter(i, j, a, not inverted) for i, j, a, inverted in reversed(self.letters)))
@@ -87,7 +84,7 @@ def eval_word(w: StWord, n: int) -> Matrix:
     when it cancels.
     """
     ring = w.ring
-    products = ring._products
+    products = ring.products
     rows = [{i: ring.one()} for i in range(n)]
     for i, j, a, inverted in w.letters:
         if not (1 <= i <= n and 1 <= j <= n):

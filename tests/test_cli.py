@@ -180,6 +180,7 @@ def case(id, argv, doc, code, out, err, marks=(), test="exit_code_contract"):
 
 
 NIL = matrix_to_json(N2)
+Q_T = Ring("Q", (Var("t"),))
 T12 = Ring("Q", (Var("t", trunc=10 ** 12),))
 T12S = Ring("Q", (Var("t", trunc=10 ** 12), Var("s")))
 T6 = Ring("Q", (Var("t", trunc=10 ** 6),))
@@ -299,9 +300,14 @@ CASES = [
     # t^(10^12) = 0 bounds the search at 2 * 10^12 steps; I^2 lies outside
     # the nilradical (t), so it ends after two
     case("frob-not_nilpotent", ["frob", "-k", "1"], matrix_doc(Q_TS, [[1, 0], [0, 1]]), 1, "",
-         "frob output is not nilpotent within 2 steps"),
+         "frob input is not nilpotent within 2 steps"),
     case("frob-not_nilpotent_t1e12", ["frob", "-k", "1"], matrix_doc(T12S, [[1, 0], [0, 1]]),
-         1, "", "frob output is not nilpotent within 2000000000000 steps"),
+         1, "", "frob input is not nilpotent within 2000000000000 steps"),
+    # the input is searched before the map is applied, so a huge k costs
+    # nothing when the input is not nilpotent
+    *[case(f"{cmd}-not_nilpotent_k1e12", [cmd, "-k", str(10 ** 12)],
+           matrix_doc(Q_T, [[2]]), 1, "", f"{cmd} input is not nilpotent within 1 steps")
+      for cmd in ("frob", "versch")],
     *[case(name, ["frob", "-k", "1"], one_entry([{"name": "t", **var}], [[1], "1/1"]), 2,
            None, READ + "variable t: trunc must be an integer >= 1",
            test="bad_truncation_is_input_error") for name, var in BAD_TRUNC.items()],

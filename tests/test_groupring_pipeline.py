@@ -17,7 +17,7 @@ from helpers import matrix_to_sympy
 
 def test_word_letters():
     y, z = grp.word_Y(), grp.word_Z()
-    assert len(y) == 4 and len(z) == 6
+    assert len(y.letters) == 4 and len(z.letters) == 6
     one = ZI_X.one()
     i = ZI_X.const(GaussianInt(0, 1))
     x = ZI_X.var("x")
@@ -131,7 +131,7 @@ def test_lift_well_defined_modulo_one_plus_sigma_sq():
 
 
 def test_x_zero_specialization():
-    spec = grp.theorem42_block().substitute({"x": 0})
+    spec = grp.theorem42_block().substitute("x")
     assert spec.det() == spec.ring.one()
     # the (1,1) entry at x = 0 is 1 + (1-sigma^2)*sigma
     expected = spec.ring.one() + spec.ring.const(GroupRingZ4(0, 1, 0, -1))

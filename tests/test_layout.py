@@ -1,6 +1,6 @@
 """The module layout of src/nilk, read with ast: the two constructions share
-only the ledger, matrices is linear algebra alone, no module reaches into
-another's private names, and the CLI writes stderr in `main` alone."""
+only the ledger, matrices is linear algebra alone, no module imports or
+reads another's private names, and the CLI writes stderr in `main` alone."""
 
 import ast
 from pathlib import Path
@@ -38,9 +38,36 @@ def _defined(tree):
     return out
 
 
+def _own_names(tree):
+    """Every name a module defines anywhere: by def or class, as an
+    assignment or attribute-store target, or as a string constant, as in
+    object.__setattr__(self, "_zero", ...)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
 @pytest.mark.parametrize("module", SOURCES)
 def test_no_private_name_crosses_modules(module):
     assert [(m, n) for m, n in _imports(SOURCES[module]) if n.startswith("_")] == []
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_private_attribute_crosses_modules(module):
+    # each x._name a module reads, dunders aside, is a name it defines itself
+    tree = SOURCES[module]
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.ctx, ast.Load) and n.attr.startswith("_")
+             and not (n.attr.startswith("__") and n.attr.endswith("__"))}
+    assert sorted(reads - _own_names(tree)) == []
 
 
 def test_groupring_pipeline_does_not_import_the_laurent_pipeline():
@@ -50,7 +77,8 @@ def test_groupring_pipeline_does_not_import_the_laurent_pipeline():
 
 def test_matrices_knows_no_ideals():
     names = {n for _, n in _imports(SOURCES["matrices"])}
-    assert names.isdisjoint({"IdealSpec", "ideal_member"})
+    assert names.isdisjoint({"ideal_member", "MONOMIAL_T2", "PRINCIPAL_TWO",
+                             "PRINCIPAL_ONE_MINUS_SIGMA_SQ"})
 
 
 def _function(tree, path):

@@ -17,7 +17,7 @@ from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
-                        Ring, RingMismatchError, Var, add_products, poly_latex, poly_terms_from_json,
+                        Ring, RingMismatchError, Var, poly_latex, poly_terms_from_json,
                         poly_terms_to_json, ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
 from nilk.words import eval_word, word
@@ -550,6 +550,9 @@ GUARDS = {
                  "characteristic polynomial of non-square matrix"),
     "det": (lambda: Q23.det(), ValueError, "characteristic polynomial of non-square matrix"),
     "inverse": (lambda: Q23.inverse(), NotInvertibleError, "non-square matrix"),
+    # a matrix with no entry to substitute into still names a missing variable
+    "substitute_missing_variable": (lambda: Matrix.zeros(Q_TS, 2, 2).substitute("q"), KeyError,
+                                    "\"no variable 'q' in Q[t,s]\""),
 }
 
 
@@ -600,7 +603,7 @@ def test_all_entries_asks_zero_once():
 
 def naive_product(a, b):
     """a*b as one Poly per pair of terms, summed with +: the
-    oracle for rings.add_products, which it does not call."""
+    oracle for the ring's product kernel, which it does not call."""
     out = a.ring.zero()
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
@@ -634,7 +637,7 @@ def test_add_products_against_naive_sum(ring):
         elif n % 3 == 2 and divisors:
             a, c = a * ring.const(divisors[0]), c * ring.const(divisors[0])
             b, d = b * ring.const(divisors[1]), d * ring.const(divisors[1])
-        got = Poly(ring, add_products(add_products({}, a, b), c, d))
+        got = Poly(ring, ring.products(ring.products({}, a.terms, b.terms), c.terms, d.terms))
         assert got == naive_product(a, b) + naive_product(c, d)
         assert_canonical(got)
         if n % 3 == 1:
@@ -652,7 +655,7 @@ def test_add_products_against_naive_sum(ring):
 
 
 def test_kernel_users_leave_operands_and_constants_alone():
-    # add_products writes into its accumulator; no caller may hand it the
+    # the product kernel writes into its accumulator; no caller may hand it the
     # terms of an operand or of the ring's shared one() and zero()
     rng = random.Random(19)
     for ring in (Q_TSZ, Q_TS_MOD_T2, F2E_X, F2_X):
@@ -797,12 +800,12 @@ def test_integral_q_coefficients_are_ints():
 
 
 def test_substitute_empty_matrix():
-    m = Matrix.zeros(Q_TSZ, 0, 0).substitute({"s": 0})
+    m = Matrix.zeros(Q_TSZ, 0, 0).substitute("s")
     assert m.ring == Q_TSZ.drop("s") and m.rows == 0
     # the entrywise maps keep both dimensions of a matrix with no entries
     wide = Q_TSZ.extend(Var("x"))
     for rows, cols in ((0, 3), (3, 0)):
         m = Matrix.zeros(Q_TSZ, rows, cols)
-        assert m.substitute({"s": 0}) == Matrix.zeros(Q_TSZ.drop("s"), rows, cols)
+        assert m.substitute("s") == Matrix.zeros(Q_TSZ.drop("s"), rows, cols)
         assert m.into(wide) == Matrix.zeros(wide, rows, cols)
         assert m.map_entries(lambda a: a, Q_TSZ) == m

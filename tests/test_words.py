@@ -94,7 +94,7 @@ def test_concatenation_and_inverse_compare_no_letter_ring(monkeypatch):
     eq = Ring.__eq__
     monkeypatch.setattr(Ring, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
     ww = w * w.inverse()
-    assert compared == [] and len(ww) == 40 and ww.ring is F2E_X
+    assert compared == [] and len(ww.letters) == 40 and ww.ring is F2E_X
     assert eval_word(ww, 2) == EYE
     with pytest.raises(RingMismatchError):
         w * word(ZI_X, [(1, 2, 1)])
@@ -105,7 +105,7 @@ def test_concatenation_and_inverse_compare_no_letter_ring(monkeypatch):
 def test_expand_h_structure_and_value():
     u = F2E_X.one()
     w = expand_h(1, 2, u)
-    assert len(w) == 6
+    assert len(w.letters) == 6
     assert eval_word(w, 2) == EYE  # h(1) = diag(1, 1)
 
 
@@ -133,7 +133,7 @@ def test_dennis_stein_matches_display():
     assert w.letters[1].param == -EPS
     assert w.letters[2].param == x + EPS
     assert w.letters[3].param == uinv * EPS
-    assert len(w) == 4 + 6  # four letters plus the inverted h-word
+    assert len(w.letters) == 4 + 6  # four letters plus the inverted h-word
 
 
 def test_dennis_stein_evaluates_to_identity():
