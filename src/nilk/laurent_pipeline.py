@@ -8,19 +8,19 @@ result to a nilpotent block companion via Higman's trick.
 
 `construct()` runs the chain once.  Each stage proves its defining identities
 with `ledger.require` as it builds them, and under `construct()` every
-identity is recorded in the record's `checks` ledger, which the report reads
-instead of computing it again.
+identity is recorded in the `checks` ledger of the record (a plain class on
+Frozen, as DoublePair is), which the report reads instead of recomputing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ledger import Check, recording, require
 from .matrices import Matrix, block_companion
-from .rings import (MONOMIAL_T2, Poly, Q_TS, Q_TSZ, Q_TZ, Var, ideal_member,
+from .rings import (MONOMIAL_T2, Frozen, Poly, Q_TS, Q_TSZ, Q_TZ, Var, ideal_member,
                     subring_member, truncate_t2)
 
 
@@ -70,13 +70,17 @@ def lift_A_stated_factors() -> list[Matrix]:
     ]
 
 
-@dataclass(frozen=True)
-class DoublePair:
+class DoublePair(Frozen):
     """A pair of matrices (first, second) with first - second entrywise in
     I = (t^2): an element of the double ring D(R, I)."""
 
-    first: Matrix
-    second: Matrix
+    def __init__(self, first: Matrix, second: Matrix):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __eq__(self, other):
+        return ((self.first, self.second) == (other.first, other.second)
+                if type(other) is DoublePair else NotImplemented)
 
     @cached_property
     def valid(self) -> bool:
@@ -138,8 +142,7 @@ def loop_z(q: Matrix) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class K1Rep:
+class K1Rep(NamedTuple):
     """Invertible matrix whose class dies under s -> 0."""
 
     matrix: Matrix
@@ -173,17 +176,23 @@ def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
     return e2, rep
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(Frozen):
     """Every artifact of one run of the chain, each verified once when
     built, and the ledger of those checks by id.  The blocks M_i and N are
     derived on first use."""
 
-    lift: Matrix
-    pair: DoublePair
-    e2: Matrix
-    rep: K1Rep
-    checks: dict[str, Check]
+    def __init__(self, lift: Matrix, pair: DoublePair, e2: Matrix, rep: K1Rep,
+                 checks: dict[str, Check]):
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "checks", checks)
+
+    def __eq__(self, other):
+        return ((self.lift, self.pair, self.e2, self.rep, self.checks)
+                == (other.lift, other.pair, other.e2, other.rep, other.checks)
+                if type(other) is Construction else NotImplemented)
 
     @cached_property
     def blocks(self) -> list[Matrix]:

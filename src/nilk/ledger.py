@@ -3,14 +3,15 @@
 A pipeline stage proves each defining identity with `require` as it builds
 it: a failure raises PipelineError naming the check id, which the CLI
 reports as exit 1.  Inside `recording()` every identity is also kept as a
-report `Check` by id, which the report reads instead of computing it again.
+report `Check` (a NamedTuple) by id, which the report reads instead of
+computing it again.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 
 class PipelineError(RuntimeError):
@@ -22,8 +23,7 @@ FAIL = "fail"
 DISCREPANCY = "discrepancy"
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     id: str
     anchor: str
     status: str
@@ -37,7 +37,8 @@ class Check:
         return out
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"id": self.id, "anchor": self.anchor, "status": self.status,
+                "computed": self.computed, "expected": self.expected}
 
 
 def check(cid: str, anchor: str, computed, expected=True,

@@ -25,23 +25,24 @@ not scanned.  A @ B sums the products of d_A*A and d_B*B and divides each
 entry once by d_A d_B, an integral quotient as an int.  As c_i(dA) =
 d^i c_i(A), charpoly divides c_i of d*A by d^i and det only c_n;
 nilpotency_index searches d*A, whose powers vanish where A's do; inverse
-scales d*A's adjugate once by d det(dA)^-1.  Values are immutable; entries
-compare canonically.
+scales d*A's adjugate once by d det(dA)^-1.  A Matrix is a plain class on
+rings.Frozen: immutable, equal by fields, unhashable.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import matmul
 from typing import Iterable, Optional, Sequence
 
-from .rings import (Poly, Ring, RingMismatchError, int_from_json, ladder, poly_latex,
+from .rings import (Frozen, Poly, Ring, RingMismatchError, int_from_json, ladder, poly_latex,
                     poly_terms_from_json, poly_terms_to_json, ring_from_json, ring_to_json)
+
+_set = object.__setattr__  # looked up once: a Matrix is built per product
 
 
 class NotInvertibleError(ValueError):
@@ -56,12 +57,17 @@ def _as_entry(ring: Ring, x) -> Poly:
     return ring.const(x)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    ring: Ring
-    rows: int
-    cols: int
-    nonzero: tuple  # per row, a dict {column: Poly} of its nonzero entries
+class Matrix(Frozen):
+    def __init__(self, ring: Ring, rows: int, cols: int, nonzero: tuple):
+        _set(self, "ring", ring)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "nonzero", nonzero)  # per row, a dict {column: Poly} of its nonzero entries
+
+    def __eq__(self, other):
+        return ((self.ring, self.rows, self.cols, self.nonzero)
+                == (other.ring, other.rows, other.cols, other.nonzero)
+                if type(other) is Matrix else NotImplemented)
 
     # -- constructors
 

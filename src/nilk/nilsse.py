@@ -1,14 +1,14 @@
 """Nil-group operator maps (Verschiebung, Frobenius) and the strong shift
 equivalence witness verifier.
 
-The verifier only checks supplied witnesses; it never searches for chains
-(whether a nilpotent matrix admits any chain to zero is exactly the
-non-computable content the explicit examples certify).
+The verifier only checks supplied witnesses (NamedTuples, as Verdict is); it
+never searches for chains (whether a nilpotent matrix admits any chain to
+zero is exactly the non-computable content the explicit examples certify).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrices import Matrix, block_companion
 
@@ -28,8 +28,7 @@ def frobenius(n: Matrix, k: int) -> Matrix:
     return n.power(k)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     failed: int | str | None = None  # first bad link (1-based) or identity name
 
@@ -39,8 +38,7 @@ def _check_shapes(a: Matrix, b: Matrix, w) -> None:
         raise ValueError("witness shapes incompatible with A, B")
 
 
-@dataclass(frozen=True)
-class ESSEWitness:
+class ESSEWitness(NamedTuple):
     u: Matrix
     v: Matrix
 
@@ -51,16 +49,23 @@ def verify_esse(a: Matrix, b: Matrix, w: ESSEWitness) -> bool:
     return w.u @ w.v == a and w.v @ w.u == b
 
 
-@dataclass(frozen=True)
-class SSEChain:
-    """Matrices A_0 .. A_l with a witness linking each consecutive pair."""
-
+class _SSEChainFields(NamedTuple):
     matrices: tuple[Matrix, ...]
     witnesses: tuple[ESSEWitness, ...]
 
-    def __post_init__(self):
-        if len(self.matrices) != len(self.witnesses) + 1:
+
+class SSEChain(_SSEChainFields):
+    """Matrices A_0 .. A_l with a witness linking each consecutive pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, matrices: tuple[Matrix, ...], witnesses: tuple[ESSEWitness, ...]):
+        if len(matrices) != len(witnesses) + 1:
             raise ValueError("chain needs one more matrix than witnesses")
+        return tuple.__new__(cls, (matrices, witnesses))
+
+    # NamedTuple's _make, behind _replace too, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def verify_sse_chain(chain: SSEChain) -> Verdict:
@@ -70,8 +75,7 @@ def verify_sse_chain(chain: SSEChain) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class SEWitness:
+class SEWitness(NamedTuple):
     u: Matrix
     v: Matrix
     lag: int

@@ -23,18 +23,18 @@ Ring.const for a scalar).  Every product is summed by Ring.products, the
 generated kernel for the ring's exponent arity (_product_kernel): in
 Poly.__mul__, in matrices on each matrix's cleared term maps, and in
 words.eval_word on the entries' term maps; the generated source depends on
-the arity only, never on a variable name.
+the arity only, never on a variable name.  Var and BaseOps are NamedTuples
+and Ring a plain class on Frozen; every nilk record is one of the two kinds.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import attrgetter, mul
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class RingMismatchError(ValueError):
@@ -252,8 +252,7 @@ def _invert_unit(u):
     return sq * u if sq * sq == type(u)(1) else None
 
 
-@dataclass(frozen=True)
-class BaseOps:
+class BaseOps(NamedTuple):
     zero: object
     one: object
     from_int: Callable
@@ -297,34 +296,51 @@ _CHARACTERISTIC_2 = frozenset(("F2", "F2e"))
 # rings and polynomials
 
 
-@dataclass(frozen=True)
-class Var:
+class _VarFields(NamedTuple):
     name: str
     laurent: bool = False
     trunc: Optional[int] = None  # exponents >= trunc are discarded
 
-    def __post_init__(self):
+
+class Var(_VarFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, laurent: bool = False, trunc: Optional[int] = None):
         # Ring.nilradical_exponent relies on t^trunc = 0 with trunc >= 1, which
         # has no meaning for a Laurent variable
-        if self.trunc is not None and (type(self.trunc) is not int or self.trunc < 1
-                                       or self.laurent):
-            raise ValueError(f"variable {self.name}: trunc must be an integer >= 1 on a "
-                             f"non-Laurent variable, got trunc={self.trunc!r}, "
-                             f"laurent={self.laurent!r}")
+        if trunc is not None and (type(trunc) is not int or trunc < 1 or laurent):
+            raise ValueError(f"variable {name}: trunc must be an integer >= 1 on a non-Laurent "
+                             f"variable, got trunc={trunc!r}, laurent={laurent!r}")
+        return tuple.__new__(cls, (name, laurent, trunc))
+
+    # NamedTuple's _make, behind _replace too, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class Ring:
-    base: str
-    vars: tuple[Var, ...] = ()
+class Frozen:
+    """Base of the plain-class records: __init__ sets the fields by object.__setattr__;
+    after it, only a cached_property (writing __dict__) adds an attribute."""
 
-    def __post_init__(self):
-        if self.base not in BASE:
-            raise ValueError(f"unknown base ring {self.base!r}")
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Ring(Frozen):
+    def __init__(self, base: str, vars: tuple[Var, ...] = ()):
+        if base not in BASE:
+            raise ValueError(f"unknown base ring {base!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vars", vars)
         # the one zero, built with the ring: reading zero() never builds a Poly
         object.__setattr__(self, "_zero", Poly(self, {}))
         # the hash, computed once: the caches keyed by a ring hash it per call
-        object.__setattr__(self, "_hash", hash((self.base, self.vars)))
+        object.__setattr__(self, "_hash", hash((base, vars)))
+
+    def __eq__(self, other):
+        return ((self.base, self.vars) == (other.base, other.vars)
+                if type(other) is Ring else NotImplemented)
 
     def __hash__(self):
         return self._hash

@@ -1,10 +1,11 @@
 """Formal words in elementary/Steinberg generators x_ij(a), and their
 evaluation to matrices.
 
-A letter is an immutable tuple (i, j, param, inverted); a word is a tuple of
-letters over one ring.  eval_word applies each letter as a column operation
-on term maps with the ring's product kernel (Ring.products), as
-Matrix.__matmul__ does, and builds one Poly per changed entry.
+A Letter is a NamedTuple (i, j, param, inverted); a StWord, a plain class on
+Frozen, holds a tuple of letters over one ring.  eval_word applies each
+letter as a column operation on term maps with the ring's product kernel
+(Ring.products), as Matrix.__matmul__ does, and builds one Poly per changed
+entry.
 
 Words are never rewritten with Steinberg relations; any claimed equality of
 words is checked at the evaluation level only.
@@ -12,11 +13,10 @@ words is checked at the evaluation level only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .matrices import Matrix
-from .rings import F2E_X, DualF2, NotAUnitError, Poly, Ring, RingMismatchError
+from .rings import F2E_X, DualF2, Frozen, NotAUnitError, Poly, Ring, RingMismatchError
 
 
 class _LetterFields(NamedTuple):
@@ -37,21 +37,21 @@ class Letter(_LetterFields):
             raise ValueError("generator indices must differ")
         return tuple.__new__(cls, (i, j, param, inverted))
 
-    @classmethod
-    def _make(cls, fields):
-        # NamedTuple's _make, behind _replace too, would skip the check
-        return cls(*fields)
+    # NamedTuple's _make, behind _replace too, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class StWord:
-    ring: Ring
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self):
-        for l in self.letters:
-            if l.param.ring is not self.ring and l.param.ring != self.ring:
+class StWord(Frozen):
+    def __init__(self, ring: Ring, letters: tuple[Letter, ...] = ()):
+        for l in letters:
+            if l.param.ring is not ring and l.param.ring != ring:
                 raise RingMismatchError("letter parameter in wrong ring")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        return ((self.ring, self.letters) == (other.ring, other.letters)
+                if type(other) is StWord else NotImplemented)
 
     def __mul__(self, other: "StWord") -> "StWord":
         if other.ring is not self.ring and other.ring != self.ring:

@@ -1,6 +1,7 @@
 """The module layout of src/nilk, read with ast: the two constructions share
 only the ledger, matrices is linear algebra alone, no module imports or
-reads another's private names, and the CLI writes stderr in `main` alone."""
+reads another's private names, the CLI writes stderr in `main` alone, and
+no module imports dataclasses."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,13 @@ def test_no_private_attribute_crosses_modules(module):
              and isinstance(n.ctx, ast.Load) and n.attr.startswith("_")
              and not (n.attr.startswith("__") and n.attr.endswith("__"))}
     assert sorted(reads - _own_names(tree)) == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples or plain classes: importing nilk builds no
+    # dataclass, and a fresh process does not load dataclasses or inspect
+    assert [name for name, tree in SOURCES.items()
+            if any("dataclasses" in (m, n) for m, n in _imports(tree))] == []
 
 
 def test_groupring_pipeline_does_not_import_the_laurent_pipeline():

@@ -144,9 +144,13 @@ def test_sse_chain():
 
 
 def test_sse_chain_shape():
-    with pytest.raises(ValueError):
-        SSEChain((Matrix.identity(Q_TS, 1),), (ESSEWitness(
-            Matrix.identity(Q_TS, 1), Matrix.identity(Q_TS, 1)),))
+    one = Matrix.identity(Q_TS, 1)
+    chain = SSEChain((one, one), (ESSEWitness(one, one),))
+    for build in (lambda: SSEChain((one,), (ESSEWitness(one, one),)),
+                  lambda: chain._replace(matrices=(one,)),
+                  lambda: SSEChain._make(((one, one), ()))):
+        with pytest.raises(ValueError, match="^chain needs one more matrix than witnesses$"):
+            build()
 
 
 def test_se_trivial_witness_for_nilpotent():

@@ -4,7 +4,7 @@ with nothing written into --out.  Each row of FAULTS breaks the input of a
 check (a word, a display, a map, a stage output or a block, never `check`
 or `require`) and shows that the check, and no other, turns FAIL."""
 
-import dataclasses
+import json
 
 import pytest
 
@@ -13,7 +13,7 @@ from nilk import laurent_pipeline as lp
 from nilk import nilsse, report
 from nilk.cli import main
 from nilk.ledger import FAIL, PipelineError, recording
-from nilk.matrices import Matrix
+from nilk.matrices import Matrix, matrix_to_json
 from nilk.rings import F2E_X, Q_TS, Q_TSZ, Q_TZ, ZI_X, GroupRingZ4
 from nilk.words import StWord
 
@@ -28,16 +28,33 @@ def _word_z_empty(monkeypatch):
     monkeypatch.setattr(grp, "word_Z", lambda: StWord(ZI_X))
 
 
+def _companion_plus_identity(monkeypatch):
+    # N + I is not nilpotent: its powers keep I's constant term
+    build = lp.block_companion
+
+    def shifted(blocks):
+        n = build(blocks)
+        return n + Matrix.identity(n.ring, n.rows)
+    monkeypatch.setattr(lp, "block_companion", shifted)
+
+
+# REP31 in argv reads as a file holding the Theorem 3.1 representative
 PLANTS = {
     "verify_all-loop_z_doubled": (_loop_z_doubled, ["verify-all", "--allow-known-typos"],
                                   "rep31.s_to_zero"),
     "theorem3-loop_z_doubled": (_loop_z_doubled, ["theorem3"], "rep31.s_to_zero"),
     "theorem4-word_z_empty": (_word_z_empty, ["theorem4"], "yz.congruent"),
+    "higman-companion_plus_identity": (_companion_plus_identity, ["higman", "REP31"],
+                                       "higman.companion_nilpotent"),
 }
 
 
 @pytest.mark.parametrize("plant, argv, cid", PLANTS.values(), ids=PLANTS)
 def test_failed_stage_identity_exits_1(plant, argv, cid, monkeypatch, tmp_path, capsys):
+    if "REP31" in argv:
+        rep = tmp_path / "rep31.json"
+        rep.write_text(json.dumps(matrix_to_json(lp.theorem31_matrix().matrix)))
+        argv = [str(rep) if a == "REP31" else a for a in argv]
     plant(monkeypatch)
     out_dir = tmp_path / "out"
     opts = ["--out", str(out_dir)] if argv[0] != "verify-all" else []
@@ -79,7 +96,7 @@ def _yz_output_times_e12(monkeypatch):
 
     def shifted():
         con = construct()
-        return dataclasses.replace(con, yz=con.yz @ e12)
+        return grp.Construction(con.yz @ e12, con.block, con.checks)
     monkeypatch.setattr(grp, "construct", shifted)
 
 
@@ -112,7 +129,7 @@ def _b2_shifted(monkeypatch):
     build = lp.double_idempotent_B
     shift = Matrix.from_rows(Q_TS, [[0, Q_TS.var("t", 2)], [0, 0]])
     monkeypatch.setattr(lp, "double_idempotent_B",
-                        lambda: dataclasses.replace(build(), second=lp.projector_P() + shift))
+                        lambda: lp.DoublePair(build().first, lp.projector_P() + shift))
 
 
 def _display_plus(name, ring, rows, r, c):

@@ -201,6 +201,16 @@ def test_copies_of_dual_numbers_are_the_shared_values(clone):
     assert [DualF2(a, b).coords for a, b in DUAL_COORDS] == DUAL_COORDS
 
 
+def test_var_check_runs_on_replace_make_and_unpickle():
+    # a Var is a tuple: only tuple.__new__ builds one past the trunc check
+    bad = tuple.__new__(Var, ("t", True, 2))
+    for build in (lambda: Var("t")._replace(trunc=0), lambda: Var._make(("t", True, 2)),
+                  lambda: pickle.loads(pickle.dumps(bad)), lambda: copy.copy(bad)):
+        with pytest.raises(ValueError, match="^variable t: trunc must be an integer >= 1 on a"):
+            build()
+    assert Var("t")._replace(trunc=3) == Var("t", trunc=3)
+
+
 @pytest.mark.parametrize("c, text, latex", [
     (GaussianInt(2, -1), "(2-1i)", "(2-1i)"),
     (GroupRingZ4(1, 0, -1, 2), "(+1-1σ^2+2σ^3)", r"(1-1\sigma^{2}+2\sigma^{3})"),
