@@ -119,25 +119,26 @@ def cmd_higman(args) -> int:
     return EXIT_OK
 
 
-def _nilpotent_map(args, fn, name: str) -> int:
+def _nilpotent_map(args, fn, index, name: str) -> int:
     """fn(m, k) for an input m found nilpotent first: the output of either
-    map is nilpotent, within its own bound, exactly when m is."""
+    map is nilpotent exactly when m is, and index(m, k) is its index,
+    derived from m's instead of searched."""
     m = _read_matrix(args.input)
     if m.nilpotency is None:
         raise PipelineError(f"{name} input is not nilpotent within "
                             f"{m.nilpotency_bound()} steps")
     out = fn(m, args.k)
     _emit_matrix(out, Path(args.out), f"{name}{args.k}", args.emit)
-    print(f"{out.rows}x{out.cols}, nilpotency index {out.nilpotency}")
+    print(f"{out.rows}x{out.cols}, nilpotency index {index(m, args.k)}")
     return EXIT_OK
 
 
 def cmd_versch(args) -> int:
-    return _nilpotent_map(args, nilsse.verschiebung, "versch")
+    return _nilpotent_map(args, nilsse.verschiebung, nilsse.verschiebung_index, "versch")
 
 
 def cmd_frob(args) -> int:
-    return _nilpotent_map(args, nilsse.frobenius, "frob")
+    return _nilpotent_map(args, nilsse.frobenius, nilsse.frobenius_index, "frob")
 
 
 def _witness_from_json(j: dict, ring):

@@ -15,7 +15,13 @@ generated kernel), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
-polynomial, summed the same way.
+polynomial, summed the same way.  Berkowitz borders the leading r x r
+block by row r's part R left of the diagonal and column r's part C above
+it, and needs the r values R A_r^j C; when R or C is empty each is an
+empty sum, so it appends r zeros and runs no Krylov step (of the 30 rows
+of I - s V_3(N), 21 are such).  The inverse's Horner loop starts at
+B + c_1 I, the value of its first step B I + c_1 I, so it makes no
+product by I.
 
 Every product runs on a matrix's cleared form (Matrix._cleared_rows), made
 once per matrix: (d, d*A's rows as {column: term map}), d the lcm of the
@@ -263,7 +269,8 @@ class Matrix(Frozen):
         by the column C, the row R and the corner a multiplies its char poly
         by the Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ...,
         -RA_r^(r-1)C.  It walks rows, as the row RA_r^j times [A_r C] is
-        [RA_r^(j+1), RA_r^jC]."""
+        [RA_r^(j+1), RA_r^jC].  Where R or C is empty every RA_r^jC is an
+        empty sum, so the column is a and r zeros and no Krylov step runs."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
         ring, products = self.ring, self.ring.products
@@ -273,16 +280,19 @@ class Matrix(Frozen):
         for r in range(self.rows):
             vec = {k: x for k, x in rows[r].items() if k < r}  # R, then R A_r^j
             col = [rows[r].get(r, {})]  # the Toeplitz column negated, without its 1
-            for j in range(r):
-                acc = defaultdict(dict)  # vec [A_r C]: R A_r^(j+1), and R A_r^j C at r
-                low = r if j + 1 == r else 0  # the last step needs only column r
-                for k, y in vec.items():
-                    for i, x in rows[k].items():
-                        if low <= i <= r:
-                            products(acc[i], x, y)
-                col.append(Poly(ring, acc.pop(r, {})).terms)
-                vec = {i: t for i, t in ((i, Poly(ring, t).terms) for i, t in acc.items())
-                       if t}
+            if not vec or not any(r in rows[k] for k in range(r)):
+                col += [{}] * r  # R or C empty: every R A_r^j C is 0
+            else:
+                for j in range(r):
+                    acc = defaultdict(dict)  # vec [A_r C]: R A_r^(j+1), and R A_r^j C at r
+                    low = r if j + 1 == r else 0  # the last step needs only column r
+                    for k, y in vec.items():
+                        for i, x in rows[k].items():
+                            if low <= i <= r:
+                                products(acc[i], x, y)
+                    col.append(Poly(ring, acc.pop(r, {})).terms)
+                    vec = {i: t for i, t in ((i, Poly(ring, t).terms) for i, t in acc.items())
+                           if t}
             nxt = [cs[0]]
             for i in range(1, r + 2):
                 acc = dict(col[i - 1])
@@ -303,8 +313,9 @@ class Matrix(Frozen):
     def inverse(self) -> "Matrix":
         """Cayley-Hamilton adjugate (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ...
         + c_(n-1) I) scaled by det^-1; raises NotInvertibleError unless det
-        is a recognized unit.  Built from B = d*A, as A^-1 = d adj(B) det(B)^-1.
-        Exact: self @ inverse == identity."""
+        is a recognized unit.  Built from B = d*A, as A^-1 = d adj(B) det(B)^-1,
+        by Horner from B + c_1 I (the first step's B I + c_1 I), so an n x n
+        inverse makes max(0, n - 2) products.  Exact: self @ inverse == identity."""
         if self.rows != self.cols:
             raise NotInvertibleError("non-square matrix")
         ring, n = self.ring, self.rows
@@ -314,8 +325,8 @@ class Matrix(Frozen):
         dinv = det.try_invert()
         if dinv is None:
             raise NotInvertibleError(f"determinant {self.det()} is not a recognized unit")
-        adj = Matrix.identity(ring, n)
-        for c in cs[1:n]:
+        adj = b + Matrix.diag(ring, [cs[1]] * n) if n > 1 else Matrix.identity(ring, n)
+        for c in cs[2:n]:
             adj = b @ adj + Matrix.diag(ring, [c] * n)
         return adj.scale(d * (dinv if n % 2 else -dinv))
 

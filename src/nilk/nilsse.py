@@ -28,6 +28,22 @@ def frobenius(n: Matrix, k: int) -> Matrix:
     return n.power(k)
 
 
+def verschiebung_index(n: Matrix, k: int) -> int:
+    """The nilpotency index of verschiebung(n, k) for a nilpotent n of index
+    m, without a search: k*m.  V_k(N)^k is the block diagonal of k copies of
+    N, so V_k(N)^(km) = 0, while V_k(N)^(k(m-1)+i) for i < k is V_k(N)^i,
+    which has an identity block, times that diagonal of N^(m-1) != 0.  A
+    0 x 0 n has a 0 x 0 image, of index 1."""
+    return k * n.nilpotency if n.rows else 1
+
+
+def frobenius_index(n: Matrix, k: int) -> int:
+    """The nilpotency index of frobenius(n, k) for a nilpotent n of index m,
+    without a search: ceil(m/k), as (N^k)^j = N^(kj) vanishes exactly when
+    kj >= m.  It is 1 for k >= m."""
+    return -(-n.nilpotency // k)
+
+
 class Verdict(NamedTuple):
     ok: bool
     failed: int | str | None = None  # first bad link (1-based) or identity name

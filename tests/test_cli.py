@@ -100,6 +100,20 @@ def test_higman_searches_the_index_once(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "N10.json").exists()
 
 
+@pytest.mark.parametrize("cmd, k, out", [("versch", 3, "30x30, nilpotency index 30\n"),
+                                          ("frob", 3, "10x10, nilpotency index 4\n")])
+def test_nilpotent_maps_search_only_their_input(tmp_path, capsys, monkeypatch, cmd, k, out):
+    # the output's index is derived from the input's, not searched
+    src = tmp_path / "n10.json"
+    src.write_text(json.dumps(matrix_to_json(lp.n10_display())))
+    calls = []
+    index = Matrix.nilpotency_index
+    monkeypatch.setattr(Matrix, "nilpotency_index",
+                        lambda m, max_k: calls.append(m.rows) or index(m, max_k))
+    assert run([cmd, str(src), "-k", str(k), "--out", str(tmp_path)], capsys)[:2] == (0, out)
+    assert calls == [10]
+
+
 def one_entry(vars_, *terms, base="Q"):
     """A 1x1 matrix document over base[vars_] whose entry is the terms."""
     return {"ring": {"base": base, "vars": vars_}, "rows": 1, "cols": 1,

@@ -119,6 +119,79 @@ def test_charpoly_core_against_leibniz():
                     assert inv @ a == Matrix.identity(ring, n)
 
 
+def triangular(rng, ring, n, lower, diagonal=None):
+    """An n x n lower or upper triangular matrix of random entries, with
+    the given diagonal entry, when one is given, instead of a random one."""
+    return Matrix.from_rows(ring, [
+        [(diagonal or random_poly(rng, ring, 2, 1)) if i == j
+         else random_poly(rng, ring, 2, 1) if (j < i) == lower else 0
+         for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_triangular_against_leibniz(ring):
+    # a lower triangular matrix has no column C above any diagonal entry,
+    # an upper one no row R left of it: Berkowitz runs no Krylov step
+    rng = random.Random(11)
+    for n in range(6):
+        for lower in (True, False):
+            for a in (triangular(rng, ring, n, lower), triangular(rng, ring, n, lower, 1)):
+                d = leibniz_det(a)
+                assert a.det() == d
+                want, zero = [ring.one()], ring.zero()  # prod (x - a_ii), highest power first
+                for i in range(n):
+                    want = [c - a[i, i] * p for c, p in zip(want + [zero], [zero] + want)]
+                assert a.charpoly() == want
+                if d.try_invert() is None:
+                    with pytest.raises(NotInvertibleError):
+                        a.inverse()
+                else:
+                    inv = a.inverse()
+                    assert a @ inv == Matrix.identity(ring, n) == inv @ a
+
+
+def count_products(monkeypatch, ring) -> list:
+    """A list that gets one item per call of ring's product kernel."""
+    calls, kernel = [], ring.products
+    monkeypatch.setitem(vars(ring), "products", lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def test_det_runs_no_krylov_step_where_r_or_c_is_empty(monkeypatch):
+    t, s = Q_TS.var("t"), Q_TS.var("s")
+    low = Matrix.from_rows(Q_TS, [[Q_TS.one() + t ** (i + 1) if i == j else s if j < i else 0
+                                   for j in range(6)] for i in range(6)])
+    calls = count_products(monkeypatch, Q_TS)
+    # only the Toeplitz products a_rr c_j, one per j = 1..r: 15 in all,
+    # where the Krylov iteration on the lower one would make 120
+    for a in (low, low.transpose()):
+        calls.clear()
+        d = a.det()
+        assert len(calls) == 15
+        assert d == leibniz_det(a)
+    # 21 of the 30 rows of I - s V_3(N) have R or C empty; running the
+    # Krylov iteration on all 30 makes 6282 products
+    n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
+    v = verschiebung(n10, 3).into(Q_TSZ)
+    m = Matrix.identity(Q_TSZ, v.rows) - v.scale(Q_TSZ.var("s"))
+    calls = count_products(monkeypatch, Q_TSZ)
+    assert m.det() == Q_TSZ.one()
+    assert len(calls) == 5095
+
+
+def test_inverse_makes_n_minus_2_products(monkeypatch):
+    # Horner starts at B + c_1 I, so the n x n inverse makes max(0, n - 2)
+    rng = random.Random(12)
+    cases = [Matrix.identity(Q_TS, n) if n < 2 else unimodular(rng, Q_TS, n) for n in range(7)]
+    matmul, products = Matrix.__matmul__, []
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    for n, a in enumerate(cases):
+        products.clear()
+        inv = a.inverse()
+        assert len(products) == max(0, n - 2), n
+        assert matmul(a, inv) == Matrix.identity(Q_TS, n)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_det_one_minus_s_verschiebung(k):
     n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))

@@ -1,14 +1,15 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from nilk import laurent_pipeline as lp
 from nilk.matrices import Matrix, block_companion
-from nilk.nilsse import (ESSEWitness, SEWitness, SSEChain, frobenius,
+from nilk.nilsse import (ESSEWitness, SEWitness, SSEChain, frobenius, frobenius_index,
                          verify_esse, verify_se, verify_sse_chain,
-                         verschiebung)
-from nilk.rings import Q_TS
+                         verschiebung, verschiebung_index)
+from nilk.rings import F2E_X, Q_TS, Q_TS_MOD_T2, DualF2
 from nilk.sampling import random_poly
 
 from helpers import direct_sum
@@ -67,7 +68,7 @@ def test_verschiebung_index_at_scale_in_bounded_work():
     # walks the nonzero entries of its powers only
     n = n10()
     start = time.perf_counter()
-    assert verschiebung(n, 128).nilpotency == 1280
+    assert verschiebung(n, 128).nilpotency == 1280 == verschiebung_index(n, 128)
     assert time.perf_counter() - start < 2
 
 
@@ -84,6 +85,34 @@ def test_verschiebung_index_bound_randomized():
         k = rng.randint(1, 3)
         vidx = verschiebung(n, k).nilpotency_index(k * idx)
         assert vidx is not None and vidx <= k * idx
+
+
+@pytest.mark.parametrize("which", ["paper", "seeded"])
+def test_derived_index_is_the_searched_one(which):
+    # "seeded" is the companion of the unit a + b st that perfbench's
+    # companion workload draws at seed 0, a second N of index 10
+    n = n10() if which == "paper" else lp.higman_companion(lp.decompose_M(
+        lp.generalized_unit_rep(Fraction(-3, 2), Fraction(4))))
+    assert n.nilpotency == 10
+    for k in [*range(1, 9), 10, 11]:
+        assert verschiebung_index(n, k) == verschiebung(n, k).nilpotency == 10 * k, k
+        assert frobenius_index(n, k) == frobenius(n, k).nilpotency == -(-10 // k), k
+
+
+EDGES = {"empty": Matrix.zeros(Q_TS, 0, 0), "zero_2x2": Matrix.zeros(Q_TS, 2, 2),
+         "zero_1x1": Matrix.zeros(Q_TS, 1, 1),
+         "eps": Matrix.from_rows(F2E_X, [[DualF2(0, 1)]]),
+         "t_mod_t2": Matrix.from_rows(Q_TS_MOD_T2, [[Q_TS_MOD_T2.var("t")]]),
+         "shift_3": Matrix.from_rows(Q_TS, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])}
+
+
+@pytest.mark.parametrize("n", EDGES.values(), ids=EDGES)
+def test_derived_index_at_the_edges(n):
+    # indices 1, 2 and 3, so k = 1..5 takes frob past k >= m, where N^k = 0
+    # has index 1; a 0 x 0 input has a 0 x 0 image, of index 1, under both
+    for k in range(1, 6):
+        assert verschiebung_index(n, k) == verschiebung(n, k).nilpotency, k
+        assert frobenius_index(n, k) == frobenius(n, k).nilpotency, k
 
 
 def test_frobenius():
