@@ -7,17 +7,18 @@ through sigma -> i produces the 2x2 block over Z[Z/4][x]; the Kahler
 differential map D certifies the symbol <eps, x+eps> is nontrivial.
 `construct()` builds YZ and its lift once, each verified when built; the
 identities `ledger.require` proves are recorded in the `checks` ledger of
-the record (a plain class on Frozen), which the report reads.
+the record (a NamedTuple), which the report reads.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import NamedTuple
 
 from .ledger import Check, recording, require
 from .matrices import Matrix
 from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
-                    ZI_X, Frozen, GaussianInt, GroupRingZ4, Poly,
+                    ZI_X, GaussianInt, GroupRingZ4, Poly,
                     group_ring_from_gauss, ideal_member, psi, rho)
 from .words import StWord, eval_word, word
 
@@ -89,18 +90,13 @@ def lift_to_group_ring(m: Matrix) -> Matrix:
     return lifted
 
 
-class Construction(Frozen):
+class Construction(NamedTuple):
     """YZ and its lift, the Theorem 4.2 block, each verified once when
     built, and the ledger of those checks by id."""
 
-    def __init__(self, yz: Matrix, block: Matrix, checks: dict[str, Check]):
-        object.__setattr__(self, "yz", yz)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "checks", checks)
-
-    def __eq__(self, other):
-        return ((self.yz, self.block, self.checks) == (other.yz, other.block, other.checks)
-                if type(other) is Construction else NotImplemented)
+    yz: Matrix
+    block: Matrix
+    checks: dict[str, Check]
 
 
 def construct() -> Construction:

@@ -2,6 +2,8 @@
 
 Storage is sparse: per row, a dict {column: Poly} of its nonzero entries
 (Matrix.nonzero); no zero is stored, so equal matrices have equal rows.
+Each entry or scalar a caller hands in (from_rows, diag, scale,
+map_entries) becomes a ring element by Ring.element, the rings' one rule.
 The writers walk the rows too: matrix_json_text writes the bytes of
 json.dumps(matrix_to_json(m), indent=2) row by row, with a constant line
 per zero entry, and matrix_latex and str write "0" for one; the reader
@@ -55,14 +57,6 @@ class NotInvertibleError(ValueError):
     """Determinant is not a recognized unit."""
 
 
-def _as_entry(ring: Ring, x) -> Poly:
-    if isinstance(x, Poly):
-        if x.ring is not ring and x.ring != ring:
-            raise RingMismatchError(f"entry over {x.ring}, matrix over {ring}")
-        return x
-    return ring.const(x)
-
-
 class Matrix(Frozen):
     def __init__(self, ring: Ring, rows: int, cols: int, nonzero: tuple):
         _set(self, "ring", ring)
@@ -88,7 +82,7 @@ class Matrix(Frozen):
         for r in rows:
             if len(r) != nc:
                 raise ValueError(f"a row of length {len(r)} in a matrix of {nc} columns")
-            out.append(_nonzero(enumerate(_as_entry(ring, x) for x in r)))
+            out.append(_nonzero(enumerate(map(ring.element, r))))
         return Matrix(ring, nr, nc, tuple(out))
 
     @staticmethod
@@ -103,7 +97,7 @@ class Matrix(Frozen):
     @staticmethod
     def diag(ring: Ring, elems: Sequence) -> "Matrix":
         n = len(elems)
-        return Matrix(ring, n, n, tuple(_nonzero([(i, _as_entry(ring, e))])
+        return Matrix(ring, n, n, tuple(_nonzero([(i, ring.element(e))])
                                         for i, e in enumerate(elems)))
 
     @cached_property
@@ -175,7 +169,7 @@ class Matrix(Frozen):
         return Matrix(ring, self.rows, other.cols, tuple(out))
 
     def scale(self, u) -> "Matrix":
-        return self.map_entries(_as_entry(self.ring, u).__mul__, self.ring)
+        return self.map_entries(self.ring.element(u).__mul__, self.ring)
 
     def transpose(self) -> "Matrix":
         cols = [{} for _ in range(self.cols)]
@@ -351,8 +345,9 @@ class Matrix(Frozen):
         """The matrix of f(a) over ring, for an additive f, so f(0) = 0: f
         is applied to the nonzero entries only.  The one entrywise map of
         one matrix (scale and the homomorphisms)."""
+        element = ring.element
         return Matrix(ring, self.rows, self.cols, tuple(
-            _nonzero((j, _as_entry(ring, f(a))) for j, a in r.items()) for r in self.nonzero))
+            _nonzero((j, element(f(a))) for j, a in r.items()) for r in self.nonzero))
 
     def into(self, ring: Ring) -> "Matrix":
         return self.map_entries(lambda a: a.into(ring), ring)

@@ -18,8 +18,10 @@ Quotients (eps^2 = 0, sigma^4 = 1, mod-2 coefficients, t-degree truncation)
 are enforced by normalization after every operation.  Polynomials are kept
 in canonical form: no zero coefficients, fixed variable order, so equality
 is literal equality of term maps.  Poly(ring, terms) is the one constructor;
-outside input is checked where it enters (poly_terms_from_json for JSON,
-Ring.const for a scalar).  Every product is summed by Ring.products, the
+outside input is checked where it enters, one rule per decision:
+poly_terms_from_json for JSON terms, Ring.element for a Python value (a Poly
+of the ring, an int, a Fraction or a base element), Var and Ring for a
+variable list.  Every product is summed by Ring.products, the
 generated kernel for the ring's exponent arity (_product_kernel): in
 Poly.__mul__, in matrices on each matrix's cleared term maps, and in
 words.eval_word on the entries' term maps; the generated source depends on
@@ -311,6 +313,10 @@ class Var(_VarFields):
         if trunc is not None and (type(trunc) is not int or trunc < 1 or laurent):
             raise ValueError(f"variable {name}: trunc must be an integer >= 1 on a non-Laurent "
                              f"variable, got trunc={trunc!r}, laurent={laurent!r}")
+        if type(name) is not str or type(laurent) is not bool:
+            raise ValueError(f"variable name must be a string and laurent a bool, got "
+                             f"name={json.dumps(name, default=repr)}, "
+                             f"laurent={json.dumps(laurent, default=repr)}")
         return tuple.__new__(cls, (name, laurent, trunc))
 
     # NamedTuple's _make, behind _replace too, would skip the check
@@ -329,6 +335,11 @@ class Frozen:
 
 class Ring(Frozen):
     def __init__(self, base: str, vars: tuple[Var, ...] = ()):
+        names = set()
+        for v in vars:
+            if v.name in names:
+                raise ValueError(f"variable {v.name} is declared twice")
+            names.add(v.name)
         if base not in BASE:
             raise ValueError(f"unknown base ring {base!r}")
         object.__setattr__(self, "base", base)
@@ -384,15 +395,28 @@ class Ring(Frozen):
                 return k
         raise KeyError(f"no variable {name!r} in {self}")
 
+    def element(self, x) -> "Poly":
+        """x as an element of this ring, the one rule for a Python value: a
+        Poly over the ring as it is, a Poly over another ring refused, and
+        any other value the constant x (const)."""
+        if isinstance(x, Poly):
+            if x.ring is not self and x.ring != self:
+                raise RingMismatchError(f"{x.ring} vs {self}")
+            return x
+        return self.const(x)
+
     def const(self, c) -> "Poly":
-        """The constant c: an int, an element of the base, or a Fraction,
-        which off Q must be integral."""
+        """The constant c, which is an int (not a bool), a Fraction, which
+        off Q must be integral, or an element of the base: the values the
+        JSON reader admits.  Any other value raises TypeError."""
         if type(c) is Fraction:
             c = rational(c)
             if type(c) is Fraction and self.base != "Q":
                 raise ValueError(f"the rational {c} is not in the base {self.base}")
-        if isinstance(c, int):
+        if type(c) is int:
             c = self.ops.from_int(c)
+        elif type(c) is not type(self.ops.one) and type(c) is not Fraction:
+            raise TypeError(f"{c!r} is not an element of the base {self.base}")
         return Poly(self, {(0,) * len(self.vars): c})
 
     @cached_property
@@ -439,7 +463,7 @@ class Poly:
         """The Poly of a term map whose exponent vectors are tuples of the
         ring's length, with no negative power of an ordinary variable, and
         whose coefficients lie in the base (JSON input is checked by
-        poly_terms_from_json, a scalar is coerced by Ring.const): zero
+        poly_terms_from_json, a Python value by Ring.element): zero
         coefficients and exponents >= trunc are dropped, and F2 coefficients
         (int arithmetic) reduced mod 2.  The Poly takes terms as its own, so
         the caller hands over a map nothing else holds; a second map is
@@ -473,22 +497,21 @@ class Poly:
         return next(self._terms_outside_nilradical(), None) is None
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise RingMismatchError(f"{other.ring} vs {self.ring}")
-            return other
-        if isinstance(other, (int, Fraction, CoeffAlgebra)):
-            return self.ring.const(other)
-        return None
+        """other as an element of self's ring (Ring.element), or None for a
+        value that is not one, so the operator returns NotImplemented."""
+        try:
+            return self.ring.element(other)
+        except TypeError:
+            return None
 
     def __eq__(self, other):
         if other is self:
             return True
-        o = self._coerce(other) if not isinstance(other, Poly) else other
-        if o is None:
+        try:
+            other = self.ring.element(other)
+        except (TypeError, ValueError):  # not an element of this ring
             return NotImplemented
-        return ((self.ring is o.ring or self.ring == o.ring)
-                and self.terms == o.terms)
+        return self.terms == other.terms
 
     # -- arithmetic
 
@@ -816,16 +839,8 @@ def ring_to_json(ring: Ring) -> dict:
 
 
 def ring_from_json(j: dict) -> Ring:
-    vs = tuple(Var(v["name"], v.get("laurent", False), v.get("trunc")) for v in j["vars"])
-    seen = set()
-    for v in vs:
-        if type(v.name) is not str or type(v.laurent) is not bool:
-            raise ValueError(f"variable name must be a string and laurent a bool, got "
-                             f"name={json.dumps(v.name)}, laurent={json.dumps(v.laurent)}")
-        if v.name in seen:
-            raise ValueError(f"variable {v.name} is declared twice")
-        seen.add(v.name)
-    return Ring(j["base"], vs)
+    return Ring(j["base"], tuple(Var(v["name"], v.get("laurent", False), v.get("trunc"))
+                                 for v in j["vars"]))
 
 
 def poly_terms_to_json(p: Poly) -> list:

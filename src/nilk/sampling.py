@@ -50,12 +50,6 @@ _COEFF = {
 }
 
 
-def random_coeff(rng: random.Random, base: str):
-    if base not in _COEFF:
-        raise ValueError(base)
-    return _COEFF[base](rng)
-
-
 @cache
 def _exponent_bounds(ring: Ring, max_exp: int) -> tuple[tuple[int, int], ...]:
     """(lo, hi) of each variable's exponent: -max_exp on a Laurent variable,
@@ -68,7 +62,7 @@ def _exponent_bounds(ring: Ring, max_exp: int) -> tuple[tuple[int, int], ...]:
 def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
                 max_exp: int = 3) -> Poly:
     """Up to max_terms terms, each an exponent vector in range and then a
-    coefficient from random_coeff.  Both are canonical as drawn (an
+    coefficient drawn by _COEFF.  Both are canonical as drawn (an
     integral Q coefficient is an int), as Poly requires of its terms."""
     bounds = _exponent_bounds(ring, max_exp)
     coeff = _COEFF[ring.base]

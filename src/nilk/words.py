@@ -2,7 +2,8 @@
 evaluation to matrices.
 
 A Letter is a NamedTuple (i, j, param, inverted); a StWord, a plain class on
-Frozen, holds a tuple of letters over one ring.  eval_word applies each
+Frozen, holds a tuple of letters over one ring.  word() takes each param
+through Ring.element.  eval_word applies each
 letter as a column operation on term maps with the ring's product kernel
 (Ring.products), as Matrix.__matmul__ does, and builds one Poly per changed
 entry.
@@ -64,12 +65,7 @@ class StWord(Frozen):
 
 
 def word(ring: Ring, letters: Iterable[tuple[int, int, object]]) -> StWord:
-    out = []
-    for i, j, a in letters:
-        if not isinstance(a, Poly):
-            a = ring.const(a)
-        out.append(Letter(i, j, a))
-    return StWord(ring, tuple(out))
+    return StWord(ring, tuple(Letter(i, j, ring.element(a)) for i, j, a in letters))
 
 
 def eval_word(w: StWord, n: int) -> Matrix:

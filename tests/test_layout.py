@@ -1,7 +1,7 @@
 """The module layout of src/nilk, read with ast: the two constructions share
 only the ledger, matrices is linear algebra alone, no module imports or
-reads another's private names, the CLI writes stderr in `main` alone, and
-no module imports dataclasses."""
+reads another's private names, the CLI writes stderr in `main` alone, no
+module imports dataclasses, and only rings asks whether a value is a Poly."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,11 @@ def test_only_cli_main_writes_stderr():
                for node in ast.walk(fn)
                if isinstance(node, ast.Attribute) and node.attr == "stderr"}
     assert writers == {"main"}
+
+
+def test_only_rings_asks_whether_a_value_is_a_poly():
+    # which Python value becomes a ring element is Ring.element's decision
+    askers = [name for name, tree in SOURCES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and "Poly" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
+    assert set(askers) <= {"rings"}

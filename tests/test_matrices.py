@@ -16,7 +16,7 @@ from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
                            matrix_from_json, matrix_json_text, matrix_latex, matrix_to_json)
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
-                        Q_TZ, Z4_X, ZI_X, DualF2, GroupRingZ4, Poly,
+                        Q_TZ, Z4_X, ZI_X, DualF2, GaussianInt, GroupRingZ4, Poly,
                         Ring, RingMismatchError, Var, poly_latex, poly_terms_from_json,
                         poly_terms_to_json, ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
@@ -543,8 +543,8 @@ def test_product_against_reference(ring):
 
 def q_entry(rng, ring, kind):
     """A random entry over ring whose Q coefficients are ints ("int"),
-    random_coeff's mix of int and Fraction ("mixed"), or Fractions of
-    denominator 1 ("fraction_1"); over another base, random_coeff's."""
+    random_poly's mix of int and Fraction ("mixed"), or Fractions of
+    denominator 1 ("fraction_1"); over another base, random_poly's."""
     p = random_poly(rng, ring, 3, 2)
     if kind == "mixed" or ring.base != "Q":
         return p
@@ -611,7 +611,7 @@ def test_each_matrix_is_cleared_once(monkeypatch):
 Q2, Q3, Q23 = Matrix.identity(Q_TS, 2), Matrix.identity(Q_TS, 3), Matrix.zeros(Q_TS, 2, 3)
 GUARDS = {
     "entry_ring": (lambda: Matrix.from_rows(Q_TS, [[ZI_X.one()]]),
-                   RingMismatchError, "entry over Zi[x], matrix over Q[t,s]"),
+                   RingMismatchError, "Zi[x] vs Q[t,s]"),
     "ragged_rows": (lambda: Matrix.from_rows(Q_TS, [[1, 2], [3]]),
                     ValueError, "a row of length 1 in a matrix of 2 columns"),
     "operand_ring": (lambda: Q2 + Matrix.identity(ZI_X, 2), RingMismatchError, "Q[t,s] vs Zi[x]"),
@@ -634,6 +634,48 @@ def test_shape_and_ring_guards(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+# Ring.element is the one rule for a Python value: every entry point that
+# takes one refuses what is neither an int, a Fraction nor the base's element
+ENTRY_POINTS = {
+    "const": lambda ring, x: ring.const(x),
+    "from_rows": lambda ring, x: Matrix.from_rows(ring, [[x]]),
+    "diag": lambda ring, x: Matrix.diag(ring, [1, x]),
+    "scale": lambda ring, x: Matrix.identity(ring, 2).scale(x),
+    "word": lambda ring, x: word(ring, [(1, 2, x)]),
+}
+FOREIGN_VALUES = {"float": (Q_TS, 1.5), "bool": (Q_TS, True), "str": (Q_TS, "1"),
+                  "gauss_over_Q": (Q_TS, GaussianInt(1, 0)),
+                  "dual_over_Zi": (ZI_X, DualF2(1, 0))}
+
+
+@pytest.mark.parametrize("value", FOREIGN_VALUES)
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_entry_points_refuse_a_foreign_value(entry_point, value):
+    ring, x = FOREIGN_VALUES[value]
+    with pytest.raises(TypeError) as raised:
+        ENTRY_POINTS[entry_point](ring, x)
+    assert str(raised.value) == f"{x!r} is not an element of the base {ring.base}"
+
+
+SCALARS = [0, 1, -3, True, False, 1.5, 2.0, "1", None, Fraction(1, 2), Fraction(4, 2),
+           GaussianInt(1, 2), GroupRingZ4(1, 0, -1, 2), DualF2(1, 1), Q_TS.var("t"),
+           ZI_X.var("x")]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_every_accepted_matrix_round_trips_through_json(ring):
+    # what the Python API builds, the JSON reader reads back
+    accepted = 0
+    for x in SCALARS:
+        try:
+            m = Matrix.from_rows(ring, [[x, ring.one()], [0, x]])
+        except (TypeError, ValueError):
+            continue
+        accepted += 1
+        assert matrix_from_json(json.loads(json.dumps(matrix_to_json(m)))) == m
+    assert accepted >= 4  # 0, 1, -3 and Fraction(4, 2) on every base
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

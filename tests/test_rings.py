@@ -14,7 +14,7 @@ from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGM
                         hom_apply, ideal_member, poly_latex, poly_terms_from_json, poly_terms_to_json,
                         psi, rho, ring_from_json, ring_to_json,
                         rational, subring_member, truncate_t2)
-from nilk.sampling import random_coeff, random_poly
+from nilk.sampling import randint, random_poly
 
 from helpers import assert_canonical, reference_try_invert
 
@@ -418,6 +418,15 @@ GUARDS = {
                       "the rational 1/2 is not in the base Zi"),
     "z4_plus_third": (lambda: Z4_X.one() + Fraction(2, 3), ValueError,
                       "the rational 2/3 is not in the base Z4"),
+    "q_plus_gauss": (lambda: Q_TS.var("t") + GaussianInt(1, 0), TypeError,
+                     "unsupported operand type(s) for +: 'Poly' and 'GaussianInt'"),
+    "repeated_var": (lambda: Ring("Q", (Var("t"), Var("t"))), ValueError,
+                     "variable t is declared twice"),
+    "extend_by_a_declared_var": (lambda: Q_TSZ.extend(Var("z", laurent=True)), ValueError,
+                                 "variable z is declared twice"),
+    "laurent_not_bool": (lambda: Var("t", laurent="no"), ValueError,
+                         'variable name must be a string and laurent a bool, '
+                         'got name="t", laurent="no"'),
 }
 
 
@@ -430,6 +439,8 @@ def test_ring_guards(call, error, message):
 
 def test_poly_is_not_equal_to_a_foreign_value():
     assert (Q_TS.one() == "x") is False and (Q_TS.one() != "x") is True
+    # a rational outside the base is no constant of the ring either
+    assert (ZI_X.one() == Fraction(1, 2)) is False and (ZI_X.one() != Fraction(1, 2)) is True
 
 
 # -- ideals and subring
@@ -539,7 +550,7 @@ def _random_unit_monomial(rng: random.Random, ring: Ring) -> Poly:
     if ring.base == "Q":
         c = 0
         while not c:
-            c = random_coeff(rng, "Q")
+            c = rational(Fraction(randint(rng, -6, 6), randint(rng, 1, 4)))
     else:
         box, units = ALGEBRA_BOXES[ring.base]
         c = rng.choice([u for u in box if _coords(u) in units])

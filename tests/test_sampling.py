@@ -12,7 +12,7 @@ import pytest
 
 from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
                         poly_terms_to_json)
-from nilk.sampling import choice, randint, random_coeff, random_poly
+from nilk.sampling import choice, randint, random_poly
 
 from helpers import assert_canonical
 
@@ -81,9 +81,3 @@ def test_randint_rejects_an_empty_range():
     # Random.randint raises here too; the rejection loop would never end
     with pytest.raises(ValueError, match="empty range"):
         randint(random.Random(0), 3, 2)
-
-
-def test_random_coeff_rejects_an_unknown_base():
-    with pytest.raises(ValueError) as raised:
-        random_coeff(random.Random(0), "R")
-    assert type(raised.value) is ValueError and str(raised.value) == "R"
