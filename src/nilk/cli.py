@@ -57,7 +57,9 @@ def _emit_matrix(m: Matrix, out: Path, name: str, emit: str) -> None:
     try:
         text = matrix_latex(m) if emit == "latex" else matrix_json_text(m)
     except ValueError as e:  # an int past sys.get_int_max_str_digits()
-        raise _BadInput(f"cannot write {name}: {e}") from e
+        # Python words this limit differently from version to version
+        raise _BadInput(f"cannot write {name}: an integer has more than "
+                        f"{sys.get_int_max_str_digits()} digits") from e
     _write(out / f"{name}.{'tex' if emit == 'latex' else 'json'}", text + "\n")
 
 
@@ -104,7 +106,7 @@ def _read_matrix(path: str, parse=_square) -> Matrix:
 def _higman_input(j, ring) -> Matrix:
     """A nonempty square matrix over a ring with s and t; the ring is
     checked before any entry is parsed."""
-    m = _square(j, ring) if {"s", "t"} <= {v.name for v in ring.vars} else None
+    m = _square(j, ring) if {"s", "t"} <= set(ring.names) else None
     if m is None or m.rows == 0:
         raise _BadInput("higman needs a nonempty matrix over a ring with the variables s and t")
     return m

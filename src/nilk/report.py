@@ -193,14 +193,18 @@ def suite_ring_axioms(cases: int, seed: int) -> int:
 
 
 def suite_hom_multiplicative(cases: int, seed: int) -> int:
-    def case(rng, name, ring, target):
+    # hom(1) = 1 draws nothing, so it is decided once per domain and its
+    # verdict counts in every case of the domain
+    def case(rng, name, ring, unit_fails):
         a, b = random_poly(rng, ring), random_poly(rng, ring)
         ha, hb = hom_apply(name, a), hom_apply(name, b)
         return ((hom_apply(name, a * b) != ha * hb)
                 + (hom_apply(name, a + b) != ha + hb)
-                + (hom_apply(name, ring.one()) != target.one()))
-    return _suite(seed, cases, case, [("pi_t2", Q_TS, Q_TS_MOD_T2),
-                                      ("psi", Z4_X, ZI_X), ("rho", ZI_X, F2E_X)])
+                + unit_fails)
+    return _suite(seed, cases, case, [
+        (name, ring, hom_apply(name, ring.one()) != target.one())
+        for name, ring, target in (("pi_t2", Q_TS, Q_TS_MOD_T2), ("psi", Z4_X, ZI_X),
+                                   ("rho", ZI_X, F2E_X))])
 
 
 def suite_ideal_closure(cases: int, seed: int) -> int:

@@ -59,7 +59,11 @@ class CoeffAlgebra:
     """Base of the coefficient algebras: subclasses name their coordinates
     in __slots__ and write __add__, __neg__, __mul__, __eq__, __bool__ and
     __str__ on those slots, whose operands are elements of the same algebra
-    (Ring.const turns an int into one).  Two elements are equal when they
+    (Ring.const turns an int into one); + and * return NotImplemented for
+    an operand they cannot read, so a Poly on the right takes the operation
+    (Poly.__radd__, Poly.__rmul__) and any other value ends in TypeError.
+    Each is a try around the one expression, which costs nothing when it
+    does not raise.  Two elements are equal when they
     have the same type and coordinates, and an element is false exactly
     when it is zero.  F2[eps] has four values, each one shared instance, so
     it keeps object's identity __eq__, and its + and * are lookups in a
@@ -102,14 +106,20 @@ class GaussianInt(CoeffAlgebra):
         return self.re != 0 or self.im != 0
 
     def __add__(self, o):
-        return GaussianInt(self.re + o.re, self.im + o.im)
+        try:
+            return GaussianInt(self.re + o.re, self.im + o.im)
+        except AttributeError:  # not a Gaussian integer: Poly.__radd__ may take it
+            return NotImplemented
 
     def __neg__(self):
         return GaussianInt(-self.re, -self.im)
 
     def __mul__(self, o):
-        return GaussianInt(self.re * o.re - self.im * o.im,
-                           self.re * o.im + self.im * o.re)
+        try:
+            return GaussianInt(self.re * o.re - self.im * o.im,
+                               self.re * o.im + self.im * o.re)
+        except AttributeError:
+            return NotImplemented
 
     def __str__(self):
         return f"({self.re}{self.im:+}i)"
@@ -135,15 +145,21 @@ class GroupRingZ4(CoeffAlgebra):
         return self.c0 != 0 or self.c1 != 0 or self.c2 != 0 or self.c3 != 0
 
     def __add__(self, o):
-        return GroupRingZ4(self.c0 + o.c0, self.c1 + o.c1,
-                           self.c2 + o.c2, self.c3 + o.c3)
+        try:
+            return GroupRingZ4(self.c0 + o.c0, self.c1 + o.c1,
+                               self.c2 + o.c2, self.c3 + o.c3)
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self):
         return GroupRingZ4(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __mul__(self, o):
         a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
-        b0, b1, b2, b3 = o.c0, o.c1, o.c2, o.c3
+        try:
+            b0, b1, b2, b3 = o.c0, o.c1, o.c2, o.c3
+        except AttributeError:
+            return NotImplemented
         return GroupRingZ4(a0 * b0 + a1 * b3 + a2 * b2 + a3 * b1,
                            a0 * b1 + a1 * b0 + a2 * b3 + a3 * b2,
                            a0 * b2 + a1 * b1 + a2 * b0 + a3 * b3,
@@ -177,13 +193,19 @@ class DualF2(CoeffAlgebra):
         return self.a != 0 or self.b != 0
 
     def __add__(self, o):
-        return _DUAL_SUM[self][o]
+        try:
+            return _DUAL_SUM[self][o]
+        except (KeyError, TypeError):  # not one of the four (a Poly is unhashable)
+            return NotImplemented
 
     def __neg__(self):
         return self
 
     def __mul__(self, o):
-        return _DUAL_PRODUCT[self][o]
+        try:
+            return _DUAL_PRODUCT[self][o]
+        except (KeyError, TypeError):
+            return NotImplemented
 
     def __str__(self):
         return {(0, 0): "0", (1, 0): "1", (0, 1): "ε", (1, 1): "(1+ε)"}[self.coords]
@@ -335,15 +357,17 @@ class Frozen:
 
 class Ring(Frozen):
     def __init__(self, base: str, vars: tuple[Var, ...] = ()):
-        names = set()
-        for v in vars:
-            if v.name in names:
-                raise ValueError(f"variable {v.name} is declared twice")
-            names.add(v.name)
+        names = tuple(v.name for v in vars)
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"variable {name} is declared twice")
         if base not in BASE:
             raise ValueError(f"unknown base ring {base!r}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "vars", vars)
+        # the variable names in order, computed once: index and the
+        # homomorphisms read them per call
+        object.__setattr__(self, "names", names)
         # the one zero, built with the ring: reading zero() never builds a Poly
         object.__setattr__(self, "_zero", Poly(self, {}))
         # the hash, computed once: the caches keyed by a ring hash it per call
@@ -390,10 +414,10 @@ class Ring(Frozen):
         return sum(t - 1 for _, t in self.truncated) + (self.base == "F2e") + 1
 
     def index(self, name: str) -> int:
-        for k, v in enumerate(self.vars):
-            if v.name == name:
-                return k
-        raise KeyError(f"no variable {name!r} in {self}")
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"no variable {name!r} in {self}") from None
 
     def element(self, x) -> "Poly":
         """x as an element of this ring, the one rule for a Python value: a
@@ -648,7 +672,7 @@ class Poly:
 
     def coefficient_map(self, f: Callable, target: Ring) -> "Poly":
         """Apply f to every coefficient, reinterpreting in target (same vars)."""
-        if [v.name for v in target.vars] != [v.name for v in self.ring.vars]:
+        if target.names != self.ring.names:
             raise RingMismatchError("coefficient_map requires identical variables")
         return Poly(target, {e: f(c) for e, c in self.terms.items()})
 
@@ -657,7 +681,7 @@ class Poly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        names = [v.name for v in self.ring.vars]
+        names = self.ring.names
         parts = []
         for exps, c in sorted(self.terms.items()):
             factors = [f"{n}^{e}" if e != 1 else n
@@ -736,14 +760,16 @@ def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:
 @cache
 def _hom_target(src: Ring, base: str, t_trunc: Optional[int] = None) -> Ring:
     """src's variables over base, t truncated at t_trunc when given (or lower,
-    as src has it): one target ring per source for truncate_t2, psi and rho."""
+    as src has it): one target ring per source for truncate_t2, psi and rho.
+    A t_trunc asks for a t: a src without one raises KeyError."""
+    if t_trunc is not None:
+        src.index("t")
     return Ring(base, tuple(Var(v.name, v.laurent, min(v.trunc or t_trunc, t_trunc))
                             if v.name == "t" and t_trunc else v for v in src.vars))
 
 
 def truncate_t2(p: Poly) -> Poly:
     """Quotient map from Q[t,...] or Q[t<n,...] onto the t-degree < 2 form."""
-    p.ring.index("t")  # a ring without t raises KeyError
     return Poly(_hom_target(p.ring, p.ring.base, 2), dict(p.terms))
 
 
@@ -871,7 +897,7 @@ def poly_terms_from_json(ring: Ring, j: list) -> Poly:
 def poly_latex(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    names = [v.name for v in p.ring.vars]
+    names = p.ring.names
     coeff, one = p.ring.ops.latex, p.ring.ops.one
     parts = []
     for exps, c in sorted(p.terms.items()):

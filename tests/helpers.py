@@ -1,18 +1,21 @@
 """Shared test utilities: the canonical-form and sparse-storage checks, a
-candidate-loop unit recognition, a dense product and elementary matrices
+random_poly drawn one randint at a time, a candidate-loop unit recognition, a dense product and elementary matrices
 as references, the dense-view JSON, LaTeX and str forms of a matrix as
 references for its row-walking writers, direct sums entry by entry,
 matrices as witness files hold them, and conversion to sympy for
 independent cross-checks."""
 
 import json
+import random
 from fractions import Fraction
 from typing import Optional
 
 import sympy as sp
 
-from nilk.rings import BASE, GaussianInt, Poly, Ring, poly_latex
+from nilk.rings import (BASE, DualF2, GaussianInt, GroupRingZ4, Poly, Ring, poly_latex,
+                        rational)
 from nilk.matrices import Matrix, matrix_to_json
+from nilk.sampling import randint
 
 
 def assert_canonical(p: Poly):
@@ -45,6 +48,34 @@ def assert_sparse(m: Matrix):
             assert_canonical(a)
         assert len(dense) == m.cols
         assert {j: a for j, a in enumerate(dense) if not a.is_zero()} == row
+
+
+# one coefficient over each base, drawn coordinate by coordinate in order
+_REFERENCE_COEFF = {
+    "Q": lambda rng: rational(Fraction(randint(rng, -6, 6), randint(rng, 1, 4))),
+    "Z": lambda rng: randint(rng, -6, 6),
+    "Zi": lambda rng: GaussianInt(randint(rng, -4, 4), randint(rng, -4, 4)),
+    "Z4": lambda rng: GroupRingZ4(randint(rng, -3, 3), randint(rng, -3, 3),
+                                  randint(rng, -3, 3), randint(rng, -3, 3)),
+    "F2": lambda rng: randint(rng, 0, 1),
+    "F2e": lambda rng: DualF2(randint(rng, 0, 1), randint(rng, 0, 1)),
+}
+
+
+def reference_random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
+                          max_exp: int = 3) -> Poly:
+    """random_poly one randint at a time: a term count, then per term the
+    exponents (-max_exp on a Laurent variable, else 0, up to max_exp and
+    below the truncation) and the coefficient.  The reference for the
+    generated drawer of sampling.random_poly."""
+    bounds = [(-max_exp if v.laurent else 0,
+               min(max_exp, v.trunc - 1) if v.trunc is not None else max_exp)
+              for v in ring.vars]
+    terms = {}
+    for _ in range(randint(rng, 0, max_terms)):
+        exps = tuple([randint(rng, lo, hi) for lo, hi in bounds])
+        terms[exps] = _REFERENCE_COEFF[ring.base](rng)
+    return Poly(ring, terms)
 
 
 def reference_try_invert(p: Poly) -> Optional[Poly]:

@@ -4,13 +4,16 @@ operation it checks is broken."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from nilk import laurent_pipeline as lp
-from nilk import report
+from nilk import report, rings
 from nilk.matrices import Matrix
-from nilk.rings import Poly, poly_terms_to_json
+from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Z4_X, ZI_X, Poly, hom_apply,
+                        poly_terms_to_json)
+from nilk.sampling import random_poly
 from nilk.words import StWord
 
 # sha256 of the operands each suite draws at its report seed and 60 cases:
@@ -104,3 +107,45 @@ def test_suite_detects_a_planted_fault(monkeypatch, suite):
     owner, name, broken = FAULTS[suite]
     monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
     assert run(30, seed) > 0
+
+
+HOM_DOMAINS = (("pi_t2", Q_TS, Q_TS_MOD_T2), ("psi", Z4_X, ZI_X), ("rho", ZI_X, F2E_X))
+
+
+def _hom_failures_case_by_case(cases: int, seed: int) -> int:
+    """suite_hom_multiplicative with hom(1) = 1 checked in every case."""
+    rng = random.Random(seed)
+    per, extra = divmod(cases, len(HOM_DOMAINS))
+    fails = 0
+    for k, (name, ring, target) in enumerate(HOM_DOMAINS):
+        for _ in range(per + (k < extra)):
+            a, b = random_poly(rng, ring), random_poly(rng, ring)
+            ha, hb = hom_apply(name, a), hom_apply(name, b)
+            fails += ((hom_apply(name, a * b) != ha * hb) + (hom_apply(name, a + b) != ha + hb)
+                      + (hom_apply(name, ring.one()) != target.one()))
+    return fails
+
+
+def _times_zero(hom):
+    # additive and multiplicative, but hom(1) = 0
+    return lambda p: hom(p) * 0
+
+
+def _doubles_nonconstant_terms(hom):
+    # additive with hom(1) = 1, but x^2 goes to 2x^2 where (2x)^2 = 4x^2
+    def broken(p):
+        q = hom(p)
+        return Poly(q.ring, {e: c + c if any(e) else c for e, c in q.terms.items()})
+    return broken
+
+
+@pytest.mark.parametrize("name, plant, fails", [
+    ("pi_t2", _times_zero, 334), ("psi", _times_zero, 333), ("rho", _times_zero, 333),
+    ("psi", _doubles_nonconstant_terms, None)])
+def test_hom_of_one_counts_in_every_case(monkeypatch, name, plant, fails):
+    # hom(1) is decided once per domain; the failure count is still the sum
+    # over the cases, as a loop deciding it in every case counts it
+    monkeypatch.setitem(rings.HOMS, name, plant(rings.HOMS[name]))
+    expected = _hom_failures_case_by_case(1000, 2)
+    assert report.suite_hom_multiplicative(1000, 2) == expected > 0
+    assert fails is None or expected == fails

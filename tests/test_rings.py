@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -420,6 +421,18 @@ GUARDS = {
                       "the rational 2/3 is not in the base Z4"),
     "q_plus_gauss": (lambda: Q_TS.var("t") + GaussianInt(1, 0), TypeError,
                      "unsupported operand type(s) for +: 'Poly' and 'GaussianInt'"),
+    "gauss_times_z4_poly": (lambda: GaussianInt(0, 1) * Z4_X.var("x"), TypeError,
+                            "unsupported operand type(s) for *: 'GaussianInt' and 'Poly'"),
+    "z4_plus_zi_poly": (lambda: GroupRingZ4(0, 1) + ZI_X.var("x"), TypeError,
+                        "unsupported operand type(s) for +: 'GroupRingZ4' and 'Poly'"),
+    "dual_times_q_poly": (lambda: DualF2(0, 1) * Q_TS.var("t"), TypeError,
+                          "unsupported operand type(s) for *: 'DualF2' and 'Poly'"),
+    "gauss_plus_z4": (lambda: GaussianInt(0, 1) + GroupRingZ4(0, 1), TypeError,
+                      "unsupported operand type(s) for +: 'GaussianInt' and 'GroupRingZ4'"),
+    "z4_times_gauss": (lambda: GroupRingZ4(0, 1) * GaussianInt(0, 1), TypeError,
+                       "unsupported operand type(s) for *: 'GroupRingZ4' and 'GaussianInt'"),
+    "dual_plus_int": (lambda: DualF2(0, 1) + 1, TypeError,
+                      "unsupported operand type(s) for +: 'DualF2' and 'int'"),
     "repeated_var": (lambda: Ring("Q", (Var("t"), Var("t"))), ValueError,
                      "variable t is declared twice"),
     "extend_by_a_declared_var": (lambda: Q_TSZ.extend(Var("z", laurent=True)), ValueError,
@@ -435,6 +448,21 @@ def test_ring_guards(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+# a base element that is not the constant 1 or 0, over each coefficient algebra
+ALGEBRA_ELEMENTS = {"Zi": (ZI_X, GaussianInt(0, 1)), "Z4": (Z4_X, GroupRingZ4(0, 1, 0, 0)),
+                    "F2e": (F2E_X, DualF2(0, 1))}
+
+
+@pytest.mark.parametrize("base", sorted(ALGEBRA_ELEMENTS))
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+def test_a_base_element_on_the_left_of_a_poly(base, op):
+    # the algebra's operator gives way, and Poly's reflected one takes c
+    ring, c = ALGEBRA_ELEMENTS[base]
+    p = ring.var("x") + ring.one()
+    assert op(c, p) == op(p, c) == op(ring.const(c), p)
+    assert op(c, p).ring is ring
 
 
 def test_poly_is_not_equal_to_a_foreign_value():

@@ -1,8 +1,9 @@
 """The random suites' draws are part of the report: a suite's seed and case
 count name its cases only while random_poly draws the same sequence.  The
 draws replay Random.randint and Random.choice through randint and choice,
-which run CPython's _randbelow_with_getrandbits on rng.getrandbits; the
-digests below hold on Python 3.10 to 3.13, as CI runs them."""
+which run CPython's _randbelow_with_getrandbits on rng.getrandbits, and
+random_poly's generated drawer makes the getrandbits calls randint would;
+the digests below hold on Python 3.10 to 3.13, as CI runs them."""
 
 import hashlib
 import json
@@ -10,11 +11,11 @@ import random
 
 import pytest
 
-from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
+from nilk.rings import (F2E_X, F2_X, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X, Ring, Var,
                         poly_terms_to_json)
 from nilk.sampling import choice, randint, random_poly
 
-from helpers import assert_canonical
+from helpers import assert_canonical, reference_random_poly
 
 # sha256 of the JSON terms of the first 200 draws at seed 2024, for each
 # (ring, max_terms, max_exp) the suites and tests draw with
@@ -40,6 +41,31 @@ def test_draw_sequence_pinned(case):
     draws = [poly_terms_to_json(random_poly(rng, RINGS[name], max_terms, max_exp))
              for _ in range(200)]
     assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == DRAWS_SHA256[case]
+
+
+# every base, a Laurent variable (a negative lower bound) and truncations at
+# 1 (the exponent's width is 1) and 2
+DRAWER_RINGS = {**RINGS, "F2_X": F2_X,
+                "Z_laurent": Ring("Z", (Var("x", laurent=True),)),
+                "Zi_trunc_1_2": Ring("Zi", (Var("t", trunc=1), Var("u", trunc=2)))}
+
+
+@pytest.mark.parametrize("ring", DRAWER_RINGS.values(), ids=DRAWER_RINGS)
+def test_drawer_replays_the_randint_reference(ring):
+    # the same terms, and the generator left in the same state, draw for draw
+    for shape in ((0, 0), (0, 3), (1, 0), (2, 2), (3, 3), (3, 5)):
+        for seed in (0, 1):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(300):
+                p, q = random_poly(ours, ring, *shape), reference_random_poly(theirs, ring, *shape)
+                assert list(p.terms.items()) == list(q.terms.items()), shape
+                assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+            assert ours.getstate() == theirs.getstate(), shape
+
+
+def test_drawer_rejects_an_empty_range():
+    with pytest.raises(ValueError, match=r"empty range \[0, -1\]"):
+        random_poly(random.Random(0), Q_TS, -1)
 
 
 def test_draws_are_canonical():
