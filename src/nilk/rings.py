@@ -10,22 +10,23 @@ a handful of exact coefficient domains:
     F2   field with two elements
     F2e  dual numbers over F2:  a + b*eps, eps^2 = 0
 
-F2[eps] has four values, each one shared DualF2 instance, and its + and *
-are lookups in a table of the four; the other algebras test zero and
-equality on their coordinate slots.
+F2[eps] has four values, each one shared DualF2 instance: its + and * are
+lookups in a table of the four, and its zero test is identity with the
+shared zero; the other algebras test zero and equality on their slots.
 
 Quotients (eps^2 = 0, sigma^4 = 1, mod-2 coefficients, t-degree truncation)
-are enforced by normalization after every operation.  Polynomials are kept
-in canonical form: no zero coefficients, fixed variable order, so equality
-is literal equality of term maps.  Poly(ring, terms) is the one constructor;
-outside input is checked where it enters, one rule per decision:
+are enforced by Poly(ring, terms), the one constructor, through Ring.normal:
+one function per ring's base and truncation, generated with the base's zero
+test written in.  Polynomials are kept in canonical form: no zero
+coefficients, fixed variable order, so equality is literal equality of term
+maps.  Outside input is checked where it enters, one rule per decision:
 poly_terms_from_json for JSON terms, Ring.element for a Python value (a Poly
 of the ring, an int, a Fraction or a base element), Var and Ring for a
-variable list.  Every product is summed by Ring.products, the
-generated kernel for the ring's exponent arity (_product_kernel): in
-Poly.__mul__, in matrices on each matrix's cleared term maps, and in
-words.eval_word on the entries' term maps; the generated source depends on
-the arity only, never on a variable name.  Var and BaseOps are NamedTuples
+variable list.  Every product is summed by Ring.products, the kernel
+generated per exponent arity and base (_product_kernel): in Poly.__mul__, in
+matrices on each matrix's cleared term maps, and in words.eval_word.  Only
+ints and the fixed BASE names enter generated source, never a variable name,
+and nothing is generated at import.  Var and BaseOps are NamedTuples
 and Ring a plain class on Frozen; every nilk record is one of the two kinds.
 """
 
@@ -231,7 +232,7 @@ def int_from_json(x, what: str) -> int:
     such as 2.9 (which int() would truncate) nor true/false (whose Python
     type is a subclass of int)."""
     if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {json.dumps(x)}")
+        raise ValueError(f"{what} must be an integer, got {json.dumps(x, default=repr)}")
     return x
 
 
@@ -395,16 +396,22 @@ class Ring(Frozen):
         return tuple((k, v.trunc) for k, v in enumerate(self.vars) if v.trunc is not None)
 
     @cached_property
+    def normal(self) -> Callable[[dict], dict]:
+        """normal(terms), the canonical form of a term map of this ring: the
+        generated function for its base and truncation (_normalizer)."""
+        return _normalizer(self.base, self.truncated)
+
+    @cached_property
     def products(self) -> Callable[[dict, dict, dict], dict]:
         """products(out, xs, ys) adds the terms of xs*ys, two term maps of
-        this ring, into the term map out, in place, and returns it: the
-        generated kernel for the ring's exponent arity (_product_kernel),
-        looked up once per ring.  A sum of products is built in one map and
-        normalized once by Poly(ring, out): truncation, the mod-2 reduction
-        and dropping zeros are linear, so one pass over the sum equals one
-        pass per product.  out may hold zero coefficients and exponents
-        >= trunc until then; it is never the terms of a Poly."""
-        return _product_kernel(len(self.vars))
+        this ring, into the term map out, in place, and returns it: the kernel
+        generated for the ring's exponent arity and base (_product_kernel).  A
+        sum of products is built in one map and normalized once by Poly(ring,
+        out): truncation, the mod-2 reduction and dropping zeros are linear, so
+        one pass over the sum equals one pass per product.  out may hold zero
+        coefficients and exponents >= trunc until then; it is never the terms
+        of a Poly."""
+        return _product_kernel(len(self.vars), self.base)
 
     @cached_property
     def nilradical_exponent(self) -> int:
@@ -456,7 +463,10 @@ class Ring(Frozen):
         return self._one
 
     def var(self, name: str, power: int = 1) -> "Poly":
+        """name^power, power an exponent poly_terms_from_json admits."""
         k = self.index(name)
+        if int_from_json(power, "exponent") < 0 and not self.vars[k].laurent:
+            raise ValueError(f"negative exponent for ordinary variable {name}")
         exps = [0] * len(self.vars)
         exps[k] = power
         return Poly(self, {tuple(exps): self.ops.one})
@@ -484,23 +494,15 @@ class Poly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
-        """The Poly of a term map whose exponent vectors are tuples of the
-        ring's length, with no negative power of an ordinary variable, and
-        whose coefficients lie in the base (JSON input is checked by
-        poly_terms_from_json, a Python value by Ring.element): zero
-        coefficients and exponents >= trunc are dropped, and F2 coefficients
-        (int arithmetic) reduced mod 2.  The Poly takes terms as its own, so
-        the caller hands over a map nothing else holds; a second map is
-        built only when there is something to drop or reduce."""
-        if ring.base == "F2":
-            terms = {e: 1 for e, c in terms.items() if c % 2}
-        elif not all(terms.values()):
-            terms = {e: c for e, c in terms.items() if c}
-        trunc = ring.truncated
-        if trunc and any(e[k] >= t for e in terms for k, t in trunc):
-            terms = {e: c for e, c in terms.items() if all(e[k] < t for k, t in trunc)}
+        """The Poly of a term map with exponent vectors of the ring's length,
+        no negative power of an ordinary variable and coefficients in the base
+        (as poly_terms_from_json and Ring.element check), in normal form
+        (Ring.normal).  The Poly takes terms as its own: the caller hands over
+        a map nothing else holds, which Ring.normal copies only when there is
+        something to drop or reduce.  An empty map is normal as it is, so the
+        zero each Ring builds generates nothing."""
         self.ring = ring
-        self.terms = terms
+        self.terms = ring.normal(terms) if terms else terms
 
     # -- basics
 
@@ -715,31 +717,58 @@ def _tuple_display(items) -> str:
 
 
 @cache
-def _product_kernel(n: int) -> Callable[[dict, dict, dict], dict]:
+def _product_kernel(n: int, base: str) -> Callable[[dict, dict, dict], dict]:
     """The term-product loop of Ring.products for exponent tuples of
-    length n, as kernel(out, xs, ys) over two term maps.  Its for targets
-    unpack both exponent tuples and it writes their sum as a tuple display,
-    so the exponent sum of a term product makes no function call:
+    length n over base, as kernel(out, xs, ys) over two term maps.  Its for
+    targets unpack both exponent tuples and it writes their sum as a tuple
+    display, so the exponent sum of a term product makes no function call:
 
         for (a0, a1), c1 in xs.items():
             for (b0, b1), c2 in ys:
                 e = (a0 + b0, a1 + b1)
 
-    The source is generated once per n and depends on the integer n only;
-    no variable name enters it."""
+    Over F2[eps] the product and sum are lookups in _DUAL_PRODUCT and
+    _DUAL_SUM.  The source is generated once per (n, base) from n and whether
+    base is F2e only; no variable name enters it."""
+    dual = base == "F2e"
     src = "\n".join((
         "def kernel(out, xs, ys):",
         "    ys = ys.items()",
         f"    for {_tuple_display(f'a{k}' for k in range(n))}, c1 in xs.items():",
+        *(["        p = P[c1]"] if dual else []),
         f"        for {_tuple_display(f'b{k}' for k in range(n))}, c2 in ys:",
         f"            e = {_tuple_display(f'a{k} + b{k}' for k in range(n))}",
-        "            c = c1 * c2",
-        "            out[e] = out[e] + c if e in out else c",
+        "            c = p[c2]" if dual else "            c = c1 * c2",
+        f"            out[e] = {'S[out[e]][c]' if dual else 'out[e] + c'} if e in out else c",
         "    return out",
     ))
-    namespace = {}
-    exec(compile(src, f"<product kernel, arity {n}>", "exec"), namespace)
+    namespace = {"P": _DUAL_PRODUCT, "S": _DUAL_SUM}
+    exec(compile(src, f"<product kernel, arity {n}, base {base}>", "exec"), namespace)
     return namespace["kernel"]
+
+
+@cache
+def _normalizer(base: str, truncated: tuple[tuple[int, int], ...]) -> Callable[[dict], dict]:
+    """Ring.normal for a ring over base with the truncated (position,
+    bound) pairs, generated once per both.  normal(terms) tests each term
+    once with the base's zero test (on F2[eps] identity with the shared
+    zero, on F2 c == 1) and each bound written in, as `if not ((c.re or
+    c.im) and e[0] < t0): break` over Zi[t<n].  It returns terms itself when
+    every term stays, else one filtered copy (on F2, of c % 2 as 1).  Only
+    positions and these tests enter the source; the bounds, which may have
+    more digits than str() writes, enter through the namespace."""
+    test = {"Q": "c", "Z": "c", "Zi": "(c.re or c.im)", "Z4": "(c.c0 or c.c1 or c.c2 or c.c3)",
+            "F2e": "c is not ZERO", "F2": "c == 1"}[base]
+    bounds = [f"e[{k}] < t{k}" for k, _ in truncated]
+    keep = " and ".join([test, *bounds])
+    check = (["if all(terms.values()):"] if base in ("Q", "Z") and not bounds else
+             ["for e, c in terms.items():", f"    if not ({keep}):", "        break", "else:"])
+    value, cond = ("1", " and ".join(["c % 2", *bounds])) if base == "F2" else ("c", keep)
+    src = "\n    ".join(["def normal(terms):", *check, "    return terms",
+                         f"return {{e: {value} for e, c in terms.items() if {cond}}}"])
+    namespace = {"ZERO": _DUAL[0][0], **{f"t{k}": t for k, t in truncated}}
+    exec(compile(src, f"<normal form, {base}: {keep}>", "exec"), namespace)
+    return namespace["normal"]
 
 
 def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:

@@ -1,5 +1,6 @@
 """Shared test utilities: the canonical-form and sparse-storage checks, a
-random_poly drawn one randint at a time, a candidate-loop unit recognition, a dense product and elementary matrices
+random_poly drawn one randint at a time, the generic normal form, a
+candidate-loop unit recognition, a dense product and elementary matrices
 as references, the dense-view JSON, LaTeX and str forms of a matrix as
 references for its row-walking writers, direct sums entry by entry,
 matrices as witness files hold them, and conversion to sympy for
@@ -76,6 +77,21 @@ def reference_random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,
         exps = tuple([randint(rng, lo, hi) for lo, hi in bounds])
         terms[exps] = _REFERENCE_COEFF[ring.base](rng)
     return Poly(ring, terms)
+
+
+def reference_normal(ring: Ring, terms: dict) -> dict:
+    """The normal form by the generic rule, one truth test per coefficient
+    and nested generators for the truncation: F2 coefficients reduced mod
+    2, zero coefficients and exponents >= trunc dropped.  The reference for
+    the generated Ring.normal."""
+    if ring.base == "F2":
+        terms = {e: 1 for e, c in terms.items() if c % 2}
+    elif not all(terms.values()):
+        terms = {e: c for e, c in terms.items() if c}
+    trunc = ring.truncated
+    if trunc and any(e[k] >= t for e in terms for k, t in trunc):
+        terms = {e: c for e, c in terms.items() if all(e[k] < t for k, t in trunc)}
+    return terms
 
 
 def reference_try_invert(p: Poly) -> Optional[Poly]:

@@ -71,6 +71,7 @@ def test_ring_hash_and_caches():
     assert hash(ts) == hash(ts) == hash(Ring("Q", (Var("t"), Var("s")))) == hash(Q_TS)
     assert ts.drop("s") is ts.drop("s") == Ring("Q", (Var("t"),))
     assert ts.products is ts.products and ts.truncated is ts.truncated
+    assert ts.normal is ts.normal
 
 
 def test_matrix_is_unhashable_and_caches_its_views():

@@ -14,10 +14,10 @@ from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGM
                         Ring, RingMismatchError, Var, group_ring_from_gauss,
                         hom_apply, ideal_member, poly_latex, poly_terms_from_json, poly_terms_to_json,
                         psi, rho, ring_from_json, ring_to_json,
-                        rational, subring_member, truncate_t2)
+                        rational, subring_member, truncate_t2, _product_kernel)
 from nilk.sampling import randint, random_poly
 
-from helpers import assert_canonical, reference_try_invert
+from helpers import assert_canonical, reference_normal, reference_try_invert
 
 
 def st(k):
@@ -440,6 +440,12 @@ GUARDS = {
     "laurent_not_bool": (lambda: Var("t", laurent="no"), ValueError,
                          'variable name must be a string and laurent a bool, '
                          'got name="t", laurent="no"'),
+    "var_negative_power": (lambda: Q_TS.var("t", -1), ValueError,
+                           "negative exponent for ordinary variable t"),
+    "var_float_power": (lambda: Q_TS.var("t", 1.5), ValueError,
+                        "exponent must be an integer, got 1.5"),
+    "var_bool_power": (lambda: Q_TS.var("t", True), ValueError,
+                       "exponent must be an integer, got true"),
 }
 
 
@@ -448,6 +454,11 @@ def test_ring_guards(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_var_takes_a_negative_power_on_a_laurent_variable():
+    z_inv = Q_TSZ.var("z", -1)
+    assert z_inv.terms == {(0, 0, -1): 1} and z_inv * Q_TSZ.var("z") == Q_TSZ.one()
 
 
 # a base element that is not the constant 1 or 0, over each coefficient algebra
@@ -571,6 +582,72 @@ def test_arithmetic_results_are_canonical(ring):
         assert (a - a).is_zero()
         for r in (a + b, a - b, -a, a * b):
             assert_canonical(r)
+
+
+# planted zeros and other coefficients of each base, for the normal form
+NORMAL_COEFFS = {
+    "Q": [Fraction(0, 1), 0, 1, -2, Fraction(1, 2), Fraction(3, 1)],
+    "Z": [0, 1, -3],
+    "Zi": [GaussianInt(0, 0), GaussianInt(1, 0), GaussianInt(0, -2), GaussianInt(3, 1)],
+    "Z4": [GroupRingZ4(0, 0, 0, 0), GroupRingZ4(0, 0, 0, 1), GroupRingZ4(1, 0, -1, 0)],
+    "F2e": [DualF2(0, 0), DualF2(1, 0), DualF2(0, 1), DualF2(1, 1)],
+    "F2": [0, 1, 2, 3, -1],
+}
+NORMAL_RINGS = {
+    **dict(zip(["Q_TS", "Q_TSZ", "ZI_X", "Z4_X", "F2E_X", "Q_TS_MOD_T2"], RINGS)),
+    "F2_X": F2_X,
+    "Z[x±]": Ring("Z", (Var("x", laurent=True),)),
+    "Zi[t<1,u<2]": Ring("Zi", (Var("t", trunc=1), Var("u", trunc=2))),
+    "Q[t<10^5000]": Ring("Q", (Var("t", trunc=10**5000),)),
+}
+
+
+def _normal_exponents(v: Var) -> list[int]:
+    """Exponents of v to draw: just below and at its truncation, and
+    negative on a Laurent variable."""
+    if v.trunc is not None:
+        return [0, v.trunc - 1, v.trunc]
+    return [-2, 0, 1] if v.laurent else [0, 1, 3]
+
+
+@pytest.mark.parametrize("ring", NORMAL_RINGS.values(), ids=NORMAL_RINGS)
+def test_normal_form_matches_the_generic_rule(ring):
+    # Poly keeps an already-normal map as the same object, else builds one
+    # copy equal to the generic rule's, and never changes the caller's map
+    rng, exps = random.Random(41), [_normal_exponents(v) for v in ring.vars]
+    coeffs = NORMAL_COEFFS[ring.base]
+    kept = copied = 0
+    for _ in range(400):
+        m = {tuple(rng.choice(es) for es in exps): rng.choice(coeffs)
+             for _ in range(rng.randint(0, 4))}
+        want, terms = reference_normal(ring, dict(m)), dict(m)
+        got = Poly(ring, terms).terms
+        assert got == want and terms == m, (m, got, want)
+        assert all(c is m[e] for e, c in got.items()) or ring.base == "F2"
+        if want == m:
+            assert got is terms
+            kept += 1
+        else:
+            assert got is not terms
+            copied += 1
+    assert kept and copied
+
+
+def test_dual_kernel_matches_the_coefficient_operators():
+    # the F2[eps] kernel's table lookups against DualF2's * and +, which the
+    # kernel of any other base calls: every (out, x, y) of the four values,
+    # then random maps; eps + eps cancels to the shared zero
+    four = [DualF2(a, b) for a in (0, 1) for b in (0, 1)]
+    dual, generic = _product_kernel(2, "F2e"), _product_kernel(2, "Z")
+    for z, x, y in itertools.product(four, repeat=3):
+        assert dual({(1, 1): z}, {(0, 1): x}, {(1, 0): y})[(1, 1)] is z + x * y
+    eps = DualF2(0, 1)
+    assert dual({(0, 0): eps}, {(0, 0): eps}, {(0, 0): DualF2(1, 0)})[(0, 0)] is DualF2(0, 0)
+    rng = random.Random(42)
+    for _ in range(200):
+        xs, ys, out = ({(randint(rng, 0, 2), randint(rng, 0, 2)): rng.choice(four)
+                        for _ in range(randint(rng, 0, 4))} for _ in range(3))
+        assert dual(dict(out), xs, ys) == generic(dict(out), xs, ys)
 
 
 def _random_unit_monomial(rng: random.Random, ring: Ring) -> Poly:
