@@ -1,10 +1,10 @@
 """The check ledger both constructions and the report share.
 
-A pipeline stage proves each defining identity with `require` as it builds
-it: a failure raises PipelineError naming the check id, which the CLI
-reports as exit 1.  Inside `recording()` every identity is also kept as a
-report `Check` (a NamedTuple) by id, which the report reads instead of
-computing it again.
+A stage proves each identity with `require` as it builds it: a failure
+raises PipelineError naming the check id (CLI exit 1).  Inside `recording()`
+it also keeps the report `Check` by id, which the report reads instead of
+computing it again.  A check's id and anchor are written once, at the call
+that proves or computes it; KNOWN_DISCREPANCIES names the discrepancy ids.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ class PipelineError(RuntimeError):
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy"
+# the checks of a stated display that the construction does not reproduce
+KNOWN_DISCREPANCIES = frozenset({"lift.stated_factors", "excision.e2_display",
+                                 "rep31.entry11_vs_display"})
 
 
 class Check(NamedTuple):
@@ -41,11 +44,10 @@ class Check(NamedTuple):
                 "computed": self.computed, "expected": self.expected}
 
 
-def check(cid: str, anchor: str, computed, expected=True,
-          known_discrepancy: bool = False) -> Check:
-    """The report entry for computed == expected; a boolean identity
-    (expected True) reads "true" on the expected side."""
-    status = PASS if computed == expected else DISCREPANCY if known_discrepancy else FAIL
+def check(cid: str, anchor: str, computed, expected=True) -> Check:
+    """The report entry for computed == expected: a mismatch is a DISCREPANCY
+    for the ids of KNOWN_DISCREPANCIES, else a FAIL; expected True reads "true"."""
+    status = PASS if computed == expected else DISCREPANCY if cid in KNOWN_DISCREPANCIES else FAIL
     return Check(cid, anchor, status, str(computed),
                  "true" if expected is True else str(expected))
 

@@ -1,14 +1,11 @@
-"""Ordered verification report: every assertion the two constructions make,
-run exactly, each entry carrying its source-display anchor and both the
-computed and expected values.
-
-The identities a pipeline stage proves as it builds are recorded in the
-construction's `checks` ledger; the report reads those entries and computes
-only the checks no stage makes.
-
-Known display mismatches are reported with status "discrepancy", never
-silently normalized: the point of the artifact is adjudicating the stated
-displays against the construction itself.
+"""Ordered verification report, the one registry of checks: every
+assertion the two constructions make, run exactly, each with its
+source-display anchor and its computed and expected values, in the order
+of the calls below.  A stage's identities are read from the
+construction's `checks` ledger; the report computes only the checks no
+stage makes, by `check`, `Check` or a row of SUITES.  A display mismatch
+is reported, never normalized: a "discrepancy" for an id of
+`ledger.KNOWN_DISCREPANCIES`, else a "fail".
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
     cs = [led["lift.reduction"], led["lift.det"], check(
         "lift.stated_factors",
         "A = e12(1+st) e21(-(1+st)) e12(1+st) rot (either order convention)",
-        ltr if ltr == a else rtl, a, known_discrepancy=True)]
+        ltr if ltr == a else rtl, a)]
 
     pair, e2 = con.pair, con.e2
     cs += [led["clutch.B1_idempotent"], led["clutch.pair_in_double"],
@@ -54,7 +51,7 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
            check("excision.e2_display",
                  "e2 = (A^T)^{-1} diag(1,0) A^T vs its stated display "
                  "(which carries s^2t^3 for s^2t^2)",
-                 e2, lp.e2_display(), known_discrepancy=True),
+                 e2, lp.e2_display()),
            led["excision.stage1"], led["excision.stage2"], led["excision.stage3"]]
 
     loop_p = lp.loop_z(lp.projector_P())
@@ -75,7 +72,7 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
                  "(1,1) = z^-1 + (1-z^-1)(1-s^4t^4) = 1-(1-z^-1)s^4t^4",
                  m[0, 0], self_consistent),
            check("rep31.entry11_vs_display", "(1,1) stated as 1-(1+z^-1)s^4t^4",
-                 m[0, 0], disp[0, 0], known_discrepancy=True),
+                 m[0, 0], disp[0, 0]),
            led["rep31.det"], led["rep31.s_to_zero"], led["rep31.subring"]]
 
     reassembled = Matrix.identity(m.ring, 2)

@@ -1,7 +1,8 @@
 """The module layout of src/nilk, read with ast: the two constructions share
 only the ledger, matrices is linear algebra alone, no module imports or
 reads another's private names, the CLI writes stderr in `main` alone, no
-module imports dataclasses, and only rings asks whether a value is a Poly."""
+module imports dataclasses, only rings asks whether a value is a Poly, and
+each check id is written once, at the call that proves or computes it."""
 
 import ast
 from pathlib import Path
@@ -9,12 +10,17 @@ from pathlib import Path
 import pytest
 
 import nilk
+from nilk import report
 
 SOURCES = {p.stem: ast.parse(p.read_text(), str(p))
            for p in sorted(Path(nilk.__file__).parent.glob("*.py"))}
 
-LEDGER_NAMES = ("PipelineError", "PASS", "FAIL", "DISCREPANCY", "Check", "check",
-                "require", "recording", "summarize")
+LEDGER_NAMES = ("PipelineError", "PASS", "FAIL", "DISCREPANCY", "KNOWN_DISCREPANCIES",
+                "Check", "check", "require", "recording", "summarize")
+
+# the ids a stage proves with `require` that the report never prints
+STAGE_ONLY = {"clutch.B2_idempotent", "higman.companion_nilpotent", "higman.s_part",
+              "loop.invertible", "rep31.det_unit"}
 
 
 def _imports(tree):
@@ -132,3 +138,29 @@ def test_only_rings_asks_whether_a_value_is_a_poly():
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
               and "Poly" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
     assert set(askers) <= {"rings"}
+
+
+def _written_ids(*callees):
+    """The check id of each call to one of `callees` in src/nilk that passes
+    its id as a literal, once per call."""
+    return [node.args[0].value for tree in SOURCES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in callees
+            and isinstance(node.args[0], ast.Constant)]
+
+
+def _registry_ids():
+    """Every check id src/nilk writes: at a require, check or Check call, or
+    in a row of report.SUITES."""
+    return _written_ids("require", "check", "Check") + [row[0] for row in report.SUITES]
+
+
+def test_each_check_id_is_written_once():
+    ids = _registry_ids()
+    assert sorted({cid for cid in ids if ids.count(cid) > 1}) == []
+
+
+def test_the_report_prints_every_written_id_but_the_stage_only_ones(report_checks):
+    printed = {c.id for c in report_checks}
+    assert set(_written_ids("require")) - printed == STAGE_ONLY
+    assert set(_registry_ids()) == printed | STAGE_ONLY

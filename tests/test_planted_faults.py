@@ -2,7 +2,9 @@
 with exit 1 and one stderr line naming the check, never a traceback, and
 with nothing written into --out.  Each row of FAULTS breaks the input of a
 check (a word, a display, a map, a stage output or a block, never `check`
-or `require`) and shows that the check, and no other, turns FAIL."""
+or `require`) and shows that the check, and no other, turns FAIL.  The three
+known discrepancies keep their own rule: a display made to agree passes, one
+perturbed further stays a discrepancy."""
 
 import json
 
@@ -12,7 +14,7 @@ from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
 from nilk import nilsse, report
 from nilk.cli import main
-from nilk.ledger import FAIL, PipelineError, recording
+from nilk.ledger import DISCREPANCY, FAIL, PASS, PipelineError, recording
 from nilk.matrices import Matrix, matrix_to_json
 from nilk.rings import F2E_X, Q_TS, Q_TSZ, Q_TZ, Z4_X, ZI_X, GroupRingZ4, Poly
 from nilk.words import StWord
@@ -243,3 +245,72 @@ def test_planted_fault_fails_its_check_only(plant, cmd, cids, report_checks, mon
             assert err.startswith(f"verification failure: verification failed: {cid} (")
         else:
             assert f"[FAIL       ] {cid}  (" in printed and err == ""
+
+
+# The report ids no plant turns FAIL: neither a FAULTS row, a stage plant of
+# PLANTS, the lift42.display plant nor a suite's planted fault in
+# test_report_suites.py.  The set may only shrink, by adding FAULTS rows.
+UNPLANTED = {
+    "lift.reduction", "lift.det", "lift.stated_factors",
+    "clutch.B1_idempotent", "clutch.pair_in_double",
+    "excision.e2_idempotent", "excision.e2_congruent", "excision.e2_subring",
+    "excision.e2_display", "excision.stage1", "excision.stage2", "excision.stage3",
+    "loop.on_P",
+    "rep31.entry11_self_consistent", "rep31.entry11_vs_display", "rep31.det",
+    "rep31.subring",
+    "higman.reassembly", "higman.nilpotent", "higman.det_linear", "higman.N_subring",
+    "maps.verschiebung2",
+    "sse.esse_rank_one", "sse.esse_identity_split", "sse.se_to_zero",
+}
+
+
+def test_unplanted_ids_are_named(report_checks):
+    planted = ({*FAULTS, "lift42.display"} | {cid for _, _, cid in PLANTS.values()}
+               | {cid for cid, *_ in report.SUITES})
+    assert {c.id for c in report_checks} - planted == UNPLANTED
+
+
+def _plus_e11(m: Matrix) -> Matrix:
+    return m + Matrix.from_rows(m.ring, [[int(i == j == 0) for j in range(m.cols)]
+                                         for i in range(m.rows)])
+
+
+# id: (the display lp.<name> of a known discrepancy, its value from construction
+# `con` with f applied to the matrix compared: made to agree when f is the identity)
+AGREEING = {
+    "lift.stated_factors": ("lift_A_stated_factors", lambda con, f: [
+        f(con.lift), *[Matrix.identity(con.lift.ring, 2)] * 3]),
+    "excision.e2_display": ("e2_display", lambda con, f: f(con.e2)),
+    "rep31.entry11_vs_display": ("theorem31_display", lambda con, f: f(con.rep.matrix)),
+}
+
+
+def _as_built(m: Matrix) -> Matrix:
+    return m
+
+
+@pytest.mark.parametrize("f, status", [(_as_built, PASS), (_plus_e11, DISCREPANCY)],
+                         ids=["agreeing", "plus_e11"])
+@pytest.mark.parametrize("cid", AGREEING)
+def test_discrepancy_rule_reads_the_id(cid, f, status, report_checks, monkeypatch):
+    """A stated display made to agree turns its id, and no other, to PASS;
+    one perturbed further stays a DISCREPANCY and never turns FAIL."""
+    name, shown = AGREEING[cid]
+    monkeypatch.setattr(lp, name, lambda v=shown(lp.construct(), f): v)
+    before = {c.id: c.status for c in report_checks}
+    after = _statuses()
+    assert before[cid] == DISCREPANCY
+    assert after == {**{k: before[k] for k in after}, cid: status}
+
+
+def test_agreeing_displays_pass_without_allowing_typos(report_checks, monkeypatch, capsys):
+    # the suites read no display: the session's suite entries stand in for them
+    con = lp.construct()
+    for name, shown in AGREEING.values():
+        monkeypatch.setattr(lp, name, lambda v=shown(con, _as_built): v)
+    monkeypatch.setattr(report, "random_checks",
+                        lambda: [c for c in report_checks if c.id.startswith("random.")])
+    code = main(["verify-all"])
+    printed, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert printed.splitlines()[-1] == "50 checks: 50 pass, 0 known discrepancies, 0 failures"
