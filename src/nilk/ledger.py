@@ -3,8 +3,9 @@
 A stage proves each identity with `require` as it builds it: a failure
 raises PipelineError naming the check id (CLI exit 1).  Inside `recording()`
 it also keeps the report `Check` by id, which the report reads instead of
-computing it again.  A check's id and anchor are written once, at the call
-that proves or computes it; KNOWN_DISCREPANCIES names the discrepancy ids.
+computing it again.  A `Check` holds the values it compared; only `line`
+and `to_json` write them.  A check's id and anchor are written once, at the
+call that proves or computes it; KNOWN_DISCREPANCIES names the discrepancy ids.
 """
 
 from __future__ import annotations
@@ -30,26 +31,28 @@ class Check(NamedTuple):
     id: str
     anchor: str
     status: str
-    computed: str = ""
-    expected: str = ""
+    computed: object
+    expected: object
 
     def line(self) -> str:
         out = f"[{self.status.upper():11s}] {self.id}  ({self.anchor})"
         if self.status != PASS:
-            out += f"\n    computed: {self.computed}\n    expected: {self.expected}"
+            j = self.to_json()
+            out += f"\n    computed: {j['computed']}\n    expected: {j['expected']}"
         return out
 
     def to_json(self) -> dict:
+        """The check as the report writes it; expected True reads "true"."""
         return {"id": self.id, "anchor": self.anchor, "status": self.status,
-                "computed": self.computed, "expected": self.expected}
+                "computed": str(self.computed),
+                "expected": "true" if self.expected is True else str(self.expected)}
 
 
 def check(cid: str, anchor: str, computed, expected=True) -> Check:
     """The report entry for computed == expected: a mismatch is a DISCREPANCY
-    for the ids of KNOWN_DISCREPANCIES, else a FAIL; expected True reads "true"."""
+    for the ids of KNOWN_DISCREPANCIES, else a FAIL."""
     status = PASS if computed == expected else DISCREPANCY if cid in KNOWN_DISCREPANCIES else FAIL
-    return Check(cid, anchor, status, str(computed),
-                 "true" if expected is True else str(expected))
+    return Check(cid, anchor, status, computed, expected)
 
 
 # the ledger of the construction being built, open only inside recording()
@@ -58,13 +61,11 @@ _ledger: ContextVar[dict[str, Check] | None] = ContextVar("ledger", default=None
 
 def require(cid: str, anchor: str, computed, expected=True):
     """Prove computed == expected, recording the check while a ledger is open."""
+    c = check(cid, anchor, computed, expected)
     ledger = _ledger.get()
-    if ledger is None:
-        ok = computed == expected
-    else:
-        c = ledger[cid] = check(cid, anchor, computed, expected)
-        ok = c.status == PASS
-    if not ok:
+    if ledger is not None:
+        ledger[cid] = c
+    if c.status != PASS:
         raise PipelineError(f"verification failed: {cid} ({anchor})")
 
 
@@ -78,12 +79,3 @@ def recording():
     finally:
         _ledger.reset(token)
 
-
-def summarize(checks: list[Check], allow_known_discrepancies: bool = False) -> bool:
-    """True iff the report passes (discrepancies tolerated only when allowed)."""
-    for c in checks:
-        if c.status == FAIL:
-            return False
-        if c.status == DISCREPANCY and not allow_known_discrepancies:
-            return False
-    return True

@@ -64,7 +64,7 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
     agree = all(m[r, c] == disp[r, c] for r, c in [(0, 1), (1, 0), (1, 1)])
     cs.append(Check("rep31.off_entries",
                     "entries (1,2), (2,1), (2,2) match the stated display",
-                    PASS if agree else FAIL, str(m), "true"))
+                    PASS if agree else FAIL, m, True))
     one = m.ring.one()
     s, t, z = m.ring.var("s"), m.ring.var("t"), m.ring.var("z")
     self_consistent = one - (one - z.invert()) * (s * t) ** 4

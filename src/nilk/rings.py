@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import attrgetter, mul
@@ -336,6 +337,11 @@ class Var(_VarFields):
         if trunc is not None and (type(trunc) is not int or trunc < 1 or laurent):
             raise ValueError(f"variable {name}: trunc must be an integer >= 1 on a non-Laurent "
                              f"variable, got trunc={trunc!r}, laurent={laurent!r}")
+        try:
+            str(trunc)  # Ring.__str__ and the drawer's name write the bound
+        except ValueError:
+            raise ValueError(f"variable {name}: trunc has more than {sys.get_int_max_str_digits()}"
+                             " digits, past sys.get_int_max_str_digits()") from None
         if type(name) is not str or type(laurent) is not bool:
             raise ValueError(f"variable name must be a string and laurent a bool, got "
                              f"name={json.dumps(name, default=repr)}, "
@@ -755,8 +761,8 @@ def _normalizer(base: str, truncated: tuple[tuple[int, int], ...]) -> Callable[[
     zero, on F2 c == 1) and each bound written in, as `if not ((c.re or
     c.im) and e[0] < t0): break` over Zi[t<n].  It returns terms itself when
     every term stays, else one filtered copy (on F2, of c % 2 as 1).  Only
-    positions and these tests enter the source; the bounds, which may have
-    more digits than str() writes, enter through the namespace."""
+    positions and these tests enter the source; the bounds, which come from
+    outside input, enter through the namespace."""
     test = {"Q": "c", "Z": "c", "Zi": "(c.re or c.im)", "Z4": "(c.c0 or c.c1 or c.c2 or c.c3)",
             "F2e": "c is not ZERO", "F2": "c == 1"}[base]
     bounds = [f"e[{k}] < t{k}" for k, _ in truncated]

@@ -15,6 +15,7 @@ import nilk
 from nilk import cli, nilsse, report
 from nilk import laurent_pipeline as lp
 from nilk.cli import main
+from nilk.ledger import DISCREPANCY, FAIL, PASS, Check
 from nilk.matrices import Matrix, matrix_from_json, matrix_to_json
 from nilk.rings import F2E_X, Q_TS, Q_TS_MOD_T2, Q_TZ, DualF2, Ring, Var
 
@@ -508,6 +509,27 @@ def test_verify_all_json(reported, capsys):
     data = json.loads(out)
     assert data == [c.to_json() for c in reported]
     assert all(c["status"] in ("pass", "discrepancy") for c in data)
+
+
+@pytest.mark.parametrize("statuses, strict, tolerant", [
+    ((), 0, 0),
+    ((PASS, PASS), 0, 0),
+    ((PASS, FAIL), 1, 1),
+    ((PASS, DISCREPANCY), 1, 0),
+    ((DISCREPANCY, FAIL), 1, 1),
+])
+def test_report_exit_rule(statuses, strict, tolerant, monkeypatch, tmp_path, capsys):
+    """verify-all exits 1 on a FAIL, and on a DISCREPANCY unless
+    --allow-known-typos; theorem3 exits 1 on a FAIL alone, and only its exit
+    0 writes into --out.  No checks at all pass."""
+    checks = [Check(f"probe.{k}", "probe anchor", s, k, k) for k, s in enumerate(statuses)]
+    monkeypatch.setattr(report, "run_all_checks", lambda: checks)
+    monkeypatch.setattr(report, "laurent_checks", lambda con: checks)
+    assert run(["verify-all"], capsys)[0] == strict
+    assert run(["verify-all", "--allow-known-typos"], capsys)[0] == tolerant
+    out_dir = tmp_path / "out"
+    assert run(["theorem3", "--out", str(out_dir)], capsys)[0] == tolerant
+    assert out_dir.exists() is (tolerant == 0)
 
 
 class _ClosedStdout(io.StringIO):

@@ -114,12 +114,22 @@ class _Unprintable:
         raise AssertionError("formatted")
 
 
-def test_require_formats_only_when_recording():
-    x = _Unprintable()
-    ledger.require("probe.id", "probe anchor", x, x)  # no ledger open: no str()
-    with pytest.raises(AssertionError, match="formatted"):
-        with ledger.recording():
-            ledger.require("probe.id", "probe anchor", x, x)
+def test_no_path_formats():
+    # require keeps the compared value itself, in a ledger or out of one;
+    # only the writers of a non-PASS Check turn it into text
+    x, y = _Unprintable(), _Unprintable()
+    ledger.require("probe.id", "probe anchor", x, x)
+    with ledger.recording() as checks:
+        ledger.require("probe.id", "probe anchor", x, x)
+        with pytest.raises(ledger.PipelineError, match="probe.other"):
+            ledger.require("probe.other", "probe anchor", x, y)
+    assert checks["probe.id"].computed is x and checks["probe.id"].expected is x
+    assert checks["probe.id"].line() == "[PASS       ] probe.id  (probe anchor)"
+    failed = checks["probe.other"]
+    assert failed.status == ledger.FAIL and failed.expected is y
+    for write in (failed.line, failed.to_json):
+        with pytest.raises(AssertionError, match="formatted"):
+            write()
 
 
 def test_failing_identity_names_its_check_id():

@@ -16,7 +16,7 @@ SOURCES = {p.stem: ast.parse(p.read_text(), str(p))
            for p in sorted(Path(nilk.__file__).parent.glob("*.py"))}
 
 LEDGER_NAMES = ("PipelineError", "PASS", "FAIL", "DISCREPANCY", "KNOWN_DISCREPANCIES",
-                "Check", "check", "require", "recording", "summarize")
+                "Check", "check", "require", "recording")
 
 # the ids a stage proves with `require` that the report never prints
 STAGE_ONLY = {"clutch.B2_idempotent", "higman.companion_nilpotent", "higman.s_part",

@@ -1,22 +1,6 @@
 import pytest
 
-from nilk.ledger import (DISCREPANCY, FAIL, KNOWN_DISCREPANCIES, PASS, Check, check,
-                         summarize)
-
-
-@pytest.mark.parametrize("statuses, strict, tolerant", [
-    ((), True, True),
-    ((PASS, PASS), True, True),
-    ((PASS, FAIL), False, False),
-    ((PASS, DISCREPANCY), False, True),
-    ((DISCREPANCY, FAIL), False, False),
-])
-def test_summarize(statuses, strict, tolerant):
-    """A FAIL fails the report, a DISCREPANCY fails it unless discrepancies
-    are allowed, and all PASS or no checks at all passes it."""
-    checks = [Check(f"probe.{k}", "probe anchor", s) for k, s in enumerate(statuses)]
-    assert summarize(checks) is strict
-    assert summarize(checks, allow_known_discrepancies=True) is tolerant
+from nilk.ledger import DISCREPANCY, FAIL, KNOWN_DISCREPANCIES, PASS, Check, check
 
 
 @pytest.mark.parametrize("cid, computed, expected, status, shown", [
@@ -30,6 +14,10 @@ def test_summarize(statuses, strict, tolerant):
 ])
 def test_check_status_rule(cid, computed, expected, status, shown):
     """A mismatch is a DISCREPANCY exactly for the ids of KNOWN_DISCREPANCIES
-    and a FAIL for any other, a stage id included; expected True reads "true"."""
-    assert check(cid, "probe anchor", computed, expected) == Check(
-        cid, "probe anchor", status, str(computed), shown)
+    and a FAIL for any other, a stage id included.  The Check keeps both
+    values; its JSON writes them, expected True as "true"."""
+    c = check(cid, "probe anchor", computed, expected)
+    assert c == Check(cid, "probe anchor", status, computed, expected)
+    assert c.computed is computed and c.expected is expected
+    assert c.to_json() == {"id": cid, "anchor": "probe anchor", "status": status,
+                           "computed": str(computed), "expected": shown}

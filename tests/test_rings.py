@@ -4,6 +4,7 @@ import json
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,10 @@ from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGM
 from nilk.sampling import randint, random_poly
 
 from helpers import assert_canonical, reference_normal, reference_try_invert
+
+
+# the most digits str() writes of an int
+LIMIT = sys.get_int_max_str_digits()
 
 
 def st(k):
@@ -437,6 +442,9 @@ GUARDS = {
                      "variable t is declared twice"),
     "extend_by_a_declared_var": (lambda: Q_TSZ.extend(Var("z", laurent=True)), ValueError,
                                  "variable z is declared twice"),
+    "trunc_past_str": (lambda: Var("t", trunc=10 ** LIMIT), ValueError,
+                       f"variable t: trunc has more than {LIMIT} digits, "
+                       "past sys.get_int_max_str_digits()"),
     "laurent_not_bool": (lambda: Var("t", laurent="no"), ValueError,
                          'variable name must be a string and laurent a bool, '
                          'got name="t", laurent="no"'),
@@ -598,8 +606,16 @@ NORMAL_RINGS = {
     "F2_X": F2_X,
     "Z[x±]": Ring("Z", (Var("x", laurent=True),)),
     "Zi[t<1,u<2]": Ring("Zi", (Var("t", trunc=1), Var("u", trunc=2))),
-    "Q[t<10^5000]": Ring("Q", (Var("t", trunc=10**5000),)),
+    # the largest bound Var admits: exactly LIMIT digits
+    f"Q[t<10^{LIMIT}-1]": Ring("Q", (Var("t", trunc=10 ** LIMIT - 1),)),
 }
+
+
+def test_largest_admitted_trunc_prints_and_draws():
+    ring = NORMAL_RINGS[f"Q[t<10^{LIMIT}-1]"]
+    assert str(ring) == f"Q[t<{'9' * LIMIT}]"
+    p = random_poly(random.Random(1), ring)
+    assert p.ring is ring and str(p)
 
 
 def _normal_exponents(v: Var) -> list[int]:
