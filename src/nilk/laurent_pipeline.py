@@ -74,13 +74,11 @@ class DoublePair(Frozen):
     """A pair of matrices (first, second) with first - second entrywise in
     I = (t^2): an element of the double ring D(R, I)."""
 
+    _fields = ("first", "second")
+
     def __init__(self, first: Matrix, second: Matrix):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-
-    def __eq__(self, other):
-        return ((self.first, self.second) == (other.first, other.second)
-                if type(other) is DoublePair else NotImplemented)
 
     @cached_property
     def valid(self) -> bool:
@@ -181,6 +179,8 @@ class Construction(Frozen):
     built, and the ledger of those checks by id.  The blocks M_i and N are
     derived on first use."""
 
+    _fields = ("lift", "pair", "e2", "rep", "checks")
+
     def __init__(self, lift: Matrix, pair: DoublePair, e2: Matrix, rep: K1Rep,
                  checks: dict[str, Check]):
         object.__setattr__(self, "lift", lift)
@@ -188,11 +188,6 @@ class Construction(Frozen):
         object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "checks", checks)
-
-    def __eq__(self, other):
-        return ((self.lift, self.pair, self.e2, self.rep, self.checks)
-                == (other.lift, other.pair, other.e2, other.rep, other.checks)
-                if type(other) is Construction else NotImplemented)
 
     @cached_property
     def blocks(self) -> list[Matrix]:

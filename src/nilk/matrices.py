@@ -58,16 +58,13 @@ class NotInvertibleError(ValueError):
 
 
 class Matrix(Frozen):
+    _fields = ("ring", "rows", "cols", "nonzero")
+
     def __init__(self, ring: Ring, rows: int, cols: int, nonzero: tuple):
         _set(self, "ring", ring)
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "nonzero", nonzero)  # per row, a dict {column: Poly} of its nonzero entries
-
-    def __eq__(self, other):
-        return ((self.ring, self.rows, self.cols, self.nonzero)
-                == (other.ring, other.rows, other.cols, other.nonzero)
-                if type(other) is Matrix else NotImplemented)
 
     # -- constructors
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .matrices import Matrix, block_companion
+from .rings import Checked
 
 
 def verschiebung(n: Matrix, k: int) -> Matrix:
@@ -70,7 +71,7 @@ class _SSEChainFields(NamedTuple):
     witnesses: tuple[ESSEWitness, ...]
 
 
-class SSEChain(_SSEChainFields):
+class SSEChain(Checked, _SSEChainFields):
     """Matrices A_0 .. A_l with a witness linking each consecutive pair."""
 
     __slots__ = ()
@@ -79,9 +80,6 @@ class SSEChain(_SSEChainFields):
         if len(matrices) != len(witnesses) + 1:
             raise ValueError("chain needs one more matrix than witnesses")
         return tuple.__new__(cls, (matrices, witnesses))
-
-    # NamedTuple's _make, behind _replace too, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def verify_sse_chain(chain: SSEChain) -> Verdict:

@@ -10,9 +10,11 @@ a handful of exact coefficient domains:
     F2   field with two elements
     F2e  dual numbers over F2:  a + b*eps, eps^2 = 0
 
-F2[eps] has four values, each one shared DualF2 instance: its + and * are
-lookups in a table of the four, and its zero test is identity with the
-shared zero; the other algebras test zero and equality on their slots.
+Each value rule is written once, here.  A coefficient's equality, truth
+and negation come from its coordinates (CoeffAlgebra).  F2[eps] has four
+values, each one shared DualF2 instance that refuses writes: its + and *
+are lookups in a table of the four, its equality is identity, and its zero
+test is identity with the shared zero.
 
 Quotients (eps^2 = 0, sigma^4 = 1, mod-2 coefficients, t-degree truncation)
 are enforced by Poly(ring, terms), the one constructor, through Ring.normal:
@@ -26,8 +28,9 @@ variable list.  Every product is summed by Ring.products, the kernel
 generated per exponent arity and base (_product_kernel): in Poly.__mul__, in
 matrices on each matrix's cleared term maps, and in words.eval_word.  Only
 ints and the fixed BASE names enter generated source, never a variable name,
-and nothing is generated at import.  Var and BaseOps are NamedTuples
-and Ring a plain class on Frozen; every nilk record is one of the two kinds.
+and nothing is generated at import.  Every nilk record is a NamedTuple
+(Var, BaseOps), whose _make runs its check when Checked is its first base,
+or a plain class on Frozen (Ring), equal, copied and pickled by its _fields.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg
 from typing import Callable, NamedTuple, Optional
 
 
@@ -50,31 +53,70 @@ class NotAUnitError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient domains
-#
-# The three algebras share one protocol: equality by type and coordinates,
-# + and * between two elements of one algebra, and JSON as the coordinate
-# list.  Their unit rule is _invert_unit, shared with Z and F2.
+# the value rules: records and coefficients
+
+
+class Frozen:
+    """Base of the plain-class records, which name their fields in _fields
+    (two or more) and set them in __init__ by object.__setattr__; after it,
+    only a cached_property (writing __dict__) adds an attribute.  Records
+    are equal when they have the same type and field values, and are copied
+    and pickled from those values (__reduce__)."""
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __reduce__(self):
+        # built from the fields, not the cached values: a cached generated
+        # function (Ring.normal, Ring.products) cannot be pickled
+        return type(self), self._values
+
+
+class Checked:
+    """First base of a NamedTuple whose __new__ checks its fields:
+    NamedTuple's _make, behind _replace too, would skip the check."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class CoeffAlgebra:
     """Base of the coefficient algebras: subclasses name their coordinates
-    in __slots__ and write __add__, __neg__, __mul__, __eq__, __bool__ and
-    __str__ on those slots, whose operands are elements of the same algebra
-    (Ring.const turns an int into one); + and * return NotImplemented for
-    an operand they cannot read, so a Poly on the right takes the operation
-    (Poly.__radd__, Poly.__rmul__) and any other value ends in TypeError.
-    Each is a try around the one expression, which costs nothing when it
-    does not raise.  Two elements are equal when they
-    have the same type and coordinates, and an element is false exactly
-    when it is zero.  F2[eps] has four values, each one shared instance, so
-    it keeps object's identity __eq__, and its + and * are lookups in a
-    table of the four (DualF2)."""
+    in __slots__ and write __add__, __mul__ and __str__ on those slots,
+    whose operands are elements of the same algebra (Ring.const turns an
+    int into one); + and * return NotImplemented for an operand they cannot
+    read, so a Poly on the right takes the operation (Poly.__radd__,
+    Poly.__rmul__) and any other value ends in TypeError.  Each is a try
+    around the one expression, which costs nothing when it does not raise.
+    Equality, truth, negation and JSON come from the coordinates (coords):
+    two elements are equal when they have the same type and coordinates,
+    and an element is false exactly when it is zero.  The unit rule is
+    _invert_unit, shared with Z and F2.  F2[eps] has four values, each one
+    shared instance, so DualF2 states object's identity __eq__ and __hash__,
+    its -x is x, and its + and * are lookups in a table of the four."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.coords = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, o):
+        return self.coords == o.coords if type(o) is type(self) else NotImplemented
+
+    def __bool__(self):
+        return any(self.coords)
+
+    def __neg__(self):
+        return type(self)(*map(neg, self.coords))
 
     def __repr__(self):
         return f"{type(self).__name__}{self.coords}"
@@ -99,22 +141,11 @@ class GaussianInt(CoeffAlgebra):
         self.re = re
         self.im = im
 
-    def __eq__(self, o):
-        if type(o) is not GaussianInt:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
     def __add__(self, o):
         try:
             return GaussianInt(self.re + o.re, self.im + o.im)
         except AttributeError:  # not a Gaussian integer: Poly.__radd__ may take it
             return NotImplemented
-
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
 
     def __mul__(self, o):
         try:
@@ -138,23 +169,12 @@ class GroupRingZ4(CoeffAlgebra):
         self.c2 = c2
         self.c3 = c3
 
-    def __eq__(self, o):
-        if type(o) is not GroupRingZ4:
-            return NotImplemented
-        return self.c0 == o.c0 and self.c1 == o.c1 and self.c2 == o.c2 and self.c3 == o.c3
-
-    def __bool__(self):
-        return self.c0 != 0 or self.c1 != 0 or self.c2 != 0 or self.c3 != 0
-
     def __add__(self, o):
         try:
             return GroupRingZ4(self.c0 + o.c0, self.c1 + o.c1,
                                self.c2 + o.c2, self.c3 + o.c3)
         except AttributeError:
             return NotImplemented
-
-    def __neg__(self):
-        return GroupRingZ4(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __mul__(self, o):
         a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
@@ -178,12 +198,17 @@ class GroupRingZ4(CoeffAlgebra):
 class DualF2(CoeffAlgebra):
     """a + b*eps over F2, with eps^2 = 0.  F2[eps] has four values, and
     DualF2(a, b) returns the one shared instance for (a mod 2, b mod 2), so
-    equal values are one object, compared and hashed by identity (object's
-    __eq__ and __hash__, inherited).  + and * look their
-    result up in a table of the four (_DUAL_SUM, _DUAL_PRODUCT); a copy,
-    a deep copy and a pickle give back the shared instance (__reduce__)."""
+    equal values are one object, compared and hashed by identity, and each
+    refuses writes, as a Frozen record does.  + and * look their result up
+    in a table of the four (_DUAL_SUM, _DUAL_PRODUCT); a copy, a deep copy
+    and a pickle give back the shared instance (__reduce__)."""
 
     __slots__ = ("a", "b")
+
+    # the tables are keyed by the four values, and _invert_unit's
+    # sq * sq == one is then a C-level identity test
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    __setattr__ = __delattr__ = Frozen.__setattr__
 
     def __new__(cls, a: int = 0, b: int = 0):
         return _DUAL[a % 2][b % 2]
@@ -191,16 +216,13 @@ class DualF2(CoeffAlgebra):
     def __reduce__(self):
         return DualF2, (self.a, self.b)
 
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
     def __add__(self, o):
         try:
             return _DUAL_SUM[self][o]
         except (KeyError, TypeError):  # not one of the four (a Poly is unhashable)
             return NotImplemented
 
-    def __neg__(self):
+    def __neg__(self):  # -c = c, with no coefficient built
         return self
 
     def __mul__(self, o):
@@ -215,7 +237,8 @@ class DualF2(CoeffAlgebra):
 
 def _dual_value(a: int, b: int) -> DualF2:
     v = object.__new__(DualF2)
-    v.a, v.b = a, b
+    object.__setattr__(v, "a", a)
+    object.__setattr__(v, "b", b)
     return v
 
 
@@ -328,7 +351,7 @@ class _VarFields(NamedTuple):
     trunc: Optional[int] = None  # exponents >= trunc are discarded
 
 
-class Var(_VarFields):
+class Var(Checked, _VarFields):
     __slots__ = ()
 
     def __new__(cls, name: str, laurent: bool = False, trunc: Optional[int] = None):
@@ -348,21 +371,10 @@ class Var(_VarFields):
                              f"laurent={json.dumps(laurent, default=repr)}")
         return tuple.__new__(cls, (name, laurent, trunc))
 
-    # NamedTuple's _make, behind _replace too, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-
-class Frozen:
-    """Base of the plain-class records: __init__ sets the fields by object.__setattr__;
-    after it, only a cached_property (writing __dict__) adds an attribute."""
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
 
 class Ring(Frozen):
+    _fields = ("base", "vars")
+
     def __init__(self, base: str, vars: tuple[Var, ...] = ()):
         names = tuple(v.name for v in vars)
         for k, name in enumerate(names):
@@ -380,17 +392,8 @@ class Ring(Frozen):
         # the hash, computed once: the caches keyed by a ring hash it per call
         object.__setattr__(self, "_hash", hash((base, vars)))
 
-    def __eq__(self, other):
-        return ((self.base, self.vars) == (other.base, other.vars)
-                if type(other) is Ring else NotImplemented)
-
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # a copy or a pickle is built from the fields: the cached kernel is
-        # generated source, which pickle cannot name
-        return Ring, (self.base, self.vars)
 
     @property
     def ops(self) -> BaseOps:

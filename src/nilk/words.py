@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .matrices import Matrix
-from .rings import F2E_X, DualF2, Frozen, NotAUnitError, Poly, Ring, RingMismatchError
+from .rings import F2E_X, Checked, DualF2, Frozen, NotAUnitError, Poly, Ring, RingMismatchError
 
 
 class _LetterFields(NamedTuple):
@@ -27,7 +27,7 @@ class _LetterFields(NamedTuple):
     inverted: bool
 
 
-class Letter(_LetterFields):
+class Letter(Checked, _LetterFields):
     """x_ij(param), or x_ij(param)^-1 = x_ij(-param) when inverted: a tuple,
     so it is immutable and built without a per-field setattr."""
 
@@ -38,21 +38,16 @@ class Letter(_LetterFields):
             raise ValueError("generator indices must differ")
         return tuple.__new__(cls, (i, j, param, inverted))
 
-    # NamedTuple's _make, behind _replace too, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
 
 class StWord(Frozen):
+    _fields = ("ring", "letters")
+
     def __init__(self, ring: Ring, letters: tuple[Letter, ...] = ()):
         for l in letters:
             if l.param.ring is not ring and l.param.ring != ring:
                 raise RingMismatchError("letter parameter in wrong ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        return ((self.ring, self.letters) == (other.ring, other.letters)
-                if type(other) is StWord else NotImplemented)
 
     def __mul__(self, other: "StWord") -> "StWord":
         if other.ring is not self.ring and other.ring != self.ring:

@@ -124,6 +124,37 @@ def test_defined_in_one_module(name, home):
     assert [m for m, tree in SOURCES.items() if name in _defined(tree)] == [home]
 
 
+# the rings classes whose body defines or assigns each value-rule member: a
+# plain-class record's equality and copying live on Frozen, a checked
+# NamedTuple's _make on Checked, a coefficient's equality, truth and
+# negation on CoeffAlgebra.  DualF2 (one shared instance per value), Ring
+# (its hash computed once) and Poly (equal to any element of its ring) state
+# their own.
+VALUE_RULE_HOMES = {
+    "__eq__": {"Frozen", "CoeffAlgebra", "DualF2", "Poly"},
+    "__bool__": {"CoeffAlgebra"},
+    "__neg__": {"CoeffAlgebra", "DualF2", "Poly"},
+    "__reduce__": {"Frozen", "DualF2"},
+    "__hash__": {"DualF2", "Ring"},
+    "_make": {"Checked"},
+}
+
+
+def _class_members(cls):
+    """The names a class body binds by def or by assignment."""
+    return {st.name for st in cls.body if isinstance(st, ast.FunctionDef)} | {
+        n.id for st in cls.body if isinstance(st, ast.Assign)
+        for t in st.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("member", VALUE_RULE_HOMES)
+def test_each_value_rule_is_written_at_its_home(member):
+    # a new record or coefficient inherits the rule instead of growing a copy
+    owners = {(module, cls.name) for module, tree in SOURCES.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and member in _class_members(cls)}
+    assert owners == {("rings", home) for home in VALUE_RULE_HOMES[member]}
+
+
 def test_only_cli_main_writes_stderr():
     # every exit 1 and exit 2 leaves through main's except branches
     writers = {fn.name for fn in ast.walk(SOURCES["cli"]) if isinstance(fn, ast.FunctionDef)

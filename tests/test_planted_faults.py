@@ -30,14 +30,14 @@ def _word_z_empty(monkeypatch):
     monkeypatch.setattr(grp, "word_Z", lambda: StWord(ZI_X))
 
 
-def _companion_plus_identity(monkeypatch):
-    # N + I is not nilpotent: its powers keep I's constant term
-    build = lp.block_companion
+def _plus_identity(m: Matrix) -> Matrix:
+    # m + I for a nilpotent m is not nilpotent: its powers keep I's constant term
+    return m + Matrix.identity(m.ring, m.rows)
 
-    def shifted(blocks):
-        n = build(blocks)
-        return n + Matrix.identity(n.ring, n.rows)
-    monkeypatch.setattr(lp, "block_companion", shifted)
+
+def _companion_plus_identity(monkeypatch):
+    build = lp.block_companion
+    monkeypatch.setattr(lp, "block_companion", lambda blocks: _plus_identity(build(blocks)))
 
 
 # REP31 in argv reads as a file holding the Theorem 3.1 representative
@@ -150,10 +150,53 @@ def _frobenius_one_short(monkeypatch):
     monkeypatch.setattr(nilsse, "frobenius", lambda m, k: frob(m, k - 1))
 
 
-def _verschiebung1_doubled(monkeypatch):
-    versch = nilsse.verschiebung
-    monkeypatch.setattr(nilsse, "verschiebung",
-                        lambda m, k: versch(m, k).scale(2) if k == 1 else versch(m, k))
+def _verschiebung_changed(k, change):
+    """Plant: nilsse.verschiebung at k, and at k alone, passed through change."""
+    def plant(monkeypatch):
+        versch = nilsse.verschiebung
+        monkeypatch.setattr(nilsse, "verschiebung",
+                            lambda m, j: change(versch(m, j)) if j == k else versch(m, j))
+    return plant
+
+
+def _loop_of_P_plus_e12(monkeypatch):
+    # the stage's loop_z(e2) is left as it is: e2 is not P
+    loop_z = lp.loop_z
+
+    def shifted(q):
+        out = loop_z(q)
+        return out + Matrix.from_rows(out.ring, [[0, 1], [0, 0]]) if q == lp.projector_P() else out
+    monkeypatch.setattr(lp, "loop_z", shifted)
+
+
+def _charpoly_c1_plus_one(monkeypatch):
+    # only the report reads charpoly; det and inverse read _berkowitz
+    charpoly = Matrix.charpoly
+    monkeypatch.setattr(Matrix, "charpoly",
+                        lambda m: (lambda c: [c[0], c[1] + 1, *c[2:]])(charpoly(m)))
+
+
+def _subring_read_plus_t(monkeypatch):
+    # p + t has a t^1 term for every entry p of N, which has none
+    member = report.subring_member
+    monkeypatch.setattr(report, "subring_member", lambda p: member(p + p.ring.var("t")))
+
+
+def _into_plus_e11_without_s(monkeypatch):
+    # the blocks M_i have no s; the stage's q.into(ring) in loop_z has one
+    into = Matrix.into
+
+    def shifted(m, ring):
+        out = into(m, ring)
+        return out if "s" in m.ring.names else _plus_e11(out)
+    monkeypatch.setattr(Matrix, "into", shifted)
+
+
+def _index_one_too_high(monkeypatch):
+    # every nilpotent still reads as nilpotent: only an index compared fails
+    index = Matrix.nilpotency_index
+    monkeypatch.setattr(Matrix, "nilpotency_index",
+                        lambda m, max_k: (lambda k: k if k is None else k + 1)(index(m, max_k)))
 
 
 def _symbol_b_squared(monkeypatch):
@@ -206,7 +249,15 @@ FAULTS = {
     "rep31.off_entries": (_display_plus("theorem31_display", Q_TSZ, 2, 1, 0), "theorem3",
                           ["rep31.off_entries"]),
     "maps.frobenius10": (_frobenius_one_short, "theorem3", ["maps.frobenius10"]),
-    "maps.verschiebung1": (_verschiebung1_doubled, "theorem3", ["maps.verschiebung1"]),
+    "maps.verschiebung1": (_verschiebung_changed(1, lambda v: v.scale(2)), "theorem3",
+                           ["maps.verschiebung1"]),
+    "maps.verschiebung2": (_verschiebung_changed(2, _plus_identity), "theorem3",
+                           ["maps.verschiebung2"]),
+    "loop.on_P": (_loop_of_P_plus_e12, "theorem3", ["loop.on_P"]),
+    "higman.det_linear": (_charpoly_c1_plus_one, "theorem3", ["higman.det_linear"]),
+    "higman.N_subring": (_subring_read_plus_t, "theorem3", ["higman.N_subring"]),
+    "higman.reassembly": (_into_plus_e11_without_s, "theorem3", ["higman.reassembly"]),
+    "higman.nilpotent": (_index_one_too_high, "theorem3", ["higman.nilpotent"]),
 }
 
 
@@ -255,11 +306,8 @@ UNPLANTED = {
     "clutch.B1_idempotent", "clutch.pair_in_double",
     "excision.e2_idempotent", "excision.e2_congruent", "excision.e2_subring",
     "excision.e2_display", "excision.stage1", "excision.stage2", "excision.stage3",
-    "loop.on_P",
     "rep31.entry11_self_consistent", "rep31.entry11_vs_display", "rep31.det",
     "rep31.subring",
-    "higman.reassembly", "higman.nilpotent", "higman.det_linear", "higman.N_subring",
-    "maps.verschiebung2",
     "sse.esse_rank_one", "sse.esse_identity_split", "sse.se_to_zero",
 }
 

@@ -182,6 +182,19 @@ def test_dual_numbers_are_four_shared_values():
         assert v is DualF2(a % 2, b % 2) and v.coords == (a % 2, b % 2)
 
 
+@pytest.mark.parametrize("a, b", DUAL_COORDS)
+def test_shared_dual_numbers_refuse_writes(a, b):
+    # a write would change the value for every reader of .a and .b, while
+    # the tables still treat the instance as the old value
+    v = DualF2(a, b)
+    for name in ("a", "b", "extra"):
+        with pytest.raises(AttributeError, match=f"^a DualF2 is immutable: cannot set '{name}'$"):
+            setattr(v, name, 1 - a)
+        with pytest.raises(AttributeError, match=f"^a DualF2 is immutable: cannot set '{name}'$"):
+            delattr(v, name)
+    assert v.coords == (a, b) and v is DualF2(a, b)
+
+
 def test_dual_number_tables_match_a_plus_b_eps():
     # (a + b eps) + (c + d eps) = (a + c) + (b + d) eps and
     # (a + b eps)(c + d eps) = ac + (ad + bc) eps, mod 2
