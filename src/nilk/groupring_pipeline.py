@@ -20,7 +20,7 @@ from .matrices import Matrix
 from .rings import (F2_X, PRINCIPAL_ONE_MINUS_SIGMA_SQ, PRINCIPAL_TWO, Z4_X,
                     ZI_X, GaussianInt, GroupRingZ4, Poly,
                     group_ring_from_gauss, ideal_member, psi, rho)
-from .words import StWord, eval_word, word
+from .words import StWord, eval_word
 
 
 def word_Y() -> StWord:
@@ -28,7 +28,7 @@ def word_Y() -> StWord:
     x = ZI_X.var("x")
     i = ZI_X.const(GaussianInt(0, 1))
     one = ZI_X.one()
-    return word(ZI_X, [
+    return StWord(ZI_X, [
         (2, 1, -x + one - i + (one - i) * x * x),
         (1, 2, one - i),
         (2, 1, x + i - one),
@@ -42,7 +42,7 @@ def word_Z() -> StWord:
     i = ZI_X.const(GaussianInt(0, 1))
     one = ZI_X.one()
     c = (i - one) * x - one
-    return word(ZI_X, [
+    return StWord(ZI_X, [
         (1, 2, one), (2, 1, -one), (1, 2, one),
         (1, 2, c), (2, 1, one + (i - one) * x), (1, 2, c),
     ])

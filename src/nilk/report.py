@@ -24,7 +24,7 @@ from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     subring_member)
 from .sampling import choice, randint, random_poly
 from .words import (StWord, dennis_stein_word, dual_symbol_args, dual_symbol_word,
-                    eval_word, reduced_X_word, word)
+                    eval_word, reduced_X_word)
 
 # ---------------------------------------------------------------------------
 # the Laurent-polynomial construction
@@ -230,7 +230,7 @@ def _random_word(rng: random.Random) -> StWord:
     for _ in range(randint(rng, 0, 3)):
         i = choice(rng, (1, 2))
         letters.append((i, 3 - i, random_poly(rng, F2E_X, 2, 2)))
-    return word(F2E_X, letters)
+    return StWord(F2E_X, letters)
 
 
 def suite_eval_homomorphism(cases: int, seed: int) -> int:

@@ -937,13 +937,14 @@ def poly_latex(p: Poly) -> str:
         return "0"
     names = p.ring.names
     coeff, one = p.ring.ops.latex, p.ring.ops.one
+    minus_one = -one
     parts = []
     for exps, c in sorted(p.terms.items()):
         mono = "".join(f"{n}^{{{e}}}" if e != 1 else n
                        for n, e in zip(names, exps) if e)
         if mono and c == one:
             parts.append(mono)
-        elif mono and c == -one:
+        elif mono and c == minus_one:
             parts.append("-" + mono)
         else:
             parts.append(coeff(c) + mono)

@@ -1,9 +1,10 @@
 """Formal words in elementary/Steinberg generators x_ij(a), and their
 evaluation to matrices.
 
-A Letter is a NamedTuple (i, j, param, inverted); a StWord, a plain class on
-Frozen, holds a tuple of letters over one ring.  word() takes each param
-through Ring.element.  eval_word applies each
+A StWord, a plain class on Frozen, holds a ring and a tuple of letters, each
+the triple (i, j, a) for x_ij(a).  Its constructor is the one place a letter
+is checked: i != j, and a taken through Ring.element.  x_ij(a)^-1 is
+x_ij(-a), so inverse() negates each parameter.  eval_word applies each
 letter as a column operation on term maps with the ring's product kernel
 (Ring.products), as Matrix.__matmul__ does, and builds one Poly per changed
 entry.
@@ -14,61 +15,40 @@ words is checked at the evaluation level only.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .matrices import Matrix
-from .rings import F2E_X, Checked, DualF2, Frozen, NotAUnitError, Poly, Ring, RingMismatchError
-
-
-class _LetterFields(NamedTuple):
-    i: int
-    j: int
-    param: Poly
-    inverted: bool
-
-
-class Letter(Checked, _LetterFields):
-    """x_ij(param), or x_ij(param)^-1 = x_ij(-param) when inverted: a tuple,
-    so it is immutable and built without a per-field setattr."""
-
-    __slots__ = ()
-
-    def __new__(cls, i: int, j: int, param: Poly, inverted: bool = False):
-        if i == j:
-            raise ValueError("generator indices must differ")
-        return tuple.__new__(cls, (i, j, param, inverted))
+from .rings import F2E_X, DualF2, Frozen, NotAUnitError, Poly, Ring
 
 
 class StWord(Frozen):
+    """The product of the letters x_ij(a), each stored as (i, j, a) with a a
+    Poly over ring; copy and pickle build the word here again."""
+
     _fields = ("ring", "letters")
 
-    def __init__(self, ring: Ring, letters: tuple[Letter, ...] = ()):
-        for l in letters:
-            if l.param.ring is not ring and l.param.ring != ring:
-                raise RingMismatchError("letter parameter in wrong ring")
+    def __init__(self, ring: Ring, letters: Iterable[tuple[int, int, object]] = ()):
+        checked = []
+        for i, j, a in letters:
+            if i == j:
+                raise ValueError("generator indices must differ")
+            checked.append((i, j, ring.element(a)))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(checked))
 
     def __mul__(self, other: "StWord") -> "StWord":
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise RingMismatchError("concatenating words over different rings")
+        # ring.element refuses a letter of another ring
         return StWord(self.ring, self.letters + other.letters)
 
     def inverse(self) -> "StWord":
-        return StWord(self.ring, tuple(
-            Letter(i, j, a, not inverted) for i, j, a, inverted in reversed(self.letters)))
-
-
-def word(ring: Ring, letters: Iterable[tuple[int, int, object]]) -> StWord:
-    return StWord(ring, tuple(Letter(i, j, ring.element(a)) for i, j, a in letters))
+        return StWord(self.ring, ((i, j, -a) for i, j, a in reversed(self.letters)))
 
 
 def eval_word(w: StWord, n: int) -> Matrix:
     """Ordered product of elementary matrices in GL_n.
 
     Right multiplication by x_ij(a) adds column i times a to column j, so
-    each letter is applied as that column operation.  An inverted letter
-    contributes x_ij(-a), negated once per letter; no unit condition needed.
+    each letter is applied as that column operation; no unit condition needed.
     The column operations act on the matrix's {column: entry} rows: each
     row with an entry in column i sums entry_j + entry_i * a on term maps
     with the ring's kernel, builds one Poly of the sum, and drops the entry
@@ -77,11 +57,10 @@ def eval_word(w: StWord, n: int) -> Matrix:
     ring = w.ring
     products = ring.products
     rows = [{i: ring.one()} for i in range(n)]
-    for i, j, a, inverted in w.letters:
+    for i, j, a in w.letters:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"letter indices ({i}, {j}) out of range for size {n}")
-        i, j = i - 1, j - 1
-        a = (-a if inverted else a).terms
+        i, j, a = i - 1, j - 1, a.terms
         for r in rows:
             if i in r:
                 e = Poly(ring, products(dict(r[j].terms) if j in r else {}, r[i].terms, a))
@@ -95,14 +74,14 @@ def eval_word(w: StWord, n: int) -> Matrix:
 def expand_h(i: int, j: int, a: Poly, ainv: Optional[Poly] = None) -> StWord:
     """h_ij(a) = x_ij(a) x_ji(-a^{-1}) x_ij(a) x_ij(-1) x_ji(1) x_ij(-1);
     evaluates to the diagonal matrix with a at i and a^{-1} at j.  A caller
-    that has inverted a already passes a^{-1} as ainv."""
+    that has a^{-1} already passes it as ainv."""
     ring = a.ring
     if ainv is None:
         ainv = a.try_invert()
     if ainv is None:
         raise NotAUnitError(f"h_ij needs a unit, got {a}")
     one = ring.one()
-    return word(ring, [
+    return StWord(ring, [
         (i, j, a), (j, i, -ainv), (i, j, a),
         (i, j, -one), (j, i, one), (i, j, -one),
     ])
@@ -120,7 +99,7 @@ def dennis_stein_word(i: int, j: int, a: Poly, b: Poly) -> StWord:
     uinv = u.try_invert()
     if uinv is None:
         raise NotAUnitError(f"1 - ab = {u} is not a recognized unit")
-    head = word(ring, [
+    head = StWord(ring, [
         (j, i, -(b * uinv)), (i, j, -a), (j, i, b), (i, j, uinv * a),
     ])
     return head * expand_h(i, j, u, uinv).inverse()
@@ -144,7 +123,7 @@ def reduced_X_word() -> StWord:
         x_21(-x-eps-eps x^2) x_12(-eps) x_21(x+eps) x_12(eps) h_12(1-eps x)^{-1}
     """
     a, b = dual_symbol_args()
-    head = word(F2E_X, [
+    head = StWord(F2E_X, [
         (2, 1, -b - a * b * b), (1, 2, -a),
         (2, 1, b), (1, 2, a),
     ])

@@ -21,10 +21,8 @@ def test_word_letters():
     one = ZI_X.one()
     i = ZI_X.const(GaussianInt(0, 1))
     x = ZI_X.var("x")
-    assert (y.letters[1].i, y.letters[1].j) == (1, 2)
-    assert y.letters[1].param == one - i
-    assert (z.letters[4].i, z.letters[4].j) == (2, 1)
-    assert z.letters[4].param == one + (i - one) * x
+    assert y.letters[1] == (1, 2, one - i)
+    assert z.letters[4] == (2, 1, one + (i - one) * x)
 
 
 def test_yz_against_sympy_oracle():

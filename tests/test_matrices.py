@@ -20,7 +20,7 @@ from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Ring, RingMismatchError, Var, poly_latex, poly_terms_from_json,
                         poly_terms_to_json, ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
-from nilk.words import eval_word, word
+from nilk.words import StWord, eval_word
 
 from helpers import (assert_canonical, assert_sparse, elementary, reference_json_text,
                      reference_latex, reference_product, reference_str)
@@ -643,7 +643,7 @@ ENTRY_POINTS = {
     "from_rows": lambda ring, x: Matrix.from_rows(ring, [[x]]),
     "diag": lambda ring, x: Matrix.diag(ring, [1, x]),
     "scale": lambda ring, x: Matrix.identity(ring, 2).scale(x),
-    "word": lambda ring, x: word(ring, [(1, 2, x)]),
+    "word": lambda ring, x: StWord(ring, [(1, 2, x)]),
 }
 FOREIGN_VALUES = {"float": (Q_TS, 1.5), "bool": (Q_TS, True), "str": (Q_TS, "1"),
                   "gauss_over_Q": (Q_TS, GaussianInt(1, 0)),
@@ -785,7 +785,7 @@ def test_kernel_users_leave_operands_and_constants_alone():
         assert eye.charpoly() == [one, -3 * one, 3 * one, -one]
         assert nil.charpoly() == [one, zero, zero, zero]
         assert eye.inverse() == eye and eye.det() == one
-        w = word(ring, [(1, 2, one), (2, 1, zero), (1, 3, -one), (3, 1, one)])
+        w = StWord(ring, [(1, 2, one), (2, 1, zero), (1, 3, -one), (3, 1, one)])
         assert eval_word(w * w.inverse(), 3) == eye
         assert_sparse(eval_word(w * w.inverse(), 3))
         assert [dict(p.terms) for p in operands] == before

@@ -40,11 +40,28 @@ def _companion_plus_identity(monkeypatch):
     monkeypatch.setattr(lp, "block_companion", lambda blocks: _plus_identity(build(blocks)))
 
 
+def _det_plus_one(monkeypatch):
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda m: det(m) + 1)
+
+
+def _never_idempotent(monkeypatch):
+    monkeypatch.setattr(Matrix, "is_idempotent", lambda m: False)
+
+
+def _never_in_ideal(monkeypatch):
+    # B1 - B2 is read as outside (t^2) entrywise
+    monkeypatch.setattr(lp, "ideal_member", lambda p, ideal: False)
+
+
 # REP31 in argv reads as a file holding the Theorem 3.1 representative
 PLANTS = {
     "verify_all-loop_z_doubled": (_loop_z_doubled, ["verify-all", "--allow-known-typos"],
                                   "rep31.s_to_zero"),
     "theorem3-loop_z_doubled": (_loop_z_doubled, ["theorem3"], "rep31.s_to_zero"),
+    "theorem3-det_plus_one": (_det_plus_one, ["theorem3"], "lift.det"),
+    "theorem3-never_idempotent": (_never_idempotent, ["theorem3"], "clutch.B1_idempotent"),
+    "theorem3-never_in_ideal": (_never_in_ideal, ["theorem3"], "clutch.pair_in_double"),
     "theorem4-word_z_empty": (_word_z_empty, ["theorem4"], "yz.congruent"),
     "higman-companion_plus_identity": (_companion_plus_identity, ["higman", "REP31"],
                                        "higman.companion_nilpotent"),
@@ -300,10 +317,10 @@ def test_planted_fault_fails_its_check_only(plant, cmd, cids, report_checks, mon
 
 # The report ids no plant turns FAIL: neither a FAULTS row, a stage plant of
 # PLANTS, the lift42.display plant nor a suite's planted fault in
-# test_report_suites.py.  The set may only shrink, by adding FAULTS rows.
+# test_report_suites.py.  The set may only shrink, by adding FAULTS or PLANTS
+# rows.
 UNPLANTED = {
-    "lift.reduction", "lift.det", "lift.stated_factors",
-    "clutch.B1_idempotent", "clutch.pair_in_double",
+    "lift.reduction", "lift.stated_factors",
     "excision.e2_idempotent", "excision.e2_congruent", "excision.e2_subring",
     "excision.e2_display", "excision.stage1", "excision.stage2", "excision.stage3",
     "rep31.entry11_self_consistent", "rep31.entry11_vs_display", "rep31.det",

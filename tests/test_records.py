@@ -14,7 +14,7 @@ from nilk import nilsse
 from nilk.ledger import Check
 from nilk.matrices import Matrix
 from nilk.rings import BaseOps, Q_TS, Ring, Var
-from nilk.words import Letter, StWord
+from nilk.words import StWord
 
 I2 = Matrix.identity(Q_TS, 2)
 Z2 = Matrix.zeros(Q_TS, 2, 2)
@@ -29,7 +29,7 @@ RECORDS = {
     "Ring": (Ring, "base vars", ("Q", (Var("t"),)), (0, "Z"), True),
     "Matrix": (Matrix, "ring rows cols nonzero", (Q_TS, 1, 1, ({0: Q_TS.one()},)),
                (3, ({},)), True),
-    "StWord": (StWord, "ring letters", (Q_TS, (Letter(1, 2, Q_TS.one()),)), (1, ()), True),
+    "StWord": (StWord, "ring letters", (Q_TS, ((1, 2, Q_TS.one()),)), (1, ()), True),
     "Verdict": (nilsse.Verdict, "ok failed", (False, 2), (1, 3), True),
     "ESSEWitness": (nilsse.ESSEWitness, "u v", (I2, Z2), (1, I2), True),
     "SEWitness": (nilsse.SEWitness, "u v lag", (I2, Z2, 1), (2, 2), True),
@@ -91,7 +91,7 @@ COPIED = {
     "Var-trunc": Var("t", trunc=3),
     "Var-laurent": Var("z", True),
     "Matrix": Matrix.from_rows(Q_TS, [[1, Q_TS.var("t")], [0, 1]]),
-    "StWord": StWord(Q_TS, (Letter(1, 2, Q_TS.var("s")),)),
+    "StWord": StWord(Q_TS, [(1, 2, Q_TS.var("s"))]),
     "DoublePair": PAIR,
     "laurent.Construction": lp.construct(),
 }

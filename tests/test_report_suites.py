@@ -41,14 +41,14 @@ def test_suite_draws_pinned(monkeypatch, suite, seed):
 
     def letters(ring, spec):
         drawn.append(["word", [[i, j] for i, j, _ in spec]])
-        return word(ring, spec)
+        return st_word(ring, spec)
 
     def unit(a, b):  # the draw only: the construction is not run
         drawn.append(["unit", str(a), str(b)])
 
-    random_poly, word = report.random_poly, report.word
+    random_poly, st_word = report.random_poly, report.StWord
     monkeypatch.setattr(report, "random_poly", draw)
-    monkeypatch.setattr(report, "word", letters)
+    monkeypatch.setattr(report, "StWord", letters)
     monkeypatch.setattr(lp, "generalized_unit_rep", unit)
     getattr(report, suite)(60, seed)
     digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
