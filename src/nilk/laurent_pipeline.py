@@ -14,14 +14,13 @@ Frozen, as DoublePair is), which the report reads instead of recomputing it.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
 from .ledger import Check, recording, require
 from .matrices import Matrix, block_companion
-from .rings import (MONOMIAL_T2, Frozen, Poly, Q_TS, Q_TSZ, Q_TZ, Var, ideal_member,
-                    subring_member, truncate_t2)
+from .rings import (MONOMIAL_T2, Frozen, Poly, Q_TS, Q_TSZ, Q_TZ, Var, cached_field,
+                    ideal_member, subring_member, truncate_t2)
 
 
 def _st(k: int) -> Poly:
@@ -80,7 +79,7 @@ class DoublePair(Frozen):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    @cached_property
+    @cached_field
     def valid(self) -> bool:
         """first - second entrywise in (t^2), computed once per pair."""
         return (self.first - self.second).all_entries(
@@ -189,11 +188,11 @@ class Construction(Frozen):
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "checks", checks)
 
-    @cached_property
+    @cached_field
     def blocks(self) -> list[Matrix]:
         return decompose_M(self.rep)
 
-    @cached_property
+    @cached_field
     def n10(self) -> Matrix:
         return higman_companion(self.blocks)
 

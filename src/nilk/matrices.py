@@ -17,13 +17,13 @@ generated kernel), normalized once.
 block_companion is the one block builder; it checks its blocks: at least
 one, each n x n, all over one ring.  det and the Cayley-Hamilton adjugate
 inverse both come from one division-free Berkowitz characteristic
-polynomial, summed the same way.  Berkowitz borders the leading r x r
-block by row r's part R left of the diagonal and column r's part C above
-it, and needs the r values R A_r^j C; when R or C is empty each is an
-empty sum, so it appends r zeros and runs no Krylov step (of the 30 rows
-of I - s V_3(N), 21 are such).  The inverse's Horner loop starts at
-B + c_1 I, the value of its first step B I + c_1 I, so it makes no
-product by I.
+polynomial, summed the same way.  Berkowitz takes the char poly of the
+leading 2 x 2 block in closed form, then borders each leading r x r block
+by row r's part R left of the diagonal and column r's part C above it, and
+needs the r values R A_r^j C; when R or C is empty each is an empty sum,
+so it appends r zeros and runs no Krylov step (of the 30 rows of
+I - s V_3(N), 21 are such).  The inverse's Horner loop starts at B + c_1 I,
+the value of its first step B I + c_1 I, so it makes no product by I.
 
 Every product runs on a matrix's cleared form (Matrix._cleared_rows), made
 once per matrix: (d, d*A's rows as {column: term map}), d the lcm of the
@@ -42,13 +42,13 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import matmul
 from typing import Iterable, Optional, Sequence
 
-from .rings import (Frozen, Poly, Ring, RingMismatchError, int_from_json, ladder, poly_latex,
-                    poly_terms_from_json, poly_terms_to_json, ring_from_json, ring_to_json)
+from .rings import (Frozen, Poly, Ring, RingMismatchError, cached_field, int_from_json, ladder,
+                    poly_latex, poly_terms_from_json, poly_terms_to_json, ring_from_json,
+                    ring_to_json)
 
 _set = object.__setattr__  # looked up once: a Matrix is built per product
 
@@ -97,7 +97,7 @@ class Matrix(Frozen):
         return Matrix(ring, n, n, tuple(_nonzero([(i, ring.element(e))])
                                         for i, e in enumerate(elems)))
 
-    @cached_property
+    @cached_field
     def entries(self) -> tuple:
         """The dense view: a tuple of row tuples of Poly, zeros included."""
         zero, cols = self.ring.zero(), range(self.cols)
@@ -107,7 +107,7 @@ class Matrix(Frozen):
         r, c = rc
         return self.entries[r][c]
 
-    @cached_property
+    @cached_field
     def _cleared_rows(self) -> tuple[int, list]:
         """The cleared form (d, d*self's rows as {column: term map}): d the
         lcm of the denominators of self's Fraction coefficients, each c
@@ -206,7 +206,7 @@ class Matrix(Frozen):
         0 x 0 matrix."""
         return max(1, self.rows * self.ring.nilradical_exponent)
 
-    @cached_property
+    @cached_field
     def nilpotency(self) -> Optional[int]:
         """The nilpotency index searched up to nilpotency_bound(), so None
         means not nilpotent; computed once per matrix."""
@@ -261,14 +261,22 @@ class Matrix(Frozen):
         by the Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ...,
         -RA_r^(r-1)C.  It walks rows, as the row RA_r^j times [A_r C] is
         [RA_r^(j+1), RA_r^jC].  Where R or C is empty every RA_r^jC is an
-        empty sum, so the column is a and r zeros and no Krylov step runs."""
+        empty sum, so the column is a and r zeros and no Krylov step runs.
+        It starts from the char poly of the leading m x m block, m = min(n, 2),
+        in closed form, 1, -(a + e), ae - bc, and borders from r = m."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
         ring, products = self.ring, self.ring.products
         d, rows = self._cleared_rows
 
-        cs = [ring.one()]
-        for r in range(self.rows):
+        m = min(self.rows, 2)
+        (a, b), (c, e) = [[r.get(j, {}) for j in (0, 1)] for r in (*rows[:2], {}, {})[:2]]
+        trace = {k: -x for k, x in a.items()}
+        for k, x in e.items():
+            trace[k] = trace[k] + -x if k in trace else -x
+        minor = products(products({}, a, e), {k: -x for k, x in b.items()}, c)
+        cs = [ring.one(), Poly(ring, trace), Poly(ring, minor)][:m + 1]
+        for r in range(m, self.rows):
             vec = {k: x for k, x in rows[r].items() if k < r}  # R, then R A_r^j
             col = [rows[r].get(r, {})]  # the Toeplitz column negated, without its 1
             if not vec or not any(r in rows[k] for k in range(r)):

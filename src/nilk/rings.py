@@ -39,7 +39,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from operator import attrgetter, mul, neg
 from typing import Callable, NamedTuple, Optional
 
@@ -56,10 +56,28 @@ class NotAUnitError(ValueError):
 # the value rules: records and coefficients
 
 
+class cached_field:
+    """A field func(instance), computed on first access and written into the
+    instance's __dict__, which later reads find before this non-data
+    descriptor: functools.cached_property without its lock (to 3.11)."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.func(obj)
+        return value
+
+
 class Frozen:
     """Base of the plain-class records, which name their fields in _fields
     (two or more) and set them in __init__ by object.__setattr__; after it,
-    only a cached_property (writing __dict__) adds an attribute.  Records
+    only a cached_field (writing __dict__) adds an attribute.  Records
     are equal when they have the same type and field values, and are copied
     and pickled from those values (__reduce__)."""
 
@@ -399,18 +417,18 @@ class Ring(Frozen):
     def ops(self) -> BaseOps:
         return BASE[self.base]
 
-    @cached_property
+    @cached_field
     def truncated(self) -> tuple[tuple[int, int], ...]:
         """(index, trunc) of each truncated variable."""
         return tuple((k, v.trunc) for k, v in enumerate(self.vars) if v.trunc is not None)
 
-    @cached_property
+    @cached_field
     def normal(self) -> Callable[[dict], dict]:
         """normal(terms), the canonical form of a term map of this ring: the
         generated function for its base and truncation (_normalizer)."""
         return _normalizer(self.base, self.truncated)
 
-    @cached_property
+    @cached_field
     def products(self) -> Callable[[dict, dict, dict], dict]:
         """products(out, xs, ys) adds the terms of xs*ys, two term maps of
         this ring, into the term map out, in place, and returns it: the kernel
@@ -422,7 +440,7 @@ class Ring(Frozen):
         of a Poly."""
         return _product_kernel(len(self.vars), self.base)
 
-    @cached_property
+    @cached_field
     def nilradical_exponent(self) -> int:
         """An m with J^m = 0 for the nilradical J: J is generated by the
         truncated variables and eps, and any product of sum(trunc - 1)
@@ -459,7 +477,7 @@ class Ring(Frozen):
             raise TypeError(f"{c!r} is not an element of the base {self.base}")
         return Poly(self, {(0,) * len(self.vars): c})
 
-    @cached_property
+    @cached_field
     def _one(self) -> "Poly":
         return self.const(self.ops.one)
 

@@ -1,8 +1,9 @@
 """The module layout of src/nilk, read with ast: the two constructions share
 only the ledger, matrices is linear algebra alone, no module imports or
 reads another's private names, the CLI writes stderr in `main` alone, no
-module imports dataclasses, only rings asks whether a value is a Poly, and
-each check id is written once, at the call that proves or computes it."""
+module imports dataclasses or functools' cached_property, only rings asks
+whether a value is a Poly, and each check id is written once, at the call
+that proves or computes it."""
 
 import ast
 from pathlib import Path
@@ -84,6 +85,12 @@ def test_no_module_imports_dataclasses():
             if any("dataclasses" in (m, n) for m, n in _imports(tree))] == []
 
 
+def test_no_module_imports_functools_cached_property():
+    # a derived field is a rings.cached_field, which takes no lock per first access
+    assert [name for name, tree in SOURCES.items()
+            if ("functools", "cached_property") in _imports(tree)] == []
+
+
 def test_groupring_pipeline_does_not_import_the_laurent_pipeline():
     assert [(m, n) for m, n in _imports(SOURCES["groupring_pipeline"])
             if "laurent_pipeline" in (n, *m.split("."))] == []
@@ -119,7 +126,8 @@ def test_sampling_stores_rationals_by_the_rings_rule():
 
 
 @pytest.mark.parametrize("name, home", [*((n, "ledger") for n in LEDGER_NAMES),
-                                        ("DoublePair", "laurent_pipeline")])
+                                        ("DoublePair", "laurent_pipeline"),
+                                        ("cached_field", "rings")])
 def test_defined_in_one_module(name, home):
     assert [m for m, tree in SOURCES.items() if name in _defined(tree)] == [home]
 

@@ -3,7 +3,6 @@ import json
 import random
 import time
 from fractions import Fraction
-from functools import cached_property
 from itertools import permutations
 
 import pytest
@@ -17,8 +16,8 @@ from nilk.matrices import (Matrix, NotInvertibleError, block_companion,
 from nilk.nilsse import verschiebung
 from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
                         Q_TZ, Z4_X, ZI_X, DualF2, GaussianInt, GroupRingZ4, Poly,
-                        Ring, RingMismatchError, Var, poly_latex, poly_terms_from_json,
-                        poly_terms_to_json, ring_from_json, ring_to_json)
+                        Ring, RingMismatchError, Var, cached_field, poly_latex,
+                        poly_terms_from_json, poly_terms_to_json, ring_from_json, ring_to_json)
 from nilk.sampling import random_poly
 from nilk.words import StWord, eval_word
 
@@ -119,6 +118,68 @@ def test_charpoly_core_against_leibniz():
                     assert inv @ a == Matrix.identity(ring, n)
 
 
+def nonzero_poly(rng, ring):
+    while True:
+        p = random_poly(rng, ring, 2, 1)
+        if p.terms:
+            return p
+
+
+def with_leading_block(rng, ring, n, pattern):
+    """Two n x n matrices whose leading 2 x 2 block [[a, b], [c, e]] is
+    nonzero where pattern (bits a, b, c, e) is set: one with random entries
+    everywhere else, and L diag(B, I) U with the block B of ones, L and U
+    random unitriangular acting on rows and columns from 2 on, so that its
+    det is det(B) in {0, 1, -1}."""
+    block = [(i, j) for i in range(2) for j in range(2)]
+    nz = {ij for k, ij in enumerate(block) if pattern >> (3 - k) & 1}
+    rand = Matrix.from_rows(ring, [[(nonzero_poly(rng, ring) if (i, j) in nz else 0)
+                                    if i < 2 > j else random_poly(rng, ring, 2, 1)
+                                    for j in range(n)] for i in range(n)])
+    mid = Matrix.from_rows(ring, [[int((i, j) in nz) if i < 2 > j else int(i == j)
+                                   for j in range(n)] for i in range(n)])
+    low = Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1) if 2 <= i and j < i
+                                   else int(i == j) for j in range(n)] for i in range(n)])
+    up = Matrix.from_rows(ring, [[random_poly(rng, ring, 2, 1) if 2 <= j and i < j
+                                  else int(i == j) for j in range(n)] for i in range(n)])
+    return rand, low @ mid @ up
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_charpoly_seed_on_every_zero_pattern(ring):
+    # the recurrence starts from the leading 2 x 2 block in closed form:
+    # each zero pattern of that block, bordered by none, one or two rows
+    rng = random.Random(46)
+    for n in (2, 3, 4):
+        for pattern in range(16):
+            for a in with_leading_block(rng, ring, n, pattern):
+                assert [a[i, j].terms != {} for i in range(2) for j in range(2)] == [
+                    bool(pattern >> (3 - k) & 1) for k in range(4)]
+                d = leibniz_det(a)
+                assert a.det() == d
+                cs = a.charpoly()
+                assert len(cs) == n + 1 and cs[0] == ring.one()
+                assert cs[1] == -sum((a[i, i] for i in range(n)), ring.zero())
+                p = Matrix.zeros(ring, n, n)
+                for c in cs:
+                    p = a @ p + Matrix.identity(ring, n).scale(c)
+                assert p.is_zero()
+                if d.try_invert() is None:
+                    with pytest.raises(NotInvertibleError):
+                        a.inverse()
+                else:
+                    assert a @ a.inverse() == Matrix.identity(ring, n)
+
+
+def test_integral_seed_of_fraction_entries_is_int():
+    # [[1/2 + t, 1/2], [-3/2, 1/2 - t]]: trace 1 and det 1 - t^2, ints
+    t, h = Q_TS.var("t"), Fraction(1, 2)
+    a = Matrix.from_rows(Q_TS, [[t + h, h], [-3 * h, h - t]])
+    assert a.charpoly() == [Q_TS.one(), -Q_TS.one(), Q_TS.one() - t * t]
+    assert a.det() == Q_TS.one() - t * t == leibniz_det(a)
+    assert [type(c) for p in (*a.charpoly(), a.det()) for c in p.terms.values()] == [int] * 6
+
+
 def triangular(rng, ring, n, lower, diagonal=None):
     """An n x n lower or upper triangular matrix of random entries, with
     the given diagonal entry, when one is given, instead of a random one."""
@@ -162,21 +223,22 @@ def test_det_runs_no_krylov_step_where_r_or_c_is_empty(monkeypatch):
     low = Matrix.from_rows(Q_TS, [[Q_TS.one() + t ** (i + 1) if i == j else s if j < i else 0
                                    for j in range(6)] for i in range(6)])
     calls = count_products(monkeypatch, Q_TS)
-    # only the Toeplitz products a_rr c_j, one per j = 1..r: 15 in all,
-    # where the Krylov iteration on the lower one would make 120
+    # the seed's two, ae and bc (b or c empty here), then only the Toeplitz
+    # products a_rr c_j, one per j = 1..r for r = 2..5: 16 in all, where the
+    # Krylov iteration on the lower one would make 120
     for a in (low, low.transpose()):
         calls.clear()
         d = a.det()
-        assert len(calls) == 15
+        assert len(calls) == 16
         assert d == leibniz_det(a)
     # 21 of the 30 rows of I - s V_3(N) have R or C empty; running the
-    # Krylov iteration on all 30 makes 6282 products
+    # Krylov iteration on all 30 makes 6283 products
     n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
     v = verschiebung(n10, 3).into(Q_TSZ)
     m = Matrix.identity(Q_TSZ, v.rows) - v.scale(Q_TSZ.var("s"))
     calls = count_products(monkeypatch, Q_TSZ)
     assert m.det() == Q_TSZ.one()
-    assert len(calls) == 5095
+    assert len(calls) == 5096
 
 
 def test_inverse_makes_n_minus_2_products(monkeypatch):
@@ -590,7 +652,7 @@ def test_each_matrix_is_cleared_once(monkeypatch):
     # object, by every later @, det, charpoly, inverse and index search
     made = []
     clear = Matrix.__dict__["_cleared_rows"].func
-    form = cached_property(lambda m: made.append(m) or clear(m))
+    form = cached_field(lambda m: made.append(m) or clear(m))
     form.__set_name__(Matrix, "_cleared_rows")
     monkeypatch.setattr(Matrix, "_cleared_rows", form)
     m = Matrix.from_rows(Q_TS, [[Fraction(1, 2), Q_TS.var("t")], [0, Fraction(2, 3)]])

@@ -45,6 +45,18 @@ def _det_plus_one(monkeypatch):
     monkeypatch.setattr(Matrix, "det", lambda m: det(m) + 1)
 
 
+def _det_plus_one_over_z(monkeypatch):
+    # only the representative's ring has z: the lift's det = 1 still holds
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda m: det(m) + int("z" in m.ring.names))
+
+
+def _never_in_subring_over_z(monkeypatch):
+    # only the representative's entries have z: e2's subring check still holds
+    member = lp.subring_member
+    monkeypatch.setattr(lp, "subring_member", lambda p: "z" not in p.ring.names and member(p))
+
+
 def _never_idempotent(monkeypatch):
     monkeypatch.setattr(Matrix, "is_idempotent", lambda m: False)
 
@@ -60,6 +72,9 @@ PLANTS = {
                                   "rep31.s_to_zero"),
     "theorem3-loop_z_doubled": (_loop_z_doubled, ["theorem3"], "rep31.s_to_zero"),
     "theorem3-det_plus_one": (_det_plus_one, ["theorem3"], "lift.det"),
+    "theorem3-det_plus_one_over_z": (_det_plus_one_over_z, ["theorem3"], "rep31.det"),
+    "theorem3-never_in_subring_over_z": (_never_in_subring_over_z, ["theorem3"],
+                                         "rep31.subring"),
     "theorem3-never_idempotent": (_never_idempotent, ["theorem3"], "clutch.B1_idempotent"),
     "theorem3-never_in_ideal": (_never_in_ideal, ["theorem3"], "clutch.pair_in_double"),
     "theorem4-word_z_empty": (_word_z_empty, ["theorem4"], "yz.congruent"),
@@ -323,8 +338,7 @@ UNPLANTED = {
     "lift.reduction", "lift.stated_factors",
     "excision.e2_idempotent", "excision.e2_congruent", "excision.e2_subring",
     "excision.e2_display", "excision.stage1", "excision.stage2", "excision.stage3",
-    "rep31.entry11_self_consistent", "rep31.entry11_vs_display", "rep31.det",
-    "rep31.subring",
+    "rep31.entry11_self_consistent", "rep31.entry11_vs_display",
     "sse.esse_rank_one", "sse.esse_identity_split", "sse.se_to_zero",
 }
 
