@@ -17,20 +17,19 @@ are lookups in a table of the four, its equality is identity, and its zero
 test is identity with the shared zero.
 
 Quotients (eps^2 = 0, sigma^4 = 1, mod-2 coefficients, t-degree truncation)
-are enforced by Poly(ring, terms), the one constructor, through Ring.normal:
-one function per ring's base and truncation, generated with the base's zero
-test written in.  Polynomials are kept in canonical form: no zero
-coefficients, fixed variable order, so equality is literal equality of term
-maps.  Outside input is checked where it enters, one rule per decision:
-poly_terms_from_json for JSON terms, Ring.element for a Python value (a Poly
-of the ring, an int, a Fraction or a base element), Var and Ring for a
-variable list.  Every product is summed by Ring.products, the kernel
-generated per exponent arity and base (_product_kernel): in Poly.__mul__, in
-matrices on each matrix's cleared term maps, and in words.eval_word.  Only
-ints and the fixed BASE names enter generated source, never a variable name,
-and nothing is generated at import.  Every nilk record is a NamedTuple
-(Var, BaseOps), whose _make runs its check when Checked is its first base,
-or a plain class on Frozen (Ring), equal, copied and pickled by its _fields.
+are enforced by Poly(ring, terms), the one constructor, through Ring.normal,
+generated per base and truncation.  Polynomials are kept in canonical form:
+no zero coefficients, fixed variable order, so equality is literal equality
+of term maps.  Outside input is checked where it enters, one rule per
+decision: poly_terms_from_json for JSON terms, Ring.element for a Python
+value (a Poly of the ring, an int, a Fraction or a base element), Var and
+Ring for a variable list.  Every product is summed by Ring.products, a
+kernel generated per exponent arity and base: in Poly.__mul__, in matrices
+on each matrix's cleared term maps, and in words.eval_word.  generate
+compiles all generated code, once per key and never at import, and no
+variable name enters it.  Every nilk record is a NamedTuple (Var, BaseOps),
+whose _make runs its check when Checked is its first base, or a plain class
+on Frozen (Ring), equal, copied and pickled by its _fields.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter, mul, neg
 from typing import Callable, NamedTuple, Optional
 
@@ -379,7 +378,7 @@ class Var(Checked, _VarFields):
             raise ValueError(f"variable {name}: trunc must be an integer >= 1 on a non-Laurent "
                              f"variable, got trunc={trunc!r}, laurent={laurent!r}")
         try:
-            str(trunc)  # Ring.__str__ and the drawer's name write the bound
+            str(trunc)  # Ring.__str__ and generate's filenames write the bound
         except ValueError:
             raise ValueError(f"variable {name}: trunc has more than {sys.get_int_max_str_digits()}"
                              " digits, past sys.get_int_max_str_digits()") from None
@@ -739,12 +738,32 @@ def ladder(x, k: int, mul):
         x = mul(x, x)
 
 
+_WRITERS: dict[str, Callable] = {}
+
+
+def generated(kind: str):
+    """Decorator: a writer of (source, namespace) becomes partial(generate, kind)."""
+    def register(write):
+        _WRITERS[kind] = write
+        return partial(generate, kind)
+    return register
+
+
+@cache
+def generate(kind: str, *key) -> Callable:
+    """The function named kind that _WRITERS[kind](*key) writes, compiled
+    under the filename <kind, key...>; this cache is the one registry."""
+    source, namespace = _WRITERS[kind](*key)
+    exec(compile(source, f"<{', '.join(map(str, (kind, *key)))}>", "exec"), namespace)
+    return namespace[kind]
+
+
 def _tuple_display(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-@cache
-def _product_kernel(n: int, base: str) -> Callable[[dict, dict, dict], dict]:
+@generated("kernel")
+def _product_kernel(n: int, base: str) -> tuple[str, dict]:
     """The term-product loop of Ring.products for exponent tuples of
     length n over base, as kernel(out, xs, ys) over two term maps.  Its for
     targets unpack both exponent tuples and it writes their sum as a tuple
@@ -755,8 +774,8 @@ def _product_kernel(n: int, base: str) -> Callable[[dict, dict, dict], dict]:
                 e = (a0 + b0, a1 + b1)
 
     Over F2[eps] the product and sum are lookups in _DUAL_PRODUCT and
-    _DUAL_SUM.  The source is generated once per (n, base) from n and whether
-    base is F2e only; no variable name enters it."""
+    _DUAL_SUM.  The source depends on n and whether base is F2e only; no
+    variable name enters it."""
     dual = base == "F2e"
     src = "\n".join((
         "def kernel(out, xs, ys):",
@@ -769,21 +788,18 @@ def _product_kernel(n: int, base: str) -> Callable[[dict, dict, dict], dict]:
         f"            out[e] = {'S[out[e]][c]' if dual else 'out[e] + c'} if e in out else c",
         "    return out",
     ))
-    namespace = {"P": _DUAL_PRODUCT, "S": _DUAL_SUM}
-    exec(compile(src, f"<product kernel, arity {n}, base {base}>", "exec"), namespace)
-    return namespace["kernel"]
+    return src, {"P": _DUAL_PRODUCT, "S": _DUAL_SUM}
 
 
-@cache
-def _normalizer(base: str, truncated: tuple[tuple[int, int], ...]) -> Callable[[dict], dict]:
+@generated("normal")
+def _normalizer(base: str, truncated: tuple[tuple[int, int], ...]) -> tuple[str, dict]:
     """Ring.normal for a ring over base with the truncated (position,
-    bound) pairs, generated once per both.  normal(terms) tests each term
-    once with the base's zero test (on F2[eps] identity with the shared
-    zero, on F2 c == 1) and each bound written in, as `if not ((c.re or
-    c.im) and e[0] < t0): break` over Zi[t<n].  It returns terms itself when
-    every term stays, else one filtered copy (on F2, of c % 2 as 1).  Only
-    positions and these tests enter the source; the bounds, which come from
-    outside input, enter through the namespace."""
+    bound) pairs.  normal(terms) tests each term once with the base's zero
+    test (on F2[eps] identity with the shared zero, on F2 c == 1) and each
+    bound written in, as `if not ((c.re or c.im) and e[0] < t0): break` over
+    Zi[t<n].  It returns terms itself when every term stays, else one
+    filtered copy (on F2, of c % 2 as 1).  Only positions and these tests
+    enter the source; the bounds, outside input, enter by the namespace."""
     test = {"Q": "c", "Z": "c", "Zi": "(c.re or c.im)", "Z4": "(c.c0 or c.c1 or c.c2 or c.c3)",
             "F2e": "c is not ZERO", "F2": "c == 1"}[base]
     bounds = [f"e[{k}] < t{k}" for k, _ in truncated]
@@ -793,9 +809,7 @@ def _normalizer(base: str, truncated: tuple[tuple[int, int], ...]) -> Callable[[
     value, cond = ("1", " and ".join(["c % 2", *bounds])) if base == "F2" else ("c", keep)
     src = "\n    ".join(["def normal(terms):", *check, "    return terms",
                          f"return {{e: {value} for e, c in terms.items() if {cond}}}"])
-    namespace = {"ZERO": _DUAL[0][0], **{f"t{k}": t for k, t in truncated}}
-    exec(compile(src, f"<normal form, {base}: {keep}>", "exec"), namespace)
-    return namespace["normal"]
+    return src, {"ZERO": _DUAL[0][0], **{f"t{k}": t for k, t in truncated}}
 
 
 def _monomial_inverse(ring: Ring, exps: tuple, c) -> Optional[Poly]:

@@ -4,22 +4,20 @@ Every bounded int is drawn the way CPython's Random._randbelow_with_getrandbits
 draws it, the algorithm behind Random.randint and Random.choice on Python
 3.10 to 3.13: r = rng.getrandbits(k) for k the bit length of the width n,
 drawn again while r >= n.  randint and choice are that draw once, at a
-fraction of Random's argument handling.  random_poly draws through one
-function generated per (ring, max_terms, max_exp) (_drawer), in which the
-term count, each exponent and each coefficient coordinate is that draw
-written out with its k, n and lower bound as constants: the same
-getrandbits calls in the same order as randint would make, with no call
-per bounded int.  tests/test_sampling.py pins the draws against a randint
-reference, draw for draw and by digest."""
+fraction of Random's argument handling.  random_poly draws through the
+function rings.generate compiles per (ring, max_terms, max_exp) from the
+source _drawer writes, in which the term count, each exponent and each
+coefficient coordinate is that draw written out with its k, n and lower
+bound as constants: the same getrandbits calls in the same order as randint
+would make, with no call per bounded int.  tests/test_sampling.py pins the
+draws against a randint reference, draw for draw and by digest."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
-from typing import Callable
 
-from .rings import DualF2, GaussianInt, GroupRingZ4, Poly, Ring, rational
+from .rings import DualF2, GaussianInt, GroupRingZ4, Poly, Ring, generated, rational
 
 
 def randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -67,8 +65,8 @@ def _draw(lines: list[str], name: str, lo: int, hi: int) -> str:
     return f"{name} + {lo}" if lo > 0 else f"{name} - {-lo}" if lo else name
 
 
-@cache
-def _drawer(ring: Ring, max_terms: int, max_exp: int) -> Callable[[random.Random], Poly]:
+@generated("draw")
+def _drawer(ring: Ring, max_terms: int, max_exp: int) -> tuple[str, dict]:
     """random_poly(rng, ring, max_terms, max_exp) as one generated function:
     the term count in 0..max_terms, then per term each exponent (-max_exp
     on a Laurent variable, else 0, up to max_exp and below the variable's
@@ -90,10 +88,8 @@ def _drawer(ring: Ring, max_terms: int, max_exp: int) -> Callable[[random.Random
     src = "\n".join(["def draw(rng):", "    g = rng.getrandbits", "    terms = {}",
                      *("    " + line for line in head), f"    for _ in range({count}):",
                      *("        " + line for line in term), "    return Poly(ring, terms)"])
-    namespace = {"Poly": Poly, "ring": ring, "_Q_VALUES": _Q_VALUES, "GaussianInt": GaussianInt,
+    return src, {"Poly": Poly, "ring": ring, "_Q_VALUES": _Q_VALUES, "GaussianInt": GaussianInt,
                  "GroupRingZ4": GroupRingZ4, "DualF2": DualF2}
-    exec(compile(src, f"<drawer, {ring} {max_terms} {max_exp}>", "exec"), namespace)
-    return namespace["draw"]
 
 
 def random_poly(rng: random.Random, ring: Ring, max_terms: int = 3,

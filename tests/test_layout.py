@@ -2,8 +2,8 @@
 only the ledger, matrices is linear algebra alone, no module imports or
 reads another's private names, the CLI writes stderr in `main` alone, no
 module imports dataclasses or functools' cached_property, only rings asks
-whether a value is a Poly, and each check id is written once, at the call
-that proves or computes it."""
+whether a value is a Poly, only rings.generate compiles code, and each
+check id is written once, at the call that proves or computes it."""
 
 import ast
 from pathlib import Path
@@ -127,7 +127,7 @@ def test_sampling_stores_rationals_by_the_rings_rule():
 
 @pytest.mark.parametrize("name, home", [*((n, "ledger") for n in LEDGER_NAMES),
                                         ("DoublePair", "laurent_pipeline"),
-                                        ("cached_field", "rings")])
+                                        ("cached_field", "rings"), ("generated", "rings")])
 def test_defined_in_one_module(name, home):
     assert [m for m, tree in SOURCES.items() if name in _defined(tree)] == [home]
 
@@ -161,6 +161,21 @@ def test_each_value_rule_is_written_at_its_home(member):
     owners = {(module, cls.name) for module, tree in SOURCES.items() for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and member in _class_members(cls)}
     assert owners == {("rings", home) for home in VALUE_RULE_HOMES[member]}
+
+
+def _compile_and_exec_calls(tree):
+    """The calls of the builtins compile and exec in tree; re.compile and
+    other attributes named compile are not builtins."""
+    return sorted(node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id in ("compile", "exec"))
+
+
+def test_only_the_registry_compiles_generated_code():
+    # rings.generate compiles and runs every generated function, so one
+    # cache holds them all and one place names their files
+    calls = {name: _compile_and_exec_calls(tree) for name, tree in SOURCES.items()}
+    assert {name: c for name, c in calls.items() if c} == {"rings": ["compile", "exec"]}
+    assert _compile_and_exec_calls(_function(SOURCES["rings"], "generate")) == ["compile", "exec"]
 
 
 def test_only_cli_main_writes_stderr():

@@ -12,10 +12,10 @@ import pytest
 from nilk.rings import (BASE, F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                         PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, Z4_X, ZI_X,
                         DualF2, GaussianInt, GroupRingZ4, NotAUnitError, Poly,
-                        Ring, RingMismatchError, Var, group_ring_from_gauss,
+                        Ring, RingMismatchError, Var, generate, group_ring_from_gauss,
                         hom_apply, ideal_member, poly_latex, poly_terms_from_json, poly_terms_to_json,
                         psi, rho, ring_from_json, ring_to_json,
-                        rational, subring_member, truncate_t2, _product_kernel)
+                        rational, subring_member, truncate_t2)
 from nilk.sampling import randint, random_poly
 
 from helpers import assert_canonical, reference_normal, reference_try_invert
@@ -667,7 +667,7 @@ def test_dual_kernel_matches_the_coefficient_operators():
     # kernel of any other base calls: every (out, x, y) of the four values,
     # then random maps; eps + eps cancels to the shared zero
     four = [DualF2(a, b) for a in (0, 1) for b in (0, 1)]
-    dual, generic = _product_kernel(2, "F2e"), _product_kernel(2, "Z")
+    dual, generic = generate("kernel", 2, "F2e"), generate("kernel", 2, "Z")
     for z, x, y in itertools.product(four, repeat=3):
         assert dual({(1, 1): z}, {(0, 1): x}, {(1, 0): y})[(1, 1)] is z + x * y
     eps = DualF2(0, 1)
