@@ -2,10 +2,10 @@
 
 A stage proves each identity with `require` as it builds it: a failure
 raises PipelineError naming the check id (CLI exit 1).  Inside `recording()`
-it also keeps the report `Check` by id, which the report reads instead of
-computing it again.  A `Check` holds the values it compared; only `line`
-and `to_json` write them.  A check's id and anchor are written once, at the
-call that proves or computes it; KNOWN_DISCREPANCIES names the discrepancy ids.
+it also keeps the report `Check` by id for the report to read, and the
+error carries that ledger.  A `Check` holds the values it compared; only
+`line` and `to_json` write them.  A check's id and anchor are written once,
+where it is proved or computed; KNOWN_DISCREPANCIES names the discrepancy ids.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 class PipelineError(RuntimeError):
     """An internal verification of the construction failed."""
+    ledger: dict[str, Check] | None = None  # require's, if one was open
 
 
 PASS = "pass"
@@ -66,7 +67,9 @@ def require(cid: str, anchor: str, computed, expected=True):
     if ledger is not None:
         ledger[cid] = c
     if c.status != PASS:
-        raise PipelineError(f"verification failed: {cid} ({anchor})")
+        error = PipelineError(f"verification failed: {cid} ({anchor})")
+        error.ledger = ledger
+        raise error
 
 
 @contextmanager

@@ -1,8 +1,10 @@
 """The seven randomized suites of the report: the operands each draws are
-pinned, each runs exactly its case count, and each one fails when the
-operation it checks is broken."""
+pinned, each runs exactly its case count, each one fails when the
+operation it checks is broken, and the degenerate cases among its draws
+are counted.  Two identities also hold on every input of a small domain."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -11,10 +13,10 @@ import pytest
 from nilk import laurent_pipeline as lp
 from nilk import report, rings
 from nilk.matrices import Matrix
-from nilk.rings import (F2E_X, Q_TS, Q_TS_MOD_T2, Z4_X, ZI_X, Poly, hom_apply,
+from nilk.rings import (F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Z4_X, ZI_X, DualF2, Poly, hom_apply,
                         poly_terms_to_json)
 from nilk.sampling import random_poly
-from nilk.words import StWord
+from nilk.words import StWord, dennis_stein_word, eval_word
 
 # sha256 of the operands each suite draws at its report seed and 60 cases:
 # the JSON terms of every random_poly, the (i, j) of every random word's
@@ -149,3 +151,67 @@ def test_hom_of_one_counts_in_every_case(monkeypatch, name, plant, fails):
     expected = _hom_failures_case_by_case(1000, 2)
     assert report.suite_hom_multiplicative(1000, 2) == expected > 0
     assert fails is None or expected == fails
+
+
+# (suite, the report name whose calls are the draws): {what: (its count in
+# one call's arguments, the exact sum over the draws at the report's seed
+# and case count)}.  A degenerate case is one where the identity cannot fail.
+DEGENERATE = {
+    ("suite_dennis_stein_identity", "dennis_stein_word"): {
+        "cases": (lambda i, j, a, b: 1, 1000),
+        # <0, b> is x_ji(-b) x_ji(b)
+        "a = 0": (lambda i, j, a, b: a.is_zero(), 605),
+        # 1 - ab = 1: try_invert never sees a nontrivial unit
+        "ab = 0": (lambda i, j, a, b: (a * b).is_zero(), 827),
+    },
+    ("suite_eval_homomorphism", "StWord"): {
+        "words": (lambda ring, letters: 1, 2000),
+        "empty words": (lambda ring, letters: not letters, 495),
+        "letters": (lambda ring, letters: len(letters), 3029),
+        "letters x_ij(0) = I": (lambda ring, letters: sum(a.is_zero() for *_, a in letters), 1425),
+    },
+}
+
+
+@pytest.mark.parametrize("suite, name", DEGENERATE)
+def test_degenerate_draws_counted(monkeypatch, suite, name):
+    # the suite's own code draws; the words are not built or evaluated (every
+    # evaluation is I), so every case passes and only the draws cost
+    monkeypatch.setattr(report, "dennis_stein_word", lambda *args: None)
+    monkeypatch.setattr(report, "eval_word", lambda w, n: Matrix.identity(F2E_X, n))
+    calls, real = [], getattr(report, name)  # taken after the stubs: a stub stays one
+    monkeypatch.setattr(report, name, lambda *args: calls.append(args) or real(*args))
+    run, cases, seed = next((fn, cases, seed) for *_, fn, cases, seed in report.SUITES
+                            if fn.__name__ == suite)
+    assert run(cases, seed) == 0
+    counts = DEGENERATE[suite, name]
+    assert {what: sum(count(*args) for args in calls) for what, (count, _) in counts.items()} == {
+        what: n for what, (_, n) in counts.items()}
+
+
+def _f2_up_to_x2(ring, coeffs):
+    """Every polynomial over `ring` of degree <= 2 with coefficients in coeffs."""
+    x = ring.var("x")
+    return [sum((ring.const(c) * x ** k for k, c in enumerate(cs)), ring.zero())
+            for cs in itertools.product(coeffs, repeat=3)]
+
+
+def test_dennis_stein_on_every_small_pair():
+    # a over eps F2[eps][x], eps times the 8 polynomials over F2 (eps kills
+    # eps), and b over F2[eps][x], 64 values
+    eps, eye = F2E_X.const(DualF2(0, 1)), Matrix.identity(F2E_X, 2)
+    a_values = [eps * p for p in _f2_up_to_x2(F2E_X, (DualF2(0, 0), DualF2(1, 0)))]
+    b_values = _f2_up_to_x2(F2E_X, [DualF2(a, b) for a in (0, 1) for b in (0, 1)])
+    assert (len(a_values), len(b_values)) == (8, 64)
+    assert [(a, b) for a in a_values for b in b_values
+            if eval_word(dennis_stein_word(1, 2, a, b), 2) != eye] == []
+
+
+def test_ring_axioms_on_every_small_triple():
+    # the F2 base's own normal form (c % 2), which no suite's domain reaches
+    elems = _f2_up_to_x2(F2_X, (0, 1))
+    one, zero = F2_X.one(), F2_X.zero()
+    fails = [(a, b, c) for a, b, c in itertools.product(elems, repeat=3)
+             if (a + b) + c != a + (b + c) or a * b != b * a or (a * b) * c != a * (b * c)
+             or a * (b + c) != a * b + a * c or a * one != a or a + zero != a]
+    assert (len(elems), fails) == (8, [])
