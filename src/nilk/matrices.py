@@ -21,9 +21,10 @@ polynomial, summed the same way.  Berkowitz takes the char poly of the
 leading 2 x 2 block in closed form, then borders each leading r x r block
 by row r's part R left of the diagonal and column r's part C above it, and
 needs the r values R A_r^j C; when R or C is empty each is an empty sum,
-so it appends r zeros and runs no Krylov step (of the 30 rows of
-I - s V_3(N), 21 are such).  The inverse's Horner loop starts at B + c_1 I,
-the value of its first step B I + c_1 I, so it makes no product by I.
+so it appends r zeros and runs no Krylov step.  A diagonal cI, c constant
+and n >= 4, is left out and put back by a shift of the char poly:
+det(I - s V_3(N)) makes 302 products, not 5096.  The inverse's Horner loop
+starts at B + c_1 I, its first step B I + c_1 I, so it makes no product by I.
 
 Every product runs on a matrix's cleared form (Matrix._cleared_rows), made
 once per matrix: (d, d*A's rows as {column: term map}), d the lcm of the
@@ -42,8 +43,9 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
-from operator import matmul
+from itertools import accumulate
+from math import comb, lcm
+from operator import matmul, mul
 from typing import Iterable, Optional, Sequence
 
 from .rings import (Frozen, Poly, Ring, RingMismatchError, cached_field, int_from_json, ladder,
@@ -259,24 +261,32 @@ class Matrix(Frozen):
         Berkowitz's division-free recurrence: bordering the leading block A_r
         by the column C, the row R and the corner a multiplies its char poly
         by the Toeplitz matrix with first column 1, -a, -RC, -RA_rC, ...,
-        -RA_r^(r-1)C.  It walks rows, as the row RA_r^j times [A_r C] is
-        [RA_r^(j+1), RA_r^jC].  Where R or C is empty every RA_r^jC is an
-        empty sum, so the column is a and r zeros and no Krylov step runs.
-        It starts from the char poly of the leading m x m block, m = min(n, 2),
-        in closed form, 1, -(a + e), ae - bc, and borders from r = m."""
+        -RA_r^(r-1)C, over its nonzero pairs.  It walks rows, as the row RA_r^j
+        times [A_r C] is [RA_r^(j+1), RA_r^jC].  Where R or C is empty every
+        RA_r^jC is an empty sum: the column is a and r zeros, and no Krylov step
+        runs.  It seeds with the closed-form char poly of the leading m x m
+        block, m = min(n, 2): 1, -(a + e), ae - bc.  When n >= 4 (at n = 3 the
+        one bordered row saves less than the shift costs) and d*A's diagonal
+        is cI, c a constant, it runs on B = d*A - cI, whose Krylov vectors take
+        no self-loop, and shifts back: p(x) = p_B(x - c), so c_k = sum over
+        i <= k of b_i C(n - i, k - i) (-c)^(k - i)."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
-        ring, products = self.ring, self.ring.products
+        ring, products, n = self.ring, self.ring.products, self.rows
         d, rows = self._cleared_rows
+        zero, diag = (0,) * len(ring.vars), rows[0].get(0) if n > 3 else None
+        shift = diag is not None and diag.keys() == {zero} and all(
+            r.get(i) == diag for i, r in enumerate(rows))
+        rows = [{k: r[k] for k in r if k != i} for i, r in enumerate(rows)] if shift else rows
 
-        m = min(self.rows, 2)
+        m = min(n, 2)
         (a, b), (c, e) = [[r.get(j, {}) for j in (0, 1)] for r in (*rows[:2], {}, {})[:2]]
         trace = {k: -x for k, x in a.items()}
         for k, x in e.items():
             trace[k] = trace[k] + -x if k in trace else -x
         minor = products(products({}, a, e), {k: -x for k, x in b.items()}, c)
         cs = [ring.one(), Poly(ring, trace), Poly(ring, minor)][:m + 1]
-        for r in range(m, self.rows):
+        for r in range(m, n):
             vec = {k: x for k, x in rows[r].items() if k < r}  # R, then R A_r^j
             col = [rows[r].get(r, {})]  # the Toeplitz column negated, without its 1
             if not vec or not any(r in rows[k] for k in range(r)):
@@ -292,15 +302,29 @@ class Matrix(Frozen):
                     col.append(Poly(ring, acc.pop(r, {})).terms)
                     vec = {i: t for i, t in ((i, Poly(ring, t).terms) for i, t in acc.items())
                            if t}
-            nxt = [cs[0]]
-            for i in range(1, r + 2):
-                acc = dict(col[i - 1])
-                for j in range(1, min(i, r + 1)):
-                    if cs[j].terms and col[i - j - 1]:
-                        products(acc, col[i - j - 1], cs[j].terms)
-                acc = Poly(ring, acc)
-                nxt.append(cs[i] - acc if i <= r else -acc)
-            cs = nxt
+            nz, out = [(j, y.terms) for j, y in enumerate(cs) if y.terms], {}
+            cs.append(ring.zero())
+            for t, x in [(t, {k: -v for k, v in x.items()}) for t, x in enumerate(col) if x]:
+                for j, y in nz:  # -col[t] c_j adds into the new c_(t+j+1)
+                    i = t + j + 1
+                    if i <= r + 1:
+                        o = out[i] if i in out else out.setdefault(i, dict(cs[i].terms))
+                        if j:
+                            products(o, x, y)
+                        else:
+                            for k, v in x.items():
+                                o[k] = o[k] + v if k in o else v
+            cs = [Poly(ring, out[i]) if i in out else y for i, y in enumerate(cs)]
+        if shift:  # c_k of p_B(x - c), each summed in one term map; pw[j] = (-c)^j
+            ops, pw = ring.ops, list(accumulate([-diag[zero]] * n, mul, initial=ring.ops.one))
+            nz, bs, cs = [(i, y.terms) for i, y in enumerate(cs) if y.terms][1:], cs, [cs[0]]
+            for k in range(1, n + 1):  # b_k, then b_0 = 1 and each nonzero b_i, i < k
+                acc, w = dict(bs[k].terms), ops.from_int(comb(n, k)) * pw[k]
+                acc[zero] = acc[zero] + w if zero in acc else w
+                for i, y in nz:
+                    if i < k:
+                        products(acc, y, {zero: ops.from_int(comb(n - i, k - i)) * pw[k - i]})
+                cs.append(Poly(ring, acc))
         return d, cs
 
     def det(self) -> Poly:
@@ -318,12 +342,13 @@ class Matrix(Frozen):
         if self.rows != self.cols:
             raise NotInvertibleError("non-square matrix")
         ring, n = self.ring, self.rows
-        d, b = self._cleared()
-        cs = b._berkowitz()[1]
+        d, cs = self._berkowitz()
         det = -cs[n] if n % 2 else cs[n]
         dinv = det.try_invert()
-        if dinv is None:
-            raise NotInvertibleError(f"determinant {self.det()} is not a recognized unit")
+        if dinv is None:  # det(A) = det(B) / d^n
+            det = det if d == 1 else Poly(ring, _quotient(det.terms, d ** n))
+            raise NotInvertibleError(f"determinant {det} is not a recognized unit")
+        b = self._cleared()[1]
         adj = b + Matrix.diag(ring, [cs[1]] * n) if n > 1 else Matrix.identity(ring, n)
         for c in cs[2:n]:
             adj = b @ adj + Matrix.diag(ring, [c] * n)
@@ -333,11 +358,11 @@ class Matrix(Frozen):
 
     def _entrywise(self, f, other: "Matrix") -> "Matrix":
         """The matrix of f(a, b) over the entries a of self and b of other,
-        of self's shape.  f(0, 0) = 0, so it visits only the columns where
-        a or b is nonzero."""
+        of self's shape, for f(a, 0) = a: it copies self's rows and visits
+        only other's stored entries."""
         zero = self.ring.zero()
         return Matrix(self.ring, self.rows, self.cols, tuple(
-            _nonzero((j, f(r.get(j, zero), s.get(j, zero))) for j in r.keys() | s.keys())
+            _nonzero({**r, **{j: f(r.get(j, zero), b) for j, b in s.items()}}.items())
             for r, s in zip(self.nonzero, other.nonzero)))
 
     def _cleared(self) -> tuple[int, "Matrix"]:

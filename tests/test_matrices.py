@@ -74,6 +74,8 @@ def leibniz_det(m):
     """Permutation-sum determinant, the oracle for the char-poly core."""
     total = m.ring.zero()
     for perm in permutations(range(m.rows)):
+        if any(m[i, j].is_zero() for i, j in enumerate(perm)):
+            continue
         term = m.ring.one()
         for i, j in enumerate(perm):
             term = term * m[i, j]
@@ -171,6 +173,65 @@ def test_charpoly_seed_on_every_zero_pattern(ring):
                     assert a @ a.inverse() == Matrix.identity(ring, n)
 
 
+def nonzero_constant(rng, ring):
+    """A random nonzero constant of ring: a Fraction that is not an int over
+    Q, 1 + eps over F2[eps], else a random nonzero coefficient."""
+    if ring.base == "Q":
+        return ring.const(Fraction(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 3)))
+    if ring.base == "F2e":
+        return ring.const(DualF2(1, 1))
+    while True:
+        c = random_poly(rng, ring, 1, 0)
+        if c.terms:
+            return c
+
+
+def with_diagonal(rng, ring, n, c, nil):
+    """An n x n matrix with diagonal c I: random terms off it, about half of
+    them zero, or (nil) a strictly upper triangular one conjugated by a random
+    permutation, so that its det is c^n while its rows and columns still
+    reach each other."""
+    perm, grid = rng.sample(range(n), n), [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and (i < j or not nil):
+                grid[perm[i]][perm[j]] = random_poly(rng, ring, 1, 1)
+        grid[i][i] = c
+    return Matrix.from_rows(ring, grid)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_scalar_diagonal_is_shifted_out_exactly(ring, monkeypatch):
+    # a diagonal c I runs the recurrence on A - cI and shifts the char poly
+    # back, the one use of comb, from n = 4 on; at n = 3, and with one entry
+    # moved off c, as in the controls, it takes the plain recurrence
+    rng, binomials, choose = random.Random(50), [], matrices.comb
+    monkeypatch.setattr(matrices, "comb", lambda *a: binomials.append(a) or choose(*a))
+    x = ring.var(ring.vars[0].name)
+    for n in (3, 4, 5, 6):
+        for c, nil in ((ring.one(), not n % 2), (nonzero_constant(rng, ring), n % 2)):
+            a = with_diagonal(rng, ring, n, c, nil)
+            grid, k = [list(r) for r in a.entries], rng.randrange(n)
+            grid[k][k] = c + (ring.one() if nil else x)
+            moved = Matrix.from_rows(ring, grid)
+            for m, shifted in ((a, n > 3), (moved, False)):
+                binomials.clear()
+                d = leibniz_det(m)
+                assert m.det() == d and bool(binomials) == shifted
+                cs = m.charpoly()
+                assert cs[1] == -sum((m[i, i] for i in range(n)), ring.zero())
+                p = Matrix.zeros(ring, n, n)
+                for coeff in cs:
+                    p = m @ p + Matrix.identity(ring, n).scale(coeff)
+                assert p.is_zero()
+                if d.try_invert() is None:
+                    with pytest.raises(NotInvertibleError):
+                        m.inverse()
+                else:
+                    assert m @ m.inverse() == Matrix.identity(ring, n)
+            assert a.det() == c ** n or not nil
+
+
 def test_integral_seed_of_fraction_entries_is_int():
     # [[1/2 + t, 1/2], [-3/2, 1/2 - t]]: trace 1 and det 1 - t^2, ints
     t, h = Q_TS.var("t"), Fraction(1, 2)
@@ -232,13 +293,17 @@ def test_det_runs_no_krylov_step_where_r_or_c_is_empty(monkeypatch):
         assert len(calls) == 16
         assert d == leibniz_det(a)
     # 21 of the 30 rows of I - s V_3(N) have R or C empty; running the
-    # Krylov iteration on all 30 makes 6283 products
+    # Krylov iteration on all 30 makes 6283 products, on the other 9 alone
+    # 5096.  Its diagonal is I, so the recurrence runs on -s V_3(N), whose
+    # Krylov vectors take no self-loop: the seed's 2, 298 Krylov products
+    # and 2 Toeplitz products, 302 in all; the shift back makes none, as
+    # -s V_3(N) is nilpotent and its char poly is x^30
     n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
     v = verschiebung(n10, 3).into(Q_TSZ)
     m = Matrix.identity(Q_TSZ, v.rows) - v.scale(Q_TSZ.var("s"))
     calls = count_products(monkeypatch, Q_TSZ)
     assert m.det() == Q_TSZ.one()
-    assert len(calls) == 5096
+    assert len(calls) == 302
 
 
 def test_inverse_makes_n_minus_2_products(monkeypatch):
@@ -254,7 +319,7 @@ def test_inverse_makes_n_minus_2_products(monkeypatch):
         assert matmul(a, inv) == Matrix.identity(Q_TS, n)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 32])
 def test_det_one_minus_s_verschiebung(k):
     n10 = lp.higman_companion(lp.decompose_M(lp.theorem31_matrix()))
     v = verschiebung(n10, k).into(Q_TSZ)
@@ -263,7 +328,7 @@ def test_det_one_minus_s_verschiebung(k):
     assert m.det() == Q_TSZ.one()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
 def test_det_verschiebung_is_det_at_s_to_the_k(k):
     # det(I - s V_k M) = det(I - s^k M) (Almkvist 1974) for M over Q[t]
     # that is not nilpotent, so both sides are more than 1; random_poly
@@ -335,6 +400,21 @@ def test_not_invertible_names_the_unscaled_determinant():
         m.inverse()
     assert m.det() == half_s
     assert str(err.value) == f"determinant {half_s} is not a recognized unit"
+
+
+def test_not_invertible_runs_berkowitz_once(monkeypatch):
+    # the error's det(M) is det(dM) / d^n from the one recurrence, not a rerun
+    berkowitz, runs = Matrix._berkowitz, []
+    monkeypatch.setattr(Matrix, "_berkowitz", lambda m: runs.append(1) or berkowitz(m))
+    t, s, h = Q_TS.var("t"), Q_TS.var("s"), Fraction(1, 2)
+    for m in (Matrix.from_rows(Q_TS, [[h * s]]),
+              Matrix.from_rows(Q_TS, [[h, t, 0], [s, h, 0], [0, 1, h]]),
+              Matrix.from_rows(Q_TS, [[t, 1], [0, s]])):
+        runs.clear()
+        with pytest.raises(NotInvertibleError) as err:
+            m.inverse()
+        assert len(runs) == 1
+        assert str(err.value) == f"determinant {m.det()} is not a recognized unit"
 
 
 def test_inverse_of_deep_truncated_unit():
@@ -758,6 +838,23 @@ def test_entrywise_maps_store_no_zero(ring):
                 killed = a.scale(divisors[1]).scale(divisors[0])
                 assert killed == Matrix.zeros(ring, n, n)
                 assert_sparse(killed)
+
+
+def test_sum_with_a_diagonal_adds_only_its_entries(monkeypatch):
+    # A + D and A - D copy A's rows and visit D's stored entries only: one
+    # Poly sum each, not one per entry of A, as in inverse's Horner step
+    rng, t, s = random.Random(53), Q_TS.var("t"), Q_TS.var("s")
+    a = rand_mat(rng, Q_TS, 5)
+    d = Matrix.diag(Q_TS, [-a[0, 0], 1, 0, t, s])  # a[0, 0] cancels
+    assert not a[0, 0].is_zero() and sum(map(len, d.nonzero)) == 4
+    for name, op in (("__add__", Matrix.__add__), ("__sub__", Matrix.__sub__)):
+        f, calls = getattr(Poly, name), []
+        want = Matrix.from_rows(Q_TS, [[f(a[i, j], d[i, j]) for j in range(5)] for i in range(5)])
+        monkeypatch.setattr(Poly, name, lambda x, y: calls.append(1) or f(x, y))
+        got = op(a, d)
+        monkeypatch.undo()
+        assert len(calls) == 4 and got == want
+        assert_sparse(got)
 
 
 def test_all_entries_asks_zero_once():
