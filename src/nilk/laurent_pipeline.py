@@ -6,10 +6,10 @@ by excision to the idempotent e2 over Q[t^2,t^3,s]; apply the loop map
 Q |-> I + (z-1)Q; normalize away the diag(z,1) factor; finally convert the
 result to a nilpotent block companion via Higman's trick.
 
-`construct()` runs the chain once.  Each stage proves its defining identities
-with `ledger.require` as it builds them, and under `construct()` every
-identity is recorded in the `checks` ledger of the record (a plain class on
-Frozen, as DoublePair is), which the report reads instead of recomputing it.
+`construct()` runs the chain once, through N.  Each stage proves its
+defining identities with `ledger.require` as it builds them, and under
+`construct()` every identity is recorded in the `checks` ledger of the
+record, which the report reads instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -173,38 +173,30 @@ def _represent(lift: Matrix) -> tuple[Matrix, K1Rep]:
     return e2, rep
 
 
-class Construction(Frozen):
-    """Every artifact of one run of the chain, each verified once when
-    built, and the ledger of those checks by id.  The blocks M_i and N are
-    derived on first use."""
+class Construction(NamedTuple):
+    """Every artifact of one run of the chain, the blocks M_i and the
+    Higman companion N included, each verified once when built, and the
+    ledger of those checks by id."""
 
-    _fields = ("lift", "pair", "e2", "rep", "checks")
-
-    def __init__(self, lift: Matrix, pair: DoublePair, e2: Matrix, rep: K1Rep,
-                 checks: dict[str, Check]):
-        object.__setattr__(self, "lift", lift)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "checks", checks)
-
-    @cached_field
-    def blocks(self) -> list[Matrix]:
-        return decompose_M(self.rep)
-
-    @cached_field
-    def n10(self) -> Matrix:
-        return higman_companion(self.blocks)
+    lift: Matrix
+    pair: DoublePair
+    e2: Matrix
+    rep: K1Rep
+    blocks: list[Matrix]
+    n10: Matrix
+    checks: dict[str, Check]
 
 
 def construct() -> Construction:
-    """A -> pair B -> e2 -> transport stages -> representative."""
+    """A -> pair B -> e2 -> transport stages -> representative -> N."""
     with recording() as checks:
         a = lift_A()
         pair = double_idempotent_B()
         e2, rep = _represent(a)
         excision_transport(pair, e2)
-    return Construction(a, pair, e2, rep, checks)
+        blocks = decompose_M(rep)
+        n10 = higman_companion(blocks)
+    return Construction(a, pair, e2, rep, blocks, n10, checks)
 
 
 def theorem31_matrix() -> K1Rep:

@@ -49,10 +49,12 @@ class Check(NamedTuple):
                 "expected": "true" if self.expected is True else str(self.expected)}
 
 
-def check(cid: str, anchor: str, computed, expected=True) -> Check:
-    """The report entry for computed == expected: a mismatch is a DISCREPANCY
-    for the ids of KNOWN_DISCREPANCIES, else a FAIL."""
-    status = PASS if computed == expected else DISCREPANCY if cid in KNOWN_DISCREPANCIES else FAIL
+def check(cid: str, anchor: str, computed, expected=True, ok=None) -> Check:
+    """The report entry for computed == expected, or for `ok` where the
+    values shown are not the ones compared: a mismatch is a DISCREPANCY for
+    the ids of KNOWN_DISCREPANCIES, else a FAIL."""
+    ok = computed == expected if ok is None else ok
+    status = PASS if ok else DISCREPANCY if cid in KNOWN_DISCREPANCIES else FAIL
     return Check(cid, anchor, status, computed, expected)
 
 

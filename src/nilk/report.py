@@ -3,9 +3,9 @@ assertion the two constructions make, run exactly, each with its
 source-display anchor and its computed and expected values, in the order
 of the calls below.  A stage's identities are read from the
 construction's `checks` ledger; the report computes only the checks no
-stage makes, by `check`, `Check` or a row of SUITES.  A display mismatch
-is reported, never normalized: a "discrepancy" for an id of
-`ledger.KNOWN_DISCREPANCIES`, else a "fail".
+stage makes.  `check` makes every entry, a row of SUITES included, so a
+display mismatch is reported, never normalized: a "discrepancy" for an id
+of `ledger.KNOWN_DISCREPANCIES`, else a "fail".
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import groupring_pipeline as grp
 from . import laurent_pipeline as lp
 from . import nilsse
-from .ledger import FAIL, PASS, Check, PipelineError, check
+from .ledger import Check, PipelineError, check
 from .matrices import Matrix
 from .rings import (F2E_X, F2_X, MONOMIAL_T2, PRINCIPAL_ONE_MINUS_SIGMA_SQ,
                     PRINCIPAL_TWO, Q_TS, Q_TS_MOD_T2, Q_TSZ, Z4_X, ZI_X,
@@ -62,9 +62,8 @@ def laurent_checks(con: lp.Construction | None = None) -> list[Check]:
     m = con.rep.matrix
     disp = lp.theorem31_display()
     agree = all(m[r, c] == disp[r, c] for r, c in [(0, 1), (1, 0), (1, 1)])
-    cs.append(Check("rep31.off_entries",
-                    "entries (1,2), (2,1), (2,2) match the stated display",
-                    PASS if agree else FAIL, m, True))
+    cs.append(check("rep31.off_entries",
+                    "entries (1,2), (2,1), (2,2) match the stated display", m, ok=agree))
     one = m.ring.one()
     s, t, z = m.ring.var("s"), m.ring.var("t"), m.ring.var("z")
     self_consistent = one - (one - z.invert()) * (s * t) ** 4
@@ -289,8 +288,8 @@ def random_checks() -> list[Check]:
     out = []
     for cid, anchor, fn, cases, seed in SUITES:
         fails = fn(cases, seed)
-        out.append(Check(cid, anchor, PASS if fails == 0 else FAIL,
-                         f"{fails} failures / {cases} cases", "0 failures"))
+        out.append(check(cid, anchor, f"{fails} failures / {cases} cases", "0 failures",
+                         ok=fails == 0))
     return out
 
 

@@ -89,12 +89,13 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
 
 
 def test_higman_searches_the_index_once(tmp_path, capsys, monkeypatch):
+    # the rep file is written first: building it builds and proves N too
+    src = tmp_path / "rep.json"
+    src.write_text(json.dumps(matrix_to_json(lp.theorem31_matrix().matrix)))
     calls = []
     index = Matrix.nilpotency_index
     monkeypatch.setattr(Matrix, "nilpotency_index",
                         lambda m, max_k: calls.append(max_k) or index(m, max_k))
-    src = tmp_path / "rep.json"
-    src.write_text(json.dumps(matrix_to_json(lp.theorem31_matrix().matrix)))
     code, out, _ = run(["higman", str(src), "--out", str(tmp_path)], capsys)
     assert (code, out) == (0, "companion size 10, nilpotency index 10\n")
     assert calls == [10]

@@ -2,8 +2,9 @@
 only the ledger, matrices is linear algebra alone, no module imports or
 reads another's private names, the CLI writes stderr in `main` alone, no
 module imports dataclasses or functools' cached_property, only rings asks
-whether a value is a Poly, only rings.generate compiles code, and each
-check id is written once, at the call that proves or computes it."""
+whether a value is a Poly, only rings.generate compiles code, only the
+ledger makes a Check, and each check id is written once, at the call that
+proves or computes it."""
 
 import ast
 from pathlib import Path
@@ -204,14 +205,32 @@ def _written_ids(*callees):
 
 
 def _registry_ids():
-    """Every check id src/nilk writes: at a require, check or Check call, or
-    in a row of report.SUITES."""
-    return _written_ids("require", "check", "Check") + [row[0] for row in report.SUITES]
+    """Every check id src/nilk writes: at a require or check call, or in a
+    row of report.SUITES."""
+    return _written_ids("require", "check") + [row[0] for row in report.SUITES]
+
+
+def test_only_the_ledger_makes_a_check():
+    # every entry goes through ledger.check, which decides its status by
+    # the one rule: PASS, else DISCREPANCY for a known id, else FAIL
+    makers = [name for name, tree in SOURCES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Check"]
+    assert makers == ["ledger"]
 
 
 def test_each_check_id_is_written_once():
     ids = _registry_ids()
     assert sorted({cid for cid in ids if ids.count(cid) > 1}) == []
+
+
+@pytest.mark.parametrize("module", ["laurent_pipeline", "groupring_pipeline"])
+def test_construct_records_every_identity_its_module_proves(module):
+    # N's two identities included: no stage identity is proved outside the
+    # construction's ledger, on a later first use
+    proved = {node.args[0].value for node in ast.walk(SOURCES[module])
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require"}
+    assert set(getattr(nilk, module).construct().checks) == proved
 
 
 def test_the_report_prints_every_written_id_but_the_stage_only_ones(report_checks):

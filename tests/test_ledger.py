@@ -21,3 +21,20 @@ def test_check_status_rule(cid, computed, expected, status, shown):
     assert c.computed is computed and c.expected is expected
     assert c.to_json() == {"id": cid, "anchor": "probe anchor", "status": status,
                            "computed": str(computed), "expected": shown}
+
+
+@pytest.mark.parametrize("cid, computed, expected, ok, status", [
+    ("probe.id", 1, 2, True, PASS),
+    ("random.ring_axioms", "0 failures / 6 cases", "0 failures", True, PASS),
+    *((cid, 2, 2, False, DISCREPANCY) for cid in sorted(KNOWN_DISCREPANCIES)),
+    ("probe.id", 2, 2, False, FAIL),
+    ("rep31.off_entries", "m", True, False, FAIL),
+    ("random.ring_axioms", "1 failures / 6 cases", "0 failures", False, FAIL),
+])
+def test_ok_decides_the_status_where_the_values_shown_are_not_compared(
+        cid, computed, expected, ok, status):
+    """ok in place of computed == expected, with the same rule: a False is
+    a DISCREPANCY exactly for the ids of KNOWN_DISCREPANCIES, else a FAIL.
+    The Check keeps the values shown."""
+    c = check(cid, "probe anchor", computed, expected, ok=ok)
+    assert c == Check(cid, "probe anchor", status, computed, expected)

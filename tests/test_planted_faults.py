@@ -17,7 +17,7 @@ from nilk import groupring_pipeline as grp
 from nilk import laurent_pipeline as lp
 from nilk import nilsse, report
 from nilk.cli import main
-from nilk.ledger import DISCREPANCY, FAIL, KNOWN_DISCREPANCIES, PASS, PipelineError, recording
+from nilk.ledger import DISCREPANCY, FAIL, KNOWN_DISCREPANCIES, PASS, PipelineError
 from nilk.matrices import Matrix, matrix_to_json
 from nilk.rings import F2E_X, Q_TS, Z4_X, ZI_X, GroupRingZ4, Poly, Ring
 from nilk.words import StWord
@@ -358,17 +358,14 @@ FAULTS = {
 def _reached() -> tuple[dict[str, str], set[str]]:
     """Status by id of every check the two constructions and their report
     checks reach, suites aside, and the ids of the failed stage identities.
-    A construction reaches its ledger, the identities its report proves on
-    first use (N's, recorded here) and the report's own checks; a failed
+    A construction reaches its ledger and the report's own checks; a failed
     identity ends it at the ledger its PipelineError carries."""
     reached, failed = {}, set()
     for build, *checks in ((lp.construct, report.laurent_checks, report.sse_checks),
                            (grp.construct, report.groupring_checks)):
         try:
-            with recording() as ledger:
-                con = build()
-                ledger.update(con.checks)
-                ledger.update((c.id, c) for run in checks for c in run(con))
+            con = build()
+            ledger = {**con.checks, **{c.id: c for run in checks for c in run(con)}}
         except PipelineError as e:
             ledger = e.ledger
             failed |= {cid for cid, c in ledger.items() if c.status == FAIL}
