@@ -233,10 +233,12 @@ def _random_word(rng: random.Random) -> StWord:
 
 
 def suite_eval_homomorphism(cases: int, seed: int) -> int:
+    eye = Matrix.identity(F2E_X, 2)
+
     def case(rng):
         w1, w2 = _random_word(rng), _random_word(rng)
         return ((eval_word(w1 * w2, 2) != eval_word(w1, 2) @ eval_word(w2, 2))
-                + (eval_word(w1 * w1.inverse(), 2) != Matrix.identity(F2E_X, 2)))
+                + (eval_word(w1 * w1.inverse(), 2) != eye))
     return _suite(seed, cases, case)
 
 

@@ -7,7 +7,7 @@ is checked: i != j, and a taken through Ring.element.  x_ij(a)^-1 is
 x_ij(-a), so inverse() negates each parameter.  eval_word applies each
 letter as a column operation on term maps with the ring's product kernel
 (Ring.products), as Matrix.__matmul__ does, and builds one Poly per changed
-entry.
+entry; a letter x_ij(0) = I does no work.
 
 Words are never rewritten with Steinberg relations; any claimed equality of
 words is checked at the evaluation level only.
@@ -52,7 +52,9 @@ def eval_word(w: StWord, n: int) -> Matrix:
     The column operations act on the matrix's {column: entry} rows: each
     row with an entry in column i sums entry_j + entry_i * a on term maps
     with the ring's kernel, builds one Poly of the sum, and drops the entry
-    when it cancels.
+    when it cancels.  A letter x_ij(0) is the identity: its indices are
+    checked as any letter's, and then it is skipped, with no kernel call
+    and no Poly.
     """
     ring = w.ring
     products = ring.products
@@ -61,6 +63,8 @@ def eval_word(w: StWord, n: int) -> Matrix:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"letter indices ({i}, {j}) out of range for size {n}")
         i, j, a = i - 1, j - 1, a.terms
+        if not a:  # x_ij(0) = I, checked above like any letter
+            continue
         for r in rows:
             if i in r:
                 e = Poly(ring, products(dict(r[j].terms) if j in r else {}, r[i].terms, a))

@@ -1,10 +1,10 @@
 """Shared test utilities: the canonical-form and sparse-storage checks, a
 random_poly drawn one randint at a time, the generic normal form, a
 candidate-loop unit recognition, a dense product and elementary matrices
-as references, the dense-view JSON, LaTeX and str forms of a matrix as
-references for its row-walking writers, direct sums entry by entry,
-matrices as witness files hold them, and conversion to sympy for
-independent cross-checks."""
+as references, a counter of a ring's product-kernel calls, the dense-view
+JSON, LaTeX and str forms of a matrix as references for its row-walking
+writers, direct sums entry by entry, matrices as witness files hold them,
+and conversion to sympy for independent cross-checks."""
 
 import json
 import random
@@ -155,6 +155,13 @@ def elementary(ring: Ring, n: int, i: int, j: int, a) -> Matrix:
     rows = [list(r) for r in Matrix.identity(ring, n).entries]
     rows[i - 1][j - 1] = a
     return Matrix.from_rows(ring, rows)
+
+
+def count_products(monkeypatch, ring) -> list:
+    """A list that gets one item per call of ring's product kernel."""
+    calls, kernel = [], ring.products
+    monkeypatch.setitem(vars(ring), "products", lambda *a: calls.append(1) or kernel(*a))
+    return calls
 
 
 def reference_json_text(m: Matrix) -> str:

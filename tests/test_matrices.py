@@ -21,8 +21,8 @@ from nilk.rings import (BASE, F2_X, F2E_X, Q_TS, Q_TS_MOD_T2, Q_TSZ,
 from nilk.sampling import random_poly
 from nilk.words import StWord, eval_word
 
-from helpers import (assert_canonical, assert_sparse, elementary, reference_json_text,
-                     reference_latex, reference_product, reference_str)
+from helpers import (assert_canonical, assert_sparse, count_products, elementary,
+                     reference_json_text, reference_latex, reference_product, reference_str)
 
 
 RINGS = [Q_TS, Q_TS_MOD_T2, Q_TSZ, Q_TZ, ZI_X, Z4_X, F2E_X, F2_X]
@@ -270,13 +270,6 @@ def test_triangular_against_leibniz(ring):
                 else:
                     inv = a.inverse()
                     assert a @ inv == Matrix.identity(ring, n) == inv @ a
-
-
-def count_products(monkeypatch, ring) -> list:
-    """A list that gets one item per call of ring's product kernel."""
-    calls, kernel = [], ring.products
-    monkeypatch.setitem(vars(ring), "products", lambda *a: calls.append(1) or kernel(*a))
-    return calls
 
 
 def test_det_runs_no_krylov_step_where_r_or_c_is_empty(monkeypatch):

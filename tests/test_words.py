@@ -11,7 +11,7 @@ from nilk.sampling import random_poly
 from nilk.words import (StWord, dennis_stein_word, dual_symbol_word, eval_word, expand_h,
                         reduced_X_word)
 
-from helpers import assert_sparse, elementary
+from helpers import assert_sparse, count_products, elementary
 
 EPS = F2E_X.const(DualF2(0, 1))
 EYE = Matrix.identity(F2E_X, 2)
@@ -29,6 +29,42 @@ def test_eval_index_bound():
         w = StWord(Q_TS, [(i, j, Q_TS.one())])
         with pytest.raises(ValueError):
             eval_word(w, 2)
+
+
+@pytest.mark.parametrize("ring", [Q_TS, ZI_X, Z4_X, F2E_X, F2_X],
+                         ids=["Q_TS", "ZI_X", "Z4_X", "F2E_X", "F2_X"])
+def test_a_zero_letter_does_no_work(ring, monkeypatch):
+    # x_ij(0) = I: a word with x_ij(0) letters interleaved evaluates to the
+    # word without them, with exactly that word's kernel calls
+    rng = random.Random(8)
+    calls = count_products(monkeypatch, ring)
+    work = 0
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        letters = [(*rng.sample(range(1, n + 1), 2), a)
+                   for a in (random_poly(rng, ring, 2, 2) for _ in range(rng.randint(0, 5)))
+                   if not a.is_zero()]
+        def zeros():
+            return [(*rng.sample(range(1, n + 1), 2), rng.choice((0, ring.zero())))
+                    for _ in range(rng.randint(0, 2))]
+        padded = zeros()
+        for letter in letters:
+            padded += [letter] + zeros()
+        calls.clear()
+        plain = eval_word(StWord(ring, letters), n)
+        plain_calls = len(calls)
+        calls.clear()
+        assert eval_word(StWord(ring, padded), n) == plain
+        assert len(calls) == plain_calls
+        work += plain_calls
+    assert work > 20  # the words without the zero letters do work
+    # an out-of-range x_ij(0) is refused as any letter is, wherever it stands
+    for letters, bad in (([(1, 3, 0)], "(1, 3)"), ([(1, 2, 1), (3, 1, ring.zero())], "(3, 1)"),
+                         ([(0, 1, 0), (2, 1, 1)], "(0, 1)")):
+        with pytest.raises(ValueError) as raised:
+            eval_word(StWord(ring, letters), 2)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"letter indices {bad} out of range for size 2"
 
 
 def test_letter_indices_must_differ():
