@@ -559,13 +559,6 @@ class Poly:
     def __eq__(self, other):
         if other is self:
             return True
-        # a Poly over the identical ring object, the operand of nearly every
-        # op, is taken as it is here and in +, - and *.  Every other value
-        # keeps the general path: Ring.element alone decides what becomes an
-        # element, takes a Poly over an equal but distinct ring, and refuses
-        # a foreign ring with RingMismatchError.
-        if type(other) is Poly and other.ring is self.ring:
-            return self.terms == other.terms
         try:
             other = self.ring.element(other)
         except (TypeError, ValueError):  # not an element of this ring
@@ -575,7 +568,7 @@ class Poly:
     # -- arithmetic
 
     def __add__(self, other):
-        o = other if type(other) is Poly and other.ring is self.ring else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
@@ -591,7 +584,7 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = other if type(other) is Poly and other.ring is self.ring else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
@@ -607,7 +600,7 @@ class Poly:
         return o - self
 
     def __mul__(self, other):
-        o = other if type(other) is Poly and other.ring is self.ring else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Poly(self.ring, self.ring.products({}, self.terms, o.terms))

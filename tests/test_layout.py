@@ -187,19 +187,11 @@ def test_only_cli_main_writes_stderr():
     assert writers == {"main"}
 
 
-def _asks_for_poly(node) -> bool:
-    """node is isinstance(x, ...Poly...) or type(x) is (not) Poly."""
-    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-        return "Poly" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-    return (isinstance(node, ast.Compare) and any(isinstance(o, (ast.Is, ast.IsNot)) for o in node.ops)
-            and any(getattr(n, "id", None) == "Poly" for n in node.comparators))
-
-
 def test_only_rings_asks_whether_a_value_is_a_poly():
-    # which Python value becomes a ring element is Ring.element's decision;
-    # Poly's operators take a Poly over the identical ring before asking it
+    # which Python value becomes a ring element is Ring.element's decision
     askers = [name for name, tree in SOURCES.items() for node in ast.walk(tree)
-              if _asks_for_poly(node)]
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and "Poly" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
     assert set(askers) <= {"rings"}
 
 

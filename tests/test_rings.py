@@ -503,45 +503,6 @@ def test_poly_is_not_equal_to_a_foreign_value():
     assert (ZI_X.one() == Fraction(1, 2)) is False and (ZI_X.one() != Fraction(1, 2)) is True
 
 
-# each ring with an equal but distinct ring object, a base element, and a
-# foreign ring
-TWINS = {"Q_TS": (Q_TS, Ring("Q", (Var("t"), Var("s"))), Fraction(-2, 3), ZI_X),
-         "F2E_X": (F2E_X, ring_from_json(ring_to_json(F2E_X)), DualF2(0, 1), Q_TS)}
-
-
-def _value(x):
-    """A Poly as (ring, terms), rings compared by value; any other result
-    as it is."""
-    return (x.ring, x.terms) if type(x) is Poly else x
-
-
-@pytest.mark.parametrize("ring, twin, c, foreign", TWINS.values(), ids=TWINS)
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.eq],
-                         ids=["add", "sub", "mul", "eq"])
-def test_operators_take_every_operand_the_identical_ring_takes(ring, twin, c, foreign, op):
-    # + - * and == take a Poly over the identical ring as it is; a Poly over
-    # an equal ring, an int and a base element take Ring.element, to the
-    # same result, and a foreign ring is refused
-    assert twin is not ring and twin == ring
-    rng = random.Random(9)
-    for _ in range(20):
-        p, q = random_poly(rng, ring, 3, 2), random_poly(rng, ring, 3, 2)
-        q_twin = Poly(twin, dict(q.terms))
-        assert _value(op(p, q_twin)) == _value(op(p, q))
-        assert _value(op(q_twin, p)) == _value(op(q, p))
-        for k in (0, 1, 3, c):
-            assert _value(op(p, k)) == _value(op(p, ring.const(k)))
-            assert _value(op(k, p)) == _value(op(ring.const(k), p))
-        # the zeros have equal term maps, and are still not equal
-        for mine, stranger in ((ring.zero(), foreign.zero()), (p, random_poly(rng, foreign, 3, 2))):
-            if op is operator.eq:
-                assert (mine == stranger) is (stranger == mine) is False
-            else:
-                for left, right in ((mine, stranger), (stranger, mine)):
-                    with pytest.raises(RingMismatchError):
-                        op(left, right)
-
-
 # -- ideals and subring
 
 
